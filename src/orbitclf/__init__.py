@@ -29,7 +29,7 @@ from .clf import (
     min_norm_mu,
     u_s_damping,
 )
-from .disturbance import DisturbanceSignal, sample, sup_norm
+from .disturbance import DisturbanceSignal, DisturbanceTable, sample, sup_norm
 from .plants import (
     ConverseConstants,
     DisturbedClosedLoop,

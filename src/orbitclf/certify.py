@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .clf import vecdot
 from .output_dynamics import build_fg
 from .plants import ConverseConstants, HopfPlant, pzd_distance
 from .riccati import ResClfCertificate
@@ -226,21 +227,15 @@ def check_composite_sandwich(record: TrajectoryRecord, cert: ResClfCertificate,
                              plant: HopfPlant, rel_tol: float = 1e-9) -> bool:
     """lower (dist_pz^2 + |eta|^2) <= V_c <= upper (...) at in-annulus samples."""
     lower, upper = composite_bounds(cert, sigma, consts)
-    k1 = plant.dims.k1
-    ok = True
-    for i in range(len(record)):
-        z = record.z[i]
-        nz = float(np.linalg.norm(z))
-        if not (plant.r0 - consts.r <= nz <= plant.r0 + consts.r):
-            continue  # converse constants only certified on the annulus
-        dpz = pzd_distance(record.eta[i, :k1], z, plant)
-        s = dpz * dpz + float(record.eta[i] @ record.eta[i])
-        vc = record.v_c[i]
-        slack = rel_tol * max(1.0, abs(vc))
-        if not (lower * s - slack <= vc <= upper * s + slack):
-            ok = False
-            break
-    return ok
+    nz = np.sqrt(vecdot(record.z, record.z))
+    # converse constants only certified on the annulus
+    in_annulus = (plant.r0 - consts.r <= nz) & (nz <= plant.r0 + consts.r)
+    dpz = pzd_distance(record.eta[:, :plant.dims.k1], record.z, plant)
+    s = dpz * dpz + vecdot(record.eta, record.eta)
+    vc = record.v_c
+    slack = rel_tol * np.maximum(1.0, np.abs(vc))
+    inside = (lower * s - slack <= vc) & (vc <= upper * s + slack)
+    return bool(np.all(inside | ~in_annulus))
 
 
 def fit_eiss_envelope(record: TrajectoryRecord) -> tuple[float, float]:

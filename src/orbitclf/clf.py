@@ -42,37 +42,70 @@ class ClfEvaluation:
     LG_V: np.ndarray
 
 
-def _check_eta(cert: ResClfCertificate, eta: np.ndarray) -> np.ndarray:
+def _check_eta(cert: ResClfCertificate, eta: np.ndarray, batch: bool = False) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
-    if eta.shape != (cert.dims.n_eta,):
-        raise ValueError(f"eta has shape {eta.shape}, expected ({cert.dims.n_eta},)")
+    n = cert.dims.n_eta
+    if eta.shape[-1:] != (n,) or eta.ndim > (2 if batch else 1):
+        expected = f"({n},) or (B, {n})" if batch else f"({n},)"
+        raise ValueError(f"eta has shape {eta.shape}, expected {expected}")
     return eta
+
+
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for x of shape (n,) or row by row for x of shape (..., n).
+
+    Each row goes through the same BLAS call as a lone vector, so a
+    row's result is bit for bit independent of the batch it sits in.
+    """
+    return (A @ x[..., None])[..., 0]
+
+
+def vecmat(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """x @ A row by row; see ``matvec``."""
+    return (x[..., None, :] @ A)[..., 0, :]
+
+
+def vecdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y row by row; see ``matvec``."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _lie_terms(cert: ResClfCertificate, dyn: OutputDynamics,
+               eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    Pe = matvec(cert.P_eps, eta)
+    V = vecdot(eta, Pe)
+    LF_V = 2.0 * vecdot(matvec(dyn.F, eta), Pe)  # eta'(F'P + PF)eta = 2 eta'P F eta
+    LG_V = 2.0 * vecmat(Pe, dyn.G)
+    return V, LF_V, LG_V
 
 
 def evaluate_clf(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray) -> ClfEvaluation:
     """Evaluate V_eps, LF_V, LG_V at eta."""
-    eta = _check_eta(cert, eta)
-    P_eps = cert.P_eps
-    Pe = P_eps @ eta
-    V = float(eta @ Pe)
-    LF_V = float(2.0 * (dyn.F @ eta) @ Pe)  # eta'(F'P + PF)eta = 2 eta'P F eta
-    LG_V = 2.0 * (Pe @ dyn.G)
-    return ClfEvaluation(V=V, LF_V=LF_V, LG_V=LG_V)
+    V, LF_V, LG_V = _lie_terms(cert, dyn, _check_eta(cert, eta))
+    return ClfEvaluation(V=float(V), LF_V=float(LF_V), LG_V=LG_V)
 
 
 def min_norm_mu(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray) -> np.ndarray:
-    """Minimum-Euclidean-norm element of the rate-(gamma/eps) controller set."""
-    eta = _check_eta(cert, eta)
-    ev = evaluate_clf(cert, dyn, eta)
-    psi0 = ev.LF_V + cert.rate * ev.V
-    if psi0 <= 0.0:
-        return np.zeros(cert.dims.n_mu)
-    psi1 = ev.LG_V
-    denom = float(psi1 @ psi1)
-    if denom <= 1e-14 * psi0:
+    """Minimum-Euclidean-norm element of the rate-(gamma/eps) controller set.
+
+    eta is one point (n_eta,) or a batch (B, n_eta); the result has the
+    matching shape (n_mu,) or (B, n_mu), and each row equals the law at
+    that row alone, bit for bit.
+    """
+    eta = _check_eta(cert, eta, batch=True)
+    V, LF_V, psi1 = _lie_terms(cert, dyn, eta)
+    psi0 = LF_V + cert.rate * V
+    denom = vecdot(psi1, psi1)
+    active = psi0 > 0.0
+    bad = active & (denom <= 1e-14 * psi0)
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        where = f"row {row}: " if eta.ndim == 2 else ""
         raise ClfConsistencyError(
-            f"psi1 ~ 0 with psi0 = {psi0:g} > 0; certificate invariants are broken")
-    return -(psi0 / denom) * psi1
+            f"{where}psi1 ~ 0 with psi0 = {np.ravel(psi0)[row]:g} > 0; "
+            "certificate invariants are broken")
+    coef = -(psi0 / np.where(active, denom, 1.0))
+    return np.where(active[..., None], coef[..., None] * psi1, 0.0)
 
 
 def membership(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray,
@@ -106,9 +139,10 @@ def u_s_damping(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray,
     """State-based damping feedback u_s = -(1/(2 eps_bar)) G' P_eps eta.
 
     With B_y = I this adds exactly -(1/eps_bar) ||G'P_eps eta||^2 to the
-    V_eps derivative; smaller eps_bar damps harder.
+    V_eps derivative; smaller eps_bar damps harder.  eta is one point or a
+    batch (B, n_eta), as for ``min_norm_mu``.
     """
     if not (0.0 < eps_bar <= 1.0):
         raise ValueError(f"eps_bar must lie in (0, 1], got {eps_bar}")
-    eta = _check_eta(cert, eta)
-    return -(0.5 / eps_bar) * (dyn.G.T @ (cert.P_eps @ eta))
+    eta = _check_eta(cert, eta, batch=True)
+    return -(0.5 / eps_bar) * matvec(dyn.G.T, matvec(cert.P_eps, eta))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import sys
@@ -25,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import certify as cert_mod
-from .disturbance import DisturbanceSignal, sup_norm
+from .disturbance import KINDS, DisturbanceSignal, sup_norm
 from .output_dynamics import OutputDims, build_fg
 from .plants import (
+    CONTROLLER_MODES,
     DisturbedClosedLoop,
     HopfPlant,
     MechClosedLoop,
@@ -141,10 +143,43 @@ def load_config(path: str | None, overrides: list[str], seed: int | None,
     return config
 
 
+#: dotted config paths whose value must be a JSON number (None where allowed)
+_NUMBERS = ("eps", "eps_bar", "settle_fraction", "plant.omega", "plant.lambda_h",
+            "plant.r0", "plant.y1_rate", "plant.annulus_fraction", "plant.q1_minus",
+            "plant.q1_plus", "disturbance.amplitude", "disturbance.frequency",
+            "disturbance.dwell", "integrator.dt", "integrator.horizon")
+_OPTIONAL_NUMBERS = ("sigma", "plant.v_d")
+_INTEGERS = ("k1", "k2", "seed")
+_OPTIONAL_INTEGERS = ("disturbance.seed",)
+
+
+def _lookup(config: dict, path: str):
+    node = config
+    for part in path.split("."):
+        if not isinstance(node, dict):
+            raise ConfigError(f"{path.rpartition('.')[0]} must be a JSON object")
+        node = node[part]
+    return node
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate(config: dict) -> None:
+    for path in _NUMBERS + _OPTIONAL_NUMBERS:
+        value = _lookup(config, path)
+        if not (_is_number(value) or (value is None and path in _OPTIONAL_NUMBERS)):
+            raise ConfigError(f"{path} must be a number, got {value!r}")
+    for path in _INTEGERS + _OPTIONAL_INTEGERS:
+        value = _lookup(config, path)
+        if value is None and path in _OPTIONAL_INTEGERS:
+            continue
+        if not (_is_number(value) and float(value).is_integer()):
+            raise ConfigError(f"{path} must be an integer, got {value!r}")
     try:
         OutputDims(k1=int(config["k1"]), k2=int(config["k2"]))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad dims: {exc}") from exc
     if config["Q"] != "identity" and not isinstance(config["Q"], list):
         raise ConfigError('Q must be "identity" or a row-major matrix')
@@ -152,13 +187,12 @@ def _validate(config: dict) -> None:
         raise ConfigError("eps must lie in (0, 1]")
     if not (0.0 < float(config["eps_bar"]) <= 1.0):
         raise ConfigError("eps_bar must lie in (0, 1]")
-    if config["controller"] not in ("min_norm", "min_norm_plus_us"):
+    if config["controller"] not in CONTROLLER_MODES:
         raise ConfigError(f'unknown controller {config["controller"]!r}')
     if config["plant"]["kind"] not in ("hopf", "mech"):
         raise ConfigError(f'unknown plant kind {config["plant"]["kind"]!r}')
     dist = config["disturbance"]
-    if dist["kind"] not in ("zero", "constant", "sinusoid",
-                            "piecewise_constant_random", "phase_error_driven"):
+    if dist["kind"] not in KINDS:
         raise ConfigError(f'unknown disturbance kind {dist["kind"]!r}')
     integ = config["integrator"]
     if float(integ["dt"]) <= 0.0 or float(integ["horizon"]) < float(integ["dt"]):
@@ -281,6 +315,22 @@ def build_closed_loop(config: dict, amplitude: float | None = None, eps: float |
     return loop, cert, plant, initial_state(cfg, plant, dims)
 
 
+def with_amplitudes(config: dict, loop: DisturbedClosedLoop,
+                    amplitudes) -> list[DisturbedClosedLoop]:
+    """Copies of a Hopf loop whose signals are the config's at each amplitude."""
+    loops = []
+    for amp in amplitudes:
+        signal = build_signal(config, loop.cert.dims, amp)
+        loops.append(dataclasses.replace(loop, signal=None if signal.kind == "zero" else signal))
+    return loops
+
+
+def _require_hopf(config: dict, command: str) -> None:
+    if config["plant"]["kind"] != "hopf":
+        raise ConfigError(f"{command} requires the hopf plant (the mech plant has no "
+                          "closed-form orbit); use simulate for mech runs")
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -297,15 +347,20 @@ def _write_json(path: Path, config: dict, payload: dict) -> None:
 
 def _write_record_csv(path: Path, config: dict, record) -> None:
     headers, data = to_csv_rows(record)
-    rows = [",".join(format(v, ".17g") for v in row) for row in data]
-    content_hash = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    # the body is joined once and written as it is: each further copy of a
+    # long trace's text would raise the peak memory by its size
+    body = "\n".join(",".join(format(v, ".17g") for v in row) for row in data)
+    content_hash = hashlib.sha256(body.encode()).hexdigest()
     lines = [
         f"# config={canonical_json(embeddable(config))}",
         f"# config_hash={config_hash(config)}",
         f"# content_hash={content_hash}",
         ",".join(headers),
     ]
-    path.write_text("\n".join(lines + rows) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+        fh.write(body)
+        fh.write("\n")
 
 
 def _rows_csv(path: Path, config: dict, headers: list[str], rows: list[list[float]]) -> None:
@@ -364,9 +419,7 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
 
 def run_certify(config: dict, out_dir: Path | None = None) -> tuple[cert_mod.IssReport, dict]:
     """Execute the full check battery; returns (report, artifacts)."""
-    if config["plant"]["kind"] != "hopf":
-        raise ConfigError("certify requires the hopf plant (the mech plant has no "
-                          "closed-form orbit); use simulate for mech runs")
+    _require_hopf(config, "certify")
     settle = float(config["settle_fraction"])
     dt = float(config["integrator"]["dt"])
     horizon = float(config["integrator"]["horizon"])
@@ -379,7 +432,14 @@ def run_certify(config: dict, out_dir: Path | None = None) -> tuple[cert_mod.Iss
 
     main_sig = build_signal(config, cert.dims)
     d_inf = 0.0 if main_sig.kind == "zero" else sup_norm(main_sig, horizon)
-    main_rec = integrate(loop, x0, T=horizon, dt=dt)
+
+    # one batch: the main run, the d = 0 run (also amplitude 0 of the grid)
+    # and the grid's other amplitudes
+    amp_grid = sorted(float(a) for a in config["sweep"]["amplitude_grid"])
+    grid_amps = [amp for amp in amp_grid if amp != 0.0]
+    loops = [loop] + with_amplitudes(config, loop, [0.0] + grid_amps)
+    main_rec, zero_rec, *grid_recs = integrate(loops, np.tile(x0, (len(loops), 1)),
+                                               T=horizon, dt=dt)
     eta_ult = ultimate_bound(main_rec, settle)
     l3 = cert_mod.min_norm_ultimate_bound(cert, d_inf)
     min_norm_bound_ok = bool(eta_ult <= l3) if d_inf > 0.0 else True
@@ -390,19 +450,13 @@ def run_certify(config: dict, out_dir: Path | None = None) -> tuple[cert_mod.Iss
         main_rec, cert, sigma, d_inf, float(config["eps_bar"]))
     sandwich_ok = cert_mod.check_composite_sandwich(main_rec, cert, sigma, consts, plant)
 
-    zero_loop, _, _, _ = build_closed_loop(config, amplitude=0.0)
-    zero_rec = integrate(zero_loop, x0, T=horizon, dt=dt)
     zs_ok, zs_rate = cert_mod.check_zero_stability(zero_rec)
     delta1, delta2 = cert_mod.fit_eiss_envelope(zero_rec)
 
-    amp_grid = sorted(float(a) for a in config["sweep"]["amplitude_grid"])
+    rec_of = {0.0: zero_rec, **dict(zip(grid_amps, grid_recs))}
     dist_ults, eta_ults = [], []
     for amp in amp_grid:
-        if amp == 0.0:
-            rec = zero_rec
-        else:
-            lp, *_ = build_closed_loop(config, amplitude=amp)
-            rec = integrate(lp, x0, T=horizon, dt=dt)
+        rec = rec_of[amp]
         start = int(np.ceil(settle * (len(rec) - 1)))
         dist_ults.append(float(np.max(rec.dist[start:])))
         eta_ults.append(ultimate_bound(rec, settle))
@@ -484,10 +538,10 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
 
 
 def cmd_sweep(config: dict, out_dir: Path) -> int:
+    _require_hopf(config, "sweep")
     settle = float(config["settle_fraction"])
     dt = float(config["integrator"]["dt"])
     horizon = float(config["integrator"]["horizon"])
-    d = config["disturbance"]
 
     eps_rows = []
     for eps in sorted(float(e) for e in config["sweep"]["eps_grid"]):
@@ -497,12 +551,12 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
         d_inf = 0.0 if sig.kind == "zero" else sup_norm(sig, horizon)
         eps_rows.append([eps, ultimate_bound(rec, settle),
                          cert_mod.min_norm_ultimate_bound(cert, d_inf)])
-    amp_rows = []
-    for amp in sorted(float(a) for a in config["sweep"]["amplitude_grid"]):
-        loop, cert, _, x0 = build_closed_loop(config, amplitude=amp)
-        rec = integrate(loop, x0, T=horizon, dt=dt)
-        amp_rows.append([amp, ultimate_bound(rec, settle),
-                         cert_mod.min_norm_ultimate_bound(cert, amp)])
+    amps = sorted(float(a) for a in config["sweep"]["amplitude_grid"])
+    loop, cert, _, x0 = build_closed_loop(config)
+    loops = with_amplitudes(config, loop, amps)
+    recs = integrate(loops, np.tile(x0, (len(loops), 1)), T=horizon, dt=dt) if loops else []
+    amp_rows = [[amp, ultimate_bound(rec, settle), cert_mod.min_norm_ultimate_bound(cert, amp)]
+                for amp, rec in zip(amps, recs)]
 
     _rows_csv(out_dir / "sweep_eps.csv", config,
               ["eps", "eta_ultimate", "theory_bound"], eps_rows)

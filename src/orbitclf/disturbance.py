@@ -7,22 +7,27 @@ from typing import Callable
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .clf import vecdot
 
 KINDS = ("zero", "constant", "sinusoid", "piecewise_constant_random", "phase_error_driven")
 
 
-def _splitmix64(x: int) -> int:
-    # counter-based mixer: identical output for identical (seed, counter) on any platform
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    # counter-based mixer on uint64 arrays, whose arithmetic wraps mod 2^64:
+    # identical output for identical (seed, counter) on any platform
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
-def _unit01(seed: int, block: int, lane: int) -> float:
-    x = _splitmix64((seed & _MASK64) ^ _splitmix64(block + 1) ^ _splitmix64((lane + 1) << 20))
-    return (x >> 11) / float(1 << 53)
+def _unit01(seed: int, blocks: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) draws for every (block, lane) pair, shape (blocks, lanes)."""
+    blocks = np.asarray(blocks, dtype=np.uint64)[:, None]
+    lanes = np.asarray(lanes, dtype=np.uint64)[None, :]
+    x = _splitmix64(np.uint64(seed % (1 << 64)) ^ _splitmix64(blocks + np.uint64(1))
+                    ^ _splitmix64((lanes + np.uint64(1)) << np.uint64(20)))
+    return (x >> np.uint64(11)) / float(1 << 53)
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,13 @@ class DisturbanceSignal:
         v[0] = 1.0
         return v
 
-    def _block_vector(self, block: int) -> np.ndarray:
-        raw = np.array([2.0 * _unit01(self.seed, block, j) - 1.0 for j in range(self.dim)])
-        nrm = float(np.linalg.norm(raw))
-        if nrm < 1e-12:
-            return self.amplitude * self._direction()
-        return (self.amplitude / nrm) * raw
+    def block_vectors(self, blocks: np.ndarray) -> np.ndarray:
+        """The piecewise-random vectors of the given blocks, shape (len(blocks), dim)."""
+        raw = 2.0 * _unit01(self.seed, blocks, np.arange(self.dim)) - 1.0
+        nrm = np.sqrt(vecdot(raw, raw))
+        tiny = nrm < 1e-12
+        return np.where(tiny[:, None], self.amplitude * self._direction(),
+                        (self.amplitude / np.where(tiny, 1.0, nrm))[:, None] * raw)
 
     def phase_error(self, t: float) -> float:
         """The scalar phase error e(t) for the phase_error_driven kind."""
@@ -83,11 +89,63 @@ def sample(signal: DisturbanceSignal, t: float) -> np.ndarray:
     if signal.kind == "sinusoid":
         return (signal.amplitude * np.sin(2.0 * np.pi * signal.frequency * t)) * signal._direction()
     if signal.kind == "piecewise_constant_random":
-        return signal._block_vector(int(t / signal.dwell))
+        return signal.block_vectors([int(t / signal.dwell)])[0]
     if signal.evaluator is None:
         raise ValueError("phase_error_driven signal has no attached evaluator; "
                          "it is produced by the mech closed loop")
     return np.asarray(signal.evaluator(t), dtype=float)
+
+
+class DisturbanceTable:
+    """d(t) of a batch of runs on [0, horizon], one row per run.
+
+    The piecewise-random block vectors are computed once per run for the
+    whole horizon and looked up with the same int(t / dwell) as ``sample``;
+    the constant and sinusoid kinds come from their closed forms.  Each row
+    equals ``sample(signal, t)`` bit for bit; a run without a signal, or
+    with the zero kind, reads zero.  Call it with one time t for an array
+    (B, dim), or with an array of times (S,) for (S, B, dim); times must lie
+    in [0, horizon] plus round-off, as the integrator's stage times do.
+    """
+
+    def __init__(self, signals, dim: int, horizon: float):
+        for s in signals:
+            if s is not None and s.dim != dim:
+                raise ValueError(f"signal dimension {s.dim} differs from {dim}")
+            if s is not None and s.kind == "phase_error_driven":
+                raise ValueError("phase_error_driven signals depend on the state; "
+                                 "they have no table")
+        self.shape = (len(signals), dim)
+        self._direction = np.eye(dim)[0]
+        self._groups = []  # (rows, kind, amplitudes, frequencies, dwells, block tables)
+        for kind in ("constant", "sinusoid", "piecewise_constant_random"):
+            members = [(row, s) for row, s in enumerate(signals)
+                       if s is not None and s.kind == kind]
+            if not members:
+                continue
+            sigs = [s for _, s in members]
+            tables = None
+            if kind == "piecewise_constant_random":
+                # the stage times of the last step reach horizon plus round-off
+                n_blocks = max(int(horizon / s.dwell) for s in sigs) + 2
+                tables = np.stack([s.block_vectors(np.arange(n_blocks)) for s in sigs])
+            self._groups.append((np.array([row for row, _ in members]), kind,
+                                 np.array([s.amplitude for s in sigs]),
+                                 np.array([s.frequency for s in sigs]),
+                                 np.array([s.dwell for s in sigs]), tables))
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)[..., None]  # broadcasts against the group's runs
+        d = np.zeros(t.shape[:-1] + self.shape)
+        for rows, kind, amp, freq, dwell, tables in self._groups:
+            if kind == "constant":
+                rows_d = amp[:, None] * self._direction  # broadcast over the times
+            elif kind == "sinusoid":
+                rows_d = (amp * np.sin(2.0 * np.pi * freq * t))[..., None] * self._direction
+            else:
+                rows_d = tables[np.arange(len(rows)), (t / dwell).astype(np.intp)]
+            d[..., rows, :] = rows_d
+        return d
 
 
 def sup_norm(signal: DisturbanceSignal, horizon: float) -> float:

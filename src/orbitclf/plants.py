@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clf import min_norm_mu, u_s_damping
+from .clf import matvec, min_norm_mu, u_s_damping, vecdot
 from .disturbance import DisturbanceSignal, sample
 from .output_dynamics import OutputDims, OutputDynamics, build_fg
 from .riccati import ResClfCertificate
@@ -87,10 +87,12 @@ class HopfPlant:
         return float(np.linalg.norm(self.coupling, 2))
 
     def zero_field(self, z: np.ndarray) -> np.ndarray:
-        """Psi0(z), the uncoupled Hopf normal form."""
-        z1, z2 = z
-        g = self.lambda_h * (self.r0 ** 2 - (z1 * z1 + z2 * z2))
-        return np.array([-self.omega * z2 + g * z1, self.omega * z1 + g * z2])
+        """Psi0(z), the uncoupled Hopf normal form; z is (2,) or a batch (..., 2)."""
+        z = np.asarray(z, dtype=float)
+        zz = z * z
+        g = self.lambda_h * (self.r0 ** 2 - (zz[..., 0] + zz[..., 1]))
+        # (-w z2 + g z1, w z1 + g z2), each sum in that order
+        return z[..., ::-1] * np.array([-self.omega, self.omega]) + g[..., None] * z
 
     def exact_zero_solution(self, z0: np.ndarray, t: float) -> np.ndarray:
         """Closed-form flow of dz/dt = Psi0(z): logistic radius, linear angle."""
@@ -109,36 +111,44 @@ def hopf_vector_field(plant: HopfPlant, eta: np.ndarray, z: np.ndarray,
     """Composite right-hand side (d eta/dt, dz/dt) for an effective input.
 
     mu_effective is the total input in the mu channel (auxiliary input plus
-    disturbance plus damping feedback).
+    disturbance plus damping feedback).  Every argument may carry a leading
+    batch axis (B, ...); each row is computed exactly as it would be alone.
     """
     eta = np.asarray(eta, dtype=float)
     z = np.asarray(z, dtype=float)
-    if eta.shape != (plant.dims.n_eta,):
-        raise ValueError(f"eta has shape {eta.shape}, expected ({plant.dims.n_eta},)")
-    eta_dot = plant.dyn.F @ eta + plant.dyn.G @ np.asarray(mu_effective, dtype=float)
-    z_dot = plant.zero_field(z) + plant.coupling @ eta
+    if eta.shape[-1:] != (plant.dims.n_eta,):
+        raise ValueError(f"eta has shape {eta.shape}, expected (..., {plant.dims.n_eta})")
+    eta_dot = (matvec(plant.dyn.F, eta)
+               + matvec(plant.dyn.G, np.asarray(mu_effective, dtype=float)))
+    z_dot = plant.zero_field(z) + matvec(plant.coupling, eta)
     return eta_dot, z_dot
 
 
-def orbit_distance(eta: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float:
+def _norm(x: np.ndarray) -> np.ndarray:
+    # the Euclidean norm of each row, computed as np.linalg.norm computes one vector's
+    return np.sqrt(vecdot(x, x))
+
+
+def orbit_distance(eta: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndarray:
     """Distance to the embedded periodic orbit, composing block norms additively.
 
     For the circular orbit (y1* = 0) this is
-    | ||z|| - r0 | + ||y1|| + ||y2|| + ||dy2||.
+    | ||z|| - r0 | + ||y1|| + ||y2|| + ||dy2||.  eta and z may carry
+    leading batch axes; the result then has those axes.
     """
     eta = np.asarray(eta, dtype=float)
     z = np.asarray(z, dtype=float)
     k1, k2 = plant.dims.k1, plant.dims.k2
-    y1 = eta[:k1]
-    y2 = eta[k1:k1 + k2]
-    dy2 = eta[k1 + k2:]
-    return float(abs(np.linalg.norm(z) - plant.r0) + np.linalg.norm(y1)
-                 + np.linalg.norm(y2) + np.linalg.norm(dy2))
+    y1 = eta[..., :k1]
+    y2 = eta[..., k1:k1 + k2]
+    dy2 = eta[..., k1 + k2:]
+    return pzd_distance(y1, z, plant) + _norm(y2) + _norm(dy2)
 
 
-def pzd_distance(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float:
-    """Distance of a partial-zero-dynamics point (y1, z) to its orbit."""
-    return float(abs(np.linalg.norm(z) - plant.r0) + np.linalg.norm(y1))
+def pzd_distance(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndarray:
+    """Distance of a partial-zero-dynamics point (y1, z) to its orbit; batches as above."""
+    z = np.asarray(z, dtype=float)
+    return np.abs(_norm(z) - plant.r0) + _norm(np.asarray(y1, dtype=float))
 
 
 def converse_constants(plant: HopfPlant, annulus_fraction: float = 0.5) -> ConverseConstants:
@@ -190,22 +200,25 @@ def vz_converse_lyapunov(y1: np.ndarray, z: np.ndarray, plant: HopfPlant,
     return value, grad, consts
 
 
-def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float:
-    """V_Z without the annulus guard (used for trajectory traces)."""
-    s = float(z @ z) - plant.r0 ** 2
-    return s * s + float(np.asarray(y1) @ np.asarray(y1))
+def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndarray:
+    """V_Z without the annulus guard (used for trajectory traces); batches as above."""
+    y1 = np.asarray(y1, dtype=float)
+    s = vecdot(z, z) - plant.r0 ** 2
+    return s * s + vecdot(y1, y1)
 
 
 # ---------------------------------------------------------------------------
 # 2-DOF mechanical plant with virtual constraints
 
 
-def _bezier(alpha: np.ndarray, tau: float) -> float:
-    # de Casteljau evaluation; exact and stable on [0, 1]
-    b = alpha.astype(float).copy()
+def _bezier(alpha: tuple[float, ...], tau: float) -> float:
+    # de Casteljau evaluation; exact and stable on [0, 1].  Plain floats do
+    # the same IEEE operations as numpy would on six elements, faster.
+    b = alpha
+    tau = float(tau)
     for _ in range(len(b) - 1):
-        b = b[:-1] + tau * (b[1:] - b[:-1])
-    return float(b[0])
+        b = [b0 + tau * (b1 - b0) for b0, b1 in zip(b, b[1:])]
+    return b[0]
 
 
 def _bezier_d(alpha: np.ndarray) -> np.ndarray:
@@ -221,6 +234,10 @@ class MechPlant:
     q1_minus: float = 0.0
     q1_plus: float = 1.0
     v_d: float | None = 1.0  # desired phase velocity; None drops the velocity output
+    dims: OutputDims = field(init=False, repr=False, compare=False)
+    dyn: OutputDynamics = field(init=False, repr=False, compare=False)
+    # Bezier coefficients of y2d, y2d' and y2d''
+    _coefs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=float)
@@ -228,11 +245,13 @@ class MechPlant:
             raise ValueError(f"alpha must have 6 coefficients (degree 5), got shape {a.shape}")
         if self.q1_plus <= self.q1_minus:
             raise ValueError("q1_plus must exceed q1_minus")
+        dims = OutputDims(k1=0 if self.v_d is None else 1, k2=1)
         object.__setattr__(self, "alpha", a)
-
-    @property
-    def dims(self) -> OutputDims:
-        return OutputDims(k1=0 if self.v_d is None else 1, k2=1)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dyn", build_fg(dims))
+        a_d = _bezier_d(a)
+        object.__setattr__(self, "_coefs", tuple(tuple(c.tolist())
+                                                for c in (a, a_d, _bezier_d(a_d))))
 
     @property
     def delta(self) -> float:
@@ -242,23 +261,26 @@ class MechPlant:
         return (q1 - self.q1_minus) / self.delta
 
     def y2d(self, tau: float) -> float:
-        return _bezier(self.alpha, tau)
+        return _bezier(self._coefs[0], tau)
 
     def dy2d(self, tau: float) -> float:
-        return _bezier(_bezier_d(self.alpha), tau)
+        return _bezier(self._coefs[1], tau)
 
     def d2y2d(self, tau: float) -> float:
-        return _bezier(_bezier_d(_bezier_d(self.alpha)), tau)
+        return _bezier(self._coefs[2], tau)
 
-    def eta_of(self, x: np.ndarray) -> np.ndarray:
-        """Output coordinates eta(x) = (y1?, y2, dy2) at the true phase."""
+    def eta_at(self, x: np.ndarray, tau: float) -> np.ndarray:
+        """Output coordinates (y1?, y2, dy2) of x measured at phase tau."""
         q1, q2, dq1, dq2 = x
-        tau = self.tau(q1)
         y2 = q2 - self.y2d(tau)
         dy2 = dq2 - self.dy2d(tau) * dq1 / self.delta
         if self.v_d is None:
             return np.array([y2, dy2])
         return np.array([dq1 - self.v_d, y2, dy2])
+
+    def eta_of(self, x: np.ndarray) -> np.ndarray:
+        """Output coordinates eta(x) at the true phase."""
+        return self.eta_at(x, self.tau(x[0]))
 
     def z_of(self, x: np.ndarray) -> np.ndarray:
         """Zero-dynamics coordinates (q1, dq1)."""
@@ -346,9 +368,8 @@ def derive_phase_disturbance(plant: MechPlant, x: np.ndarray, e: float) -> np.nd
     mu0 = np.zeros(plant.dims.n_mu)
     u_hat = mech_feedback_linearize(plant, x, mu0, mode="time", tau_input=tau_hat)
     u_ref = mech_feedback_linearize(plant, x, mu0, mode="time", tau_input=tau)
-    dyn = build_fg(plant.dims)
     # G has orthonormal columns, so the pseudoinverse is G'.
-    return dyn.G.T @ (mech_eta_rate(plant, x, u_hat) - mech_eta_rate(plant, x, u_ref))
+    return plant.dyn.G.T @ (mech_eta_rate(plant, x, u_hat) - mech_eta_rate(plant, x, u_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -387,27 +408,28 @@ class DisturbedClosedLoop:
 
     def split(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.plant.dims.n_eta
-        return state[:n], state[n:]
+        return state[..., :n], state[..., n:]
 
-    def inputs(self, t: float, state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mu, u_s, d) at a point; u_s is zero unless the damping mode is on."""
-        eta, _z = self.split(state)
-        mu = min_norm_mu(self.cert, self.plant.dyn, eta)
+    def damping(self, eta: np.ndarray) -> np.ndarray | float:
+        """u_s at eta (one point or a batch), or 0.0 when the damping mode is off."""
         if self.controller == "min_norm_plus_us":
-            us = u_s_damping(self.cert, self.plant.dyn, eta, self.eps_bar)
-        else:
-            us = np.zeros(self.plant.dims.n_mu)
-        if self.signal is None:
-            d = np.zeros(self.plant.dims.n_mu)
-        else:
-            d = sample(self.signal, t)
-        return mu, us, d
+            return u_s_damping(self.cert, self.plant.dyn, eta, self.eps_bar)
+        return 0.0
 
-    def field(self, t: float, state: np.ndarray) -> np.ndarray:
+    def field(self, t: float, state: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+        """The closed-loop right-hand side at time t.
+
+        state is one flat state (state_dim,) or a batch (B, state_dim) of
+        runs under this loop's plant, certificate and controller.  d is the
+        mu-channel disturbance, one row per run; it defaults to this loop's
+        own signal at t.
+        """
         eta, z = self.split(state)
-        mu, us, d = self.inputs(t, state)
-        eta_dot, z_dot = hopf_vector_field(self.plant, eta, z, mu + us + d)
-        return np.concatenate([eta_dot, z_dot])
+        if d is None:
+            d = np.zeros(self.plant.dims.n_mu) if self.signal is None else sample(self.signal, t)
+        mu = min_norm_mu(self.cert, self.plant.dyn, eta)
+        eta_dot, z_dot = hopf_vector_field(self.plant, eta, z, mu + self.damping(eta) + d)
+        return np.concatenate([eta_dot, z_dot], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -443,17 +465,11 @@ class MechClosedLoop:
 
     def eta_hat(self, x: np.ndarray, tau_hat: float) -> np.ndarray:
         """Outputs as the controller sees them, measured at the phase estimate."""
-        p = self.plant
-        q1, q2, dq1, dq2 = x
-        y2 = q2 - p.y2d(tau_hat)
-        dy2 = dq2 - p.dy2d(tau_hat) * dq1 / p.delta
-        if p.v_d is None:
-            return np.array([y2, dy2])
-        return np.array([dq1 - p.v_d, y2, dy2])
+        return self.plant.eta_at(x, tau_hat)
 
     def control(self, t: float, x: np.ndarray) -> np.ndarray:
         tau_hat = self.plant.tau(x[0]) + self.phase_error(t)
-        mu = min_norm_mu(self.cert, build_fg(self.plant.dims), self.eta_hat(x, tau_hat))
+        mu = min_norm_mu(self.cert, self.plant.dyn, self.eta_hat(x, tau_hat))
         return mech_feedback_linearize(self.plant, x, mu, mode="time", tau_input=tau_hat)
 
     def field(self, t: float, x: np.ndarray) -> np.ndarray:

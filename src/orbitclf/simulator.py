@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .clf import evaluate_clf, min_norm_mu
-from .output_dynamics import build_fg
+from .clf import evaluate_clf, matvec, min_norm_mu, vecdot
+from .disturbance import DisturbanceTable
 from .plants import DisturbedClosedLoop, MechClosedLoop, orbit_distance, vz_value
 
 MAX_STEPS = 10_000_000
@@ -66,12 +66,17 @@ def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,
 
 
 def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
-              dt: float = 1e-3) -> TrajectoryRecord:
+              dt: float = 1e-3) -> TrajectoryRecord | list[TrajectoryRecord]:
     """Integrate a closed loop from x0 over [0, T] and record everything.
 
     x0 is the flat state: (eta, z) concatenated for the Hopf loop, the
-    mechanical state x for the mech loop.  Raises SimulationError with the
-    offending time if the state leaves the finite range.
+    mechanical state x for the mech loop.  A sequence of B Hopf loops that
+    share plant, certificate, controller and eps_bar (their signals and
+    sigmas may differ) integrates as one batch from x0 of shape
+    (B, state_dim) and returns one record per loop; a single Hopf loop is
+    a batch of one, and each run's record is the same bit for bit whatever
+    batch it sits in.  Raises SimulationError with the run index and the
+    offending time if a state leaves the finite range.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -81,62 +86,89 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
     if n_steps > MAX_STEPS:
         raise ValueError(f"T/dt = {n_steps} exceeds the {MAX_STEPS} step ceiling")
 
+    single = isinstance(closed_loop, (DisturbedClosedLoop, MechClosedLoop))
+    loops = [closed_loop] if single else list(closed_loop)
+    if not loops:
+        raise ValueError("no closed loops to integrate")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (closed_loop.state_dim,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({closed_loop.state_dim},)")
+    expected = (loops[0].state_dim,) if single else (len(loops), loops[0].state_dim)
+    if x0.shape != expected:
+        raise ValueError(f"x0 has shape {x0.shape}, expected {expected}")
 
-    states = np.empty((n_steps + 1, x0.shape[0]))
+    if isinstance(closed_loop, MechClosedLoop):
+        f = closed_loop.field
+    else:
+        loop = _shared_hopf_loop(loops)
+        table = DisturbanceTable([lp.signal for lp in loops], loop.plant.dims.n_mu, T)
+        x0 = x0.reshape(len(loops), -1)
+
+        def f(t: float, X: np.ndarray) -> np.ndarray:
+            return loop.field(t, X, table(t))
+
+    states = np.empty((n_steps + 1,) + x0.shape)
     states[0] = x0
-    f = closed_loop.field
     t = 0.0
     for i in range(n_steps):
         states[i + 1] = rk4_step(f, t, states[i], dt)
         t += dt
         if not np.all(np.isfinite(states[i + 1])):
-            raise SimulationError(f"non-finite state at t = {t:.6g}: {states[i + 1]}")
+            rows = np.atleast_2d(states[i + 1])
+            run = int(np.flatnonzero(~np.all(np.isfinite(rows), axis=1))[0])
+            raise SimulationError(f"non-finite state in run {run} at t = {t:.6g}: {rows[run]}")
     ts = np.arange(n_steps + 1) * dt
 
-    if isinstance(closed_loop, DisturbedClosedLoop):
-        return _record_hopf(closed_loop, ts, states)
     if isinstance(closed_loop, MechClosedLoop):
         return _record_mech(closed_loop, ts, states)
-    raise TypeError(f"unsupported closed loop type {type(closed_loop)!r}")
+    records = _record_hopf(loops, table, ts, states)
+    return records[0] if single else records
 
 
-def _record_hopf(loop: DisturbedClosedLoop, ts: np.ndarray,
-                 states: np.ndarray) -> TrajectoryRecord:
+def _shared_hopf_loop(loops) -> DisturbedClosedLoop:
+    """The first loop, after checking that every loop has the same control law."""
+    first = loops[0]
+    for i, lp in enumerate(loops):
+        if not isinstance(lp, DisturbedClosedLoop):
+            raise ValueError(f"run {i}: only Hopf loops integrate as a batch, got {type(lp)!r}")
+        if (lp.plant is not first.plant or lp.cert is not first.cert
+                or lp.controller != first.controller or lp.eps_bar != first.eps_bar):
+            raise ValueError(f"run {i}: a batch must share plant, certificate, controller "
+                             "and eps_bar with run 0")
+    return first
+
+
+def _record_hopf(loops, table: DisturbanceTable, ts: np.ndarray,
+                 states: np.ndarray) -> list[TrajectoryRecord]:
+    """Traces of every run at once; states has shape (samples, B, state_dim)."""
+    loop = loops[0]
     plant, cert = loop.plant, loop.cert
-    n = len(ts)
-    k1 = plant.dims.k1
-    n_eta, n_mu = plant.dims.n_eta, plant.dims.n_mu
-    eta = states[:, :n_eta]
-    z = states[:, n_eta:]
-    d = np.empty((n, n_mu))
-    mu = np.empty((n, n_mu))
-    us = np.empty((n, n_mu))
-    v_eps = np.empty(n)
-    v_z = np.empty(n)
-    dist = np.empty(n)
-    for i in range(n):
-        m_i, u_i, d_i = loop.inputs(float(ts[i]), states[i])
-        mu[i], us[i], d[i] = m_i, u_i, d_i
-        v_eps[i] = evaluate_clf(cert, plant.dyn, eta[i]).V
-        v_z[i] = vz_value(eta[i, :k1], z[i], plant)
-        dist[i] = orbit_distance(eta[i], z[i], plant)
-    v_c = loop.sigma * v_z + v_eps
-    meta = {
-        "kind": "hopf", "k1": plant.dims.k1, "k2": plant.dims.k2,
-        "eps": cert.eps, "eps_bar": loop.eps_bar, "controller": loop.controller,
-        "sigma": loop.sigma, "dt": float(ts[1] - ts[0]), "horizon": float(ts[-1]),
-    }
-    return TrajectoryRecord(t=ts, eta=eta, z=z, d=d, v_eps=v_eps, v_z=v_z,
-                            v_c=v_c, dist=dist, mu=mu, u_s=us, meta=meta)
+    S, B = states.shape[:2]
+    eta, z = loop.split(states)
+    flat_eta = eta.reshape(S * B, -1)
+    mu = min_norm_mu(cert, plant.dyn, flat_eta)
+    us = np.broadcast_to(loop.damping(flat_eta), mu.shape).reshape(S, B, -1)
+    mu = mu.reshape(S, B, -1)
+    d = table(ts)
+    v_eps = vecdot(eta, matvec(cert.P_eps, eta))
+    v_z = vz_value(eta[..., :plant.dims.k1], z, plant)
+    dist = orbit_distance(eta, z, plant)
+    v_c = np.array([lp.sigma for lp in loops]) * v_z + v_eps
+    records = []
+    for b, lp in enumerate(loops):
+        meta = {
+            "kind": "hopf", "k1": plant.dims.k1, "k2": plant.dims.k2,
+            "eps": cert.eps, "eps_bar": lp.eps_bar, "controller": lp.controller,
+            "sigma": lp.sigma, "dt": float(ts[1] - ts[0]), "horizon": float(ts[-1]),
+        }
+        records.append(TrajectoryRecord(
+            t=ts, eta=eta[:, b], z=z[:, b], d=d[:, b], v_eps=v_eps[:, b], v_z=v_z[:, b],
+            v_c=v_c[:, b], dist=dist[:, b], mu=mu[:, b], u_s=us[:, b], meta=meta))
+    return records
 
 
 def _record_mech(loop: MechClosedLoop, ts: np.ndarray,
                  states: np.ndarray) -> TrajectoryRecord:
     plant, cert = loop.plant, loop.cert
-    dyn = build_fg(plant.dims)
+    dyn = plant.dyn
     n = len(ts)
     n_mu = plant.dims.n_mu
     eta = np.empty((n, plant.dims.n_eta))

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import orbitclf as oc
 from orbitclf.certify import rejection_threshold
+from orbitclf.plants import pzd_distance
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +209,39 @@ def test_monotone_ultimate_bound_in_eps(dims01, dyn01, hopf01):
         rec = oc.integrate(loop, np.array([0.0, 0.0, 1.0, 0.0]), T=12.0, dt=1e-3)
         ults.append(oc.ultimate_bound(rec))
     assert all(a > b for a, b in zip(ults, ults[1:]))
+
+
+def _sandwich_reference(record, cert, sigma, consts, plant, rel_tol=1e-9):
+    # the per-sample loop, kept as the reference for the vectorized check
+    lower, upper = oc.composite_bounds(cert, sigma, consts)
+    k1 = plant.dims.k1
+    for i in range(len(record)):
+        z = record.z[i]
+        nz = float(np.linalg.norm(z))
+        if not (plant.r0 - consts.r <= nz <= plant.r0 + consts.r):
+            continue
+        dpz = pzd_distance(record.eta[i, :k1], z, plant)
+        s = dpz * dpz + float(record.eta[i] @ record.eta[i])
+        vc = record.v_c[i]
+        slack = rel_tol * max(1.0, abs(vc))
+        if not (lower * s - slack <= vc <= upper * s + slack):
+            return False
+    return True
+
+
+def test_sandwich_matches_loop_reference(composite_setup, hopf01):
+    cert, consts, sigma, _, rec = composite_setup
+    variants = [
+        rec,
+        dataclasses.replace(rec, v_c=rec.v_c * 1e3),      # above the upper bound
+        dataclasses.replace(rec, v_c=rec.v_c * 1e-3),     # below the lower bound
+        dataclasses.replace(rec, z=rec.z * 1.6, v_c=rec.v_c * 1e3),  # out of the annulus
+        dataclasses.replace(rec, z=rec.z * 1.3),          # partly out of the annulus
+    ]
+    verdicts = []
+    for r in variants:
+        for s in (sigma, 1e-3 * sigma, 1e3 * sigma):
+            want = _sandwich_reference(r, cert, s, consts, hopf01)
+            assert oc.check_composite_sandwich(r, cert, s, consts, hopf01) is want
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts

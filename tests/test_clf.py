@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,3 +212,43 @@ def test_time_based_v_decrease_along_trajectory(mech_plant, mech_cert):
     rec = oc.integrate(loop, x0, T=0.7, dt=1e-3)
     bound = rec.v_eps[0] * np.exp(-mech_cert.rate * rec.t)
     assert np.all(rec.v_eps <= bound * (1.0 + 1e-3) + 1e-15)
+
+
+def _batch_cases(cert01_e01, dyn01):
+    dims = oc.OutputDims(k1=1, k2=2)
+    dyn = oc.build_fg(dims)
+    cert = oc.certificate(dyn, np.eye(dims.n_eta), 0.1)
+    return ((cert01_e01, dyn01), (cert, dyn))
+
+
+def test_min_norm_batch_matches_rows(cert01_e01, dyn01):
+    # the batched law equals the point law row by row, bit for bit, on both
+    # branches, at zero and on wildly scaled rows
+    rng = np.random.default_rng(11)
+    for cert, dyn in _batch_cases(cert01_e01, dyn01):
+        n = cert.dims.n_eta
+        E = rng.normal(size=(64, n)) * np.exp(rng.uniform(-20, 20, size=(64, 1)))
+        E[5] = 0.0
+        mu = oc.min_norm_mu(cert, dyn, E)
+        assert mu.shape == (64, cert.dims.n_mu)
+        assert np.count_nonzero(np.any(mu != 0.0, axis=1)) not in (0, 64)  # both branches
+        assert np.array_equal(mu, [oc.min_norm_mu(cert, dyn, e) for e in E])
+        us = oc.u_s_damping(cert, dyn, E, 0.1)
+        assert np.array_equal(us, [oc.u_s_damping(cert, dyn, e, 0.1) for e in E])
+        for bad in (np.zeros((3, n + 1)), np.zeros((2, 2, n))):
+            with pytest.raises(ValueError):
+                oc.min_norm_mu(cert, dyn, bad)
+
+
+def test_min_norm_batch_consistency_error(cert01_e01, dyn01):
+    # a certificate whose rate is inflated violates gamma P_eps <= Q_eps, so
+    # psi0 > 0 on ker(G'P_eps): the one bad row must raise, named by index
+    broken = dataclasses.replace(cert01_e01, gamma=100.0 * cert01_e01.gamma)
+    w = (broken.P_eps @ dyn01.G).reshape(-1)
+    kernel = np.array([-w[1], w[0]])
+    E = np.array([[0.3, -0.1], kernel, [0.0, 0.0]])
+    oc.min_norm_mu(broken, dyn01, E[[0, 2]])  # the other rows are fine
+    with pytest.raises(oc.ClfConsistencyError, match="row 1"):
+        oc.min_norm_mu(broken, dyn01, E)
+    with pytest.raises(oc.ClfConsistencyError):
+        oc.min_norm_mu(broken, dyn01, kernel)

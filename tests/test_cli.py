@@ -145,3 +145,33 @@ def test_config_file_roundtrip(tmp_path):
     assert body["config"]["eps"] == 0.2
     assert body["config"]["disturbance"]["amplitude"] == 0.01
     assert "out" not in body["config"]  # disposition flag, not provenance
+
+
+def _one_line_error(capsys, text):
+    err = capsys.readouterr().err
+    assert text in err and len(err.strip().splitlines()) == 1, err
+
+
+def test_non_numeric_value_exits_2(tmp_path, capsys):
+    assert run(["synth", "--out", str(tmp_path), "--override", "eps=abc"]) == 2
+    _one_line_error(capsys, "eps must be a number")
+    assert run(["synth", "--out", str(tmp_path), "--override", "integrator.dt=true"]) == 2
+    _one_line_error(capsys, "integrator.dt must be a number")
+
+
+def test_fractional_dims_exit_2(tmp_path, capsys):
+    assert run(["synth", "--out", str(tmp_path), "--override", "k1=1.5"]) == 2
+    _one_line_error(capsys, "k1 must be an integer")
+
+
+def test_section_replaced_by_scalar_exits_2(tmp_path, capsys):
+    assert run(["synth", "--out", str(tmp_path), "--override", "plant=3"]) == 2
+    _one_line_error(capsys, "plant must be a JSON object")
+
+
+def test_sweep_rejects_mech_plant(tmp_path, capsys):
+    assert run(["sweep", "--out", str(tmp_path),
+                "--override", "plant.kind=mech", "--override", "k1=1",
+                "--override", "disturbance.kind=phase_error_driven"]) == 2
+    _one_line_error(capsys, "sweep requires the hopf plant")
+

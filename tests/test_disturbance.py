@@ -90,3 +90,74 @@ def test_validation():
         sample(sig, -1.0)
     with pytest.raises(ValueError):
         sup_norm(sig, 0.0)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_reference(x: int) -> int:
+    # the scalar counter-based mixer on Python ints, kept as the reference
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (x ^ (x >> 31)) & _MASK64
+
+
+def _block_vector_reference(sig: DisturbanceSignal, block: int) -> np.ndarray:
+    def unit01(lane):
+        x = _splitmix64_reference((sig.seed & _MASK64) ^ _splitmix64_reference(block + 1)
+                                  ^ _splitmix64_reference((lane + 1) << 20))
+        return (x >> 11) / float(1 << 53)
+
+    raw = np.array([2.0 * unit01(j) - 1.0 for j in range(sig.dim)])
+    nrm = float(np.linalg.norm(raw))
+    if nrm < 1e-12:
+        return sig.amplitude * np.eye(sig.dim)[0]
+    return (sig.amplitude / nrm) * raw
+
+
+def _boundary_times(dwell: float, horizon: float, dt: float) -> np.ndarray:
+    edges = np.arange(1, int(horizon / dwell) + 1) * dwell
+    stage = []
+    t = 0.0
+    for _ in range(int(round(horizon / dt))):  # the stepping loop's accumulated times
+        stage += [t, t + 0.5 * dt, t + dt]
+        t += dt
+    return np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                           np.arange(int(round(horizon / dt)) + 1) * dt, stage])
+
+
+@pytest.mark.parametrize("dim,dwell,seed", [(1, 0.25, 0), (3, 0.3, 7), (2, 0.1, -3),
+                                            (3, 0.5, 2**63 + 5)])
+def test_block_table_matches_splitmix_reference(dim, dwell, seed):
+    # table lookups and sample() equal the scalar splitmix path bit for bit,
+    # on, just below and just above every dwell boundary
+    sig = DisturbanceSignal(kind="piecewise_constant_random", dim=dim, amplitude=0.05,
+                            dwell=dwell, seed=seed)
+    horizon, dt = 3.0, 1e-2
+    ts = _boundary_times(dwell, horizon, dt)
+    ref = np.array([_block_vector_reference(sig, int(t / dwell)) for t in ts])
+    table = oc.DisturbanceTable([None, sig], dim, horizon)
+    grid = table(ts)
+    assert grid.shape == (len(ts), 2, dim)
+    assert not grid[:, 0].any()
+    assert np.array_equal(grid[:, 1], ref)
+    assert np.array_equal([table(float(t))[1] for t in ts[::5]], ref[::5])
+    assert np.array_equal([sample(sig, float(t)) for t in ts[::5]], ref[::5])
+
+
+def test_table_closed_forms_match_sample():
+    sigs = [DisturbanceSignal(kind="sinusoid", dim=2, amplitude=0.3, frequency=1.7),
+            DisturbanceSignal(kind="constant", dim=2, amplitude=-0.2),
+            DisturbanceSignal(kind="zero", dim=2)]
+    table = oc.DisturbanceTable(sigs, 2, 4.0)
+    ts = np.linspace(0.0, 4.0, 1001)
+    grid = table(ts)
+    for b, sig in enumerate(sigs):
+        ref = np.array([sample(sig, float(t)) for t in ts])
+        assert np.array_equal(grid[:, b], ref)
+        assert np.array_equal(np.signbit(grid[:, b]), np.signbit(ref))  # signed zeros too
+    with pytest.raises(ValueError):
+        oc.DisturbanceTable([DisturbanceSignal(kind="phase_error_driven", dim=2)], 2, 1.0)
+    with pytest.raises(ValueError):
+        oc.DisturbanceTable(sigs, 3, 1.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,67 @@ def test_record_v_eps_cross_check(hopf01, dyn01):
     rec = oc.integrate(loop, np.array([0.4, -0.2, 1.1, 0.0]), T=1.0, dt=1e-3)
     for i in range(0, len(rec), 97):
         assert rec.v_eps[i] == oc.evaluate_clf(cert, dyn01, rec.eta[i]).V
+
+
+FIELDS = ("t", "eta", "z", "d", "v_eps", "v_z", "v_c", "dist", "mu", "u_s")
+
+
+def _batch_of_five(controller="min_norm_plus_us"):
+    dims = oc.OutputDims(k1=1, k2=2)
+    cert = oc.certificate(oc.build_fg(dims), np.eye(dims.n_eta), 0.1)
+    plant = oc.HopfPlant(dims=dims)
+    signals = [None,
+               oc.DisturbanceSignal(kind="piecewise_constant_random", dim=3, amplitude=0.02,
+                                    dwell=0.3, seed=5),
+               oc.DisturbanceSignal(kind="piecewise_constant_random", dim=3, amplitude=0.04,
+                                    dwell=0.25, seed=-2),
+               oc.DisturbanceSignal(kind="sinusoid", dim=3, amplitude=0.03, frequency=0.7),
+               oc.DisturbanceSignal(kind="constant", dim=3, amplitude=-0.01)]
+    loops = [oc.DisturbedClosedLoop(plant=plant, cert=cert, controller=controller,
+                                    signal=sig, eps_bar=0.1, sigma=0.1 * (i + 1))
+             for i, sig in enumerate(signals)]
+    x0 = np.array([[0.3 * i - 0.5, 0.2, -0.1 * i, 0.05, 0.1, 1.2 - 0.1 * i, 0.1 * i]
+                   for i in range(5)])
+    return loops, x0
+
+
+@pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
+def test_run_alone_equals_run_in_batch(controller):
+    # a run's record must not depend on the batch it sits in: bitwise equal
+    loops, x0 = _batch_of_five(controller)
+    batch = oc.integrate(loops, x0, T=1.2, dt=1e-3)
+    assert len(batch) == 5
+    for loop, x, rec in zip(loops, x0, batch):
+        alone = oc.integrate(loop, x, T=1.2, dt=1e-3)
+        assert isinstance(alone, oc.TrajectoryRecord)
+        for name in FIELDS:
+            assert np.array_equal(getattr(alone, name), getattr(rec, name)), name
+        assert alone.meta == rec.meta
+    assert not batch[0].d.any()  # the run without a signal reads zero
+    assert all(rec.d.any() for rec in batch[1:])
+
+
+def test_batch_validation():
+    loops, x0 = _batch_of_five()
+    other = oc.certificate(oc.build_fg(loops[0].plant.dims), 2.0 * np.eye(5), 0.1)
+    mismatched = [
+        loops[:1] + [dataclasses.replace(loops[1], cert=other)],
+        loops[:1] + [dataclasses.replace(loops[1], controller="min_norm")],
+        loops[:1] + [dataclasses.replace(loops[1], eps_bar=0.2)],
+        loops[:1] + [dataclasses.replace(loops[1], plant=oc.HopfPlant(dims=loops[0].plant.dims))],
+    ]
+    for pair in mismatched:
+        with pytest.raises(ValueError, match="share"):
+            oc.integrate(pair, x0[:2], T=0.1, dt=1e-2)
+    with pytest.raises(ValueError):
+        oc.integrate(loops, x0[0], T=0.1, dt=1e-2)  # a batch needs (B, state_dim)
+    with pytest.raises(ValueError):
+        oc.integrate([], np.zeros((0, 7)), T=0.1, dt=1e-2)
+
+
+def test_batch_nonfinite_names_the_run():
+    loops, x0 = _batch_of_five("min_norm")
+    x0[3, 5] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(oc.SimulationError, match="run 3 at t = "):
+        oc.integrate(loops, x0, T=1.0, dt=0.1)
