@@ -49,10 +49,9 @@ from .simulator import (
     integrate,
     rk4_step,
     ultimate_bound,
-    write_csv,
 )
 from .certify import (
-    IssReport,
+    Check,
     check_asymptotic_gain,
     check_composite_sandwich,
     check_iss_lyapunov,
@@ -64,6 +63,7 @@ from .certify import (
     damped_ultimate_bound,
     rejection_threshold,
     sigma_condition,
+    verdict,
 )
 
 __version__ = "0.1.0"

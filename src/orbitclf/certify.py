@@ -18,6 +18,10 @@ the verifiable content of the stability analysis:
 * the sigma rule: sigma is half the supremum allowed by
   c6 c1 gamma/eps - sigma c7^2 Lq^2 / 4 > 0.
 
+A run's verdicts are a list of `Check` rows: the same rows are printed,
+stored in the report under their keys and folded by `verdict` into the
+exit code.
+
 Numerical derivatives are central differences on the recorded grid; their
 tolerance scales with the trace magnitude so integrator noise is not
 mistaken for a Lyapunov violation.
@@ -25,7 +29,7 @@ mistaken for a Lyapunov violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,45 +41,32 @@ from .simulator import TrajectoryRecord
 
 
 @dataclass(frozen=True)
-class IssReport:
-    """Measured vs. theoretical stability figures for one configuration."""
+class Check:
+    """One verdict: its table label, its report key, ok and the figure shown beside it.
 
-    eps: float
-    eps_bar: float
-    d_inf: float
-    eta_ultimate_measured: float
-    eta_bound_min_norm: float
-    eta_bound_damped: float | None
-    min_norm_bound_ok: bool
-    damped_bound_ok: bool | None
-    sigma: float
-    sigma_condition_ok: bool
-    sigma_margin: float
-    zs_ok: bool
-    zs_rate: float
-    ag_gain_estimate: float
-    ag_intercept: float
-    ag_ok: bool
-    eta_gain_estimate: float
-    eta_gain_ok: bool
-    iss_ok: bool
-    vc_decrease_ok: bool
-    eiss_form_ok: bool
-    sandwich_ok: bool
-    e_iss_rate_measured: float
-    extras: dict = field(default_factory=dict)
+    ok is None where the check does not apply (printed "n/a"); such a row
+    does not fail the run.
+    """
 
-    def mandatory_ok(self) -> bool:
-        checks = [self.min_norm_bound_ok, self.sigma_condition_ok, self.zs_ok, self.ag_ok,
-                  self.eta_gain_ok, self.iss_ok, self.vc_decrease_ok,
-                  self.eiss_form_ok, self.sandwich_ok, self.e_iss_rate_measured > 0.0]
-        if self.damped_bound_ok is not None:
-            checks.append(self.damped_bound_ok)
-        return all(bool(c) for c in checks)
+    label: str
+    key: str
+    ok: bool | None
+    value: float | None = None
 
-    def to_dict(self) -> dict:
-        data = {k: v for k, v in self.__dict__.items()}
-        return data
+    def __post_init__(self):
+        # a numpy bool is never `False` by identity, which would pass verdict()
+        if self.ok is not None:
+            object.__setattr__(self, "ok", bool(self.ok))
+
+
+def verdict(checks) -> bool:
+    """True unless some check failed; this alone sets the exit code."""
+    return all(c.ok is not False for c in checks)
+
+
+def report_payload(figures: dict, checks) -> dict:
+    """The run's figures plus each check's ok under its key."""
+    return {**figures, **{c.key: c.ok for c in checks}}
 
 
 def min_norm_ultimate_bound(cert: ResClfCertificate, d_inf: float) -> float:

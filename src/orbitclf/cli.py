@@ -9,8 +9,8 @@ Subcommands:
 
 Every output file embeds the fully resolved configuration and a content
 hash, and contains no timestamps, so identical config + seed reproduces
-identical bytes.  Exit codes: 0 all checks pass, 1 a mandatory check
-failed, 2 usage or configuration error.
+identical bytes.  Exit codes: 0 all checks pass, 1 a check in the printed
+table failed, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -26,10 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import certify as cert_mod
+from .certify import Check, report_payload, verdict
 from .disturbance import KINDS, DisturbanceSignal, sup_norm
 from .output_dynamics import OutputDims, build_fg
 from .plants import (
     CONTROLLER_MODES,
+    PLANT_KINDS,
     DisturbedClosedLoop,
     HopfPlant,
     MechClosedLoop,
@@ -37,7 +39,7 @@ from .plants import (
     converse_constants,
 )
 from .riccati import certificate
-from .simulator import integrate, to_csv_rows, ultimate_bound
+from .simulator import integrate, ultimate_bound
 
 DEFAULT_ALPHA = [0.0, 0.1, 0.3, 0.3, 0.1, 0.0]
 
@@ -166,6 +168,20 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_array(value, shape: tuple) -> bool:
+    """value is nested lists of numbers of this shape; None in shape is any length."""
+    if not shape:
+        return _is_number(value)
+    return (isinstance(value, list) and shape[0] in (None, len(value))
+            and all(_is_array(v, shape[1:]) for v in value))
+
+
+def _array_text(shape: tuple) -> str:
+    if len(shape) == 2:
+        return f"a {shape[0]}x{shape[1]} matrix of numbers"
+    return "a list of numbers" if shape[0] is None else f"a list of {shape[0]} numbers"
+
+
 def _validate(config: dict) -> None:
     for path in _NUMBERS + _OPTIONAL_NUMBERS:
         value = _lookup(config, path)
@@ -178,18 +194,27 @@ def _validate(config: dict) -> None:
         if not (_is_number(value) and float(value).is_integer()):
             raise ConfigError(f"{path} must be an integer, got {value!r}")
     try:
-        OutputDims(k1=int(config["k1"]), k2=int(config["k2"]))
+        n = OutputDims(k1=int(config["k1"]), k2=int(config["k2"])).n_eta
     except ValueError as exc:
         raise ConfigError(f"bad dims: {exc}") from exc
-    if config["Q"] != "identity" and not isinstance(config["Q"], list):
-        raise ConfigError('Q must be "identity" or a row-major matrix')
+    arrays = {"sweep.eps_grid": (None,), "sweep.amplitude_grid": (None,),
+              "plant.alpha": (6,), "initial.eta": (n,), "initial.z": (2,), "initial.x": (4,)}
+    for path, shape in arrays.items():
+        value = _lookup(config, path)
+        if not (_is_array(value, shape) or (value is None and path.startswith("initial."))):
+            raise ConfigError(f"{path} must be {_array_text(shape)}, got {value!r}")
+    if config["Q"] != "identity" and not _is_array(config["Q"], (n, n)):
+        raise ConfigError(f'Q must be "identity" or {_array_text((n, n))}')
+    coupling = config["plant"]["coupling"]
+    if not (_is_number(coupling) or _is_array(coupling, (2, n))):
+        raise ConfigError(f"plant.coupling must be a number or {_array_text((2, n))}")
     if not (0.0 < float(config["eps"]) <= 1.0):
         raise ConfigError("eps must lie in (0, 1]")
     if not (0.0 < float(config["eps_bar"]) <= 1.0):
         raise ConfigError("eps_bar must lie in (0, 1]")
     if config["controller"] not in CONTROLLER_MODES:
         raise ConfigError(f'unknown controller {config["controller"]!r}')
-    if config["plant"]["kind"] not in ("hopf", "mech"):
+    if config["plant"]["kind"] not in PLANT_KINDS:
         raise ConfigError(f'unknown plant kind {config["plant"]["kind"]!r}')
     dist = config["disturbance"]
     if dist["kind"] not in KINDS:
@@ -223,15 +248,17 @@ def q_matrix(config: dict, n: int) -> np.ndarray:
     if config["Q"] == "identity":
         return np.eye(n)
     Q = np.asarray(config["Q"], dtype=float)
-    if Q.shape != (n, n):
-        raise ConfigError(f"Q has shape {Q.shape}, expected ({n}, {n})")
     return 0.5 * (Q + Q.T)
 
 
 def build_certificate(config: dict):
     dims = OutputDims(k1=int(config["k1"]), k2=int(config["k2"]))
     dyn = build_fg(dims)
-    return dyn, certificate(dyn, q_matrix(config, dims.n_eta), float(config["eps"]))
+    Q = q_matrix(config, dims.n_eta)
+    try:
+        return dyn, certificate(dyn, Q, float(config["eps"]))
+    except ValueError as exc:  # a Q that is not positive definite, or an eps outside (0, 1]
+        raise ConfigError(str(exc)) from exc
 
 
 def build_plant(config: dict, dims: OutputDims):
@@ -326,7 +353,7 @@ def with_amplitudes(config: dict, loop: DisturbedClosedLoop,
 
 
 def _require_hopf(config: dict, command: str) -> None:
-    if config["plant"]["kind"] != "hopf":
+    if config["plant"]["kind"] != PLANT_KINDS[0]:
         raise ConfigError(f"{command} requires the hopf plant (the mech plant has no "
                           "closed-form orbit); use simulate for mech runs")
 
@@ -335,44 +362,45 @@ def _require_hopf(config: dict, command: str) -> None:
 # output helpers
 
 
+def _provenance(config: dict, body: str) -> dict:
+    """What every output file carries: the resolved config, its hash and the body's hash."""
+    return {"config": embeddable(config), "config_hash": config_hash(config),
+            "content_hash": hashlib.sha256(body.encode()).hexdigest()}
+
+
 def _write_json(path: Path, config: dict, payload: dict) -> None:
-    body = {
-        "config": embeddable(config),
-        "config_hash": config_hash(config),
-        "content_hash": hashlib.sha256(canonical_json(payload).encode()).hexdigest(),
-        "payload": payload,
-    }
+    body = {**_provenance(config, canonical_json(payload)), "payload": payload}
     path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_record_csv(path: Path, config: dict, record) -> None:
-    headers, data = to_csv_rows(record)
+def _write_csv(path: Path, config: dict, headers: list[str], rows) -> None:
+    """The provenance as leading '# key=value' lines, the header line, one line per row."""
     # the body is joined once and written as it is: each further copy of a
     # long trace's text would raise the peak memory by its size
-    body = "\n".join(",".join(format(v, ".17g") for v in row) for row in data)
-    content_hash = hashlib.sha256(body.encode()).hexdigest()
-    lines = [
-        f"# config={canonical_json(embeddable(config))}",
-        f"# config_hash={config_hash(config)}",
-        f"# content_hash={content_hash}",
-        ",".join(headers),
-    ]
+    body = "\n".join(",".join(format(v, ".17g") for v in row) for row in rows)
+    lines = [f"# {key}={value if isinstance(value, str) else canonical_json(value)}"
+             for key, value in _provenance(config, body).items()]
     with path.open("w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.write(body)
-        fh.write("\n")
+        fh.write("\n".join(lines + [",".join(headers)]) + "\n")
+        if body:
+            fh.write(body)
+            fh.write("\n")
+
+
+def _write_record_csv(path: Path, config: dict, record) -> None:
+    """A trajectory in the fixed column order t, eta_*, z_*, d_*, V_eps, V_Z, V_c, dist."""
+    headers = (["t"] + [f"eta_{i}" for i in range(record.eta.shape[1])]
+               + [f"z_{i}" for i in range(record.z.shape[1])]
+               + [f"d_{i}" for i in range(record.d.shape[1])]
+               + ["V_eps", "V_Z", "V_c", "dist"])
+    _write_csv(path, config, headers, np.column_stack(
+        [record.t, record.eta, record.z, record.d,
+         record.v_eps, record.v_z, record.v_c, record.dist]))
 
 
 def _rows_csv(path: Path, config: dict, headers: list[str], rows: list[list[float]]) -> None:
-    body = [",".join(format(float(v), ".17g") for v in row) for row in rows]
-    content_hash = hashlib.sha256("\n".join(body).encode()).hexdigest()
-    lines = [
-        f"# config={canonical_json(embeddable(config))}",
-        f"# config_hash={config_hash(config)}",
-        f"# content_hash={content_hash}",
-        ",".join(headers),
-    ]
-    path.write_text("\n".join(lines + body) + "\n", encoding="utf-8")
+    """A table of plain rows, such as a sweep's."""
+    _write_csv(path, config, headers, rows)
 
 
 def _summary(record, settle: float) -> dict:
@@ -417,12 +445,17 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def run_certify(config: dict, out_dir: Path | None = None) -> tuple[cert_mod.IssReport, dict]:
-    """Execute the full check battery; returns (report, artifacts)."""
+def run_certify(config: dict, out_dir: Path) -> tuple[dict, list[Check]]:
+    """Execute the full check battery and write its files; returns (figures, checks)."""
     _require_hopf(config, "certify")
+    amp_grid = sorted(float(a) for a in config["sweep"]["amplitude_grid"])
+    if len(amp_grid) < 3 or 0.0 not in amp_grid:
+        raise ConfigError("certify needs a sweep.amplitude_grid of at least 3 amplitudes, "
+                          "one of them 0")
     settle = float(config["settle_fraction"])
     dt = float(config["integrator"]["dt"])
     horizon = float(config["integrator"]["horizon"])
+    eps_bar = float(config["eps_bar"])
 
     loop, cert, plant, x0 = build_closed_loop(config)
     consts = converse_constants(plant, float(config["plant"]["annulus_fraction"]))
@@ -435,19 +468,16 @@ def run_certify(config: dict, out_dir: Path | None = None) -> tuple[cert_mod.Iss
 
     # one batch: the main run, the d = 0 run (also amplitude 0 of the grid)
     # and the grid's other amplitudes
-    amp_grid = sorted(float(a) for a in config["sweep"]["amplitude_grid"])
     grid_amps = [amp for amp in amp_grid if amp != 0.0]
     loops = [loop] + with_amplitudes(config, loop, [0.0] + grid_amps)
     main_rec, zero_rec, *grid_recs = integrate(loops, np.tile(x0, (len(loops), 1)),
                                                T=horizon, dt=dt)
     eta_ult = ultimate_bound(main_rec, settle)
     l3 = cert_mod.min_norm_ultimate_bound(cert, d_inf)
-    min_norm_bound_ok = bool(eta_ult <= l3) if d_inf > 0.0 else True
     with_us = config["controller"] == "min_norm_plus_us"
-    l4 = cert_mod.damped_ultimate_bound(cert, float(config["eps_bar"]), d_inf) if with_us else None
-    damped_bound_ok = bool(eta_ult <= l4) if (with_us and d_inf > 0.0) else (True if with_us else None)
+    l4 = cert_mod.damped_ultimate_bound(cert, eps_bar, d_inf) if with_us else None
     vc_ok, eiss_form_ok, vc_details = cert_mod.check_iss_lyapunov(
-        main_rec, cert, sigma, d_inf, float(config["eps_bar"]))
+        main_rec, cert, sigma, d_inf, eps_bar)
     sandwich_ok = cert_mod.check_composite_sandwich(main_rec, cert, sigma, consts, plant)
 
     zs_ok, zs_rate = cert_mod.check_zero_stability(zero_rec)
@@ -463,20 +493,14 @@ def run_certify(config: dict, out_dir: Path | None = None) -> tuple[cert_mod.Iss
     ag_gain, ag_intercept, ag_ok = cert_mod.check_asymptotic_gain(
         np.array(amp_grid), np.array(dist_ults))
     eta_gain, _, _ = cert_mod.check_asymptotic_gain(np.array(amp_grid), np.array(eta_ults))
-    eta_gain_ok = bool(eta_gain <= 4.0 * cert.c2 / (cert.gamma * cert.c1 * cert.eps))
 
-    report = cert_mod.IssReport(
-        eps=cert.eps, eps_bar=float(config["eps_bar"]), d_inf=d_inf,
-        eta_ultimate_measured=eta_ult, eta_bound_min_norm=l3, eta_bound_damped=l4,
-        min_norm_bound_ok=min_norm_bound_ok, damped_bound_ok=damped_bound_ok,
-        sigma=sigma, sigma_condition_ok=sigma_ok, sigma_margin=sigma_margin,
-        zs_ok=zs_ok, zs_rate=zs_rate,
-        ag_gain_estimate=ag_gain, ag_intercept=ag_intercept, ag_ok=ag_ok,
-        eta_gain_estimate=eta_gain, eta_gain_ok=eta_gain_ok,
-        iss_ok=bool(zs_ok and ag_ok),
-        vc_decrease_ok=vc_ok, eiss_form_ok=eiss_form_ok, sandwich_ok=sandwich_ok,
-        e_iss_rate_measured=delta2,
-        extras={
+    figures = {
+        "eps": cert.eps, "eps_bar": eps_bar, "d_inf": d_inf,
+        "eta_ultimate_measured": eta_ult, "eta_bound_min_norm": l3, "eta_bound_damped": l4,
+        "sigma": sigma, "sigma_margin": sigma_margin, "zs_rate": zs_rate,
+        "ag_gain_estimate": ag_gain, "ag_intercept": ag_intercept,
+        "eta_gain_estimate": eta_gain, "e_iss_rate_measured": delta2,
+        "extras": {
             "gamma": cert.gamma, "c1": cert.c1, "c2": cert.c2,
             "care_residual": cert.care_residual, "scaled_residual": cert.scaled_residual,
             "converse_constants": {"c4": consts.c4, "c5": consts.c5,
@@ -489,52 +513,47 @@ def run_certify(config: dict, out_dir: Path | None = None) -> tuple[cert_mod.Iss
             "dist_ultimates": dist_ults,
             "eta_ultimates": eta_ults,
         },
-    )
-    artifacts = {"main_record": main_rec, "zero_record": zero_rec}
-    if out_dir is not None:
-        _write_record_csv(out_dir / "certify_main.csv", config, main_rec)
-        _write_record_csv(out_dir / "certify_zero.csv", config, zero_rec)
-        _write_json(out_dir / "report.json", config, report.to_dict())
-    return report, artifacts
+    }
+    checks = [
+        Check("zero stability (ZS)", "zs_ok", zs_ok, zs_rate),
+        Check("asymptotic gain (AG)", "ag_ok", ag_ok, ag_gain),
+        Check("ISS = ZS and AG", "iss_ok", zs_ok and ag_ok),
+        Check("ultimate bound, min-norm", "min_norm_bound_ok",
+              eta_ult <= l3 if d_inf > 0.0 else True, l3),
+        Check("ultimate bound, with damping", "damped_bound_ok",
+              (eta_ult <= l4 if d_inf > 0.0 else True) if with_us else None, l4),
+        Check("eta gain <= bound coefficient", "eta_gain_ok",
+              eta_gain <= 4.0 * cert.c2 / (cert.gamma * cert.c1 * cert.eps), eta_gain),
+        Check("sigma rule margin 0.5", "sigma_condition_ok", sigma_ok, sigma_margin),
+        Check("composite V_c decrease", "vc_decrease_ok", vc_ok),
+        Check("strict e-ISS inequality", "eiss_form_ok", eiss_form_ok),
+        Check("e-ISS decay rate > 0", "e_iss_rate_ok", delta2 > 0.0, delta2),
+        Check("composite sandwich", "sandwich_ok", sandwich_ok),
+    ]
+    _write_record_csv(out_dir / "certify_main.csv", config, main_rec)
+    _write_record_csv(out_dir / "certify_zero.csv", config, zero_rec)
+    _write_json(out_dir / "report.json", config, report_payload(figures, checks))
+    return figures, checks
 
 
-_TABLE_ROWS = (
-    ("zero stability (ZS)", "zs_ok", "zs_rate"),
-    ("asymptotic gain (AG)", "ag_ok", "ag_gain_estimate"),
-    ("ISS = ZS and AG", "iss_ok", None),
-    ("ultimate bound, min-norm", "min_norm_bound_ok", "eta_bound_min_norm"),
-    ("ultimate bound, with damping", "damped_bound_ok", "eta_bound_damped"),
-    ("eta gain <= bound coefficient", "eta_gain_ok", "eta_gain_estimate"),
-    ("sigma rule margin 0.5", "sigma_condition_ok", "sigma_margin"),
-    ("composite V_c decrease", "vc_decrease_ok", None),
-    ("strict e-ISS inequality", "eiss_form_ok", None),
-    ("composite sandwich", "sandwich_ok", None),
-)
-
-
-def print_report(report: cert_mod.IssReport) -> None:
-    print(f"eps = {report.eps:g}   eps_bar = {report.eps_bar:g}   "
-          f"|d|inf = {report.d_inf:g}   sigma = {report.sigma:.6g}")
-    print(f"measured ultimate ||eta|| = {report.eta_ultimate_measured:.6g}   "
-          f"e-ISS rate = {report.e_iss_rate_measured:.4g}")
+def print_checks(checks: list[Check], report: Path) -> None:
+    """The check table, one line per row, and the overall verdict."""
     print(f"{'check':34s} {'status':7s} value")
-    for label, flag, value_key in _TABLE_ROWS:
-        flag_val = getattr(report, flag)
-        if flag_val is None:
-            status = "n/a"
-        else:
-            status = "PASS" if flag_val else "FAIL"
-        value = "" if value_key is None else getattr(report, value_key)
-        value_s = "" if value in (None, "") else f"{value:.6g}"
-        print(f"{label:34s} {status:7s} {value_s}")
+    for c in checks:
+        status = "n/a" if c.ok is None else ("PASS" if c.ok else "FAIL")
+        value = "" if c.value is None else f"{c.value:.6g}"
+        print(f"{c.label:34s} {status:7s} {value}")
+    print(f"overall: {'PASS' if verdict(checks) else 'FAIL'}  (report at {report})")
 
 
 def cmd_certify(config: dict, out_dir: Path) -> int:
-    report, _ = run_certify(config, out_dir)
-    print_report(report)
-    ok = report.mandatory_ok()
-    print(f"overall: {'PASS' if ok else 'FAIL'}  (report at {out_dir / 'report.json'})")
-    return 0 if ok else 1
+    figures, checks = run_certify(config, out_dir)
+    print(f"eps = {figures['eps']:g}   eps_bar = {figures['eps_bar']:g}   "
+          f"|d|inf = {figures['d_inf']:g}   sigma = {figures['sigma']:.6g}")
+    print(f"measured ultimate ||eta|| = {figures['eta_ultimate_measured']:.6g}   "
+          f"e-ISS rate = {figures['e_iss_rate_measured']:.4g}")
+    print_checks(checks, out_dir / "report.json")
+    return 0 if verdict(checks) else 1
 
 
 def cmd_sweep(config: dict, out_dir: Path) -> int:
@@ -564,23 +583,22 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
               ["amplitude", "eta_ultimate", "theory_bound"], amp_rows)
 
     ults = [row[1] for row in eps_rows]
-    monotone_ok = all(ults[i] < ults[i + 1] for i in range(len(ults) - 1))
-    zero_rows = [row for row in amp_rows if row[0] == 0.0]
-    zero_ok = all(row[1] <= 1e-6 for row in zero_rows)
-    bounds_ok = all(row[1] <= row[2] for row in amp_rows if row[0] > 0.0)
-    payload = {
-        "eps_rows": eps_rows, "amplitude_rows": amp_rows,
-        "monotone_in_eps_ok": monotone_ok, "zero_amplitude_ok": zero_ok,
-        "bounds_all_ok": bounds_ok,
-    }
-    _write_json(out_dir / "sweep_report.json", config, payload)
+    checks = [
+        Check("ultimate increasing in eps", "monotone_in_eps_ok",
+              all(a < b for a, b in zip(ults, ults[1:]))),
+        Check("ultimate <= 1e-6 at amplitude 0", "zero_amplitude_ok",
+              all(row[1] <= 1e-6 for row in amp_rows if row[0] == 0.0)),
+        Check("ultimate bound at every amplitude", "bounds_all_ok",
+              all(row[1] <= row[2] for row in amp_rows if row[0] > 0.0)),
+    ]
+    payload = {"eps_rows": eps_rows, "amplitude_rows": amp_rows}
+    _write_json(out_dir / "sweep_report.json", config, report_payload(payload, checks))
     for row in eps_rows:
         print(f"eps={row[0]:<6g} ultimate={row[1]:.6g} bound={row[2]:.6g}")
     for row in amp_rows:
         print(f"amp={row[0]:<6g} ultimate={row[1]:.6g} bound={row[2]:.6g}")
-    ok = monotone_ok and zero_ok and bounds_ok
-    print(f"sweep checks: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    print_checks(checks, out_dir / "sweep_report.json")
+    return 0 if verdict(checks) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from .output_dynamics import OutputDims, OutputDynamics, build_fg
 from .riccati import ResClfCertificate
 
 CONTROLLER_MODES = ("min_norm", "min_norm_plus_us")
+#: the plants a config can name; only "hopf" has the closed-form orbit certify needs
+PLANT_KINDS = ("hopf", "mech")
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +401,6 @@ class DisturbedClosedLoop:
             raise ValueError("certificate and plant dims disagree")
 
     @property
-    def kind(self) -> str:
-        return "hopf"
-
-    @property
     def state_dim(self) -> int:
         return self.plant.dims.n_eta + 2
 
@@ -451,10 +449,6 @@ class MechClosedLoop:
             raise ValueError("certificate and plant dims disagree")
         if self.signal is not None and self.signal.kind != "phase_error_driven":
             raise ValueError("mech closed loop takes a phase_error_driven signal")
-
-    @property
-    def kind(self) -> str:
-        return "mech"
 
     @property
     def state_dim(self) -> int:

@@ -22,7 +22,8 @@ holds identically given the CARE, with P_e = M P M and Q_e = M Q M.  The
 residual of this identity is validated on every certificate.
 
 Certificate constants: gamma = lambda_min(Q)/lambda_max(P) (so that
-gamma * P <= Q), c1 = lambda_min(P), c2 = lambda_max(P), c3 = gamma.
+gamma * P <= Q; it is also the decrease constant c3), c1 = lambda_min(P),
+c2 = lambda_max(P).
 Since I <= M <= (1/eps) I, the quadratic form eta' P_e eta is sandwiched
 between c1 ||eta||^2 and (c2/eps^2) ||eta||^2 for every 0 < eps <= 1.
 """
@@ -218,7 +219,6 @@ class ResClfCertificate:
     gamma: float
     c1: float
     c2: float
-    c3: float
     care_residual: float
     scaled_residual: float
 
@@ -240,7 +240,6 @@ class ResClfCertificate:
             "gamma": self.gamma,
             "c1": self.c1,
             "c2": self.c2,
-            "c3": self.c3,
             "care_residual": self.care_residual,
             "scaled_residual": self.scaled_residual,
         }
@@ -259,7 +258,6 @@ class ResClfCertificate:
             gamma=float(data["gamma"]),
             c1=float(data["c1"]),
             c2=float(data["c2"]),
-            c3=float(data["c3"]),
             care_residual=float(data["care_residual"]),
             scaled_residual=float(data["scaled_residual"]),
         )
@@ -288,6 +286,6 @@ def certificate(dyn: OutputDynamics, Q: np.ndarray, eps: float) -> ResClfCertifi
         raise CareSolveError(f"gamma*P <= Q violated: min eig {w_gap[0]:g}")
     return ResClfCertificate(
         dims=dyn.dims, eps=float(eps), P=P, Q=Q, M=M, P_eps=P_eps, Q_eps=Q_eps,
-        gamma=gamma, c1=float(w_p[0]), c2=float(w_p[-1]), c3=gamma,
+        gamma=gamma, c1=float(w_p[0]), c2=float(w_p[-1]),
         care_residual=res, scaled_residual=res_eps,
     )

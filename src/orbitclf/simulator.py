@@ -20,8 +20,6 @@ from .plants import DisturbedClosedLoop, MechClosedLoop, orbit_distance, vz_valu
 
 MAX_STEPS = 10_000_000
 
-CSV_NOTE = "columns: t,eta_*,z_*,d_*,V_eps,V_Z,V_c,dist"
-
 
 class SimulationError(RuntimeError):
     """Integration aborted (non-finite state)."""
@@ -202,29 +200,3 @@ def ultimate_bound(record: TrajectoryRecord, settle_fraction: float = 0.5) -> fl
         raise ValueError("settle_fraction must lie in (0, 1)")
     start = int(np.ceil(settle_fraction * (len(record) - 1)))
     return float(np.max(record.eta_norm[start:]))
-
-
-def to_csv_rows(record: TrajectoryRecord) -> tuple[list[str], np.ndarray]:
-    """(header names, data matrix) in the fixed column order."""
-    headers = (["t"]
-               + [f"eta_{i}" for i in range(record.eta.shape[1])]
-               + [f"z_{i}" for i in range(record.z.shape[1])]
-               + [f"d_{i}" for i in range(record.d.shape[1])]
-               + ["V_eps", "V_Z", "V_c", "dist"])
-    data = np.column_stack([record.t, record.eta, record.z, record.d,
-                            record.v_eps, record.v_z, record.v_c, record.dist])
-    return headers, data
-
-
-def write_csv(record: TrajectoryRecord, path, preamble: dict | None = None) -> None:
-    """Write the record as CSV with optional '# key=value' provenance lines."""
-    headers, data = to_csv_rows(record)
-    lines = []
-    if preamble:
-        for key, value in preamble.items():
-            lines.append(f"# {key}={value}")
-    lines.append(",".join(headers))
-    for row in data:
-        lines.append(",".join(format(v, ".17g") for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -1,8 +1,15 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from orbitclf import cli
+from orbitclf.certify import Check, verdict
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 SQRT3 = np.sqrt(3.0)
 
@@ -14,6 +21,14 @@ FAST = ["--override", "integrator.horizon=8",
 
 def run(args):
     return cli.main(args)
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_synth_default_writes_closed_form(tmp_path, capsys):
@@ -100,6 +115,34 @@ def test_certify_passes_and_reports(tmp_path, capsys):
     assert np.isclose(rep["eta_bound_damped"], 2 * eps_bar * c2 / (c1**2 * eps**2) * d_inf,
                       rtol=1e-12)
     assert rep["sigma_condition_ok"] and np.isclose(rep["sigma_margin"], 0.5)
+    # the benchmark's gates read this report: every flag and scalar they need is there
+    workloads = _workloads()
+    op = workloads._certify_ops(0)[0]
+    assert workloads._certify_intrinsic(op, tmp_path) == []
+    assert set(workloads._certify_scalars(op, tmp_path)) == {
+        "sigma", "eta_bound_min_norm", "eta_bound_damped", "eta_ultimate_measured",
+        "ag_gain_estimate", "eta_gain_estimate"}
+    # every verdict in the report, e_iss_rate_ok included, is a printed row
+    rows = [line for line in out.splitlines() if line[35:42].strip() in ("PASS", "FAIL", "n/a")]
+    assert rep["e_iss_rate_ok"] is True
+    assert len(rows) == sum(key.endswith("_ok") for key in rep) == 11
+
+
+def test_check_table_and_verdict(tmp_path, capsys):
+    checks = [Check("zero stability (ZS)", "zs_ok", True, 2.5),
+              Check("e-ISS decay rate > 0", "e_iss_rate_ok", False, -0.25)]
+    cli.print_checks(checks, tmp_path / "report.json")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split()[-2:] == ["FAIL", "-0.25"]
+    assert lines[-1].startswith("overall: FAIL")
+    assert not verdict(checks)
+    # an n/a row neither passes nor fails
+    checks = [checks[0], Check("ultimate bound, with damping", "damped_bound_ok", None)]
+    cli.print_checks(checks, tmp_path / "report.json")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split()[-1] == "n/a"
+    assert lines[-1].startswith("overall: PASS")
+    assert verdict(checks)
 
 
 def test_certify_adversarial_sigma_fails(tmp_path, capsys):
@@ -175,3 +218,24 @@ def test_sweep_rejects_mech_plant(tmp_path, capsys):
                 "--override", "disturbance.kind=phase_error_driven"]) == 2
     _one_line_error(capsys, "sweep requires the hopf plant")
 
+
+
+@pytest.mark.parametrize("command, override, message", [
+    ("synth", "Q=[[1,0],[0,-1]]", "Q must be symmetric positive definite"),
+    ("synth", 'Q=[[1,0],[0,"a"]]', 'Q must be "identity" or a 2x2 matrix of numbers'),
+    ("synth", "Q=[[1,0,0],[0,1,0],[0,0,1]]", 'Q must be "identity" or a 2x2 matrix of numbers'),
+    ("certify", 'sweep.amplitude_grid=["a"]', "sweep.amplitude_grid must be a list of numbers"),
+    ("certify", "sweep.amplitude_grid=[0.01,0.02,0.04]",
+     "certify needs a sweep.amplitude_grid of at least 3 amplitudes, one of them 0"),
+    ("sweep", "sweep.eps_grid=[0.1,null]", "sweep.eps_grid must be a list of numbers"),
+    ("sweep", "sweep.eps_grid=[2.0]", "eps must lie in (0, 1]"),
+    ("simulate", "initial.eta=[0.1]", "initial.eta must be a list of 2 numbers"),
+    ("simulate", "initial.z=[1,0,0]", "initial.z must be a list of 2 numbers"),
+    ("simulate", "initial.x=[0,0]", "initial.x must be a list of 4 numbers"),
+    ("simulate", "plant.alpha=[0,0.1]", "plant.alpha must be a list of 6 numbers"),
+    ("simulate", "plant.coupling=[[0.2,0.2]]",
+     "plant.coupling must be a number or a 2x2 matrix of numbers"),
+])
+def test_list_valued_field_errors_exit_2(tmp_path, capsys, command, override, message):
+    assert run([command, "--out", str(tmp_path), "--override", override]) == 2
+    _one_line_error(capsys, message)

@@ -165,7 +165,6 @@ def test_certificate_constants_double_integrator(cert01_e1):
     assert np.isclose(cert01_e1.gamma, 1.0 / (SQRT3 + 1.0), atol=1e-12)
     assert np.isclose(cert01_e1.c1, SQRT3 - 1.0, atol=1e-12)
     assert np.isclose(cert01_e1.c2, SQRT3 + 1.0, atol=1e-12)
-    assert cert01_e1.c3 == cert01_e1.gamma
 
 
 def test_certificate_constants_scalar():
@@ -207,3 +206,7 @@ def test_certificate_roundtrip_serialization(cert01_e01):
     assert np.array_equal(back.P, cert01_e01.P)
     assert np.array_equal(back.P_eps, cert01_e01.P_eps)
     assert back.gamma == cert01_e01.gamma
+    assert "c3" not in data
+    # files written while the certificate still carried c3 = gamma load as before
+    older = oc.ResClfCertificate.from_dict({**data, "c3": data["gamma"]})
+    assert older.gamma == cert01_e01.gamma

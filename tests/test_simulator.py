@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import orbitclf as oc
-from orbitclf.simulator import to_csv_rows
+from orbitclf import cli
 
 
 def test_rk4_single_step_linear_decay():
@@ -116,16 +116,17 @@ def test_ultimate_bound_validation(zero_record_eps05):
 
 def test_csv_layout(zero_record_eps05, tmp_path):
     _, _, rec = zero_record_eps05
-    headers, data = to_csv_rows(rec)
-    assert headers == ["t", "eta_0", "eta_1", "z_0", "z_1", "d_0",
-                       "V_eps", "V_Z", "V_c", "dist"]
-    assert data.shape == (len(rec), len(headers))
     path = tmp_path / "rec.csv"
-    oc.write_csv(rec, path, preamble={"case": "unit"})
+    cli._write_record_csv(path, cli.DEFAULT_CONFIG, rec)
     lines = path.read_text().splitlines()
-    assert lines[0] == "# case=unit"
-    assert lines[1] == ",".join(headers)
-    assert len(lines) == 2 + len(rec)
+    assert [line.partition("=")[0] for line in lines[:3]] == [
+        "# config", "# config_hash", "# content_hash"]
+    headers = ["t", "eta_0", "eta_1", "z_0", "z_1", "d_0", "V_eps", "V_Z", "V_c", "dist"]
+    assert lines[3] == ",".join(headers)
+    assert len(lines) == 4 + len(rec)
+    assert [float(v) for v in lines[-1].split(",")] == [
+        rec.t[-1], *rec.eta[-1], *rec.z[-1], *rec.d[-1],
+        rec.v_eps[-1], rec.v_z[-1], rec.v_c[-1], rec.dist[-1]]
 
 
 def test_record_v_eps_cross_check(hopf01, dyn01):
