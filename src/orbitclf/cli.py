@@ -38,7 +38,7 @@ from .plants import (
     MechPlant,
     converse_constants,
 )
-from .riccati import certificate
+from .riccati import CareSolveError, certificate
 from .simulator import integrate, ultimate_bound
 
 DEFAULT_ALPHA = [0.0, 0.1, 0.3, 0.3, 0.1, 0.0]
@@ -136,6 +136,8 @@ def load_config(path: str | None, overrides: list[str], seed: int | None,
             node = node[part]
         if parts[-1] not in node:
             raise ConfigError(f"unknown config key: {key}")
+        if isinstance(value, dict) and isinstance(node[parts[-1]], dict):
+            value = _merge_validate(node[parts[-1]], value, key)
         node[parts[-1]] = value
     if seed is not None:
         config["seed"] = seed
@@ -259,6 +261,8 @@ def build_certificate(config: dict):
         return dyn, certificate(dyn, Q, float(config["eps"]))
     except ValueError as exc:  # a Q that is not positive definite, or an eps outside (0, 1]
         raise ConfigError(str(exc)) from exc
+    except CareSolveError as exc:  # an SPD Q too extreme to certify in double precision
+        raise ConfigError(f"no RES-CLF certificate for this Q: {exc}") from exc
 
 
 def build_plant(config: dict, dims: OutputDims):

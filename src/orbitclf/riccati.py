@@ -5,13 +5,15 @@ The continuous algebraic Riccati equation for the output dynamics pair
 
     F'P + P F - P G G' P + Q = 0,    Q = Q' > 0,
 
-is solved by Newton-Kleinman iteration: each step solves the Lyapunov
-equation A' X + X A = -(Q + K'K) for the current closed loop A = F - G K
-and updates K = G' X.  The inner Lyapunov equation is solved directly by
-Kronecker vectorization into an (n^2 x n^2) linear system, which is cheap
-at the desk scales handled here (n <= ~30).  The seed gain comes from the
-closed-form Q = I solution, which stabilizes F for every valid dims, so
-every iterate is stabilizing and trace(P_i) is non-increasing.
+is solved by Newton-Kleinman iteration in correction form: each step
+solves the Lyapunov equation A' X + X A = -R for the current closed loop
+A = F - G K, K = G' P, with R the current CARE residual, and sets
+P <- P + X.  The inner Lyapunov equation is solved in O(n^3) by the scaled
+matrix-sign iteration; since its right-hand side is the residual itself,
+the final accuracy is set by the residual evaluation, not by the inner
+solve.  The seed is the closed-form Q = I solution, which stabilizes F for
+every valid dims, so every iterate is stabilizing and trace(P_i) is
+non-increasing.  Symmetric eigenvalues come from LAPACK (np.linalg.eigh).
 
 Epsilon scaling uses M = diag(I_k1, (1/eps) I_k2, I_k2).  This is the
 unique diagonal block scaling (with unit y1 and dy2 blocks) for which
@@ -42,58 +44,30 @@ SQRT3 = float(np.sqrt(3.0))
 #: Frobenius-norm ceiling accepted for both Riccati residuals.
 RESIDUAL_TOL = 1e-10
 
+#: Sign-iteration cap, and the entrywise step below which A has stopped moving
+#: (convergence is quadratic, so the next error is about its square).
+_SIGN_MAX_ITER = 100
+_SIGN_TOL = 1e-8
+
 
 class CareSolveError(RuntimeError):
     """Newton-Kleinman failed to reach the residual tolerance."""
 
 
 def sym_eig(A: np.ndarray, sym_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigen-decomposition of a symmetric matrix (LAPACK, via np.linalg.eigh).
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
-    Raises ValueError if A is not symmetric within sym_tol (scaled by the
-    magnitude of A).
+    Raises ValueError if A is not square, or not symmetric within sym_tol
+    (scaled by the magnitude of A).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
     scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
     if A.size and float(np.max(np.abs(A - A.T))) > sym_tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    if n == 1:
-        return A[0].copy(), np.ones((1, 1))
-
-    B = 0.5 * (A + A.T)
-    V = np.eye(n)
-    norm_a = max(float(np.linalg.norm(B)), 1e-300)
-    for _ in range(60):  # cyclic sweeps; quadratic convergence in practice
-        off = np.sqrt(np.sum(np.tril(B, -1) ** 2) * 2.0)
-        if off <= 1e-12 * norm_a:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = B[p, q]
-                if abs(apq) <= 1e-18 * norm_a:
-                    continue
-                # Jacobi rotation annihilating B[p, q]; with the row-update
-                # convention below the stable root carries a minus sign
-                theta = 0.5 * (B[q, q] - B[p, p]) / apq
-                t = -np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                B[[p, q], :] = rot @ B[[p, q], :]
-                B[:, [p, q]] = B[:, [p, q]] @ rot.T
-                V[:, [p, q]] = V[:, [p, q]] @ rot.T
-                B[p, q] = B[q, p] = 0.0
-    w = np.diag(B).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    return np.linalg.eigh(0.5 * (A + A.T))
 
 
 def is_spd(A: np.ndarray, tol: float = 0.0) -> bool:
@@ -139,23 +113,35 @@ def closed_form_identity_p(dims: OutputDims) -> np.ndarray:
 
 
 def solve_lyapunov(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Solve A'X + XA = -C for symmetric X by Kronecker vectorization."""
+    """Solve A'X + XA = -C for Hurwitz A by the scaled matrix-sign iteration.
+
+    A <- (gA + A^-1/g)/2 converges to sign(A) = -I, and the paired update
+    C <- (gC + A^-T C A^-1/g)/2 to 2X (Roberts 1980); g = |det A|^(-1/n) is
+    the determinant scaling.  Raises ValueError if A does not reach -I,
+    i.e. A is not Hurwitz.
+    """
     n = A.shape[0]
-    eye = np.eye(n)
-    lhs = np.kron(A.T, eye) + np.kron(eye, A.T)
-    X = np.linalg.solve(lhs, -C.reshape(-1)).reshape(n, n)
-    return 0.5 * (X + X.T)
+    for _ in range(_SIGN_MAX_ITER):
+        A_inv = np.linalg.inv(A)
+        g = float(np.exp(-np.linalg.slogdet(A)[1] / n))
+        A, A_prev = 0.5 * g * A + (0.5 / g) * A_inv, A
+        C = 0.5 * g * C + (0.5 / g) * (A_inv.T @ C @ A_inv)
+        if np.abs(A - A_prev).max() <= _SIGN_TOL:
+            break
+    if not np.abs(A + np.eye(n)).max() <= _SIGN_TOL:
+        raise ValueError("Lyapunov solve: A is not Hurwitz (sign iteration did not reach -I)")
+    return 0.25 * (C + C.T)
 
 
 def newton_kleinman_iterates(dyn: OutputDynamics, Q: np.ndarray,
                              max_iter: int = 100) -> Iterator[np.ndarray]:
-    """Yield successive Newton-Kleinman iterates P_i (all stabilizing)."""
+    """Yield successive Newton-Kleinman iterates P_i (all stabilizing), in correction form."""
     F, G = dyn.F, dyn.G
-    K = G.T @ closed_form_identity_p(dyn.dims)
+    P = closed_form_identity_p(dyn.dims)
     for _ in range(max_iter):
-        A_cl = F - G @ K
-        P = solve_lyapunov(A_cl, Q + K.T @ K)
         K = G.T @ P
+        R = F.T @ P + P @ F - K.T @ K + Q
+        P = P + solve_lyapunov(F - G @ K, R)
         yield P
 
 
@@ -166,7 +152,8 @@ def solve_care(dyn: OutputDynamics, Q: np.ndarray, tol: float = RESIDUAL_TOL,
     Iterates past tol down to the round-off floor: the epsilon-scaled
     identity downstream amplifies this residual by up to 1/eps^3, so the
     solve must be as exact as the arithmetic allows.  Raises ValueError
-    for a non-SPD Q and CareSolveError on non-convergence within max_iter.
+    for a non-SPD Q, and CareSolveError on overflow or on non-convergence
+    within max_iter.
     """
     Q = np.asarray(Q, dtype=float)
     n = dyn.dims.n_eta
@@ -174,19 +161,23 @@ def solve_care(dyn: OutputDynamics, Q: np.ndarray, tol: float = RESIDUAL_TOL,
         raise ValueError(f"Q has shape {Q.shape}, expected ({n}, {n})")
     if not is_spd(Q):
         raise ValueError("Q must be symmetric positive definite")
-    floor = 1e-15 * max(1.0, float(np.linalg.norm(Q)))
     prev_res = np.inf
-    for P in newton_kleinman_iterates(dyn, Q, max_iter=max_iter):
-        res = care_residual(dyn, P, Q)
-        at_floor = res <= floor or res >= 0.25 * prev_res
-        prev_res = res
-        if res <= tol and at_floor:
-            cl_eigs = np.linalg.eigvals(dyn.F - dyn.G @ dyn.G.T @ P)
-            if np.max(cl_eigs.real) >= 0.0:
-                raise CareSolveError("converged P is not stabilizing")
-            if not is_spd(P):
-                raise CareSolveError("converged P is not positive definite")
-            return P
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            floor = 1e-15 * max(1.0, float(np.linalg.norm(Q)))
+            for P in newton_kleinman_iterates(dyn, Q, max_iter=max_iter):
+                res = care_residual(dyn, P, Q)
+                at_floor = res <= floor or res >= 0.25 * prev_res
+                prev_res = res
+                if res <= tol and at_floor:
+                    cl_eigs = np.linalg.eigvals(dyn.F - dyn.G @ dyn.G.T @ P)
+                    if np.max(cl_eigs.real) >= 0.0:
+                        raise CareSolveError("converged P is not stabilizing")
+                    if not is_spd(P):
+                        raise CareSolveError("converged P is not positive definite")
+                    return P
+    except FloatingPointError as exc:
+        raise CareSolveError(f"Newton-Kleinman left the double range ({exc})") from exc
     raise CareSolveError(f"no convergence to residual {tol:g} within {max_iter} iterations")
 
 

@@ -239,3 +239,23 @@ def test_sweep_rejects_mech_plant(tmp_path, capsys):
 def test_list_valued_field_errors_exit_2(tmp_path, capsys, command, override, message):
     assert run([command, "--out", str(tmp_path), "--override", override]) == 2
     _one_line_error(capsys, message)
+
+
+@pytest.mark.parametrize("q", ["Q=[[1e300,0],[0,1e300]]", "Q=[[1e-300,0],[0,1e-300]]"])
+def test_uncertifiable_q_exits_2(tmp_path, capsys, q):
+    # both pass _validate (SPD, numeric); the CARE solve or the certificate fails
+    assert run(["synth", "--out", str(tmp_path), "--override", q]) == 2
+    _one_line_error(capsys, "no RES-CLF certificate for this Q")
+
+
+def test_object_override_merges_into_section(tmp_path):
+    assert run(["synth", "--out", str(tmp_path), "--override", 'initial={"eta":[0.1,0.1]}']) == 0
+    initial = json.loads((tmp_path / "certificate.json").read_text())["config"]["initial"]
+    assert initial["eta"] == [0.1, 0.1]
+    assert initial["z"] == cli.DEFAULT_CONFIG["initial"]["z"]
+    assert initial["x"] == cli.DEFAULT_CONFIG["initial"]["x"]
+
+
+def test_object_override_unknown_sub_key_exits_2(tmp_path, capsys):
+    assert run(["synth", "--out", str(tmp_path), "--override", 'initial={"foo":1}']) == 2
+    _one_line_error(capsys, "unknown config key: initial.foo")

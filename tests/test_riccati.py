@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbitclf as oc
 from orbitclf.riccati import newton_kleinman_iterates
@@ -13,6 +15,26 @@ ALL_DIMS = [oc.OutputDims(k1, k2) for k1 in range(4) for k2 in range(4) if k1 + 
 def random_spd(rng, n):
     R = rng.normal(size=(n, n)) / np.sqrt(n)
     return R.T @ R + 0.1 * np.eye(n)
+
+
+def random_hurwitz(rng, n):
+    A = rng.normal(size=(n, n)) / np.sqrt(n)
+    return A - (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
+
+
+def spd_with_spectrum(rng, eigenvalues):
+    R, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    Q = (R * eigenvalues) @ R.T
+    return 0.5 * (Q + Q.T)
+
+
+def assert_care_matches_scipy(dims, Q, eps=0.05):
+    dyn = oc.build_fg(dims)
+    cert = oc.certificate(dyn, Q, eps)
+    assert cert.care_residual <= 1e-10
+    assert cert.scaled_residual <= 1e-10
+    P_ref = scipy.linalg.solve_continuous_are(dyn.F, dyn.G, Q, np.eye(dims.n_mu))
+    assert np.allclose(cert.P, P_ref, rtol=0.0, atol=1e-8)
 
 
 # --- sym_eig -----------------------------------------------------------------
@@ -120,6 +142,72 @@ def test_lyapunov_solver():
     C = random_spd(rng, 4)
     X = oc.solve_lyapunov(A, C)
     assert np.allclose(A.T @ X + X @ A, -C, atol=1e-11)
+
+
+def lyapunov_reference(A, C):
+    # scipy solves a X + X a^H = q; with a = A' this is A'X + XA = -C
+    return scipy.linalg.solve_continuous_lyapunov(A.T, -C)
+
+
+@pytest.mark.parametrize("n", [1, 4, 30])
+def test_lyapunov_against_scipy(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(5):
+        A = random_hurwitz(rng, n)
+        C = random_spd(rng, n)
+        X, X_ref = oc.solve_lyapunov(A, C), lyapunov_reference(A, C)
+        assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
+        assert np.array_equal(X, X.T)
+
+
+def test_lyapunov_jordan_block_against_scipy():
+    rng = np.random.default_rng(8)
+    A = scipy.linalg.block_diag([[-1.0, 1.0], [0.0, -1.0]], random_hurwitz(rng, 4))
+    C = random_spd(rng, 6)
+    X, X_ref = oc.solve_lyapunov(A, C), lyapunov_reference(A, C)
+    assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
+
+
+@pytest.mark.parametrize("A", [
+    [[1.0, 0.0], [0.0, -1.0]],   # one unstable mode
+    [[0.5, 1.0], [-1.0, 0.5]],   # an unstable complex pair
+    [[0.0, 1.0], [-1.0, 0.0]],   # eigenvalues on the imaginary axis
+])
+def test_lyapunov_rejects_non_hurwitz(A):
+    with pytest.raises(ValueError):
+        oc.solve_lyapunov(np.array(A), np.eye(2))
+
+
+# --- certificate robustness --------------------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 3), st.floats(1.0, 1e4), st.integers(0, 2**32 - 1))
+def test_certificate_robust_against_scipy(k1, k2, cond, seed):
+    if k1 + k2 == 0:
+        k2 = 1
+    dims = oc.OutputDims(k1, k2)
+    rng = np.random.default_rng(seed)
+    # largest eigenvalue 1: the scaled residual's own rounding floor grows like
+    # ||Q|| / eps^3 and passes 1e-10 at eps = 0.05 once ||Q|| is about 50
+    Q = spd_with_spectrum(rng, np.geomspace(1.0 / cond, 1.0, dims.n_eta))
+    assert_care_matches_scipy(dims, Q)
+
+
+@pytest.mark.parametrize("q", [[1.0, 2.0], [1e4, 2e2]])
+def test_certificate_critically_damped(q):
+    # q2 = 2 sqrt(q1) puts a double pole, a Jordan block, in the closed loop
+    dims = oc.OutputDims(0, 1)
+    dyn = oc.build_fg(dims)
+    P = oc.solve_care(dyn, np.diag(q))
+    assert np.allclose(np.linalg.eigvals(dyn.F - dyn.G @ dyn.G.T @ P), -q[0] ** 0.25, atol=1e-6)
+    assert_care_matches_scipy(dims, np.diag(q))
+
+
+@pytest.mark.parametrize("k1, k2", [(0, 30), (2, 59)])
+def test_certificate_large_n_against_scipy(k1, k2):
+    dims = oc.OutputDims(k1, k2)
+    rng = np.random.default_rng(k1 + 2 * k2)
+    assert_care_matches_scipy(dims, spd_with_spectrum(rng, np.geomspace(0.5, 2.0, dims.n_eta)))
 
 
 # --- scale_epsilon -----------------------------------------------------------
