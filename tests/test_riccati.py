@@ -28,9 +28,9 @@ def spd_with_spectrum(rng, eigenvalues):
     return 0.5 * (Q + Q.T)
 
 
-def assert_care_matches_scipy(dims, Q, eps=0.05):
+def assert_care_matches_scipy(dims, Q):
     dyn = oc.build_fg(dims)
-    cert = oc.certificate(dyn, Q, eps)
+    cert = oc.certificate(dyn, Q, 0.05)
     assert cert.care_residual <= 1e-10
     assert cert.scaled_residual <= 1e-10
     P_ref = scipy.linalg.solve_continuous_are(dyn.F, dyn.G, Q, np.eye(dims.n_mu))
