@@ -1,14 +1,6 @@
 """RES-CLF synthesis and phase-to-state stability certification for periodic orbits."""
 
-from .output_dynamics import (
-    EtaState,
-    OutputDims,
-    OutputDynamics,
-    build_fg,
-    canonical_embed,
-    merge_eta,
-    split_eta,
-)
+from .output_dynamics import OutputDims, OutputDynamics, build_fg
 from .riccati import (
     CareSolveError,
     ResClfCertificate,

@@ -20,6 +20,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -167,7 +168,10 @@ def _lookup(config: dict, path: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # a non-finite float has no standard JSON form, so no output could embed it
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_array(value, shape: tuple) -> bool:
@@ -229,7 +233,7 @@ def _validate(config: dict) -> None:
 
 
 def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def embeddable(config: dict) -> dict:
@@ -372,9 +376,23 @@ def _provenance(config: dict, body: str) -> dict:
             "content_hash": hashlib.sha256(body.encode()).hexdigest()}
 
 
+def _finite_or_null(data):
+    """data with each non-finite float (a NaN or an infinity) replaced by None."""
+    if isinstance(data, float):
+        return data if math.isfinite(data) else None
+    if isinstance(data, dict):
+        return {key: _finite_or_null(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_finite_or_null(value) for value in data]
+    return data
+
+
 def _write_json(path: Path, config: dict, payload: dict) -> None:
+    """Standard JSON (RFC 8259): a non-finite figure is written as null."""
+    payload = _finite_or_null(payload)
     body = {**_provenance(config, canonical_json(payload)), "payload": payload}
-    path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(body, sort_keys=True, indent=2, allow_nan=False) + "\n",
+                    encoding="utf-8")
 
 
 def _write_csv(path: Path, config: dict, headers: list[str], rows) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -38,8 +37,8 @@ class DisturbanceSignal:
     Euclidean norm exactly `amplitude`, with direction derived from a
     counter-based PRNG so sampling is pure in t and bit-reproducible.  For
     "phase_error_driven" the signal models a phase-estimate error
-    e(t) = amplitude * sin(2 pi frequency t); the induced input disturbance is
-    state-dependent and is attached by the mech closed loop as `evaluator`.
+    e(t) = amplitude * sin(2 pi frequency t); the input disturbance it induces
+    depends on the state, so the mech closed loop derives it.
     """
 
     kind: str
@@ -48,7 +47,6 @@ class DisturbanceSignal:
     frequency: float = 1.0
     dwell: float = 0.5
     seed: int = 0
-    evaluator: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -71,11 +69,11 @@ class DisturbanceSignal:
         return np.where(tiny[:, None], self.amplitude * self._direction(),
                         (self.amplitude / np.where(tiny, 1.0, nrm))[:, None] * raw)
 
-    def phase_error(self, t: float) -> float:
-        """The scalar phase error e(t) for the phase_error_driven kind."""
+    def phase_error(self, t: float | np.ndarray) -> float | np.ndarray:
+        """The phase error e(t) of the phase_error_driven kind, at one time or an array of times."""
         if self.kind != "phase_error_driven":
             raise ValueError("phase_error is only defined for the phase_error_driven kind")
-        return self.amplitude * float(np.sin(2.0 * np.pi * self.frequency * t))
+        return self.amplitude * np.sin(2.0 * np.pi * self.frequency * t)
 
 
 def sample(signal: DisturbanceSignal, t: float) -> np.ndarray:
@@ -90,10 +88,8 @@ def sample(signal: DisturbanceSignal, t: float) -> np.ndarray:
         return (signal.amplitude * np.sin(2.0 * np.pi * signal.frequency * t)) * signal._direction()
     if signal.kind == "piecewise_constant_random":
         return signal.block_vectors([int(t / signal.dwell)])[0]
-    if signal.evaluator is None:
-        raise ValueError("phase_error_driven signal has no attached evaluator; "
-                         "it is produced by the mech closed loop")
-    return np.asarray(signal.evaluator(t), dtype=float)
+    raise ValueError("a phase_error_driven disturbance depends on the state; "
+                     "the mech closed loop derives it")
 
 
 class DisturbanceTable:
@@ -149,11 +145,10 @@ class DisturbanceTable:
 
 
 def sup_norm(signal: DisturbanceSignal, horizon: float) -> float:
-    """Essential sup of ||d(t)|| on [0, horizon].
+    """Essential sup of ||d(t)|| on [0, horizon], exact for the four analytic kinds.
 
-    Exact for the four analytic kinds; for phase_error_driven the attached
-    evaluator is sampled on dyadically refined grids until the maximum is
-    stable to 1e-6.
+    A phase_error_driven disturbance depends on the state and has no sup
+    norm here (ValueError).
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -167,15 +162,4 @@ def sup_norm(signal: DisturbanceSignal, horizon: float) -> float:
         if horizon * signal.frequency >= 0.25:
             return abs(signal.amplitude)
         return abs(signal.amplitude * np.sin(2.0 * np.pi * signal.frequency * horizon))
-    if signal.evaluator is None:
-        raise ValueError("phase_error_driven signal has no attached evaluator")
-    n = 256
-    prev = -np.inf
-    for _ in range(16):
-        ts = np.linspace(0.0, horizon, n + 1)
-        cur = max(float(np.linalg.norm(signal.evaluator(t))) for t in ts)
-        if abs(cur - prev) <= 1e-6 * max(1.0, cur):
-            return cur
-        prev = cur
-        n *= 2
-    return prev
+    raise ValueError("a phase_error_driven disturbance depends on the state; it has no sup norm")

@@ -53,24 +53,6 @@ class OutputDynamics:
     G: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class EtaState:
-    """eta split into the velocity block y1 and the pose block eta2 = (y2, dy2)."""
-
-    y1: np.ndarray
-    eta2: np.ndarray
-
-    @property
-    def y2(self) -> np.ndarray:
-        k2 = self.eta2.shape[0] // 2
-        return self.eta2[:k2]
-
-    @property
-    def dy2(self) -> np.ndarray:
-        k2 = self.eta2.shape[0] // 2
-        return self.eta2[k2:]
-
-
 def build_fg(dims: OutputDims) -> OutputDynamics:
     """Assemble the block matrices F (n x n) and G (n x (k1+k2)).
 
@@ -88,25 +70,3 @@ def build_fg(dims: OutputDims) -> OutputDynamics:
     if k2 > 0:
         G[k1 + k2:, k1:] = np.eye(k2)
     return OutputDynamics(dims=dims, F=F, G=G)
-
-
-def split_eta(eta: np.ndarray, dims: OutputDims) -> EtaState:
-    """Split a flat eta vector into (y1, eta2) per the fixed layout."""
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (dims.n_eta,):
-        raise ValueError(f"eta has length {eta.shape}, expected ({dims.n_eta},)")
-    return EtaState(y1=eta[:dims.k1].copy(), eta2=eta[dims.k1:].copy())
-
-
-def merge_eta(state: EtaState) -> np.ndarray:
-    """Inverse of split_eta; round-trips exactly."""
-    return np.concatenate([state.y1, state.eta2])
-
-
-def canonical_embed(y1: np.ndarray, z: np.ndarray, dims: OutputDims) -> tuple[np.ndarray, np.ndarray]:
-    """Embed a partial-zero-dynamics point (y1, z) into full state as (y1, 0, 0, z)."""
-    y1 = np.asarray(y1, dtype=float)
-    if y1.shape != (dims.k1,):
-        raise ValueError(f"y1 has shape {y1.shape}, expected ({dims.k1},)")
-    eta = np.concatenate([y1, np.zeros(2 * dims.k2)])
-    return eta, np.asarray(z, dtype=float).copy()

@@ -25,11 +25,12 @@ Two testbeds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
 from .clf import matvec, min_norm_mu, u_s_damping, vecdot
-from .disturbance import DisturbanceSignal, sample
+from .disturbance import DisturbanceSignal
 from .output_dynamics import OutputDims, OutputDynamics, build_fg
 from .riccati import ResClfCertificate
 
@@ -211,21 +212,49 @@ def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndar
 
 # ---------------------------------------------------------------------------
 # 2-DOF mechanical plant with virtual constraints
+#
+# The mech kernels take one state x of shape (4,) or a stack (S, 4) with one
+# phase, phase error or mu per row, and on a stack each row of the result is
+# bit for bit the kernel's result on that row alone.  They read entries as
+# x.T[i]: x[..., i] would turn each entry of a lone state into a 0-d array,
+# whose arithmetic costs microseconds.
 
 
-def _bezier(alpha: tuple[float, ...], tau: float) -> float:
-    # de Casteljau evaluation; exact and stable on [0, 1].  Plain floats do
-    # the same IEEE operations as numpy would on six elements, faster.
+def _bezier(alpha: tuple[float, ...], tau: float | np.ndarray) -> float | np.ndarray:
+    # de Casteljau evaluation; exact and stable on [0, 1].  A lone phase runs
+    # on plain floats, which do the same IEEE operations as numpy does on
+    # each element of an array of phases, faster.
+    if not isinstance(tau, np.ndarray):
+        tau = float(tau)
     b = alpha
-    tau = float(tau)
-    for _ in range(len(b) - 1):
-        b = [b0 + tau * (b1 - b0) for b0, b1 in zip(b, b[1:])]
+    while len(b) > 1:
+        b = [b0 + tau * (b1 - b0) for b0, b1 in pairwise(b)]
     return b[0]
 
 
 def _bezier_d(alpha: np.ndarray) -> np.ndarray:
     n = len(alpha) - 1
     return n * (alpha[1:] - alpha[:-1])
+
+
+def _check_phases(message: str, lo: float, hi: float, *taus) -> None:
+    """Raise ValueError(message) for the first row whose phases are not all in [lo, hi].
+
+    taus are lone phases or arrays of one phase per row, and the message
+    is formatted with that row's phases.  A lone phase is compared as a
+    plain number: numpy's reductions on a scalar cost microseconds.
+    """
+    if not isinstance(taus[0], np.ndarray):
+        for tau in taus:
+            if not lo <= tau <= hi:
+                raise ValueError(message.format(*taus))
+        return
+    ok = np.ones(taus[0].shape, dtype=bool)
+    for tau in taus:
+        ok &= (lo <= tau) & (tau <= hi)
+    if not ok.all():
+        row = int(np.flatnonzero(~ok)[0])
+        raise ValueError(message.format(*(tau[row] for tau in taus)))
 
 
 @dataclass(frozen=True)
@@ -259,34 +288,34 @@ class MechPlant:
     def delta(self) -> float:
         return self.q1_plus - self.q1_minus
 
-    def tau(self, q1: float) -> float:
+    def tau(self, q1: float | np.ndarray) -> float | np.ndarray:
         return (q1 - self.q1_minus) / self.delta
 
-    def y2d(self, tau: float) -> float:
+    def y2d(self, tau: float | np.ndarray) -> float | np.ndarray:
         return _bezier(self._coefs[0], tau)
 
-    def dy2d(self, tau: float) -> float:
+    def dy2d(self, tau: float | np.ndarray) -> float | np.ndarray:
         return _bezier(self._coefs[1], tau)
 
-    def d2y2d(self, tau: float) -> float:
+    def d2y2d(self, tau: float | np.ndarray) -> float | np.ndarray:
         return _bezier(self._coefs[2], tau)
 
-    def eta_at(self, x: np.ndarray, tau: float) -> np.ndarray:
+    def eta_at(self, x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
         """Output coordinates (y1?, y2, dy2) of x measured at phase tau."""
-        q1, q2, dq1, dq2 = x
+        _, q2, dq1, dq2 = x.T
         y2 = q2 - self.y2d(tau)
         dy2 = dq2 - self.dy2d(tau) * dq1 / self.delta
         if self.v_d is None:
-            return np.array([y2, dy2])
-        return np.array([dq1 - self.v_d, y2, dy2])
+            return np.array([y2, dy2]).T
+        return np.array([dq1 - self.v_d, y2, dy2]).T
 
     def eta_of(self, x: np.ndarray) -> np.ndarray:
         """Output coordinates eta(x) at the true phase."""
-        return self.eta_at(x, self.tau(x[0]))
+        return self.eta_at(x, self.tau(x.T[0]))
 
     def z_of(self, x: np.ndarray) -> np.ndarray:
         """Zero-dynamics coordinates (q1, dq1)."""
-        return np.array([x[0], x[2]])
+        return x[..., [0, 2]]
 
     def x_of(self, eta: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Reconstruct x from (eta, z); inverse of (eta_of, z_of)."""
@@ -301,7 +330,7 @@ class MechPlant:
 
 def mech_feedback_linearize(plant: MechPlant, x: np.ndarray, mu: np.ndarray,
                             mode: str = "state",
-                            tau_input: float | None = None) -> np.ndarray:
+                            tau_input: float | np.ndarray | None = None) -> np.ndarray:
     """Feedback linearizing input u for the mech plant.
 
     mode "state" uses the state-based phase tau(q1); mode "time" uses the
@@ -309,69 +338,70 @@ def mech_feedback_linearize(plant: MechPlant, x: np.ndarray, mu: np.ndarray,
     rate and acceleration taken from the true state (only the phase value
     is corrupted).  With tau_input = tau(q1) the two modes coincide exactly.
     Returns u = (u1, u2); for the k1 = 0 plant the phase joint is
-    unactuated and u1 = 0.
+    unactuated and u1 = 0.  A stack x (S, 4) takes mu (S, n_mu) and a
+    tau_input of shape (S,), and gives u (S, 2).
     """
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    k = plant.dims.n_mu
-    if mu.shape != (k,):
-        raise ValueError(f"mu has shape {mu.shape}, expected ({k},)")
-    q1, _, dq1, _ = x
+    expected = x.shape[:-1] + (plant.dims.n_mu,)
+    if mu.shape != expected:
+        raise ValueError(f"mu has shape {mu.shape}, expected {expected}")
     delta = plant.delta
     if mode == "state":
-        tau_ff = plant.tau(q1)
+        tau_ff = plant.tau(x.T[0])
     elif mode == "time":
         if tau_input is None:
             raise ValueError("time mode requires tau_input")
-        tau_ff = float(tau_input)
+        tau_ff = tau_input
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if not (-1e-9 <= tau_ff <= 1.0 + 1e-9):
-        raise ValueError(f"phase {tau_ff:g} outside [0, 1]")
+    _check_phases("phase {:g} outside [0, 1]", -1e-9, 1.0 + 1e-9, tau_ff)
 
-    tau_rate = dq1 / delta
+    tau_rate = x.T[2] / delta
     if plant.v_d is None:
-        u1 = 0.0
-        mu2 = mu[0]
+        u1 = np.zeros(x.shape[:-1])
+        mu2 = mu.T[0]
     else:
-        u1 = mu[0]  # dy1/dt = u1 and the desired velocity is constant
-        mu2 = mu[1]
-    # d2y2/dt2 = u2 - y2d''(tau) tau_rate^2 - y2d'(tau) u1/delta
-    u2 = plant.d2y2d(tau_ff) * tau_rate ** 2 + plant.dy2d(tau_ff) * (u1 / delta) + mu2
-    return np.array([u1, u2])
+        u1, mu2 = mu.T  # dy1/dt = u1 and the desired velocity is constant
+    # d2y2/dt2 = u2 - y2d''(tau) tau_rate^2 - y2d'(tau) u1/delta; the square is
+    # a product in both shapes, as ** 2 on a numpy scalar calls pow, which can
+    # differ in the last bit from the product that ** 2 on an array computes
+    u2 = plant.d2y2d(tau_ff) * (tau_rate * tau_rate) + plant.dy2d(tau_ff) * (u1 / delta) + mu2
+    return np.array([u1, u2]).T
 
 
 def mech_eta_rate(plant: MechPlant, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """d eta/dt of the true outputs under input u (chain rule, exact)."""
-    q1, _, dq1, _ = x
+    """d eta/dt of the true outputs under input u (chain rule, exact), row by row on a stack."""
+    q1, _, dq1, dq2 = x.T
     tau = plant.tau(q1)
     tau_rate = dq1 / plant.delta
-    dy2_rate = u[1] - plant.d2y2d(tau) * tau_rate ** 2 - plant.dy2d(tau) * u[0] / plant.delta
-    eta = plant.eta_of(x)
-    k1 = plant.dims.k1
-    dy2 = eta[k1 + 1]
+    dy2d = plant.dy2d(tau)
+    u1, u2 = u.T
+    dy2_rate = u2 - plant.d2y2d(tau) * (tau_rate * tau_rate) - dy2d * u1 / plant.delta
+    dy2 = dq2 - dy2d * dq1 / plant.delta  # the dy2 of eta_of(x)
     if plant.v_d is None:
-        return np.array([dy2, dy2_rate])
-    return np.array([u[0], dy2, dy2_rate])
+        return np.array([dy2, dy2_rate]).T
+    return np.array([u1, dy2, dy2_rate]).T
 
 
-def derive_phase_disturbance(plant: MechPlant, x: np.ndarray, e: float) -> np.ndarray:
+def derive_phase_disturbance(plant: MechPlant, x: np.ndarray,
+                             e: float | np.ndarray) -> np.ndarray:
     """Equivalent mu-channel disturbance induced by the phase error e.
 
     d = G+ (f_cl(x; tau+e) - f_cl(x; tau)) restricted to the eta subsystem,
     where f_cl is the closed-loop eta rate; the auxiliary input cancels in
     the difference, so d is exactly the feedforward mismatch.  d = 0 at e = 0.
+    A stack x (S, 4) takes e of shape (S,) and gives d (S, n_mu).
     """
     x = np.asarray(x, dtype=float)
-    tau = plant.tau(x[0])
+    tau = plant.tau(x.T[0])
     tau_hat = tau + e
-    if not (0.0 <= tau_hat <= 1.0) or not (0.0 <= tau <= 1.0):
-        raise ValueError(f"phase {tau_hat:g} (or {tau:g}) outside [0, 1]")
-    mu0 = np.zeros(plant.dims.n_mu)
+    _check_phases("phase {:g} (or {:g}) outside [0, 1]", 0.0, 1.0, tau_hat, tau)
+    mu0 = np.zeros(x.shape[:-1] + (plant.dims.n_mu,))
     u_hat = mech_feedback_linearize(plant, x, mu0, mode="time", tau_input=tau_hat)
     u_ref = mech_feedback_linearize(plant, x, mu0, mode="time", tau_input=tau)
     # G has orthonormal columns, so the pseudoinverse is G'.
-    return plant.dyn.G.T @ (mech_eta_rate(plant, x, u_hat) - mech_eta_rate(plant, x, u_ref))
+    return matvec(plant.dyn.G.T, mech_eta_rate(plant, x, u_hat) - mech_eta_rate(plant, x, u_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +444,14 @@ class DisturbedClosedLoop:
             return u_s_damping(self.cert, self.plant.dyn, eta, self.eps_bar)
         return 0.0
 
-    def field(self, t: float, state: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+    def field(self, t: float, state: np.ndarray, d: np.ndarray) -> np.ndarray:
         """The closed-loop right-hand side at time t.
 
         state is one flat state (state_dim,) or a batch (B, state_dim) of
         runs under this loop's plant, certificate and controller.  d is the
-        mu-channel disturbance, one row per run; it defaults to this loop's
-        own signal at t.
+        mu-channel disturbance at t, one row per run.
         """
         eta, z = self.split(state)
-        if d is None:
-            d = np.zeros(self.plant.dims.n_mu) if self.signal is None else sample(self.signal, t)
         mu = min_norm_mu(self.cert, self.plant.dyn, eta)
         eta_dot, z_dot = hopf_vector_field(self.plant, eta, z, mu + self.damping(eta) + d)
         return np.concatenate([eta_dot, z_dot], axis=-1)
@@ -454,21 +481,18 @@ class MechClosedLoop:
     def state_dim(self) -> int:
         return 4
 
-    def phase_error(self, t: float) -> float:
-        return 0.0 if self.signal is None else self.signal.phase_error(t)
-
-    def eta_hat(self, x: np.ndarray, tau_hat: float) -> np.ndarray:
-        """Outputs as the controller sees them, measured at the phase estimate."""
-        return self.plant.eta_at(x, tau_hat)
+    def phase_error(self, t: float | np.ndarray) -> float | np.ndarray:
+        """e(t) at one time or at an array of times."""
+        if self.signal is None:
+            return 0.0 * t  # times are nonnegative, so this is +0.0 in t's shape
+        return self.signal.phase_error(t)
 
     def control(self, t: float, x: np.ndarray) -> np.ndarray:
         tau_hat = self.plant.tau(x[0]) + self.phase_error(t)
-        mu = min_norm_mu(self.cert, self.plant.dyn, self.eta_hat(x, tau_hat))
+        # the outputs as the controller sees them, measured at the phase estimate
+        mu = min_norm_mu(self.cert, self.plant.dyn, self.plant.eta_at(x, tau_hat))
         return mech_feedback_linearize(self.plant, x, mu, mode="time", tau_input=tau_hat)
 
     def field(self, t: float, x: np.ndarray) -> np.ndarray:
         u = self.control(t, x)
         return np.array([x[2], x[3], u[0], u[1]])
-
-    def equivalent_disturbance(self, t: float, x: np.ndarray) -> np.ndarray:
-        return derive_phase_disturbance(self.plant, x, self.phase_error(t))

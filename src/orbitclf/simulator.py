@@ -14,9 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .clf import evaluate_clf, matvec, min_norm_mu, vecdot
+from .clf import matvec, min_norm_mu, vecdot
 from .disturbance import DisturbanceTable
-from .plants import DisturbedClosedLoop, MechClosedLoop, orbit_distance, vz_value
+from .plants import (DisturbedClosedLoop, MechClosedLoop, derive_phase_disturbance,
+                     orbit_distance, vz_value)
 
 MAX_STEPS = 10_000_000
 
@@ -165,31 +166,24 @@ def _record_hopf(loops, table: DisturbanceTable, ts: np.ndarray,
 
 def _record_mech(loop: MechClosedLoop, ts: np.ndarray,
                  states: np.ndarray) -> TrajectoryRecord:
+    """Traces of the mech run, every sample at once; states has shape (samples, 4)."""
     plant, cert = loop.plant, loop.cert
-    dyn = plant.dyn
     n = len(ts)
-    n_mu = plant.dims.n_mu
-    eta = np.empty((n, plant.dims.n_eta))
-    z = np.empty((n, 2))
-    d = np.empty((n, n_mu))
-    mu = np.empty((n, n_mu))
-    v_eps = np.empty(n)
+    e = loop.phase_error(ts)
+    tau = plant.tau(states[:, 0])
+    eta = plant.eta_at(states, tau)
+    d = derive_phase_disturbance(plant, states, e)
+    # the controller's input, from the outputs measured at the phase estimate
+    mu = min_norm_mu(cert, plant.dyn, plant.eta_at(states, tau + e))
+    v_eps = vecdot(eta, matvec(cert.P_eps, eta))
     nan = np.full(n, np.nan)
-    for i in range(n):
-        x = states[i]
-        eta[i] = plant.eta_of(x)
-        z[i] = plant.z_of(x)
-        d[i] = loop.equivalent_disturbance(float(ts[i]), x)
-        tau_hat = plant.tau(x[0]) + loop.phase_error(float(ts[i]))
-        mu[i] = min_norm_mu(cert, dyn, loop.eta_hat(x, tau_hat))
-        v_eps[i] = evaluate_clf(cert, dyn, eta[i]).V
     meta = {
         "kind": "mech", "k1": plant.dims.k1, "k2": plant.dims.k2,
         "eps": cert.eps, "dt": float(ts[1] - ts[0]), "horizon": float(ts[-1]),
     }
-    return TrajectoryRecord(t=ts, eta=eta, z=z, d=d, v_eps=v_eps, v_z=nan,
+    return TrajectoryRecord(t=ts, eta=eta, z=plant.z_of(states), d=d, v_eps=v_eps, v_z=nan,
                             v_c=nan.copy(), dist=nan.copy(), mu=mu,
-                            u_s=np.zeros((n, n_mu)), meta=meta)
+                            u_s=np.zeros((n, plant.dims.n_mu)), meta=meta)
 
 
 def ultimate_bound(record: TrajectoryRecord, settle_fraction: float = 0.5) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import sys
@@ -259,3 +260,47 @@ def test_object_override_merges_into_section(tmp_path):
 def test_object_override_unknown_sub_key_exits_2(tmp_path, capsys):
     assert run(["synth", "--out", str(tmp_path), "--override", 'initial={"foo":1}']) == 2
     _one_line_error(capsys, "unknown config key: initial.foo")
+
+
+def _strict_json(path):
+    """The file parsed as standard JSON: NaN and Infinity tokens are refused."""
+    def refuse(token):
+        raise ValueError(f"{path.name}: non-standard JSON token {token}")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+def test_mech_simulate_in_domain(tmp_path):
+    assert run(["simulate", "--out", str(tmp_path), "--override", "k1=1",
+                "--override", "plant.kind=mech", "--override", "plant.q1_plus=4",
+                "--override", "disturbance.kind=phase_error_driven",
+                "--override", "integrator.horizon=0.5"]) == 0
+    rows = [l for l in (tmp_path / "trajectory.csv").read_text().splitlines()
+            if not l.startswith("#")]
+    assert len(rows) - 1 == int(0.5 / 0.001) + 1
+    body = _strict_json(tmp_path / "summary.json")
+    summary = body["payload"]
+    assert summary["samples"] == int(0.5 / 0.001) + 1
+    assert summary["final_orbit_distance"] is None  # the mech plant has no orbit trace
+    assert body["content_hash"] == hashlib.sha256(cli.canonical_json(summary).encode()).hexdigest()
+
+
+def test_non_finite_figures_are_written_as_null(tmp_path):
+    # started on the orbit, the zero run has no decay to measure: its rates are infinite
+    assert run(["certify", "--out", str(tmp_path), "--override", "initial.eta=[0,0]",
+                "--override", "initial.z=[1,0]", "--override", "integrator.horizon=2"]) == 0
+    rep = _strict_json(tmp_path / "report.json")["payload"]
+    assert rep["zs_rate"] is None and rep["e_iss_rate_measured"] is None
+    assert rep["extras"]["vc_details"]["worst_vdot_c"] is None
+    for name in ("certify_main.csv", "certify_zero.csv"):
+        assert (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("eps=NaN", "eps must be a number, got nan"),
+    ("plant.omega=Infinity", "plant.omega must be a number, got inf"),
+    ("Q=[[1,0],[0,-Infinity]]", 'Q must be "identity" or a 2x2 matrix of numbers'),
+])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, override, message):
+    # json.loads reads NaN and Infinity, but no standard JSON output could embed them
+    assert run(["synth", "--out", str(tmp_path), "--override", override]) == 2
+    _one_line_error(capsys, message)

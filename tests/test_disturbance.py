@@ -69,15 +69,6 @@ def test_phase_error_kind_requires_evaluator():
         sup_norm(sig, 1.0)
 
 
-def test_phase_error_sup_via_evaluator_refinement():
-    sig = DisturbanceSignal(kind="phase_error_driven", dim=1, amplitude=1.0, frequency=0.8,
-                            evaluator=lambda t: np.array([np.sin(2 * np.pi * 0.8 * t) ** 3]))
-    s = sup_norm(sig, 2.0)
-    coarse = max(abs(np.sin(2 * np.pi * 0.8 * t) ** 3) for t in np.linspace(0, 2.0, 257))
-    assert s >= coarse  # refinement only moves the estimate up
-    assert np.isclose(s, 1.0, atol=1e-5)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         DisturbanceSignal(kind="nope", dim=1)

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import orbitclf as oc
 
@@ -51,44 +49,9 @@ def test_controllability_and_structure(dims):
     assert np.all(fg[~mask] == 0.0)
 
 
-def test_split_examples():
-    s = oc.split_eta(np.array([7.0]), oc.OutputDims(1, 0))
-    assert np.array_equal(s.y1, [7.0]) and s.eta2.size == 0
-    s = oc.split_eta(np.array([1.0, 2.0, 3.0]), oc.OutputDims(1, 1))
-    assert np.array_equal(s.y1, [1.0])
-    assert np.array_equal(s.eta2, [2.0, 3.0])
-    assert s.y2 == [2.0] and s.dy2 == [3.0]
-    eta = np.array([0.5, -0.1, 0.2, 0.9])
-    assert np.array_equal(oc.merge_eta(oc.split_eta(eta, oc.OutputDims(2, 1))), eta)
-
-
-def test_split_length_mismatch():
-    with pytest.raises(ValueError):
-        oc.split_eta(np.ones(3), oc.OutputDims(0, 1))
-
-
-@settings(max_examples=60, derandomize=True)
-@given(st.sampled_from(ALL_DIMS), st.data())
-def test_split_merge_roundtrip(dims, data):
-    vals = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=dims.n_eta, max_size=dims.n_eta))
-    eta = np.array(vals)
-    assert np.array_equal(oc.merge_eta(oc.split_eta(eta, dims)), eta)
-
-
-def test_canonical_embed():
-    dims = oc.OutputDims(1, 1)
-    eta, z = oc.canonical_embed(np.array([0.3]), np.array([1.0, 0.0]), dims)
-    assert np.array_equal(eta, [0.3, 0.0, 0.0])
-    assert np.array_equal(z, [1.0, 0.0])
-    dims0 = oc.OutputDims(0, 1)
-    eta, z = oc.canonical_embed(np.zeros(0), np.array([1.0, 2.0]), dims0)
-    assert np.array_equal(eta, [0.0, 0.0])
-    assert np.array_equal(z, [1.0, 2.0])
-
-
 def test_embedded_orbit_point_lies_on_orbit():
-    # the embedding of a zero-dynamics orbit point has zero orbit distance
+    # a zero-dynamics orbit point embedded with eta = 0 has zero orbit distance
     dims = oc.OutputDims(0, 1)
     plant = oc.HopfPlant(dims=dims)
-    eta, z = oc.canonical_embed(np.zeros(0), np.array([plant.r0, 0.0]), dims)
+    eta, z = np.zeros(2), np.array([plant.r0, 0.0])
     assert oc.orbit_distance(eta, z, plant) == 0.0

@@ -305,6 +305,74 @@ def test_phase_disturbance_out_of_range(mech_plant):
         oc.derive_phase_disturbance(mech_plant, np.array([0.95, 0.0, 1.0, 0.0]), 0.2)
 
 
+# --- mech kernels on a stack of states -----------------------------------------
+
+MECH_ALPHA = np.array([0.0, 0.1, 0.3, 0.3, 0.1, 0.0])
+
+
+def _stack(seed, rows=64):
+    """In-domain mech states (tau in [0.1, 0.9]), phase errors and mu rows."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.uniform(0.1, 0.9, rows), rng.normal(0, 0.4, rows),
+                         rng.uniform(0.3, 1.8, rows), rng.normal(0, 0.4, rows)])
+    return X, rng.uniform(-0.05, 0.05, rows), rng.normal(size=(rows, 2))
+
+
+def _lone_rows(fn, *stacks):
+    return np.array([fn(*row) for row in zip(*stacks)])
+
+
+@pytest.mark.parametrize("v_d", [1.0, None])
+def test_mech_kernels_on_a_stack_equal_lone_calls(v_d):
+    plant = oc.MechPlant(alpha=MECH_ALPHA, v_d=v_d)
+    X, e, mu = _stack(53)
+    mu = mu[:, :plant.dims.n_mu]
+    tau = plant.tau(X[:, 0])
+    tau_hat = tau + e
+    for bez in (plant.y2d, plant.dy2d, plant.d2y2d):
+        assert np.array_equal(bez(tau_hat), _lone_rows(bez, tau_hat))
+    assert np.array_equal(plant.eta_at(X, tau_hat), _lone_rows(plant.eta_at, X, tau_hat))
+    assert np.array_equal(plant.eta_of(X), _lone_rows(plant.eta_of, X))
+    assert np.array_equal(plant.z_of(X), _lone_rows(plant.z_of, X))
+    lin = oc.mech_feedback_linearize
+    assert np.array_equal(lin(plant, X, mu), _lone_rows(lambda x, m: lin(plant, x, m), X, mu))
+    assert np.array_equal(
+        lin(plant, X, mu, mode="time", tau_input=tau_hat),
+        _lone_rows(lambda x, m, th: lin(plant, x, m, mode="time", tau_input=th), X, mu, tau_hat))
+    u = lin(plant, X, mu)
+    assert np.array_equal(mech_eta_rate(plant, X, u),
+                          _lone_rows(lambda x, ui: mech_eta_rate(plant, x, ui), X, u))
+    dpd = oc.derive_phase_disturbance
+    assert np.array_equal(dpd(plant, X, e), _lone_rows(lambda x, ei: dpd(plant, x, ei), X, e))
+
+
+def test_mech_phase_error_on_an_array_of_times(mech_plant, mech_cert):
+    ts = np.arange(200) * 1e-3
+    sig = oc.DisturbanceSignal(kind="phase_error_driven", dim=2, amplitude=0.02, frequency=1.0)
+    for signal in (sig, None):
+        loop = oc.MechClosedLoop(plant=mech_plant, cert=mech_cert, signal=signal)
+        lone = np.array([loop.phase_error(float(t)) for t in ts])
+        assert np.array_equal(loop.phase_error(ts), lone)
+    assert np.all(loop.phase_error(ts) == 0.0) and loop.phase_error(0.5) == 0.0
+
+
+def test_mech_stack_names_its_first_out_of_domain_phase(mech_plant):
+    X, e, mu = _stack(59, rows=8)
+    tau = mech_plant.tau(X[:, 0])
+    tau_hat = tau.copy()
+    tau_hat[[3, 6]] = [1.25, -0.5]
+    with pytest.raises(ValueError, match=r"^phase 1\.25 outside \[0, 1\]$"):
+        oc.mech_feedback_linearize(mech_plant, X, mu, mode="time", tau_input=tau_hat)
+    e[5] = 1.0 - tau[5] + 0.125  # rows 0-4 stay in [0, 1]; rows 5 and 7 leave it
+    e[7] = -1.0
+    with pytest.raises(ValueError) as lone:
+        oc.derive_phase_disturbance(mech_plant, X[5], e[5])
+    assert str(lone.value).startswith("phase ")
+    with pytest.raises(ValueError) as stack:
+        oc.derive_phase_disturbance(mech_plant, X, e)
+    assert str(stack.value) == str(lone.value)
+
+
 # --- closed-loop wrappers -------------------------------------------------------
 
 def test_closed_loop_validation(hopf01, dims01, dyn01, mech_plant, mech_cert):

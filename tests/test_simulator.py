@@ -200,3 +200,39 @@ def test_batch_nonfinite_names_the_run():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(oc.SimulationError, match="run 3 at t = "):
         oc.integrate(loops, x0, T=1.0, dt=0.1)
+
+
+def _record_mech_per_sample(loop, ts, states):
+    """The mech traces one sample at a time from the lone-state kernels: the reference."""
+    plant, cert = loop.plant, loop.cert
+    eta, d, mu, v_eps = [], [], [], []
+    for t, x in zip(ts, states):
+        e = loop.phase_error(float(t))
+        eta.append(plant.eta_of(x))
+        d.append(oc.derive_phase_disturbance(plant, x, e))
+        mu.append(oc.min_norm_mu(cert, plant.dyn, plant.eta_at(x, plant.tau(x[0]) + e)))
+        v_eps.append(oc.evaluate_clf(cert, plant.dyn, eta[-1]).V)
+    return {"eta": np.array(eta), "z": np.array([plant.z_of(x) for x in states]),
+            "d": np.array(d), "mu": np.array(mu), "v_eps": np.array(v_eps)}
+
+
+@pytest.mark.parametrize("v_d, driven", [(1.0, True), (None, True), (1.0, False)],
+                         ids=["v_d=1", "v_d=None", "no signal"])
+def test_mech_record_equals_per_sample_loop(v_d, driven):
+    plant = oc.MechPlant(alpha=np.array([0.0, 0.1, 0.3, 0.3, 0.1, 0.0]), q1_plus=4.0, v_d=v_d)
+    cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
+    signal = oc.DisturbanceSignal(kind="phase_error_driven", dim=plant.dims.n_mu,
+                                  amplitude=0.01, frequency=2.0) if driven else None
+    loop = oc.MechClosedLoop(plant=plant, cert=cert, signal=signal)
+    x0 = np.array([0.4, plant.y2d(0.1) + 0.05, 1.0, 0.0])
+    rec = oc.integrate(loop, x0, T=0.5, dt=1e-3)
+    # the states that integrate recorded, stepped again as it steps them
+    states, t = [x0], 0.0
+    for _ in range(len(rec) - 1):
+        states.append(oc.rk4_step(loop.field, t, states[-1], 1e-3))
+        t += 1e-3
+    ref = _record_mech_per_sample(loop, rec.t, np.array(states))
+    for name, want in ref.items():
+        assert np.array_equal(getattr(rec, name), want), name
+    assert rec.d.any() == driven
+    assert not rec.u_s.any() and np.isnan(rec.dist).all()
