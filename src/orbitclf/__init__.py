@@ -16,7 +16,9 @@ from .riccati import (
 from .clf import (
     ClfConsistencyError,
     ClfEvaluation,
+    clf_operator,
     evaluate_clf,
+    matvec,
     membership,
     min_norm_mu,
     u_s_damping,
@@ -30,7 +32,6 @@ from .plants import (
     MechPlant,
     converse_constants,
     derive_phase_disturbance,
-    hopf_vector_field,
     mech_feedback_linearize,
     orbit_distance,
     vz_converse_lyapunov,

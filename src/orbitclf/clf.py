@@ -15,6 +15,10 @@ psi1 = 0 with psi0 > 0 cannot occur when the scaled Riccati identity and
 gamma P_eps <= Q_eps hold (then psi0 = -(1/eps) eta'(Q_eps - gamma P_eps) eta
 on ker(G'P_eps)); it is reported as an internal-consistency failure.
 
+Every quantity above is linear in eta or a product of two linear ones, so
+one row-by-row ``matvec`` of the stacked operator W = [F; P_eps; 2 G'P_eps]
+(``clf_operator``, built once per certificate) gives all the law needs.
+
 The same membership test applies verbatim to time-parameterized outputs:
 evaluate it on eta_t in place of eta.
 """
@@ -60,40 +64,49 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (A @ x[..., None])[..., 0]
 
 
-def vecmat(x: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """x @ A row by row; see ``matvec``."""
-    return (x[..., None, :] @ A)[..., 0, :]
-
-
 def vecdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y row by row; see ``matvec``."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _lie_terms(cert: ResClfCertificate, dyn: OutputDynamics,
-               eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    Pe = matvec(cert.P_eps, eta)
+def clf_operator(cert: ResClfCertificate, dyn: OutputDynamics) -> np.ndarray:
+    """The law's stacked operator W = [F; P_eps; 2 G'P_eps], shape (2 n_eta + n_mu, n_eta).
+
+    One ``matvec(W, eta)`` gives F eta, P_eps eta and psi1 = LG_V' =
+    2 G'P_eps eta; the laws below read them from those rows.  A closed loop
+    may append rows of its own (the Hopf coupling C) and pass the longer
+    rows: the laws read only the leading 2 n_eta + n_mu.
+    """
+    return np.vstack([dyn.F, cert.P_eps, 2.0 * (dyn.G.T @ cert.P_eps)])
+
+
+def lie_terms(cert: ResClfCertificate, eta: np.ndarray,
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V_eps, LF_V and psi1 = LG_V' at eta, from rows = matvec(W, eta); batches as ``matvec``."""
+    n, m = cert.dims.n_eta, cert.dims.n_mu
+    Pe = rows[..., n:2 * n]
     V = vecdot(eta, Pe)
-    LF_V = 2.0 * vecdot(matvec(dyn.F, eta), Pe)  # eta'(F'P + PF)eta = 2 eta'P F eta
-    LG_V = 2.0 * vecmat(Pe, dyn.G)
-    return V, LF_V, LG_V
+    LF_V = 2.0 * vecdot(rows[..., :n], Pe)  # eta'(F'P + PF)eta = 2 eta'P F eta
+    return V, LF_V, rows[..., 2 * n:2 * n + m]
 
 
 def evaluate_clf(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray) -> ClfEvaluation:
     """Evaluate V_eps, LF_V, LG_V at eta."""
-    V, LF_V, LG_V = _lie_terms(cert, dyn, _check_eta(cert, eta))
+    eta = _check_eta(cert, eta)
+    V, LF_V, LG_V = lie_terms(cert, eta, matvec(clf_operator(cert, dyn), eta))
     return ClfEvaluation(V=float(V), LF_V=float(LF_V), LG_V=LG_V)
 
 
-def min_norm_mu(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray) -> np.ndarray:
+def min_norm_mu(cert: ResClfCertificate, eta: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Minimum-Euclidean-norm element of the rate-(gamma/eps) controller set.
 
-    eta is one point (n_eta,) or a batch (B, n_eta); the result has the
-    matching shape (n_mu,) or (B, n_mu), and each row equals the law at
-    that row alone, bit for bit.
+    rows = matvec(W, eta) for W from ``clf_operator`` (possibly with rows
+    appended).  eta is one point (n_eta,) or a batch (B, n_eta); the result
+    has the matching shape (n_mu,) or (B, n_mu), and each row equals the
+    law at that row alone, bit for bit.
     """
     eta = _check_eta(cert, eta, batch=True)
-    V, LF_V, psi1 = _lie_terms(cert, dyn, eta)
+    V, LF_V, psi1 = lie_terms(cert, eta, rows)
     psi0 = LF_V + cert.rate * V
     denom = vecdot(psi1, psi1)
     active = psi0 > 0.0
@@ -134,15 +147,14 @@ def membership(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray,
     return slack <= guard, slack
 
 
-def u_s_damping(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray,
-                eps_bar: float) -> np.ndarray:
-    """State-based damping feedback u_s = -(1/(2 eps_bar)) G' P_eps eta.
+def u_s_damping(cert: ResClfCertificate, rows: np.ndarray, eps_bar: float) -> np.ndarray:
+    """State-based damping feedback u_s = -(1/(2 eps_bar)) G' P_eps eta = -(1/(4 eps_bar)) psi1.
 
     With B_y = I this adds exactly -(1/eps_bar) ||G'P_eps eta||^2 to the
-    V_eps derivative; smaller eps_bar damps harder.  eta is one point or a
-    batch (B, n_eta), as for ``min_norm_mu``.
+    V_eps derivative; smaller eps_bar damps harder.  rows = matvec(W, eta)
+    as for ``min_norm_mu``, one point or a batch.
     """
     if not (0.0 < eps_bar <= 1.0):
         raise ValueError(f"eps_bar must lie in (0, 1], got {eps_bar}")
-    eta = _check_eta(cert, eta, batch=True)
-    return -(0.5 / eps_bar) * matvec(dyn.G.T, matvec(cert.P_eps, eta))
+    n = cert.dims.n_eta
+    return (-0.25 / eps_bar) * rows[..., 2 * n:2 * n + cert.dims.n_mu]

@@ -398,8 +398,11 @@ def _write_json(path: Path, config: dict, payload: dict) -> None:
 def _write_csv(path: Path, config: dict, headers: list[str], rows) -> None:
     """The provenance as leading '# key=value' lines, the header line, one line per row."""
     # the body is joined once and written as it is: each further copy of a
-    # long trace's text would raise the peak memory by its size
-    body = "\n".join(",".join(format(v, ".17g") for v in row) for row in rows)
+    # long trace's text would raise the peak memory by its size.  "%.17g"
+    # writes a float as format(v, ".17g") does; each row becomes Python
+    # floats on its own, as the whole table at once would be a large copy
+    fmt = ",".join(["%.17g"] * len(headers))
+    body = "\n".join(fmt % tuple(row.tolist()) for row in np.asarray(rows, dtype=float))
     lines = [f"# {key}={value if isinstance(value, str) else canonical_json(value)}"
              for key, value in _provenance(config, body).items()]
     with path.open("w", encoding="utf-8") as fh:

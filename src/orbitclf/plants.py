@@ -29,7 +29,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .clf import matvec, min_norm_mu, u_s_damping, vecdot
+from .clf import clf_operator, matvec, min_norm_mu, u_s_damping, vecdot
 from .disturbance import DisturbanceSignal
 from .output_dynamics import OutputDims, OutputDynamics, build_fg
 from .riccati import ResClfCertificate
@@ -65,6 +65,7 @@ class HopfPlant:
     coupling: np.ndarray | None = None  # (2, n_eta); default all entries 0.2
     y1_rate: float = 1.0  # first-order y1 contraction on the partial zero dynamics
     dyn: OutputDynamics = field(init=False, repr=False)
+    _spin: np.ndarray = field(init=False, repr=False, compare=False)  # (-omega, omega)
 
     def __post_init__(self):
         if self.lambda_h <= 0.0:
@@ -79,6 +80,7 @@ class HopfPlant:
             raise ValueError(f"coupling has shape {C.shape}, expected (2, {self.dims.n_eta})")
         object.__setattr__(self, "coupling", C)
         object.__setattr__(self, "dyn", build_fg(self.dims))
+        object.__setattr__(self, "_spin", np.array([-self.omega, self.omega]))
 
     @property
     def period(self) -> float:
@@ -95,7 +97,7 @@ class HopfPlant:
         zz = z * z
         g = self.lambda_h * (self.r0 ** 2 - (zz[..., 0] + zz[..., 1]))
         # (-w z2 + g z1, w z1 + g z2), each sum in that order
-        return z[..., ::-1] * np.array([-self.omega, self.omega]) + g[..., None] * z
+        return z[..., ::-1] * self._spin + g[..., None] * z
 
     def exact_zero_solution(self, z0: np.ndarray, t: float) -> np.ndarray:
         """Closed-form flow of dz/dt = Psi0(z): logistic radius, linear angle."""
@@ -107,24 +109,6 @@ class HopfPlant:
         th = np.arctan2(z0[1], z0[0]) + self.omega * t
         r = np.sqrt(r2)
         return np.array([r * np.cos(th), r * np.sin(th)])
-
-
-def hopf_vector_field(plant: HopfPlant, eta: np.ndarray, z: np.ndarray,
-                      mu_effective: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Composite right-hand side (d eta/dt, dz/dt) for an effective input.
-
-    mu_effective is the total input in the mu channel (auxiliary input plus
-    disturbance plus damping feedback).  Every argument may carry a leading
-    batch axis (B, ...); each row is computed exactly as it would be alone.
-    """
-    eta = np.asarray(eta, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if eta.shape[-1:] != (plant.dims.n_eta,):
-        raise ValueError(f"eta has shape {eta.shape}, expected (..., {plant.dims.n_eta})")
-    eta_dot = (matvec(plant.dyn.F, eta)
-               + matvec(plant.dyn.G, np.asarray(mu_effective, dtype=float)))
-    z_dot = plant.zero_field(z) + matvec(plant.coupling, eta)
-    return eta_dot, z_dot
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -423,38 +407,46 @@ class DisturbedClosedLoop:
     signal: DisturbanceSignal | None = None
     eps_bar: float = 0.1
     sigma: float = 1.0  # composite Lyapunov weight used for the V_c trace
+    #: [F; P_eps; 2 G'P_eps; C], built once: the law's operator plus the coupling
+    operator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.controller not in CONTROLLER_MODES:
             raise ValueError(f"unknown controller mode {self.controller!r}")
         if self.cert.dims != self.plant.dims:
             raise ValueError("certificate and plant dims disagree")
+        object.__setattr__(self, "operator", np.vstack(
+            [clf_operator(self.cert, self.plant.dyn), self.plant.coupling]))
 
     @property
     def state_dim(self) -> int:
         return self.plant.dims.n_eta + 2
 
-    def split(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.plant.dims.n_eta
-        return state[..., :n], state[..., n:]
-
-    def damping(self, eta: np.ndarray) -> np.ndarray | float:
-        """u_s at eta (one point or a batch), or 0.0 when the damping mode is off."""
-        if self.controller == "min_norm_plus_us":
-            return u_s_damping(self.cert, self.plant.dyn, eta, self.eps_bar)
-        return 0.0
+    @property
+    def damped(self) -> bool:
+        """Whether the damping feedback u_s is on."""
+        return self.controller == "min_norm_plus_us"
 
     def field(self, t: float, state: np.ndarray, d: np.ndarray) -> np.ndarray:
         """The closed-loop right-hand side at time t.
 
         state is one flat state (state_dim,) or a batch (B, state_dim) of
         runs under this loop's plant, certificate and controller.  d is the
-        mu-channel disturbance at t, one row per run.
+        mu-channel disturbance at t, one row per run.  One row-by-row
+        ``matvec`` of ``operator`` gives F eta, the law's rows and C eta:
+
+            d eta/dt = F eta + G (mu + u_s + d),   dz/dt = Psi0(z) + C eta.
         """
-        eta, z = self.split(state)
-        mu = min_norm_mu(self.cert, self.plant.dyn, eta)
-        eta_dot, z_dot = hopf_vector_field(self.plant, eta, z, mu + self.damping(eta) + d)
-        return np.concatenate([eta_dot, z_dot], axis=-1)
+        n = self.plant.dims.n_eta
+        eta, z = state[..., :n], state[..., n:]
+        rows = matvec(self.operator, eta)
+        u = min_norm_mu(self.cert, eta, rows)
+        if self.damped:
+            u = u + u_s_damping(self.cert, rows, self.eps_bar)
+        out = np.empty_like(state)
+        np.add(rows[..., :n], matvec(self.plant.dyn.G, u + d), out=out[..., :n])
+        np.add(self.plant.zero_field(z), rows[..., -2:], out=out[..., n:])
+        return out
 
 
 @dataclass(frozen=True)
@@ -470,12 +462,15 @@ class MechClosedLoop:
     plant: MechPlant
     cert: ResClfCertificate
     signal: DisturbanceSignal | None = None
+    #: the law's operator [F; P_eps; 2 G'P_eps], built once
+    operator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cert.dims != self.plant.dims:
             raise ValueError("certificate and plant dims disagree")
         if self.signal is not None and self.signal.kind != "phase_error_driven":
             raise ValueError("mech closed loop takes a phase_error_driven signal")
+        object.__setattr__(self, "operator", clf_operator(self.cert, self.plant.dyn))
 
     @property
     def state_dim(self) -> int:
@@ -490,7 +485,8 @@ class MechClosedLoop:
     def control(self, t: float, x: np.ndarray) -> np.ndarray:
         tau_hat = self.plant.tau(x[0]) + self.phase_error(t)
         # the outputs as the controller sees them, measured at the phase estimate
-        mu = min_norm_mu(self.cert, self.plant.dyn, self.plant.eta_at(x, tau_hat))
+        eta_hat = self.plant.eta_at(x, tau_hat)
+        mu = min_norm_mu(self.cert, eta_hat, matvec(self.operator, eta_hat))
         return mech_feedback_linearize(self.plant, x, mu, mode="time", tau_input=tau_hat)
 
     def field(self, t: float, x: np.ndarray) -> np.ndarray:

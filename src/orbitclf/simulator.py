@@ -5,6 +5,12 @@ given configuration, and simple to analyze (global error O(dt^4)).  The
 disturbance is exogenous and is evaluated at the RK4 stage times rather
 than held over the step; the sup-norm bounds used downstream are safe
 under stage sampling for every signal kind shipped here.
+
+The stage times are the accumulated node times t_i (t_0 = 0, t_{i+1} =
+t_i + dt, the same float sums RK4's last stage makes) and t_i + dt/2.  The
+Hopf loops' d is tabled at both, CHUNK steps at a time, before those
+steps are taken; a record's d column holds the node rows, which are the d
+that each step's first stage applied.
 """
 
 from __future__ import annotations
@@ -14,12 +20,14 @@ from typing import Callable
 
 import numpy as np
 
-from .clf import matvec, min_norm_mu, vecdot
+from .clf import lie_terms, matvec, min_norm_mu, u_s_damping
 from .disturbance import DisturbanceTable
 from .plants import (DisturbedClosedLoop, MechClosedLoop, derive_phase_disturbance,
                      orbit_distance, vz_value)
 
 MAX_STEPS = 10_000_000
+#: steps whose stage-time disturbance is tabled at once, and samples recorded at once
+CHUNK = 500
 
 
 class SimulationError(RuntimeError):
@@ -54,13 +62,18 @@ class TrajectoryRecord:
         return np.linalg.norm(self.eta, axis=1)
 
 
-def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,
-             y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta 4 step."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
+def rk4_step(f: Callable[..., np.ndarray], t: float, y: np.ndarray, dt: float,
+             inputs: tuple | None = None) -> np.ndarray:
+    """One classical Runge-Kutta 4 step of dy/dt = f(t, y).
+
+    With inputs = (u(t), u(t + dt/2), u(t + dt)), an exogenous input tabled
+    at the stage times, the field is called as f(t, y, u).
+    """
+    u0, uh, u1 = ((),) * 3 if inputs is None else [(u,) for u in inputs]
+    k1 = f(t, y, *u0)
+    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1, *uh)
+    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2, *uh)
+    k4 = f(t + dt, y + dt * k3, *u1)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -94,21 +107,31 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
     if x0.shape != expected:
         raise ValueError(f"x0 has shape {x0.shape}, expected {expected}")
 
+    table = d = None
     if isinstance(closed_loop, MechClosedLoop):
         f = closed_loop.field
     else:
         loop = _shared_hopf_loop(loops)
         table = DisturbanceTable([lp.signal for lp in loops], loop.plant.dims.n_mu, T)
+        f = loop.field
         x0 = x0.reshape(len(loops), -1)
-
-        def f(t: float, X: np.ndarray) -> np.ndarray:
-            return loop.field(t, X, table(t))
+        d = np.empty((n_steps + 1,) + table.shape)  # d at the node times, recorded
 
     states = np.empty((n_steps + 1,) + x0.shape)
     states[0] = x0
     t = 0.0
+    inputs = None
     for i in range(n_steps):
-        states[i + 1] = rk4_step(f, t, states[i], dt)
+        if table is not None:
+            j = i % CHUNK
+            if j == 0:
+                k = min(CHUNK, n_steps - i)
+                # t, t + dt, ... summed in order, as t is below: the same floats
+                nodes = np.add.accumulate(np.concatenate([[t], np.full(k, dt)]))
+                d[i:i + k + 1] = table(nodes)
+                d_half = table(nodes[:-1] + 0.5 * dt)
+            inputs = (d[i], d_half[j], d[i + 1])
+        states[i + 1] = rk4_step(f, t, states[i], dt, inputs)
         t += dt
         if not np.all(np.isfinite(states[i + 1])):
             rows = np.atleast_2d(states[i + 1])
@@ -118,7 +141,7 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
 
     if isinstance(closed_loop, MechClosedLoop):
         return _record_mech(closed_loop, ts, states)
-    records = _record_hopf(loops, table, ts, states)
+    records = _record_hopf(loops, d, ts, states)
     return records[0] if single else records
 
 
@@ -135,19 +158,28 @@ def _shared_hopf_loop(loops) -> DisturbedClosedLoop:
     return first
 
 
-def _record_hopf(loops, table: DisturbanceTable, ts: np.ndarray,
+def _record_hopf(loops, d: np.ndarray, ts: np.ndarray,
                  states: np.ndarray) -> list[TrajectoryRecord]:
-    """Traces of every run at once; states has shape (samples, B, state_dim)."""
+    """Traces of every run at once; states has shape (samples, B, state_dim).
+
+    d holds the disturbance rows that stepping applied at the sample times;
+    mu, u_s and V_eps come from the operator and law calls stepping makes.
+    """
     loop = loops[0]
     plant, cert = loop.plant, loop.cert
     S, B = states.shape[:2]
-    eta, z = loop.split(states)
-    flat_eta = eta.reshape(S * B, -1)
-    mu = min_norm_mu(cert, plant.dyn, flat_eta)
-    us = np.broadcast_to(loop.damping(flat_eta), mu.shape).reshape(S, B, -1)
-    mu = mu.reshape(S, B, -1)
-    d = table(ts)
-    v_eps = vecdot(eta, matvec(cert.P_eps, eta))
+    n, m = plant.dims.n_eta, plant.dims.n_mu
+    eta, z = states[..., :n], states[..., n:]
+    mu, us, v_eps = np.empty((S, B, m)), np.zeros((S, B, m)), np.empty((S, B))
+    # CHUNK samples at a time: the operator's rows of the whole trace would
+    # be the largest array of a run
+    for a in range(0, S, CHUNK):
+        e = eta[a:a + CHUNK].reshape(-1, n)  # one row per (sample, run)
+        rows = matvec(loop.operator, e)
+        mu[a:a + CHUNK] = min_norm_mu(cert, e, rows).reshape(-1, B, m)
+        v_eps[a:a + CHUNK] = lie_terms(cert, e, rows)[0].reshape(-1, B)
+        if loop.damped:
+            us[a:a + CHUNK] = u_s_damping(cert, rows, loop.eps_bar).reshape(-1, B, m)
     v_z = vz_value(eta[..., :plant.dims.k1], z, plant)
     dist = orbit_distance(eta, z, plant)
     v_c = np.array([lp.sigma for lp in loops]) * v_z + v_eps
@@ -174,8 +206,9 @@ def _record_mech(loop: MechClosedLoop, ts: np.ndarray,
     eta = plant.eta_at(states, tau)
     d = derive_phase_disturbance(plant, states, e)
     # the controller's input, from the outputs measured at the phase estimate
-    mu = min_norm_mu(cert, plant.dyn, plant.eta_at(states, tau + e))
-    v_eps = vecdot(eta, matvec(cert.P_eps, eta))
+    eta_hat = plant.eta_at(states, tau + e)
+    mu = min_norm_mu(cert, eta_hat, matvec(loop.operator, eta_hat))
+    v_eps = lie_terms(cert, eta, matvec(loop.operator, eta))[0]
     nan = np.full(n, np.nan)
     meta = {
         "kind": "mech", "k1": plant.dims.k1, "k2": plant.dims.k2,

@@ -10,6 +10,19 @@ import orbitclf as oc
 SQRT3 = np.sqrt(3.0)
 
 
+def _rows(cert, dyn, eta):
+    return oc.matvec(oc.clf_operator(cert, dyn), np.asarray(eta, dtype=float))
+
+
+def _mu(cert, dyn, eta):
+    """The min-norm law at eta, from one matvec of the law's operator."""
+    return oc.min_norm_mu(cert, eta, _rows(cert, dyn, eta))
+
+
+def _us(cert, dyn, eta, eps_bar):
+    return oc.u_s_damping(cert, _rows(cert, dyn, eta), eps_bar)
+
+
 def test_evaluate_at_zero(cert01_e1, dyn01):
     ev = oc.evaluate_clf(cert01_e1, dyn01, np.zeros(2))
     assert ev.V == 0.0 and ev.LF_V == 0.0
@@ -38,13 +51,13 @@ def test_evaluate_dimension_mismatch(cert01_e1, dyn01):
 
 
 def test_min_norm_at_zero(cert01_e1, dyn01):
-    assert np.array_equal(oc.min_norm_mu(cert01_e1, dyn01, np.zeros(2)), [0.0])
+    assert np.array_equal(_mu(cert01_e1, dyn01, np.zeros(2)), [0.0])
 
 
 def test_min_norm_hand_value(cert01_e1, dyn01):
     eta = np.array([1.0, 0.0])
     gamma = cert01_e1.gamma
-    mu = oc.min_norm_mu(cert01_e1, dyn01, eta)
+    mu = _mu(cert01_e1, dyn01, eta)
     # psi0 = gamma*sqrt(3), psi1 = (2): mu = -psi0/2
     assert np.isclose(mu[0], -gamma * SQRT3 / 2.0, atol=1e-12)
     assert np.isclose(mu[0], -0.31698729810778065, atol=1e-10)
@@ -55,7 +68,7 @@ def test_min_norm_substitution_oracle(cert01_e01, dyn01):
     rng = np.random.default_rng(1)
     for _ in range(1000):
         eta = rng.normal(size=2)
-        mu = oc.min_norm_mu(cert01_e01, dyn01, eta)
+        mu = _mu(cert01_e01, dyn01, eta)
         ev = oc.evaluate_clf(cert01_e01, dyn01, eta)
         slack = ev.LF_V + float(ev.LG_V @ mu) + cert01_e01.rate * ev.V
         assert slack <= 1e-12
@@ -63,7 +76,7 @@ def test_min_norm_substitution_oracle(cert01_e01, dyn01):
     for scale in (1e-3, 1e4):
         for _ in range(100):
             eta = scale * rng.normal(size=2)
-            mu = oc.min_norm_mu(cert01_e01, dyn01, eta)
+            mu = _mu(cert01_e01, dyn01, eta)
             ev = oc.evaluate_clf(cert01_e01, dyn01, eta)
             slack = ev.LF_V + float(ev.LG_V @ mu) + cert01_e01.rate * ev.V
             assert slack <= 1e-12 * max(1.0, cert01_e01.rate * ev.V)
@@ -91,8 +104,8 @@ def test_min_norm_positive_homogeneity(lam, e1, e2):
     dyn = oc.build_fg(dims)
     cert = oc.certificate(dyn, np.eye(2), 0.5)
     eta = np.array([e1, e2])
-    mu1 = oc.min_norm_mu(cert, dyn, eta)
-    mu2 = oc.min_norm_mu(cert, dyn, lam * eta)
+    mu1 = _mu(cert, dyn, eta)
+    mu2 = _mu(cert, dyn, lam * eta)
     assert np.allclose(mu2, lam * mu1, rtol=1e-9, atol=1e-12)
 
 
@@ -116,8 +129,8 @@ def test_min_norm_lipschitz_off_switching_surface(cert01_e01, dyn01):
         psi0b = ev2.LF_V + cert.rate * ev2.V
         if abs(psi0b) < 1e-6 or np.sign(psi0b) != np.sign(psi0):
             continue
-        d = np.linalg.norm(oc.min_norm_mu(cert, dyn01, eta + step)
-                           - oc.min_norm_mu(cert, dyn01, eta))
+        d = np.linalg.norm(_mu(cert, dyn01, eta + step)
+                           - _mu(cert, dyn01, eta))
         worst = max(worst, d / h)
     assert worst < 500.0
 
@@ -126,7 +139,7 @@ def test_membership_of_min_norm(cert01_e01, dyn01):
     rng = np.random.default_rng(4)
     for _ in range(100):
         eta = rng.normal(size=2)
-        mu = oc.min_norm_mu(cert01_e01, dyn01, eta)
+        mu = _mu(cert01_e01, dyn01, eta)
         member, slack = oc.membership(cert01_e01, dyn01, eta, mu)
         assert member
         assert slack <= 1e-12
@@ -146,27 +159,27 @@ def test_membership_at_zero(cert01_e1, dyn01):
 
 def test_membership_es_mode(cert01_e1, dyn01):
     eta = np.array([0.3, -0.2])
-    mu = oc.min_norm_mu(cert01_e1, dyn01, eta)
+    mu = _mu(cert01_e1, dyn01, eta)
     member, _ = oc.membership(cert01_e1, dyn01, eta, mu, mode="es", c=cert01_e1.gamma)
     assert member  # es rate gamma <= res rate gamma/eps at eps = 1
 
 
 def test_u_s_zero(cert01_e1, dyn01):
-    assert np.array_equal(oc.u_s_damping(cert01_e1, dyn01, np.zeros(2), 0.5), [0.0])
+    assert np.array_equal(_us(cert01_e1, dyn01, np.zeros(2), 0.5), [0.0])
 
 
 def test_u_s_hand_value(cert01_e1, dyn01):
-    us = oc.u_s_damping(cert01_e1, dyn01, np.array([1.0, 0.0]), 0.5)
+    us = _us(cert01_e1, dyn01, np.array([1.0, 0.0]), 0.5)
     assert np.allclose(us, [-1.0], atol=1e-12)
 
 
 def test_u_s_inverse_in_eps_bar(cert01_e01, dyn01):
     eta = np.array([0.4, -0.7])
-    a = oc.u_s_damping(cert01_e01, dyn01, eta, 0.2)
-    b = oc.u_s_damping(cert01_e01, dyn01, eta, 0.4)
+    a = _us(cert01_e01, dyn01, eta, 0.2)
+    b = _us(cert01_e01, dyn01, eta, 0.4)
     assert np.allclose(a, 2.0 * b, rtol=1e-12)
     with pytest.raises(ValueError):
-        oc.u_s_damping(cert01_e01, dyn01, eta, 0.0)
+        _us(cert01_e01, dyn01, eta, 0.0)
 
 
 def test_u_s_vdot_contribution(cert01_e01, dyn01):
@@ -176,7 +189,7 @@ def test_u_s_vdot_contribution(cert01_e01, dyn01):
         eta = rng.normal(size=2)
         eps_bar = rng.uniform(0.05, 1.0)
         ev = oc.evaluate_clf(cert01_e01, dyn01, eta)
-        us = oc.u_s_damping(cert01_e01, dyn01, eta, eps_bar)
+        us = _us(cert01_e01, dyn01, eta, eps_bar)
         w = dyn01.G.T @ (cert01_e01.P_eps @ eta)
         assert np.isclose(float(ev.LG_V @ us), -float(w @ w) / eps_bar, rtol=1e-12)
 
@@ -188,7 +201,7 @@ def test_time_based_same_slack_at_zero_phase_error(cert01_e01, dyn01):
     rng = np.random.default_rng(6)
     for _ in range(20):
         eta = rng.normal(size=2)
-        mu = oc.min_norm_mu(cert01_e01, dyn01, eta)
+        mu = _mu(cert01_e01, dyn01, eta)
         _, s_state = oc.membership(cert01_e01, dyn01, eta, mu)
         _, s_time = oc.membership(cert01_e01, dyn01, eta.copy(), mu)
         assert s_state == s_time
@@ -229,15 +242,15 @@ def test_min_norm_batch_matches_rows(cert01_e01, dyn01):
         n = cert.dims.n_eta
         E = rng.normal(size=(64, n)) * np.exp(rng.uniform(-20, 20, size=(64, 1)))
         E[5] = 0.0
-        mu = oc.min_norm_mu(cert, dyn, E)
+        mu = _mu(cert, dyn, E)
         assert mu.shape == (64, cert.dims.n_mu)
         assert np.count_nonzero(np.any(mu != 0.0, axis=1)) not in (0, 64)  # both branches
-        assert np.array_equal(mu, [oc.min_norm_mu(cert, dyn, e) for e in E])
-        us = oc.u_s_damping(cert, dyn, E, 0.1)
-        assert np.array_equal(us, [oc.u_s_damping(cert, dyn, e, 0.1) for e in E])
+        assert np.array_equal(mu, [_mu(cert, dyn, e) for e in E])
+        us = _us(cert, dyn, E, 0.1)
+        assert np.array_equal(us, [_us(cert, dyn, e, 0.1) for e in E])
         for bad in (np.zeros((3, n + 1)), np.zeros((2, 2, n))):
             with pytest.raises(ValueError):
-                oc.min_norm_mu(cert, dyn, bad)
+                oc.min_norm_mu(cert, bad, bad)
 
 
 def test_min_norm_batch_consistency_error(cert01_e01, dyn01):
@@ -247,8 +260,8 @@ def test_min_norm_batch_consistency_error(cert01_e01, dyn01):
     w = (broken.P_eps @ dyn01.G).reshape(-1)
     kernel = np.array([-w[1], w[0]])
     E = np.array([[0.3, -0.1], kernel, [0.0, 0.0]])
-    oc.min_norm_mu(broken, dyn01, E[[0, 2]])  # the other rows are fine
+    _mu(broken, dyn01, E[[0, 2]])  # the other rows are fine
     with pytest.raises(oc.ClfConsistencyError, match="row 1"):
-        oc.min_norm_mu(broken, dyn01, E)
+        _mu(broken, dyn01, E)
     with pytest.raises(oc.ClfConsistencyError):
-        oc.min_norm_mu(broken, dyn01, kernel)
+        _mu(broken, dyn01, kernel)

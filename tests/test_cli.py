@@ -304,3 +304,16 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, override, message):
     # json.loads reads NaN and Infinity, but no standard JSON output could embed them
     assert run(["synth", "--out", str(tmp_path), "--override", override]) == 2
     _one_line_error(capsys, message)
+
+
+def test_csv_body_formats_as_format_17g(tmp_path):
+    # the writer's "%.17g" rows are byte for byte the per-value format(v, ".17g")
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+               1e300, -1.0 / 3.0, 0.1, 12345678901234567890.0, 1.0]
+    rows = np.array(special).reshape(3, 4)
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, {}, ["a", "b", "c", "d"], rows)
+    body = path.read_text(encoding="utf-8").splitlines()[-3:]
+    assert body == [",".join(format(v, ".17g") for v in row) for row in rows]
+    cli._write_csv(path, {}, ["a", "b"], [[1, -0.0], [2.5, float("nan")]])  # plain lists
+    assert path.read_text(encoding="utf-8").splitlines()[-2:] == ["1,-0", "2.5,nan"]

@@ -7,15 +7,22 @@ from orbitclf.plants import mech_eta_rate, pzd_distance
 
 # --- Hopf plant ---------------------------------------------------------------
 
+def _hopf_rhs(plant, eta, z):
+    """(d eta/dt, dz/dt) of the min-norm closed loop with d = 0; mu = 0 at eta = 0."""
+    cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.5)
+    loop = oc.DisturbedClosedLoop(plant=plant, cert=cert)
+    rhs = loop.field(0.0, np.concatenate([eta, z]), np.zeros(plant.dims.n_mu))
+    return rhs[:plant.dims.n_eta], rhs[plant.dims.n_eta:]
+
+
 def test_hopf_field_on_orbit_tangent(hopf01):
-    eta_dot, z_dot = oc.hopf_vector_field(hopf01, np.zeros(2), np.array([1.0, 0.0]),
-                                          np.zeros(1))
+    eta_dot, z_dot = _hopf_rhs(hopf01, np.zeros(2), np.array([1.0, 0.0]))
     assert np.allclose(z_dot, [0.0, 1.0])  # pure rotation at radius r0, omega = 1
     assert np.allclose(eta_dot, 0.0)
 
 
 def test_hopf_field_radial_contraction(hopf01):
-    _, z_dot = oc.hopf_vector_field(hopf01, np.zeros(2), np.array([2.0, 0.0]), np.zeros(1))
+    _, z_dot = _hopf_rhs(hopf01, np.zeros(2), np.array([2.0, 0.0]))
     radial = z_dot @ np.array([1.0, 0.0])
     assert radial < 0.0  # outside the circle the radial component points inward
 
@@ -23,8 +30,8 @@ def test_hopf_field_radial_contraction(hopf01):
 def test_hopf_field_decoupled_without_coupling(dims01):
     plant = oc.HopfPlant(dims=dims01, coupling=np.zeros((2, 2)))
     z = np.array([0.7, -0.4])
-    _, zd_a = oc.hopf_vector_field(plant, np.zeros(2), z, np.zeros(1))
-    _, zd_b = oc.hopf_vector_field(plant, np.array([5.0, -3.0]), z, np.zeros(1))
+    _, zd_a = _hopf_rhs(plant, np.zeros(2), z)
+    _, zd_b = _hopf_rhs(plant, np.array([5.0, -3.0]), z)
     assert np.array_equal(zd_a, zd_b)
 
 
@@ -245,8 +252,11 @@ def test_mech_pzd_invariance(mech_plant, mech_cert):
     assert abs(eta[0]) > 0.1  # y1 nonzero: genuinely partial
     assert np.allclose(eta[1:], 0.0, atol=1e-14)
 
+    W = oc.clf_operator(mech_cert, dyn)
+
     def field(t, y):
-        mu = oc.min_norm_mu(mech_cert, dyn, mech_plant.eta_of(y))
+        eta_y = mech_plant.eta_of(y)
+        mu = oc.min_norm_mu(mech_cert, eta_y, oc.matvec(W, eta_y))
         u = oc.mech_feedback_linearize(mech_plant, y, mu, mode="state")
         return np.array([y[2], y[3], u[0], u[1]])
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import orbitclf as oc
-from orbitclf import cli
+from orbitclf import cli, plants, simulator
 
 
 def test_rk4_single_step_linear_decay():
@@ -176,6 +176,94 @@ def test_run_alone_equals_run_in_batch(controller):
     assert all(rec.d.any() for rec in batch[1:])
 
 
+@pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
+def test_chunks_change_no_bit(monkeypatch, controller):
+    # 100 steps in one chunk and in chunks of 7, the last one partial: the
+    # records are bitwise the same, and each run alone equals its batch row
+    loops, x0 = _batch_of_five(controller)
+    whole = oc.integrate(loops, x0, T=0.1, dt=1e-3)
+    monkeypatch.setattr(simulator, "CHUNK", 7)
+    chunked = oc.integrate(loops, x0, T=0.1, dt=1e-3)
+    for loop, x, a, b in zip(loops, x0, whole, chunked):
+        alone = oc.integrate(loop, x, T=0.1, dt=1e-3)
+        for name in FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert np.array_equal(getattr(alone, name), getattr(b, name)), name
+
+
+def _every_signal_kind(controller="min_norm"):
+    loops, x0 = _batch_of_five(controller)
+    signals = [None] + [oc.DisturbanceSignal(kind=kind, dim=3, amplitude=0.03, frequency=0.7,
+                                             dwell=0.5, seed=11)
+                        for kind in ("zero", "constant", "sinusoid", "piecewise_constant_random")]
+    return [dataclasses.replace(loops[0], signal=sig) for sig in signals], x0
+
+
+def _recording_calls(monkeypatch, holder, name):
+    """Wrap holder.name so that each call's arguments and result are kept, in order."""
+    calls, original = [], getattr(holder, name)
+
+    def recording(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(holder, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("chunk", [7, 500])
+def test_stage_inputs_equal_per_call_table(monkeypatch, chunk):
+    # each field call gets d at its own stage time t, t + dt/2 or t + dt, bit
+    # for bit the table's value there, for every signal kind over 20 s
+    loops, x0 = _every_signal_kind()
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    calls = _recording_calls(monkeypatch, oc.DisturbedClosedLoop, "field")
+    oc.integrate(loops, x0, T=20.0, dt=1e-2)
+    table = oc.DisturbanceTable([lp.signal for lp in loops], 3, 20.0)
+    assert len(calls) == 4 * 2000
+    for (_, t, _, d), _ in calls:
+        assert np.array_equal(d, table(t)), t
+
+
+@pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
+def test_record_shows_what_stepping_applied(monkeypatch, controller):
+    # record.d, record.mu and record.u_s at sample i are bitwise the d, mu and
+    # u_s of step i's first stage (the last sample: the last step's last stage)
+    loop = dataclasses.replace(_every_signal_kind(controller)[0][-1], eps_bar=0.5)
+    x0 = _batch_of_five()[1][1]
+    fields = _recording_calls(monkeypatch, oc.DisturbedClosedLoop, "field")
+    mus = _recording_calls(monkeypatch, plants, "min_norm_mu")
+    uss = _recording_calls(monkeypatch, plants, "u_s_damping")
+    rec = oc.integrate(loop, x0, T=8.0, dt=1e-3)  # the benchmark's certify horizon
+    n = len(rec) - 1
+    assert len(fields) == len(mus) == 4 * n and len(uss) == (4 * n if loop.damped else 0)
+    first = slice(0, None, 4)
+    assert np.array_equal(rec.d, [args[3][0] for args, _ in fields[first] + fields[-1:]])
+    assert np.array_equal(rec.mu[:n], [mu[0] for _, mu in mus[first]])
+    if loop.damped:
+        assert np.array_equal(rec.u_s[:n], [us[0] for _, us in uss[first]])
+    else:
+        assert not rec.u_s.any()
+    # the accumulated t leaves the grid i*dt in another dwell block at 7 samples
+    table = oc.DisturbanceTable([loop.signal], 3, 8.0)
+    moved = np.flatnonzero(np.any(table(rec.t)[:, 0] != rec.d, axis=1))
+    assert list(rec.t[moved]) == [1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5]
+
+
+def test_broken_certificate_names_the_row_through_field():
+    # an inflated rate breaks gamma P_eps <= Q_eps: psi0 > 0 on ker(G'P_eps)
+    loops, x0 = _batch_of_five("min_norm")
+    cert = loops[0].cert
+    broken = dataclasses.replace(loops[0], cert=dataclasses.replace(cert, gamma=100.0 * cert.gamma))
+    n = cert.dims.n_eta
+    kernel = np.linalg.svd(cert.P_eps @ broken.plant.dyn.G)[0][:, -1]  # G'P_eps k = 0
+    X = x0[:3].copy()
+    X[1, :n] = kernel
+    with pytest.raises(oc.ClfConsistencyError, match="row 1"):
+        broken.field(0.0, X, np.zeros((3, cert.dims.n_mu)))
+
+
 def test_batch_validation():
     loops, x0 = _batch_of_five()
     other = oc.certificate(oc.build_fg(loops[0].plant.dims), 2.0 * np.eye(5), 0.1)
@@ -210,7 +298,8 @@ def _record_mech_per_sample(loop, ts, states):
         e = loop.phase_error(float(t))
         eta.append(plant.eta_of(x))
         d.append(oc.derive_phase_disturbance(plant, x, e))
-        mu.append(oc.min_norm_mu(cert, plant.dyn, plant.eta_at(x, plant.tau(x[0]) + e)))
+        eta_hat = plant.eta_at(x, plant.tau(x[0]) + e)
+        mu.append(oc.min_norm_mu(cert, eta_hat, oc.matvec(loop.operator, eta_hat)))
         v_eps.append(oc.evaluate_clf(cert, plant.dyn, eta[-1]).V)
     return {"eta": np.array(eta), "z": np.array([plant.z_of(x) for x in states]),
             "d": np.array(d), "mu": np.array(mu), "v_eps": np.array(v_eps)}
