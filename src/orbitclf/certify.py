@@ -39,6 +39,9 @@ from .plants import ConverseConstants, HopfPlant, pzd_distance
 from .riccati import ResClfCertificate
 from .simulator import TrajectoryRecord
 
+#: orbit distance at or below which a d = 0 run counts as started on the orbit
+ON_ORBIT_ATOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Check:
@@ -112,7 +115,7 @@ def _central_diff(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def check_zero_stability(record: TrajectoryRecord, decay_target: float = 1e-6,
-                         atol: float = 1e-8) -> tuple[bool, float]:
+                         atol: float = ON_ORBIT_ATOL) -> tuple[bool, float]:
     """Zero-stability verdict and fitted envelope decay rate for a d = 0 run.
 
     The forward-supremum envelope of the orbit distance must fall below

@@ -6,18 +6,26 @@ V_eps(eta) = eta' P_eps eta with Lie derivatives along the output dynamics
 
 The controller set accepts mu whenever LF_V + LG_V mu + (gamma/eps) V <= 0.
 The canonical selection implemented here is the pointwise minimum-norm
-element: with psi0 = LF_V + (gamma/eps) V and psi1 = LG_V',
+element: with psi0 = LF_V + (gamma/eps) V = eta' M eta, where
 
-    mu = 0                      if psi0 <= 0,
-    mu = -(psi0/||psi1||^2) psi1  otherwise.
+    M = F' P_eps + P_eps F + (gamma/eps) P_eps    (symmetrized),
 
-psi1 = 0 with psi0 > 0 cannot occur when the scaled Riccati identity and
-gamma P_eps <= Q_eps hold (then psi0 = -(1/eps) eta'(Q_eps - gamma P_eps) eta
-on ker(G'P_eps)); it is reported as an internal-consistency failure.
+and psi1 = LG_V',
+
+    mu = -(max(psi0, 0) / ||psi1||^2) psi1,
+
+which is 0 where psi0 <= 0.  psi1 = 0 with psi0 > 0 cannot occur when the
+scaled Riccati identity and gamma P_eps <= Q_eps hold (then psi0 =
+-(1/eps) eta'(Q_eps - gamma P_eps) eta on ker(G'P_eps)); it is reported as
+an internal-consistency failure.
 
 Every quantity above is linear in eta or a product of two linear ones, so
-one row-by-row ``matvec`` of the stacked operator W = [F; P_eps; 2 G'P_eps]
-(``clf_operator``, built once per certificate) gives all the law needs.
+one row-by-row ``matvec`` of the stacked operator
+
+    W = [F; P_eps; 2 G'P_eps; M]    ((3 n_eta + n_mu) x n_eta),
+
+built once per certificate by ``clf_operator``, gives all the laws need:
+F eta, P_eps eta, psi1 and M eta, in that order.
 
 The same membership test applies verbatim to time-parameterized outputs:
 evaluate it on eta_t in place of eta.
@@ -64,20 +72,22 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (A @ x[..., None])[..., 0]
 
 
-def vecdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y row by row; see ``matvec``."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+#: x @ y row by row, as a gufunc: each row takes the same dot-product call
+#: as a lone vector (see ``matvec``), in one numpy call
+vecdot = np.vecdot
 
 
 def clf_operator(cert: ResClfCertificate, dyn: OutputDynamics) -> np.ndarray:
-    """The law's stacked operator W = [F; P_eps; 2 G'P_eps], shape (2 n_eta + n_mu, n_eta).
+    """The laws' stacked operator W = [F; P_eps; 2 G'P_eps; M], shape (3 n_eta + n_mu, n_eta).
 
-    One ``matvec(W, eta)`` gives F eta, P_eps eta and psi1 = LG_V' =
-    2 G'P_eps eta; the laws below read them from those rows.  A closed loop
-    may append rows of its own (the Hopf coupling C) and pass the longer
-    rows: the laws read only the leading 2 n_eta + n_mu.
+    One ``matvec(W, eta)`` gives F eta, P_eps eta, psi1 = LG_V' =
+    2 G'P_eps eta and M eta; the laws below read them from those rows.  A
+    closed loop may append rows of its own (the Hopf coupling C) and pass
+    the longer rows: the laws read only the leading 3 n_eta + n_mu.
     """
-    return np.vstack([dyn.F, cert.P_eps, 2.0 * (dyn.G.T @ cert.P_eps)])
+    F, P = dyn.F, cert.P_eps
+    M = F.T @ P + P @ F + cert.rate * P
+    return np.vstack([F, P, 2.0 * (dyn.G.T @ P), 0.5 * (M + M.T)])
 
 
 def lie_terms(cert: ResClfCertificate, eta: np.ndarray,
@@ -97,28 +107,41 @@ def evaluate_clf(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray) 
     return ClfEvaluation(V=float(V), LF_V=float(LF_V), LG_V=LG_V)
 
 
+#: the smallest normal double: a floor for denominators that may be 0
+_TINY = np.finfo(float).tiny
+
+
 def min_norm_mu(cert: ResClfCertificate, eta: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Minimum-Euclidean-norm element of the rate-(gamma/eps) controller set.
 
     rows = matvec(W, eta) for W from ``clf_operator`` (possibly with rows
     appended).  eta is one point (n_eta,) or a batch (B, n_eta); the result
     has the matching shape (n_mu,) or (B, n_mu), and each row equals the
-    law at that row alone, bit for bit.
+    law at that row alone, bit for bit.  A row with psi0 <= 0 gives a zero
+    mu (possibly -0.0), and psi1 = 0 there gives no NaN.
     """
     eta = _check_eta(cert, eta, batch=True)
-    V, LF_V, psi1 = lie_terms(cert, eta, rows)
-    psi0 = LF_V + cert.rate * V
+    n, m = cert.dims.n_eta, cert.dims.n_mu
+    psi1 = rows[..., 2 * n:2 * n + m]
+    psi0 = vecdot(eta, rows[..., 2 * n + m:3 * n + m])
     denom = vecdot(psi1, psi1)
-    active = psi0 > 0.0
-    bad = active & (denom <= 1e-14 * psi0)
+    # psi1 ~ 0 relative to psi0; only such a row can be inconsistent, so the
+    # full check runs only when one exists
+    flat = denom <= 1e-14 * psi0
+    if np.count_nonzero(flat):
+        _check_consistency(eta, psi0, flat)
+    return -(np.maximum(psi0, 0.0) / np.maximum(denom, _TINY))[..., None] * psi1
+
+
+def _check_consistency(eta: np.ndarray, psi0: np.ndarray, flat: np.ndarray) -> None:
+    """Raise ClfConsistencyError for the first row with psi0 > 0 among the flat rows."""
+    bad = (psi0 > 0.0) & flat
     if bad.any():
         row = int(np.flatnonzero(bad)[0])
         where = f"row {row}: " if eta.ndim == 2 else ""
         raise ClfConsistencyError(
             f"{where}psi1 ~ 0 with psi0 = {np.ravel(psi0)[row]:g} > 0; "
             "certificate invariants are broken")
-    coef = -(psi0 / np.where(active, denom, 1.0))
-    return np.where(active[..., None], coef[..., None] * psi1, 0.0)
 
 
 def membership(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray,

@@ -10,7 +10,8 @@ Subcommands:
 Every output file embeds the fully resolved configuration and a content
 hash, and contains no timestamps, so identical config + seed reproduces
 identical bytes.  Exit codes: 0 all checks pass, 1 a check in the printed
-table failed, 2 usage or configuration error.
+table failed, 2 usage or configuration error, 3 a run aborted (a state
+left the finite range, or the certificate's invariants broke).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import certify as cert_mod
 from .certify import Check, report_payload, verdict
+from .clf import ClfConsistencyError
 from .disturbance import KINDS, DisturbanceSignal, sup_norm
 from .output_dynamics import OutputDims, build_fg
 from .plants import (
@@ -38,9 +40,10 @@ from .plants import (
     MechClosedLoop,
     MechPlant,
     converse_constants,
+    orbit_distance,
 )
 from .riccati import CareSolveError, certificate
-from .simulator import integrate, ultimate_bound
+from .simulator import SimulationError, integrate, ultimate_bound
 
 DEFAULT_ALPHA = [0.0, 0.1, 0.3, 0.3, 0.1, 0.0]
 
@@ -483,6 +486,12 @@ def run_certify(config: dict, out_dir: Path) -> tuple[dict, list[Check]]:
     eps_bar = float(config["eps_bar"])
 
     loop, cert, plant, x0 = build_closed_loop(config)
+    n = cert.dims.n_eta
+    dist0 = float(orbit_distance(x0[:n], x0[n:], plant))
+    if dist0 <= cert_mod.ON_ORBIT_ATOL:
+        raise ConfigError(f"certify needs a start off the orbit: x0 lies at orbit distance "
+                          f"{dist0:g} <= {cert_mod.ON_ORBIT_ATOL:g}, so the d = 0 run has "
+                          "nothing to decay")
     consts = converse_constants(plant, float(config["plant"]["annulus_fraction"]))
     sigma = loop.sigma
     L_q = plant.lipschitz_q
@@ -659,6 +668,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (SimulationError, ClfConsistencyError) as exc:
+        print(f"run aborted: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

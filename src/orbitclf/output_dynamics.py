@@ -10,7 +10,9 @@ output dynamics
     d/dt eta = F eta + G mu,
 
 where F carries a single identity block mapping dy2 into the y2 slot and
-G injects mu into the y1 and dy2 rows.
+G injects mu into the y1 and dy2 rows.  Both are 0/1 selections with
+disjoint row supports, so F eta + G v is a placement: the y1 rows take
+v[:k1], the y2 rows take eta's dy2 block and the dy2 rows take v[k1:].
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ class OutputDims:
         """Dimension of the auxiliary input mu, k1 + k2."""
         return self.k1 + self.k2
 
+    @property
+    def blocks(self) -> tuple[slice, slice, slice]:
+        """The slices of y1, y2 and dy2 in eta."""
+        k1, k2 = self.k1, self.k2
+        return slice(0, k1), slice(k1, k1 + k2), slice(k1 + k2, k1 + 2 * k2)
+
 
 @dataclass(frozen=True)
 class OutputDynamics:
@@ -59,14 +67,11 @@ def build_fg(dims: OutputDims) -> OutputDynamics:
     F is nilpotent (F @ F = 0) and (F, G) is a controllable pair for every
     valid dims.
     """
-    k1, k2 = dims.k1, dims.k2
-    n = dims.n_eta
+    k1, n = dims.k1, dims.n_eta
+    y1, y2, dy2 = dims.blocks
     F = np.zeros((n, n))
-    if k2 > 0:
-        F[k1:k1 + k2, k1 + k2:] = np.eye(k2)
+    F[y2, dy2] = np.eye(dims.k2)
     G = np.zeros((n, dims.n_mu))
-    if k1 > 0:
-        G[:k1, :k1] = np.eye(k1)
-    if k2 > 0:
-        G[k1 + k2:, k1:] = np.eye(k2)
+    G[y1, :k1] = np.eye(k1)
+    G[dy2, k1:] = np.eye(dims.k2)
     return OutputDynamics(dims=dims, F=F, G=G)

@@ -66,6 +66,7 @@ class HopfPlant:
     y1_rate: float = 1.0  # first-order y1 contraction on the partial zero dynamics
     dyn: OutputDynamics = field(init=False, repr=False)
     _spin: np.ndarray = field(init=False, repr=False, compare=False)  # (-omega, omega)
+    _r0_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lambda_h <= 0.0:
@@ -81,6 +82,7 @@ class HopfPlant:
         object.__setattr__(self, "coupling", C)
         object.__setattr__(self, "dyn", build_fg(self.dims))
         object.__setattr__(self, "_spin", np.array([-self.omega, self.omega]))
+        object.__setattr__(self, "_r0_sq", self.r0 ** 2)
 
     @property
     def period(self) -> float:
@@ -95,7 +97,7 @@ class HopfPlant:
         """Psi0(z), the uncoupled Hopf normal form; z is (2,) or a batch (..., 2)."""
         z = np.asarray(z, dtype=float)
         zz = z * z
-        g = self.lambda_h * (self.r0 ** 2 - (zz[..., 0] + zz[..., 1]))
+        g = self.lambda_h * (self._r0_sq - (zz[..., 0] + zz[..., 1]))
         # (-w z2 + g z1, w z1 + g z2), each sum in that order
         return z[..., ::-1] * self._spin + g[..., None] * z
 
@@ -125,10 +127,7 @@ def orbit_distance(eta: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | 
     """
     eta = np.asarray(eta, dtype=float)
     z = np.asarray(z, dtype=float)
-    k1, k2 = plant.dims.k1, plant.dims.k2
-    y1 = eta[..., :k1]
-    y2 = eta[..., k1:k1 + k2]
-    dy2 = eta[..., k1 + k2:]
+    y1, y2, dy2 = (eta[..., s] for s in plant.dims.blocks)
     return pzd_distance(y1, z, plant) + _norm(y2) + _norm(dy2)
 
 
@@ -407,16 +406,20 @@ class DisturbedClosedLoop:
     signal: DisturbanceSignal | None = None
     eps_bar: float = 0.1
     sigma: float = 1.0  # composite Lyapunov weight used for the V_c trace
-    #: [F; P_eps; 2 G'P_eps; C], built once: the law's operator plus the coupling
+    #: [F; P_eps; 2 G'P_eps; M; C], built once: the laws' operator plus the coupling
     operator: np.ndarray = field(init=False, repr=False, compare=False)
+    #: (y1, y2, dy2) slices of eta and the slice of v that the dy2 rows take
+    _place: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.controller not in CONTROLLER_MODES:
             raise ValueError(f"unknown controller mode {self.controller!r}")
         if self.cert.dims != self.plant.dims:
             raise ValueError("certificate and plant dims disagree")
+        dims = self.plant.dims
         object.__setattr__(self, "operator", np.vstack(
             [clf_operator(self.cert, self.plant.dyn), self.plant.coupling]))
+        object.__setattr__(self, "_place", dims.blocks + (slice(dims.k1, None),))
 
     @property
     def state_dim(self) -> int:
@@ -433,18 +436,26 @@ class DisturbedClosedLoop:
         state is one flat state (state_dim,) or a batch (B, state_dim) of
         runs under this loop's plant, certificate and controller.  d is the
         mu-channel disturbance at t, one row per run.  One row-by-row
-        ``matvec`` of ``operator`` gives F eta, the law's rows and C eta:
+        ``matvec`` of ``operator`` gives the laws' rows and C eta:
 
-            d eta/dt = F eta + G (mu + u_s + d),   dz/dt = Psi0(z) + C eta.
+            d eta/dt = F eta + G v,   v = mu + u_s + d,   dz/dt = Psi0(z) + C eta.
+
+        F and G select disjoint rows (``build_fg``), so F eta + G v is
+        written by placement: v's first k1 entries into the y1 rows, eta's
+        dy2 block into the y2 rows, the rest of v into the dy2 rows.
         """
         n = self.plant.dims.n_eta
         eta, z = state[..., :n], state[..., n:]
         rows = matvec(self.operator, eta)
-        u = min_norm_mu(self.cert, eta, rows)
+        v = min_norm_mu(self.cert, eta, rows)
         if self.damped:
-            u = u + u_s_damping(self.cert, rows, self.eps_bar)
+            v = v + u_s_damping(self.cert, rows, self.eps_bar)
+        v = v + d
+        y1, y2, dy2, v_dy2 = self._place
         out = np.empty_like(state)
-        np.add(rows[..., :n], matvec(self.plant.dyn.G, u + d), out=out[..., :n])
+        out[..., y1] = v[..., y1]
+        out[..., y2] = eta[..., dy2]
+        out[..., dy2] = v[..., v_dy2]
         np.add(self.plant.zero_field(z), rows[..., -2:], out=out[..., n:])
         return out
 
@@ -462,7 +473,7 @@ class MechClosedLoop:
     plant: MechPlant
     cert: ResClfCertificate
     signal: DisturbanceSignal | None = None
-    #: the law's operator [F; P_eps; 2 G'P_eps], built once
+    #: the laws' operator [F; P_eps; 2 G'P_eps; M], built once
     operator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -10,7 +10,9 @@ The stage times are the accumulated node times t_i (t_0 = 0, t_{i+1} =
 t_i + dt, the same float sums RK4's last stage makes) and t_i + dt/2.  The
 Hopf loops' d is tabled at both, CHUNK steps at a time, before those
 steps are taken; a record's d column holds the node rows, which are the d
-that each step's first stage applied.
+that each step's first stage applied.  A mech record evaluates its phase
+error at the same node times, so its d and mu are those of each step's
+first stage too.  The record's t column prints the grid i*dt.
 """
 
 from __future__ import annotations
@@ -107,6 +109,8 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
     if x0.shape != expected:
         raise ValueError(f"x0 has shape {x0.shape}, expected {expected}")
 
+    # the node times 0, dt, 2 dt, ... summed in order, as t is below: the same floats
+    nodes = np.add.accumulate(np.concatenate([[0.0], np.full(n_steps, dt)]))
     table = d = None
     if isinstance(closed_loop, MechClosedLoop):
         f = closed_loop.field
@@ -121,26 +125,28 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
     states[0] = x0
     t = 0.0
     inputs = None
-    for i in range(n_steps):
-        if table is not None:
-            j = i % CHUNK
-            if j == 0:
-                k = min(CHUNK, n_steps - i)
-                # t, t + dt, ... summed in order, as t is below: the same floats
-                nodes = np.add.accumulate(np.concatenate([[t], np.full(k, dt)]))
-                d[i:i + k + 1] = table(nodes)
-                d_half = table(nodes[:-1] + 0.5 * dt)
-            inputs = (d[i], d_half[j], d[i + 1])
-        states[i + 1] = rk4_step(f, t, states[i], dt, inputs)
-        t += dt
-        if not np.all(np.isfinite(states[i + 1])):
-            rows = np.atleast_2d(states[i + 1])
-            run = int(np.flatnonzero(~np.all(np.isfinite(rows), axis=1))[0])
-            raise SimulationError(f"non-finite state in run {run} at t = {t:.6g}: {rows[run]}")
+    # a state that overflows ends the run below, with a diagnosis; numpy's
+    # warnings on the way there would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            if table is not None:
+                j = i % CHUNK
+                if j == 0:
+                    k = min(CHUNK, n_steps - i)
+                    d[i:i + k + 1] = table(nodes[i:i + k + 1])
+                    d_half = table(nodes[i:i + k] + 0.5 * dt)
+                inputs = (d[i], d_half[j], d[i + 1])
+            x = states[i + 1] = rk4_step(f, t, states[i], dt, inputs)
+            t += dt
+            if np.count_nonzero(np.isfinite(x)) < x.size:
+                rows = np.atleast_2d(x)
+                run = int(np.flatnonzero(~np.all(np.isfinite(rows), axis=1))[0])
+                raise SimulationError(
+                    f"non-finite state in run {run} at t = {t:.6g}: {rows[run]}")
     ts = np.arange(n_steps + 1) * dt
 
     if isinstance(closed_loop, MechClosedLoop):
-        return _record_mech(closed_loop, ts, states)
+        return _record_mech(closed_loop, ts, nodes, states)
     records = _record_hopf(loops, d, ts, states)
     return records[0] if single else records
 
@@ -196,12 +202,16 @@ def _record_hopf(loops, d: np.ndarray, ts: np.ndarray,
     return records
 
 
-def _record_mech(loop: MechClosedLoop, ts: np.ndarray,
+def _record_mech(loop: MechClosedLoop, ts: np.ndarray, nodes: np.ndarray,
                  states: np.ndarray) -> TrajectoryRecord:
-    """Traces of the mech run, every sample at once; states has shape (samples, 4)."""
+    """Traces of the mech run, every sample at once; states has shape (samples, 4).
+
+    The phase error is evaluated at the node times that stepping used, so
+    d and mu are those of each step's first stage; ts is the printed grid.
+    """
     plant, cert = loop.plant, loop.cert
     n = len(ts)
-    e = loop.phase_error(ts)
+    e = loop.phase_error(nodes)
     tau = plant.tau(states[:, 0])
     eta = plant.eta_at(states, tau)
     d = derive_phase_disturbance(plant, states, e)

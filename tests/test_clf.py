@@ -265,3 +265,58 @@ def test_min_norm_batch_consistency_error(cert01_e01, dyn01):
         _mu(broken, dyn01, E)
     with pytest.raises(oc.ClfConsistencyError):
         _mu(broken, dyn01, kernel)
+
+
+def _textbook_mu(cert, dyn, eta):
+    """The min-norm law as written in the literature, one point at a time: the oracle.
+
+    Returns mu and the scale (|LF_V| + rate V) / ||psi1|| of its terms.
+    """
+    P = cert.P_eps
+    V = eta @ P @ eta
+    LF_V = eta @ (dyn.F.T @ P + P @ dyn.F) @ eta
+    psi0 = LF_V + cert.rate * V
+    psi1 = 2.0 * dyn.G.T @ P @ eta
+    scale = (abs(LF_V) + cert.rate * V) / np.linalg.norm(psi1)
+    if psi0 <= 0.0:
+        return np.zeros(cert.dims.n_mu), scale
+    return -(psi0 / (psi1 @ psi1)) * psi1, scale
+
+
+@pytest.mark.parametrize("k1, k2", [(0, 1), (1, 0), (1, 2), (2, 3)])
+@pytest.mark.parametrize("eps", [1.0, 0.1])
+def test_min_norm_matches_textbook_formula(k1, k2, eps):
+    # psi0 = eta'M eta rounds differently from LF_V + rate V, so near the
+    # switching surface psi0 = 0, where both cancel, mu may differ by the
+    # rounding of the terms: atol is 1e-13 of their scale, rtol 1e-13
+    dims = oc.OutputDims(k1, k2)
+    dyn = oc.build_fg(dims)
+    cert = oc.certificate(dyn, np.eye(dims.n_eta), eps)
+    rng = np.random.default_rng(100 * k1 + 10 * k2 + int(eps))
+    E = rng.normal(size=(2000, dims.n_eta)) * np.exp(rng.uniform(-5, 5, size=(2000, 1)))
+    mu = _mu(cert, dyn, E)
+    active = 0
+    for eta, got in zip(E, mu):
+        want, scale = _textbook_mu(cert, dyn, eta)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+        active += bool(want.any())
+    assert 0 < active < len(E) or k2 == 0  # k2 = 0: psi0 > 0 off the origin
+
+
+def test_min_norm_inactive_rows_are_exactly_zero(cert01_e01, dyn01):
+    # eta = 0, points of ker(G'P_eps) (psi0 <= 0 there) and rows whose psi1
+    # is exactly 0 with psi0 < 0: mu is 0 in value, with no NaN or warning
+    cert = cert01_e01
+    w = (cert.P_eps @ dyn01.G).reshape(-1)
+    kernel = np.array([-w[1], w[0]])
+    E = np.array([[0.0, 0.0], kernel, -3.0 * kernel, 1e-9 * kernel])
+    rows = _rows(cert, dyn01, E)
+    n, m = cert.dims.n_eta, cert.dims.n_mu
+    exact = rows.copy()
+    exact[:, 2 * n:2 * n + m] = 0.0  # psi1 = 0; the M eta rows keep psi0 <= 0
+    assert np.all(np.sum(E * exact[:, 2 * n + m:3 * n + m], axis=1) <= 0.0)
+    with np.errstate(all="raise"):
+        for r in (rows, exact):
+            mu = oc.min_norm_mu(cert, E, r)
+            assert mu.shape == (4, m) and np.all(mu == 0.0)
+        assert np.all(oc.min_norm_mu(cert, np.zeros(n), np.zeros(3 * n + m)) == 0.0)

@@ -9,6 +9,7 @@ import pytest
 
 from orbitclf import cli
 from orbitclf.certify import Check, verdict
+from orbitclf.clf import ClfConsistencyError
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -285,11 +286,12 @@ def test_mech_simulate_in_domain(tmp_path):
 
 
 def test_non_finite_figures_are_written_as_null(tmp_path):
-    # started on the orbit, the zero run has no decay to measure: its rates are infinite
+    # with eta started at 0, ||eta|| never reaches the rejection threshold, so
+    # the composite check has no sample and its worst V_c rate is -inf
     assert run(["certify", "--out", str(tmp_path), "--override", "initial.eta=[0,0]",
-                "--override", "initial.z=[1,0]", "--override", "integrator.horizon=2"]) == 0
+                "--override", "initial.z=[1.2,0]", "--override", "integrator.horizon=8"]) == 0
     rep = _strict_json(tmp_path / "report.json")["payload"]
-    assert rep["zs_rate"] is None and rep["e_iss_rate_measured"] is None
+    assert rep["extras"]["vc_details"]["region_samples"] == 0
     assert rep["extras"]["vc_details"]["worst_vdot_c"] is None
     for name in ("certify_main.csv", "certify_zero.csv"):
         assert (tmp_path / name).exists()
@@ -317,3 +319,33 @@ def test_csv_body_formats_as_format_17g(tmp_path):
     assert body == [",".join(format(v, ".17g") for v in row) for row in rows]
     cli._write_csv(path, {}, ["a", "b"], [[1, -0.0], [2.5, float("nan")]])  # plain lists
     assert path.read_text(encoding="utf-8").splitlines()[-2:] == ["1,-0", "2.5,nan"]
+
+
+def test_on_orbit_start_is_rejected_before_integrating(tmp_path, capsys, monkeypatch):
+    # the d = 0 run would start on the orbit, with nothing to decay: exit 2
+    # with one line, before any integration and with no report written
+    def no_integration(*args, **kwargs):
+        raise AssertionError("certify integrated an on-orbit start")
+
+    monkeypatch.setattr(cli, "integrate", no_integration)
+    assert run(["certify", "--out", str(tmp_path), "--override", "initial.eta=[0,0]",
+                "--override", "initial.z=[1,0]", "--override", "integrator.horizon=2"]) == 2
+    _one_line_error(capsys, "certify needs a start off the orbit")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_abort_exits_3(tmp_path, capsys, monkeypatch):
+    # dt = 0.5 is outside RK4's stability region at eps = 0.01: the state
+    # overflows and the run aborts with one line, no traceback, exit 3
+    assert run(["simulate", "--out", str(tmp_path), "--override", "integrator.dt=0.5",
+                "--override", "eps=0.01"]) == 3
+    _one_line_error(capsys, "run aborted: non-finite state in run 0 at t = ")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+    def broken(*args, **kwargs):
+        raise ClfConsistencyError("row 1: psi1 ~ 0 with psi0 = 1 > 0; "
+                                  "certificate invariants are broken")
+
+    monkeypatch.setattr(cli, "integrate", broken)
+    assert run(["simulate", "--out", str(tmp_path)]) == 3
+    _one_line_error(capsys, "run aborted: row 1: psi1 ~ 0")

@@ -404,3 +404,29 @@ def test_closed_loop_periodicity(hopf01, dims01, dyn01):
     rec = oc.integrate(loop, np.array([0.0, 0.0, 1.0, 0.0]), T=T, dt=T / 4096)
     assert np.max(np.abs(rec.z[-1] - rec.z[0])) <= 1e-8
     assert np.max(rec.dist) <= 1e-9
+
+
+@pytest.mark.parametrize("k1, k2", [(0, 1), (0, 3), (1, 0), (2, 0), (1, 2), (2, 3)])
+@pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
+def test_hopf_field_places_f_eta_plus_g_v(k1, k2, controller):
+    # the field writes F eta + G v by placement; it equals the two matvecs
+    # bitwise on random inputs (np.array_equal counts -0.0 equal to +0.0:
+    # where an entry is zero, the placement may give -0.0 and the sum +0.0)
+    dims = oc.OutputDims(k1, k2)
+    plant = oc.HopfPlant(dims=dims)
+    cert = oc.certificate(plant.dyn, np.eye(dims.n_eta), 0.2)
+    loop = oc.DisturbedClosedLoop(plant=plant, cert=cert, controller=controller, eps_bar=0.3)
+    rng = np.random.default_rng(7 + 10 * k1 + k2)
+    n, m = dims.n_eta, dims.n_mu
+    X = rng.normal(size=(32, n + 2))
+    D = 0.1 * rng.normal(size=(32, m))
+    rows = oc.matvec(loop.operator, X[:, :n])
+    v = oc.min_norm_mu(cert, X[:, :n], rows)
+    if loop.damped:
+        v = v + oc.u_s_damping(cert, rows, loop.eps_bar)
+    v = v + D
+    want = oc.matvec(plant.dyn.F, X[:, :n]) + oc.matvec(plant.dyn.G, v)
+    out = loop.field(0.0, X, D)
+    assert np.array_equal(out[:, :n], want)
+    assert np.array_equal(out[:, n:], plant.zero_field(X[:, n:]) + rows[:, -2:])
+    assert np.array_equal(out[3], loop.field(0.0, X[3], D[3]))  # a lone state

@@ -315,13 +315,37 @@ def test_mech_record_equals_per_sample_loop(v_d, driven):
     loop = oc.MechClosedLoop(plant=plant, cert=cert, signal=signal)
     x0 = np.array([0.4, plant.y2d(0.1) + 0.05, 1.0, 0.0])
     rec = oc.integrate(loop, x0, T=0.5, dt=1e-3)
-    # the states that integrate recorded, stepped again as it steps them
-    states, t = [x0], 0.0
+    # the states that integrate recorded, stepped again as it steps them, and
+    # the accumulated node times at which stepping evaluated the phase error
+    states, times = [x0], [0.0]
     for _ in range(len(rec) - 1):
-        states.append(oc.rk4_step(loop.field, t, states[-1], 1e-3))
-        t += 1e-3
-    ref = _record_mech_per_sample(loop, rec.t, np.array(states))
+        states.append(oc.rk4_step(loop.field, times[-1], states[-1], 1e-3))
+        times.append(times[-1] + 1e-3)
+    ref = _record_mech_per_sample(loop, times, np.array(states))
     for name, want in ref.items():
         assert np.array_equal(getattr(rec, name), want), name
     assert rec.d.any() == driven
     assert not rec.u_s.any() and np.isnan(rec.dist).all()
+
+
+def test_mech_record_shows_what_stepping_applied(monkeypatch):
+    # record.d and record.mu at sample i are bitwise the phase disturbance and
+    # mu of step i's first stage: the record's phase error is taken at the
+    # accumulated node times that stepping used, not at the printed grid i*dt
+    plant = oc.MechPlant(alpha=np.array([0.0, 0.1, 0.3, 0.3, 0.1, 0.0]), q1_plus=4.0)
+    cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
+    signal = oc.DisturbanceSignal(kind="phase_error_driven", dim=plant.dims.n_mu,
+                                  amplitude=0.01, frequency=2.0)
+    loop = oc.MechClosedLoop(plant=plant, cert=cert, signal=signal)
+    fields = _recording_calls(monkeypatch, oc.MechClosedLoop, "field")
+    mus = _recording_calls(monkeypatch, plants, "min_norm_mu")
+    rec = oc.integrate(loop, np.array([0.4, plant.y2d(0.1) + 0.05, 1.0, 0.0]), T=0.5, dt=1e-3)
+    n = len(rec) - 1
+    assert len(fields) == len(mus) == 4 * n
+    first = [args[1:] for args, _ in fields[::4]]  # (t, x) of each step's first stage
+    assert np.array_equal(rec.mu[:n], [mu for _, mu in mus[::4]])
+    assert np.array_equal(rec.d[:n], [oc.derive_phase_disturbance(plant, x, loop.phase_error(t))
+                                      for t, x in first])
+    # the grid i*dt and the node times give another phase error at most samples
+    nodes = np.array([t for t, _ in first])
+    assert np.count_nonzero(loop.phase_error(rec.t[:n]) != loop.phase_error(nodes)) > n // 2
