@@ -197,47 +197,33 @@ def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndar
 # 2-DOF mechanical plant with virtual constraints
 #
 # The mech kernels take one state x of shape (4,) or a stack (S, 4) with one
-# phase, phase error or mu per row, and on a stack each row of the result is
-# bit for bit the kernel's result on that row alone.  They read entries as
-# x.T[i]: x[..., i] would turn each entry of a lone state into a 0-d array,
-# whose arithmetic costs microseconds.
+# phase, phase error or mu per row; each row of a stack's result is bit for
+# bit the lone call's.  Those that take a jet (y2d, y2d', y2d'') take the
+# entries xs = (q1, q2, dq1, dq2) of ``_entries``: a lone state's are plain
+# floats, which do numpy's IEEE operations on a stack's columns, faster.
 
 
-def _bezier(alpha: tuple[float, ...], tau: float | np.ndarray) -> float | np.ndarray:
-    # de Casteljau evaluation; exact and stable on [0, 1].  A lone phase runs
-    # on plain floats, which do the same IEEE operations as numpy does on
-    # each element of an array of phases, faster.
-    if not isinstance(tau, np.ndarray):
-        tau = float(tau)
-    b = alpha
-    while len(b) > 1:
-        b = [b0 + tau * (b1 - b0) for b0, b1 in pairwise(b)]
-    return b[0]
+def _entries(a: np.ndarray):
+    """A lone vector's entries as floats, or a stack's columns (its last axis)."""
+    return a.tolist() if a.ndim == 1 else a.T
 
 
-def _bezier_d(alpha: np.ndarray) -> np.ndarray:
-    n = len(alpha) - 1
-    return n * (alpha[1:] - alpha[:-1])
+#: a mech run's phase domain, checked in order: the estimate (1e-9 slack), the true phase
+PHASE_DOMAIN = (("phase {:g} outside [0, 1]", -1e-9, 1.0 + 1e-9),
+                ("true phase {:g} outside [0, 1]", 0.0, 1.0))
 
 
-def _check_phases(message: str, lo: float, hi: float, *taus) -> None:
-    """Raise ValueError(message) for the first row whose phases are not all in [lo, hi].
-
-    taus are lone phases or arrays of one phase per row, and the message
-    is formatted with that row's phases.  A lone phase is compared as a
-    plain number: numpy's reductions on a scalar cost microseconds.
-    """
-    if not isinstance(taus[0], np.ndarray):
-        for tau in taus:
-            if not lo <= tau <= hi:
-                raise ValueError(message.format(*taus))
-        return
-    ok = np.ones(taus[0].shape, dtype=bool)
-    for tau in taus:
-        ok &= (lo <= tau) & (tau <= hi)
-    if not ok.all():
-        row = int(np.flatnonzero(~ok)[0])
-        raise ValueError(message.format(*(tau[row] for tau in taus)))
+def check_phases(*taus) -> None:
+    """Raise ValueError for the first row of phases (tau_hat[, tau]) out of PHASE_DOMAIN."""
+    if isinstance(taus[0], np.ndarray):
+        ok = np.logical_and.reduce([(lo <= tau) & (tau <= hi)
+                                    for (_, lo, hi), tau in zip(PHASE_DOMAIN, taus)])
+        if ok.all():
+            return
+        taus = [tau[np.argmin(ok)] for tau in taus]  # the first row out of the domain
+    for (message, lo, hi), tau in zip(PHASE_DOMAIN, taus):
+        if not lo <= tau <= hi:
+            raise ValueError(message.format(tau))
 
 
 @dataclass(frozen=True)
@@ -250,8 +236,7 @@ class MechPlant:
     v_d: float | None = 1.0  # desired phase velocity; None drops the velocity output
     dims: OutputDims = field(init=False, repr=False, compare=False)
     dyn: OutputDynamics = field(init=False, repr=False, compare=False)
-    # Bezier coefficients of y2d, y2d' and y2d''
-    _coefs: tuple = field(init=False, repr=False, compare=False)
+    _alpha: tuple = field(init=False, repr=False, compare=False)  # alpha as floats
 
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=float)
@@ -263,9 +248,7 @@ class MechPlant:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "dyn", build_fg(dims))
-        a_d = _bezier_d(a)
-        object.__setattr__(self, "_coefs", tuple(tuple(c.tolist())
-                                                for c in (a, a_d, _bezier_d(a_d))))
+        object.__setattr__(self, "_alpha", tuple(a.tolist()))
 
     @property
     def delta(self) -> float:
@@ -274,23 +257,45 @@ class MechPlant:
     def tau(self, q1: float | np.ndarray) -> float | np.ndarray:
         return (q1 - self.q1_minus) / self.delta
 
+    def jet(self, tau: float | np.ndarray) -> tuple:
+        """(y2d, y2d', y2d'') at a lone phase or an array of phases, by one de Casteljau pass.
+
+        With n the degree and b^(k) the level-k points, y2d' = n (b1^(n-1) -
+        b0^(n-1)) and y2d'' = n (n-1) (b2^(n-2) - 2 b1^(n-2) + b0^(n-2))
+        (Farin, *Curves and Surfaces for CAGD*).  A lone phase runs on floats.
+        """
+        if not isinstance(tau, np.ndarray):
+            tau = float(tau)
+        n = len(self._alpha) - 1
+        b = self._alpha
+        for _ in range(n - 2):
+            b = [b0 + tau * (b1 - b0) for b0, b1 in pairwise(b)]
+        b0, b1, b2 = b
+        c0, c1 = b0 + tau * (b1 - b0), b1 + tau * (b2 - b1)
+        db = c1 - c0
+        return c0 + tau * db, n * db, n * (n - 1) * (b2 - 2.0 * b1 + b0)
+
     def y2d(self, tau: float | np.ndarray) -> float | np.ndarray:
-        return _bezier(self._coefs[0], tau)
+        return self.jet(tau)[0]
 
     def dy2d(self, tau: float | np.ndarray) -> float | np.ndarray:
-        return _bezier(self._coefs[1], tau)
+        return self.jet(tau)[1]
 
     def d2y2d(self, tau: float | np.ndarray) -> float | np.ndarray:
-        return _bezier(self._coefs[2], tau)
+        return self.jet(tau)[2]
 
-    def eta_at(self, x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
-        """Output coordinates (y1?, y2, dy2) of x measured at phase tau."""
-        _, q2, dq1, dq2 = x.T
-        y2 = q2 - self.y2d(tau)
-        dy2 = dq2 - self.dy2d(tau) * dq1 / self.delta
+    def outputs(self, xs, jet: tuple) -> np.ndarray:
+        """Output coordinates (y1?, y2, dy2) of the state with entries xs against a jet."""
+        _, q2, dq1, dq2 = xs
+        y2 = q2 - jet[0]
+        dy2 = dq2 - jet[1] * dq1 / self.delta
         if self.v_d is None:
             return np.array([y2, dy2]).T
         return np.array([dq1 - self.v_d, y2, dy2]).T
+
+    def eta_at(self, x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
+        """Output coordinates (y1?, y2, dy2) of x measured at phase tau."""
+        return self.outputs(_entries(x), self.jet(tau))
 
     def eta_of(self, x: np.ndarray) -> np.ndarray:
         """Output coordinates eta(x) at the true phase."""
@@ -303,12 +308,25 @@ class MechPlant:
     def x_of(self, eta: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Reconstruct x from (eta, z); inverse of (eta_of, z_of)."""
         q1, dq1 = z
-        tau = self.tau(q1)
+        y2d, dy2d, _ = self.jet(self.tau(q1))
         k1 = self.dims.k1
         y2, dy2 = eta[k1], eta[k1 + 1]
-        q2 = y2 + self.y2d(tau)
-        dq2 = dy2 + self.dy2d(tau) * dq1 / self.delta
-        return np.array([q1, q2, dq1, dq2])
+        return np.array([q1, y2 + y2d, dq1, dy2 + dy2d * dq1 / self.delta])
+
+
+def mech_feedforward(plant: MechPlant, xs, mu: np.ndarray, jet: tuple) -> np.ndarray:
+    """The linearizing input u = (u1, u2) of the state with entries xs, for the jet given."""
+    dq1 = xs[2]
+    tau_rate = dq1 / plant.delta
+    if plant.v_d is None:
+        u1 = 0.0 if isinstance(dq1, float) else np.zeros(dq1.shape)
+        (mu2,) = _entries(mu)
+    else:
+        u1, mu2 = _entries(mu)  # dy1/dt = u1 and the desired velocity is constant
+    # d2y2/dt2 = u2 - y2d'' tau_rate^2 - y2d' u1/delta; the square is a
+    # product, as ** 2 on a numpy scalar calls pow, which can differ in the last bit
+    u2 = jet[2] * (tau_rate * tau_rate) + jet[1] * (u1 / plant.delta) + mu2
+    return np.array([u1, u2]).T
 
 
 def mech_feedback_linearize(plant: MechPlant, x: np.ndarray, mu: np.ndarray,
@@ -329,42 +347,24 @@ def mech_feedback_linearize(plant: MechPlant, x: np.ndarray, mu: np.ndarray,
     expected = x.shape[:-1] + (plant.dims.n_mu,)
     if mu.shape != expected:
         raise ValueError(f"mu has shape {mu.shape}, expected {expected}")
-    delta = plant.delta
+    xs = _entries(x)
     if mode == "state":
-        tau_ff = plant.tau(x.T[0])
+        tau_ff = plant.tau(xs[0])
     elif mode == "time":
         if tau_input is None:
             raise ValueError("time mode requires tau_input")
         tau_ff = tau_input
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    _check_phases("phase {:g} outside [0, 1]", -1e-9, 1.0 + 1e-9, tau_ff)
-
-    tau_rate = x.T[2] / delta
-    if plant.v_d is None:
-        u1 = np.zeros(x.shape[:-1])
-        mu2 = mu.T[0]
-    else:
-        u1, mu2 = mu.T  # dy1/dt = u1 and the desired velocity is constant
-    # d2y2/dt2 = u2 - y2d''(tau) tau_rate^2 - y2d'(tau) u1/delta; the square is
-    # a product in both shapes, as ** 2 on a numpy scalar calls pow, which can
-    # differ in the last bit from the product that ** 2 on an array computes
-    u2 = plant.d2y2d(tau_ff) * (tau_rate * tau_rate) + plant.dy2d(tau_ff) * (u1 / delta) + mu2
-    return np.array([u1, u2]).T
+    check_phases(tau_ff)
+    return mech_feedforward(plant, xs, mu, plant.jet(tau_ff))
 
 
-def mech_eta_rate(plant: MechPlant, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """d eta/dt of the true outputs under input u (chain rule, exact), row by row on a stack."""
-    q1, _, dq1, dq2 = x.T
-    tau = plant.tau(q1)
-    tau_rate = dq1 / plant.delta
-    dy2d = plant.dy2d(tau)
-    u1, u2 = u.T
-    dy2_rate = u2 - plant.d2y2d(tau) * (tau_rate * tau_rate) - dy2d * u1 / plant.delta
-    dy2 = dq2 - dy2d * dq1 / plant.delta  # the dy2 of eta_of(x)
-    if plant.v_d is None:
-        return np.array([dy2, dy2_rate]).T
-    return np.array([u1, dy2, dy2_rate]).T
+def mech_phase_disturbance(plant: MechPlant, xs, jet: tuple, jet_hat: tuple) -> np.ndarray:
+    """derive_phase_disturbance of the state with entries xs, from the jets at tau and tau + e."""
+    mu0 = np.zeros(np.shape(xs[0]) + (plant.dims.n_mu,))
+    du = mech_feedforward(plant, xs, mu0, jet_hat) - mech_feedforward(plant, xs, mu0, jet)
+    return du[..., 2 - plant.dims.n_mu:]  # u1 is a mu channel only when k1 = 1
 
 
 def derive_phase_disturbance(plant: MechPlant, x: np.ndarray,
@@ -372,19 +372,16 @@ def derive_phase_disturbance(plant: MechPlant, x: np.ndarray,
     """Equivalent mu-channel disturbance induced by the phase error e.
 
     d = G+ (f_cl(x; tau+e) - f_cl(x; tau)) restricted to the eta subsystem,
-    where f_cl is the closed-loop eta rate; the auxiliary input cancels in
-    the difference, so d is exactly the feedforward mismatch.  d = 0 at e = 0.
+    where f_cl is the closed-loop eta rate; the auxiliary input and the
+    true-phase terms cancel in the difference, so d is exactly the change of
+    the actuated inputs, the feedforward mismatch.  d = 0 at e = 0.
     A stack x (S, 4) takes e of shape (S,) and gives d (S, n_mu).
     """
-    x = np.asarray(x, dtype=float)
-    tau = plant.tau(x.T[0])
+    xs = _entries(np.asarray(x, dtype=float))
+    tau = plant.tau(xs[0])
     tau_hat = tau + e
-    _check_phases("phase {:g} (or {:g}) outside [0, 1]", 0.0, 1.0, tau_hat, tau)
-    mu0 = np.zeros(x.shape[:-1] + (plant.dims.n_mu,))
-    u_hat = mech_feedback_linearize(plant, x, mu0, mode="time", tau_input=tau_hat)
-    u_ref = mech_feedback_linearize(plant, x, mu0, mode="time", tau_input=tau)
-    # G has orthonormal columns, so the pseudoinverse is G'.
-    return matvec(plant.dyn.G.T, mech_eta_rate(plant, x, u_hat) - mech_eta_rate(plant, x, u_ref))
+    check_phases(tau_hat, tau)
+    return mech_phase_disturbance(plant, xs, plant.jet(tau), plant.jet(tau_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +490,13 @@ class MechClosedLoop:
             return 0.0 * t  # times are nonnegative, so this is +0.0 in t's shape
         return self.signal.phase_error(t)
 
-    def control(self, t: float, x: np.ndarray) -> np.ndarray:
-        tau_hat = self.plant.tau(x[0]) + self.phase_error(t)
-        # the outputs as the controller sees them, measured at the phase estimate
-        eta_hat = self.plant.eta_at(x, tau_hat)
-        mu = min_norm_mu(self.cert, eta_hat, matvec(self.operator, eta_hat))
-        return mech_feedback_linearize(self.plant, x, mu, mode="time", tau_input=tau_hat)
-
     def field(self, t: float, x: np.ndarray) -> np.ndarray:
-        u = self.control(t, x)
-        return np.array([x[2], x[3], u[0], u[1]])
+        xs = x.tolist()
+        tau = self.plant.tau(xs[0])
+        tau_hat = tau + self.phase_error(t)
+        check_phases(tau_hat, tau)
+        # one jet at the phase estimate, read by the outputs and the feedforward
+        jet = self.plant.jet(tau_hat)
+        eta_hat = self.plant.outputs(xs, jet)
+        mu = min_norm_mu(self.cert, eta_hat, matvec(self.operator, eta_hat))
+        return np.concatenate((x[2:], mech_feedforward(self.plant, xs, mu, jet)))

@@ -24,8 +24,8 @@ import numpy as np
 
 from .clf import lie_terms, matvec, min_norm_mu, u_s_damping
 from .disturbance import DisturbanceTable
-from .plants import (DisturbedClosedLoop, MechClosedLoop, derive_phase_disturbance,
-                     orbit_distance, vz_value)
+from .plants import (DisturbedClosedLoop, MechClosedLoop, check_phases,
+                     mech_phase_disturbance, orbit_distance, vz_value)
 
 MAX_STEPS = 10_000_000
 #: steps whose stage-time disturbance is tabled at once, and samples recorded at once
@@ -211,12 +211,14 @@ def _record_mech(loop: MechClosedLoop, ts: np.ndarray, nodes: np.ndarray,
     """
     plant, cert = loop.plant, loop.cert
     n = len(ts)
-    e = loop.phase_error(nodes)
-    tau = plant.tau(states[:, 0])
-    eta = plant.eta_at(states, tau)
-    d = derive_phase_disturbance(plant, states, e)
-    # the controller's input, from the outputs measured at the phase estimate
-    eta_hat = plant.eta_at(states, tau + e)
+    xs = states.T
+    tau = plant.tau(xs[0])
+    tau_hat = tau + loop.phase_error(nodes)
+    check_phases(tau_hat, tau)
+    jet, jet_hat = plant.jet(tau), plant.jet(tau_hat)
+    eta = plant.outputs(xs, jet)
+    d = mech_phase_disturbance(plant, xs, jet, jet_hat)
+    eta_hat = plant.outputs(xs, jet_hat)
     mu = min_norm_mu(cert, eta_hat, matvec(loop.operator, eta_hat))
     v_eps = lie_terms(cert, eta, matvec(loop.operator, eta))[0]
     nan = np.full(n, np.nan)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbitclf import cli
+from orbitclf import cli, simulator
 from orbitclf.certify import Check, verdict
 from orbitclf.clf import ClfConsistencyError
 
@@ -283,6 +283,28 @@ def test_mech_simulate_in_domain(tmp_path):
     assert summary["samples"] == int(0.5 / 0.001) + 1
     assert summary["final_orbit_distance"] is None  # the mech plant has no orbit trace
     assert body["content_hash"] == hashlib.sha256(cli.canonical_json(summary).encode()).hexdigest()
+
+
+MECH = ["--override", "k1=1", "--override", "plant.kind=mech",
+        "--override", "disturbance.kind=phase_error_driven"]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # the README's default run: the phase estimate leaves [0, 1] first
+    ([], r"^phase 1\.00012 outside \[0, 1\]$"),
+    # the true phase leaves first, within the last step; recording used to
+    # raise only after every step had been taken
+    (["plant.q1_plus=1.7", "integrator.horizon=1.531"], r"^true phase 1\.00029 outside \[0, 1\]$"),
+], ids=["estimate", "true phase"])
+def test_mech_run_stops_in_the_step_that_leaves_the_phase_domain(tmp_path, monkeypatch,
+                                                                 overrides, message):
+    def recording(*args):
+        raise AssertionError("a run out of the phase domain reached its recording")
+
+    monkeypatch.setattr(simulator, "_record_mech", recording)
+    args = MECH + [a for o in overrides for a in ("--override", o)]
+    with pytest.raises(ValueError, match=message):
+        run(["simulate", "--out", str(tmp_path)] + args)
 
 
 def test_non_finite_figures_are_written_as_null(tmp_path):

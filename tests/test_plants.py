@@ -1,8 +1,10 @@
+from itertools import pairwise
+
 import numpy as np
 import pytest
 
 import orbitclf as oc
-from orbitclf.plants import mech_eta_rate, pzd_distance
+from orbitclf.plants import pzd_distance
 
 
 # --- Hopf plant ---------------------------------------------------------------
@@ -159,6 +161,59 @@ def test_vz_grid_inequalities_k1_1():
 
 
 # --- mech plant -----------------------------------------------------------------
+
+def mech_eta_rate(plant, x, u):
+    """d eta/dt of the true outputs of one state x under input u, by the chain rule."""
+    q1, _, dq1, dq2 = x
+    tau = plant.tau(q1)
+    tau_rate = dq1 / plant.delta
+    dy2_rate = u[1] - plant.d2y2d(tau) * tau_rate ** 2 - plant.dy2d(tau) * u[0] / plant.delta
+    dy2 = dq2 - plant.dy2d(tau) * dq1 / plant.delta
+    if plant.v_d is None:
+        return np.array([dy2, dy2_rate])
+    return np.array([u[0], dy2, dy2_rate])
+
+
+def _bezier(alpha, tau):
+    """De Casteljau on the coefficients alpha: the oracle of the jet's components."""
+    b = list(alpha)
+    while len(b) > 1:
+        b = [b0 + tau * (b1 - b0) for b0, b1 in pairwise(b)]
+    return b[0]
+
+
+def _bezier_d(alpha):
+    """The coefficients of a Bezier's derivative."""
+    return (len(alpha) - 1) * (alpha[1:] - alpha[:-1])
+
+
+@pytest.mark.parametrize("alpha", [[0.0, 0.1, 0.3, 0.3, 0.1, 0.0],
+                                   [0.2, -1.3, 0.7, 2.1, -0.4, 0.9]])
+def test_mech_jet_matches_derivative_beziers(alpha):
+    # the jet's one de Casteljau pass against separate passes on the
+    # coefficients of y2d, y2d' and y2d'': y2d is the same arithmetic, and
+    # the derivatives agree to rounding on the scale of each component
+    plant = oc.MechPlant(alpha=np.array(alpha))
+    a = np.array(alpha)
+    coefs = (a, _bezier_d(a), _bezier_d(_bezier_d(a)))
+    taus = np.linspace(0.0, 1.0, 1001)
+    jet = plant.jet(taus)
+    for k, c in enumerate(coefs):
+        want = np.array([_bezier(c.tolist(), float(t)) for t in taus])
+        if k == 0:
+            assert np.array_equal(jet[0], want)
+        assert np.max(np.abs(jet[k] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_mech_jet_derivatives_by_finite_differences(mech_plant):
+    # central differences carry an h^2 truncation error and an eps/h rounding error
+    h = 1e-4
+    taus = np.linspace(h, 1.0 - h, 257)
+    fd = (mech_plant.dy2d(taus + h) - mech_plant.dy2d(taus - h)) / (2.0 * h)
+    assert np.max(np.abs(fd - mech_plant.d2y2d(taus))) <= 1e-6
+    fd = (mech_plant.y2d(taus + h) - mech_plant.y2d(taus - h)) / (2.0 * h)
+    assert np.max(np.abs(fd - mech_plant.dy2d(taus))) <= 1e-7
+
 
 def test_mech_dims(mech_plant):
     assert mech_plant.dims == oc.OutputDims(1, 1)
@@ -341,6 +396,7 @@ def test_mech_kernels_on_a_stack_equal_lone_calls(v_d):
     tau_hat = tau + e
     for bez in (plant.y2d, plant.dy2d, plant.d2y2d):
         assert np.array_equal(bez(tau_hat), _lone_rows(bez, tau_hat))
+    assert np.array_equal(plant.jet(tau_hat), _lone_rows(plant.jet, tau_hat).T)
     assert np.array_equal(plant.eta_at(X, tau_hat), _lone_rows(plant.eta_at, X, tau_hat))
     assert np.array_equal(plant.eta_of(X), _lone_rows(plant.eta_of, X))
     assert np.array_equal(plant.z_of(X), _lone_rows(plant.z_of, X))
@@ -349,9 +405,6 @@ def test_mech_kernels_on_a_stack_equal_lone_calls(v_d):
     assert np.array_equal(
         lin(plant, X, mu, mode="time", tau_input=tau_hat),
         _lone_rows(lambda x, m, th: lin(plant, x, m, mode="time", tau_input=th), X, mu, tau_hat))
-    u = lin(plant, X, mu)
-    assert np.array_equal(mech_eta_rate(plant, X, u),
-                          _lone_rows(lambda x, ui: mech_eta_rate(plant, x, ui), X, u))
     dpd = oc.derive_phase_disturbance
     assert np.array_equal(dpd(plant, X, e), _lone_rows(lambda x, ei: dpd(plant, x, ei), X, e))
 
@@ -381,6 +434,11 @@ def test_mech_stack_names_its_first_out_of_domain_phase(mech_plant):
     with pytest.raises(ValueError) as stack:
         oc.derive_phase_disturbance(mech_plant, X, e)
     assert str(stack.value) == str(lone.value)
+    # a row whose true phase alone is out comes first and is named as such
+    X[2, 0] = 1.5 * mech_plant.delta + mech_plant.q1_minus
+    e[2] = -0.75
+    with pytest.raises(ValueError, match=r"^true phase 1\.5 outside \[0, 1\]$"):
+        oc.derive_phase_disturbance(mech_plant, X, e)
 
 
 # --- closed-loop wrappers -------------------------------------------------------
