@@ -20,12 +20,22 @@ scaled Riccati identity and gamma P_eps <= Q_eps hold (then psi0 =
 an internal-consistency failure.
 
 Every quantity above is linear in eta or a product of two linear ones, so
-one row-by-row ``matvec`` of the stacked operator
+one row-by-row ``matvec`` of a stacked operator gives all the laws need.
+``clf_operator`` builds it once per certificate on eta,
 
     W = [F; P_eps; 2 G'P_eps; M]    ((3 n_eta + n_mu) x n_eta),
 
-built once per certificate by ``clf_operator``, gives all the laws need:
-F eta, P_eps eta, psi1 and M eta, in that order.
+whose rows give F eta, P_eps eta, psi1 and M eta, in that order.  A closed
+loop on a state x = (eta, ...) of width w > n_eta may instead build one
+operator on x with the same law rows in state coordinates,
+
+    W_x = [L; G 2 G'P_eps; M]    (3w x w; the law's blocks are zero off eta),
+
+where L is the loop's own linear field: ``min_norm_mu`` then reads G psi1
+and M eta from ``matvec(W_x, x)`` and returns G mu, already placed.  G is
+a 0/1 selection with disjoint columns, so ||G psi1|| = ||psi1||, and the
+placed law is G times the law (the longer rows may round differently in
+the last bit).
 
 The same membership test applies verbatim to time-parameterized outputs:
 evaluate it on eta_t in place of eta.
@@ -54,12 +64,11 @@ class ClfEvaluation:
     LG_V: np.ndarray
 
 
-def _check_eta(cert: ResClfCertificate, eta: np.ndarray, batch: bool = False) -> np.ndarray:
+def _check_eta(cert: ResClfCertificate, eta: np.ndarray) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
     n = cert.dims.n_eta
-    if eta.shape[-1:] != (n,) or eta.ndim > (2 if batch else 1):
-        expected = f"({n},) or (B, {n})" if batch else f"({n},)"
-        raise ValueError(f"eta has shape {eta.shape}, expected {expected}")
+    if eta.shape != (n,):
+        raise ValueError(f"eta has shape {eta.shape}, expected ({n},)")
     return eta
 
 
@@ -81,9 +90,7 @@ def clf_operator(cert: ResClfCertificate, dyn: OutputDynamics) -> np.ndarray:
     """The laws' stacked operator W = [F; P_eps; 2 G'P_eps; M], shape (3 n_eta + n_mu, n_eta).
 
     One ``matvec(W, eta)`` gives F eta, P_eps eta, psi1 = LG_V' =
-    2 G'P_eps eta and M eta; the laws below read them from those rows.  A
-    closed loop may append rows of its own (the Hopf coupling C) and pass
-    the longer rows: the laws read only the leading 3 n_eta + n_mu.
+    2 G'P_eps eta and M eta; the laws below read them from those rows.
     """
     F, P = dyn.F, cert.P_eps
     M = F.T @ P + P @ F + cert.rate * P
@@ -107,30 +114,38 @@ def evaluate_clf(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray) 
     return ClfEvaluation(V=float(V), LF_V=float(LF_V), LG_V=LG_V)
 
 
-#: the smallest normal double: a floor for denominators that may be 0
-_TINY = np.finfo(float).tiny
+#: the law's constants as 0-d arrays, which numpy combines with a small
+#: array faster than a Python float: 0, the 1e-14 of the flat-psi1 guard,
+#: and the smallest normal double, a floor for denominators that may be 0
+_ZERO, _FLAT, _TINY = np.array(0.0), np.array(1e-14), np.array(np.finfo(float).tiny)
 
 
-def min_norm_mu(cert: ResClfCertificate, eta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def min_norm_mu(cert: ResClfCertificate, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Minimum-Euclidean-norm element of the rate-(gamma/eps) controller set.
 
-    rows = matvec(W, eta) for W from ``clf_operator`` (possibly with rows
-    appended).  eta is one point (n_eta,) or a batch (B, n_eta); the result
-    has the matching shape (n_mu,) or (B, n_mu), and each row equals the
-    law at that row alone, bit for bit.  A row with psi0 <= 0 gives a zero
-    mu (possibly -0.0), and psi1 = 0 there gives no NaN.
+    rows = matvec(W, x), and the width of x tells the layout apart:
+    x = eta (n_eta wide) with W from ``clf_operator`` gives mu (n_mu wide);
+    a state x of width w != n_eta with a state operator [L; G 2 G'P_eps; M]
+    (3w rows, see the module docstring) gives G mu in the state's
+    coordinates (w wide).  x is one point or a batch (B, width); each row
+    equals the law at that row alone, bit for bit.  A row with psi0 <= 0
+    gives a zero mu (possibly -0.0), and psi1 = 0 there gives no NaN.
     """
-    eta = _check_eta(cert, eta, batch=True)
-    n, m = cert.dims.n_eta, cert.dims.n_mu
-    psi1 = rows[..., 2 * n:2 * n + m]
-    psi0 = vecdot(eta, rows[..., 2 * n + m:3 * n + m])
+    w = x.shape[-1]
+    n = cert.dims.n_eta
+    a, b = (2 * n, 2 * n + cert.dims.n_mu) if w == n else (w, 2 * w)
+    if rows.shape[-1:] != (b + w,):
+        raise ValueError(f"rows have shape {rows.shape}, expected (..., {b + w}) "
+                         f"for a point of width {w}")
+    psi1 = rows[..., a:b]
+    psi0 = vecdot(x, rows[..., b:])
     denom = vecdot(psi1, psi1)
     # psi1 ~ 0 relative to psi0; only such a row can be inconsistent, so the
     # full check runs only when one exists
-    flat = denom <= 1e-14 * psi0
+    flat = denom <= _FLAT * psi0
     if np.count_nonzero(flat):
-        _check_consistency(eta, psi0, flat)
-    return -(np.maximum(psi0, 0.0) / np.maximum(denom, _TINY))[..., None] * psi1
+        _check_consistency(x, psi0, flat)
+    return -(np.maximum(psi0, _ZERO) / np.maximum(denom, _TINY))[..., None] * psi1
 
 
 def _check_consistency(eta: np.ndarray, psi0: np.ndarray, flat: np.ndarray) -> None:
@@ -175,7 +190,9 @@ def u_s_damping(cert: ResClfCertificate, rows: np.ndarray, eps_bar: float) -> np
 
     With B_y = I this adds exactly -(1/eps_bar) ||G'P_eps eta||^2 to the
     V_eps derivative; smaller eps_bar damps harder.  rows = matvec(W, eta)
-    as for ``min_norm_mu``, one point or a batch.
+    for W from ``clf_operator``, one point or a batch.  u_s is linear in the
+    rows, so it also maps W' itself: u_s_damping(cert, W.T, eps_bar).T is
+    the gain K with u_s = K eta.
     """
     if not (0.0 < eps_bar <= 1.0):
         raise ValueError(f"eps_bar must lie in (0, 1], got {eps_bar}")

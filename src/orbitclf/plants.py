@@ -65,8 +65,6 @@ class HopfPlant:
     coupling: np.ndarray | None = None  # (2, n_eta); default all entries 0.2
     y1_rate: float = 1.0  # first-order y1 contraction on the partial zero dynamics
     dyn: OutputDynamics = field(init=False, repr=False)
-    _spin: np.ndarray = field(init=False, repr=False, compare=False)  # (-omega, omega)
-    _r0_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lambda_h <= 0.0:
@@ -81,8 +79,6 @@ class HopfPlant:
             raise ValueError(f"coupling has shape {C.shape}, expected (2, {self.dims.n_eta})")
         object.__setattr__(self, "coupling", C)
         object.__setattr__(self, "dyn", build_fg(self.dims))
-        object.__setattr__(self, "_spin", np.array([-self.omega, self.omega]))
-        object.__setattr__(self, "_r0_sq", self.r0 ** 2)
 
     @property
     def period(self) -> float:
@@ -97,9 +93,9 @@ class HopfPlant:
         """Psi0(z), the uncoupled Hopf normal form; z is (2,) or a batch (..., 2)."""
         z = np.asarray(z, dtype=float)
         zz = z * z
-        g = self.lambda_h * (self._r0_sq - (zz[..., 0] + zz[..., 1]))
+        g = self.lambda_h * (self.r0 ** 2 - (zz[..., 0] + zz[..., 1]))
         # (-w z2 + g z1, w z1 + g z2), each sum in that order
-        return z[..., ::-1] * self._spin + g[..., None] * z
+        return z[..., ::-1] * [-self.omega, self.omega] + g[..., None] * z
 
     def exact_zero_solution(self, z0: np.ndarray, t: float) -> np.ndarray:
         """Closed-form flow of dz/dt = Psi0(z): logistic radius, linear angle."""
@@ -392,9 +388,9 @@ def derive_phase_disturbance(plant: MechPlant, x: np.ndarray,
 class DisturbedClosedLoop:
     """Hopf plant under the min-norm controller, disturbance, and optional damping.
 
-    The flat simulation state is the concatenation (eta, z).  With zero
-    disturbance and eta = 0, z on the circle, the flow is periodic with
-    period 2 pi / omega.
+    The flat simulation state is x = (eta, z).  With zero disturbance and
+    eta = 0, z on the circle, the flow is periodic with period 2 pi / omega.
+    eps_bar must lie in (0, 1] whether or not the damping is on.
     """
 
     plant: HopfPlant
@@ -403,20 +399,34 @@ class DisturbedClosedLoop:
     signal: DisturbanceSignal | None = None
     eps_bar: float = 0.1
     sigma: float = 1.0  # composite Lyapunov weight used for the V_c trace
-    #: [F; P_eps; 2 G'P_eps; M; C], built once: the laws' operator plus the coupling
+    #: [L; G 2 G'P_eps; M] on the state x, built once (see ``field``)
     operator: np.ndarray = field(init=False, repr=False, compare=False)
-    #: (y1, y2, dy2) slices of eta and the slice of v that the dy2 rows take
-    _place: tuple = field(init=False, repr=False, compare=False)
+    #: the state rows that G feeds, in mu order: (G v)[g_rows[j]] = v[j]
+    g_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    #: lambda_h and r0^2 as 0-d arrays (see ``clf._ZERO``)
+    _radial: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.controller not in CONTROLLER_MODES:
             raise ValueError(f"unknown controller mode {self.controller!r}")
         if self.cert.dims != self.plant.dims:
             raise ValueError("certificate and plant dims disagree")
-        dims = self.plant.dims
-        object.__setattr__(self, "operator", np.vstack(
-            [clf_operator(self.cert, self.plant.dyn), self.plant.coupling]))
-        object.__setattr__(self, "_place", dims.blocks + (slice(dims.k1, None),))
+        plant, n, m = self.plant, self.plant.dims.n_eta, self.plant.dims.n_mu
+        W = clf_operator(self.cert, plant.dyn)
+        # u_s = K eta; u_s_damping reads K off W's psi1 rows, and checks eps_bar
+        K = u_s_damping(self.cert, W.T, self.eps_bar).T
+        g = plant.dyn.G.argmax(axis=0)
+        L, psi1, M = np.zeros((3, n + 2, n + 2))
+        L[:n, :n] = plant.dyn.F
+        if self.damped:
+            L[g, :n] = K  # F is zero on G's rows
+        L[n:, :n] = plant.coupling
+        L[n:, n:] = [[0.0, -plant.omega], [plant.omega, 0.0]]
+        psi1[g, :n] = W[2 * n:2 * n + m]
+        M[:n, :n] = W[2 * n + m:]
+        object.__setattr__(self, "operator", np.vstack([L, psi1, M]))
+        object.__setattr__(self, "g_rows", g)
+        object.__setattr__(self, "_radial", (np.array(plant.lambda_h), np.array(plant.r0 ** 2)))
 
     @property
     def state_dim(self) -> int:
@@ -427,33 +437,36 @@ class DisturbedClosedLoop:
         """Whether the damping feedback u_s is on."""
         return self.controller == "min_norm_plus_us"
 
+    def place(self, v: np.ndarray) -> np.ndarray:
+        """G v in state coordinates: v (..., n_mu) gives (..., state_dim), 0 off G's rows."""
+        out = np.zeros(v.shape[:-1] + (self.state_dim,))
+        out[..., self.g_rows] = v
+        return out
+
     def field(self, t: float, state: np.ndarray, d: np.ndarray) -> np.ndarray:
         """The closed-loop right-hand side at time t.
 
-        state is one flat state (state_dim,) or a batch (B, state_dim) of
-        runs under this loop's plant, certificate and controller.  d is the
-        mu-channel disturbance at t, one row per run.  One row-by-row
-        ``matvec`` of ``operator`` gives the laws' rows and C eta:
+        state is one flat state x = (eta, z) of shape (state_dim,) or a batch
+        (B, state_dim) of runs under this loop's plant, certificate and
+        controller; d is the mu-channel disturbance at t already placed,
+        ``place(d)``, one row per run.  ``operator``'s first rows hold every
+        linear term,
 
-            d eta/dt = F eta + G v,   v = mu + u_s + d,   dz/dt = Psi0(z) + C eta.
+            L x = (F eta + G u_s,  C eta + (-w z2, w z1)),   u_s = K eta or 0,
 
-        F and G select disjoint rows (``build_fg``), so F eta + G v is
-        written by placement: v's first k1 entries into the y1 rows, eta's
-        dy2 block into the y2 rows, the rest of v into the dy2 rows.
+        so one row-by-row ``matvec`` gives L x and the law's rows,
+        ``min_norm_mu`` returns G mu already placed, and
+
+            dx/dt = L x + G mu + G d + (0, lh (r0^2 - |z|^2) z),
+
+        that is d eta/dt = F eta + G(mu + u_s + d), dz/dt = Psi0(z) + C eta.
         """
-        n = self.plant.dims.n_eta
-        eta, z = state[..., :n], state[..., n:]
-        rows = matvec(self.operator, eta)
-        v = min_norm_mu(self.cert, eta, rows)
-        if self.damped:
-            v = v + u_s_damping(self.cert, rows, self.eps_bar)
-        v = v + d
-        y1, y2, dy2, v_dy2 = self._place
-        out = np.empty_like(state)
-        out[..., y1] = v[..., y1]
-        out[..., y2] = eta[..., dy2]
-        out[..., dy2] = v[..., v_dy2]
-        np.add(self.plant.zero_field(z), rows[..., -2:], out=out[..., n:])
+        rows = matvec(self.operator, state)
+        out = rows[..., :state.shape[-1]] + min_norm_mu(self.cert, state, rows)
+        out += d
+        z, out_z = state[..., -2:], out[..., -2:]
+        lh, r0_sq = self._radial
+        out_z += (lh * (r0_sq - vecdot(z, z)))[..., None] * z
         return out
 
 

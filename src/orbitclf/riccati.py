@@ -268,8 +268,13 @@ def certificate(dyn: OutputDynamics, Q: np.ndarray, eps: float) -> ResClfCertifi
     gamma = float(w_q[0] / w_p[-1])
     res = care_residual(dyn, P, Q)
     res_eps = scaled_care_residual(dyn, P_eps, Q_eps, eps)
-    if res > RESIDUAL_TOL or res_eps > RESIDUAL_TOL:
-        raise CareSolveError(f"certificate residuals out of tolerance: {res:g}, {res_eps:g}")
+    for name, value in (("CARE residual", res), ("eps-scaled CARE residual", res_eps)):
+        if value > RESIDUAL_TOL:
+            # the scaled identity has terms of size about ||Q||/eps^3, which a
+            # double-precision P cannot match to an absolute tolerance
+            raise CareSolveError(
+                f"{name} {value:g} exceeds the tolerance {RESIDUAL_TOL:g} "
+                f"at ||Q|| = {w_q[-1]:g}, eps = {eps:g}; try rescaling Q to a smaller norm")
     if gamma <= 0.0:
         raise CareSolveError("gamma must be positive")
     w_gap, _ = sym_eig(Q - gamma * P)

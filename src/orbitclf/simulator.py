@@ -9,7 +9,9 @@ under stage sampling for every signal kind shipped here.
 The stage times are the accumulated node times t_i (t_0 = 0, t_{i+1} =
 t_i + dt, the same float sums RK4's last stage makes) and t_i + dt/2.  The
 Hopf loops' d is tabled at both, CHUNK steps at a time, before those
-steps are taken; a record's d column holds the node rows, which are the d
+steps are taken, and placed there once in state coordinates (G d, see
+``DisturbedClosedLoop.place``), so a stage adds its row as it is; a
+record's d column holds the node rows before placement, which are the d
 that each step's first stage applied.  A mech record evaluates its phase
 error at the same node times, so its d and mu are those of each step's
 first stage too.  The record's t column prints the grid i*dt.
@@ -22,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clf import lie_terms, matvec, min_norm_mu, u_s_damping
+from .clf import clf_operator, lie_terms, matvec, min_norm_mu
 from .disturbance import DisturbanceTable
 from .plants import (DisturbedClosedLoop, MechClosedLoop, check_phases,
                      mech_phase_disturbance, orbit_distance, vz_value)
@@ -111,13 +113,13 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
 
     # the node times 0, dt, 2 dt, ... summed in order, as t is below: the same floats
     nodes = np.add.accumulate(np.concatenate([[0.0], np.full(n_steps, dt)]))
-    table = d = None
+    table = d = place = None
     if isinstance(closed_loop, MechClosedLoop):
         f = closed_loop.field
     else:
         loop = _shared_hopf_loop(loops)
         table = DisturbanceTable([lp.signal for lp in loops], loop.plant.dims.n_mu, T)
-        f = loop.field
+        f, place = loop.field, loop.place
         x0 = x0.reshape(len(loops), -1)
         d = np.empty((n_steps + 1,) + table.shape)  # d at the node times, recorded
 
@@ -134,8 +136,9 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
                 if j == 0:
                     k = min(CHUNK, n_steps - i)
                     d[i:i + k + 1] = table(nodes[i:i + k + 1])
-                    d_half = table(nodes[i:i + k] + 0.5 * dt)
-                inputs = (d[i], d_half[j], d[i + 1])
+                    d_node = place(d[i:i + k + 1])
+                    d_half = place(table(nodes[i:i + k] + 0.5 * dt))
+                inputs = (d_node[j], d_half[j], d_node[j + 1])
             x = states[i + 1] = rk4_step(f, t, states[i], dt, inputs)
             t += dt
             if np.count_nonzero(np.isfinite(x)) < x.size:
@@ -168,24 +171,28 @@ def _record_hopf(loops, d: np.ndarray, ts: np.ndarray,
                  states: np.ndarray) -> list[TrajectoryRecord]:
     """Traces of every run at once; states has shape (samples, B, state_dim).
 
-    d holds the disturbance rows that stepping applied at the sample times;
-    mu, u_s and V_eps come from the operator and law calls stepping makes.
+    d holds the disturbance rows that stepping applied at the sample times.
+    mu and u_s are read back from the operator and law calls stepping makes:
+    G mu from the law, u_s from L's rows on G (F is zero there).  V_eps
+    comes from ``clf_operator``'s rows on eta, as ``evaluate_clf`` gives it.
     """
     loop = loops[0]
-    plant, cert = loop.plant, loop.cert
-    S, B = states.shape[:2]
+    plant, cert, g = loop.plant, loop.cert, loop.g_rows
+    S, B, w = states.shape
     n, m = plant.dims.n_eta, plant.dims.n_mu
+    W = clf_operator(cert, plant.dyn)
     eta, z = states[..., :n], states[..., n:]
     mu, us, v_eps = np.empty((S, B, m)), np.zeros((S, B, m)), np.empty((S, B))
     # CHUNK samples at a time: the operator's rows of the whole trace would
     # be the largest array of a run
     for a in range(0, S, CHUNK):
-        e = eta[a:a + CHUNK].reshape(-1, n)  # one row per (sample, run)
-        rows = matvec(loop.operator, e)
-        mu[a:a + CHUNK] = min_norm_mu(cert, e, rows).reshape(-1, B, m)
-        v_eps[a:a + CHUNK] = lie_terms(cert, e, rows)[0].reshape(-1, B)
+        x = states[a:a + CHUNK].reshape(-1, w)  # one row per (sample, run)
+        rows = matvec(loop.operator, x)
+        mu[a:a + CHUNK] = min_norm_mu(cert, x, rows)[:, g].reshape(-1, B, m)
         if loop.damped:
-            us[a:a + CHUNK] = u_s_damping(cert, rows, loop.eps_bar).reshape(-1, B, m)
+            us[a:a + CHUNK] = rows[:, g].reshape(-1, B, m)
+        e = eta[a:a + CHUNK].reshape(-1, n)
+        v_eps[a:a + CHUNK] = lie_terms(cert, e, matvec(W, e))[0].reshape(-1, B)
     v_z = vz_value(eta[..., :plant.dims.k1], z, plant)
     dist = orbit_distance(eta, z, plant)
     v_c = np.array([lp.sigma for lp in loops]) * v_z + v_eps

@@ -250,6 +250,17 @@ def test_uncertifiable_q_exits_2(tmp_path, capsys, q):
     _one_line_error(capsys, "no RES-CLF certificate for this Q")
 
 
+def test_residual_failure_names_the_residual_and_its_scale(tmp_path, capsys):
+    # an SPD Q whose eps-scaled CARE residual misses the absolute 1e-10 by a
+    # hair: the message names the residual, its value, the tolerance, ||Q||, eps
+    args = ["synth", "--out", str(tmp_path), "--override", "k1=0", "--override", "k2=1",
+            "--override", "eps=0.05", "--override", "Q=[[59,0],[0,1]]"]
+    assert run(args) == 2
+    _one_line_error(capsys, "no RES-CLF certificate for this Q: eps-scaled CARE residual "
+                            "1.16444e-10 exceeds the tolerance 1e-10 at ||Q|| = 59, eps = 0.05; "
+                            "try rescaling Q to a smaller norm")
+
+
 def test_object_override_merges_into_section(tmp_path):
     assert run(["synth", "--out", str(tmp_path), "--override", 'initial={"eta":[0.1,0.1]}']) == 0
     initial = json.loads((tmp_path / "certificate.json").read_text())["config"]["initial"]

@@ -464,27 +464,83 @@ def test_closed_loop_periodicity(hopf01, dims01, dyn01):
     assert np.max(rec.dist) <= 1e-9
 
 
-@pytest.mark.parametrize("k1, k2", [(0, 1), (0, 3), (1, 0), (2, 0), (1, 2), (2, 3)])
-@pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
-def test_hopf_field_places_f_eta_plus_g_v(k1, k2, controller):
-    # the field writes F eta + G v by placement; it equals the two matvecs
-    # bitwise on random inputs (np.array_equal counts -0.0 equal to +0.0:
-    # where an entry is zero, the placement may give -0.0 and the sum +0.0)
+HOPF_DIMS = [(0, 1), (0, 3), (1, 0), (2, 0), (1, 2), (2, 3)]
+
+
+def _hopf_loop_and_inputs(k1, k2, controller):
+    """A Hopf loop with a random batch of 32 states and mu-channel disturbances."""
     dims = oc.OutputDims(k1, k2)
     plant = oc.HopfPlant(dims=dims)
     cert = oc.certificate(plant.dyn, np.eye(dims.n_eta), 0.2)
     loop = oc.DisturbedClosedLoop(plant=plant, cert=cert, controller=controller, eps_bar=0.3)
     rng = np.random.default_rng(7 + 10 * k1 + k2)
-    n, m = dims.n_eta, dims.n_mu
-    X = rng.normal(size=(32, n + 2))
-    D = 0.1 * rng.normal(size=(32, m))
-    rows = oc.matvec(loop.operator, X[:, :n])
-    v = oc.min_norm_mu(cert, X[:, :n], rows)
-    if loop.damped:
-        v = v + oc.u_s_damping(cert, rows, loop.eps_bar)
-    v = v + D
-    want = oc.matvec(plant.dyn.F, X[:, :n]) + oc.matvec(plant.dyn.G, v)
-    out = loop.field(0.0, X, D)
-    assert np.array_equal(out[:, :n], want)
-    assert np.array_equal(out[:, n:], plant.zero_field(X[:, n:]) + rows[:, -2:])
-    assert np.array_equal(out[3], loop.field(0.0, X[3], D[3]))  # a lone state
+    return loop, rng.normal(size=(32, dims.n_eta + 2)), 0.1 * rng.normal(size=(32, dims.n_mu))
+
+
+@pytest.mark.parametrize("k1, k2", HOPF_DIMS)
+@pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
+def test_hopf_field_places_f_eta_plus_g_v(k1, k2, controller):
+    # the field is L x + G mu + G d, plus lh (r0^2 - |z|^2) z on the z rows,
+    # bitwise: one matvec of the state operator gives L x and the law's rows,
+    # the law returns G mu placed and d comes placed; G mu, G d and the
+    # damping sit on G's rows only, and F is zero there
+    loop, X, D = _hopf_loop_and_inputs(k1, k2, controller)
+    plant, cert = loop.plant, loop.cert
+    n, g = plant.dims.n_eta, loop.g_rows
+    off = np.setdiff1d(np.arange(n + 2), g)
+    Gd = loop.place(D)
+    assert np.array_equal(Gd[:, g], D) and not Gd[:, off].any()
+    assert np.array_equal(Gd[:, :n], oc.matvec(plant.dyn.G, D))
+    rows = oc.matvec(loop.operator, X)
+    Gmu = oc.min_norm_mu(cert, X, rows)
+    assert Gmu.shape == X.shape and not Gmu[:, off].any() and Gmu[:, g].any()
+    L, F_rows = loop.operator[:n + 2], np.setdiff1d(np.arange(n), g)
+    assert not plant.dyn.F[g].any()
+    assert np.array_equal(L[F_rows, :n], plant.dyn.F[F_rows]) and not L[F_rows, n:].any()
+    assert np.array_equal(L[n:], np.hstack([plant.coupling, [[0.0, -plant.omega],
+                                                             [plant.omega, 0.0]]]))
+    W = oc.clf_operator(cert, plant.dyn)
+    K = oc.u_s_damping(cert, W.T, loop.eps_bar).T if loop.damped else 0.0
+    assert np.array_equal(L[g, :n], np.zeros((len(g), n)) + K) and not L[g, n:].any()
+    want = rows[:, :n + 2] + Gmu + Gd
+    z = X[:, n:]
+    want[:, n:] += (plant.lambda_h * (plant.r0 ** 2 - np.vecdot(z, z)))[:, None] * z
+    out = loop.field(0.0, X, Gd)
+    assert np.array_equal(out, want)
+    assert np.array_equal(out[3], loop.field(0.0, X[3], Gd[3]))  # a lone state
+
+
+@pytest.mark.parametrize("k1, k2", HOPF_DIMS)
+@pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
+def test_hopf_field_matches_written_out_dynamics(k1, k2, controller):
+    # the oracle: d eta/dt = F eta + G(mu + u_s + d) and dz/dt = Psi0(z) + C eta
+    # with mu, u_s and Psi0 written out from their formulas, to rtol 1e-13 and
+    # an atol of 1e-13 times the size of the terms that are summed
+    loop, X, D = _hopf_loop_and_inputs(k1, k2, controller)
+    plant, cert = loop.plant, loop.cert
+    F, G, C, P = plant.dyn.F, plant.dyn.G, plant.coupling, cert.P_eps
+    n, w, lh, r0 = plant.dims.n_eta, plant.omega, plant.lambda_h, plant.r0
+    out = loop.field(0.0, X, loop.place(D))
+    for x, d, got in zip(X, D, out):
+        eta, (z1, z2) = x[:n], x[n:]
+        LF_V, V = eta @ (F.T @ P + P @ F) @ eta, eta @ P @ eta
+        psi0, psi1 = LF_V + cert.rate * V, 2.0 * G.T @ P @ eta
+        mu = -(psi0 / (psi1 @ psi1)) * psi1 if psi0 > 0.0 else np.zeros_like(psi1)
+        us = -(1.0 / (2.0 * loop.eps_bar)) * G.T @ P @ eta if loop.damped else 0.0 * mu
+        radial = lh * (r0 ** 2 - z1 * z1 - z2 * z2)
+        psi_0 = np.array([-w * z2 + radial * z1, w * z1 + radial * z2])
+        want = np.concatenate([F @ eta + G @ (mu + us + d), psi_0 + C @ eta])
+        # mu's terms are of size (|LF_V| + rate V) / ||psi1||, as in the law's oracle
+        mu_scale = (abs(LF_V) + cert.rate * V) / np.linalg.norm(psi1)
+        scale = np.concatenate([
+            np.abs(F) @ np.abs(eta) + np.abs(G) @ (mu_scale + np.abs(us) + np.abs(d)),
+            np.abs(w * x[n:]) + np.abs(radial * x[n:]) + np.abs(C) @ np.abs(eta)])
+        assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(want) + scale)), (got, want)
+
+
+@pytest.mark.parametrize("eps_bar", [0.0, 1.5, float("nan")])
+@pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
+def test_closed_loop_rejects_eps_bar_at_construction(hopf01, dyn01, eps_bar, controller):
+    cert = oc.certificate(dyn01, np.eye(2), 0.5)
+    with pytest.raises(ValueError, match=r"eps_bar must lie in \(0, 1\]"):
+        oc.DisturbedClosedLoop(plant=hopf01, cert=cert, controller=controller, eps_bar=eps_bar)

@@ -215,34 +215,38 @@ def _recording_calls(monkeypatch, holder, name):
 @pytest.mark.parametrize("chunk", [7, 500])
 def test_stage_inputs_equal_per_call_table(monkeypatch, chunk):
     # each field call gets d at its own stage time t, t + dt/2 or t + dt, bit
-    # for bit the table's value there, for every signal kind over 20 s
+    # for bit the table's value there placed through G, for every signal kind
+    # over 20 s
     loops, x0 = _every_signal_kind()
     monkeypatch.setattr(simulator, "CHUNK", chunk)
     calls = _recording_calls(monkeypatch, oc.DisturbedClosedLoop, "field")
     oc.integrate(loops, x0, T=20.0, dt=1e-2)
     table = oc.DisturbanceTable([lp.signal for lp in loops], 3, 20.0)
     assert len(calls) == 4 * 2000
-    for (_, t, _, d), _ in calls:
-        assert np.array_equal(d, table(t)), t
+    for (loop, t, _, d), _ in calls:
+        assert np.array_equal(d, loop.place(table(t))), t
 
 
 @pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
 def test_record_shows_what_stepping_applied(monkeypatch, controller):
     # record.d, record.mu and record.u_s at sample i are bitwise the d, mu and
-    # u_s of step i's first stage (the last sample: the last step's last stage)
+    # u_s of step i's first stage (the last sample: the last step's last
+    # stage): d and mu read back from the placed stage input and the law's
+    # placed output, u_s from the operator's rows on G
     loop = dataclasses.replace(_every_signal_kind(controller)[0][-1], eps_bar=0.5)
     x0 = _batch_of_five()[1][1]
     fields = _recording_calls(monkeypatch, oc.DisturbedClosedLoop, "field")
     mus = _recording_calls(monkeypatch, plants, "min_norm_mu")
-    uss = _recording_calls(monkeypatch, plants, "u_s_damping")
+    rows = _recording_calls(monkeypatch, plants, "matvec")
     rec = oc.integrate(loop, x0, T=8.0, dt=1e-3)  # the benchmark's certify horizon
-    n = len(rec) - 1
-    assert len(fields) == len(mus) == 4 * n and len(uss) == (4 * n if loop.damped else 0)
+    n, g = len(rec) - 1, loop.g_rows
+    assert len(fields) == len(mus) == len(rows) == 4 * n
     first = slice(0, None, 4)
-    assert np.array_equal(rec.d, [args[3][0] for args, _ in fields[first] + fields[-1:]])
-    assert np.array_equal(rec.mu[:n], [mu[0] for _, mu in mus[first]])
+    assert np.array_equal(rec.d, [args[3][0][g] for args, _ in fields[first] + fields[-1:]])
+    assert np.array_equal(rec.mu[:n], [mu[0][g] for _, mu in mus[first]])
     if loop.damped:
-        assert np.array_equal(rec.u_s[:n], [us[0] for _, us in uss[first]])
+        assert np.array_equal(rec.u_s[:n], [r[0][g] for _, r in rows[first]])
+        assert rec.u_s.any()
     else:
         assert not rec.u_s.any()
     # the accumulated t leaves the grid i*dt in another dwell block at 7 samples
