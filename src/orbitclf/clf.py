@@ -52,7 +52,7 @@ from .riccati import ResClfCertificate
 
 
 class ClfConsistencyError(RuntimeError):
-    """The provably-infeasible branch (psi1 = 0, psi0 > 0) was reached."""
+    """The provably-infeasible branch (psi1 = 0, psi0 > 0) was reached, or the state overflowed."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,9 @@ def evaluate_clf(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray) 
 #: the law's constants as 0-d arrays, which numpy combines with a small
 #: array faster than a Python float: 0, the 1e-14 of the flat-psi1 guard,
 #: and the smallest normal double, a floor for denominators that may be 0
+#: (also as a Python float, for a lone point)
 _ZERO, _FLAT, _TINY = np.array(0.0), np.array(1e-14), np.array(np.finfo(float).tiny)
+_TINY_F = float(_TINY)
 
 
 def min_norm_mu(cert: ResClfCertificate, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -128,8 +130,11 @@ def min_norm_mu(cert: ResClfCertificate, x: np.ndarray, rows: np.ndarray) -> np.
     a state x of width w != n_eta with a state operator [L; G 2 G'P_eps; M]
     (3w rows, see the module docstring) gives G mu in the state's
     coordinates (w wide).  x is one point or a batch (B, width); each row
-    equals the law at that row alone, bit for bit.  A row with psi0 <= 0
-    gives a zero mu (possibly -0.0), and psi1 = 0 there gives no NaN.
+    equals the law at that row alone, bit for bit.  A lone point (x and
+    rows 1-D) takes the scalar path: the same IEEE operations on Python
+    floats, which skip numpy's per-call cost on 0-d values, with the same
+    bits.  A row with psi0 <= 0 gives a zero mu (possibly -0.0), and
+    psi1 = 0 there gives no NaN.
     """
     w = x.shape[-1]
     n = cert.dims.n_eta
@@ -140,22 +145,40 @@ def min_norm_mu(cert: ResClfCertificate, x: np.ndarray, rows: np.ndarray) -> np.
     psi1 = rows[..., a:b]
     psi0 = vecdot(x, rows[..., b:])
     denom = vecdot(psi1, psi1)
+    if x.ndim == rows.ndim == 1:
+        p, q = float(psi0), float(denom)
+        if q <= 1e-14 * p:
+            _check_consistency(x, psi0, denom, True)
+        # np.maximum's semantics: NaN propagates and max(-0.0, 0.0) is +0.0
+        p = 0.0 if p <= 0.0 else p
+        q = _TINY_F if q < _TINY_F else q
+        return -(p / q) * psi1
     # psi1 ~ 0 relative to psi0; only such a row can be inconsistent, so the
     # full check runs only when one exists
     flat = denom <= _FLAT * psi0
     if np.count_nonzero(flat):
-        _check_consistency(x, psi0, flat)
+        _check_consistency(x, psi0, denom, flat)
     return -(np.maximum(psi0, _ZERO) / np.maximum(denom, _TINY))[..., None] * psi1
 
 
-def _check_consistency(eta: np.ndarray, psi0: np.ndarray, flat: np.ndarray) -> None:
-    """Raise ClfConsistencyError for the first row with psi0 > 0 among the flat rows."""
-    bad = (psi0 > 0.0) & flat
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        where = f"row {row}: " if eta.ndim == 2 else ""
+def _check_consistency(x: np.ndarray, psi0: np.ndarray, denom: np.ndarray,
+                       flat: np.ndarray | bool) -> None:
+    """Raise ClfConsistencyError for the first row with psi0 > 0 among the flat rows.
+
+    psi0 = inf marks a row flat unless ||psi1||^2 is NaN; such a row is a
+    state that overflowed, not a broken certificate, and its message says so.
+    """
+    psi0, denom = np.ravel(psi0), np.ravel(denom)
+    bad = np.flatnonzero((psi0 > 0.0) & flat)
+    if bad.size:
+        row = int(bad[0])
+        where = f"row {row}: " if x.ndim == 2 else ""
+        if not (np.isfinite(psi0[row]) and np.isfinite(denom[row])):
+            raise ClfConsistencyError(
+                f"{where}the state overflowed: psi0 = {psi0[row]:g}, "
+                f"||psi1||^2 = {denom[row]:g}")
         raise ClfConsistencyError(
-            f"{where}psi1 ~ 0 with psi0 = {np.ravel(psi0)[row]:g} > 0; "
+            f"{where}psi1 ~ 0 with psi0 = {psi0[row]:g} > 0; "
             "certificate invariants are broken")
 
 

@@ -32,6 +32,8 @@ from .plants import (DisturbedClosedLoop, MechClosedLoop, check_phases,
 MAX_STEPS = 10_000_000
 #: steps whose stage-time disturbance is tabled at once, and samples recorded at once
 CHUNK = 500
+#: RK4's stage weight 2, a 0-d array as ``rk4_step``'s other multipliers
+_TWO = np.array(2.0)
 
 
 class SimulationError(RuntimeError):
@@ -71,14 +73,17 @@ def rk4_step(f: Callable[..., np.ndarray], t: float, y: np.ndarray, dt: float,
     """One classical Runge-Kutta 4 step of dy/dt = f(t, y).
 
     With inputs = (u(t), u(t + dt/2), u(t + dt)), an exogenous input tabled
-    at the stage times, the field is called as f(t, y, u).
+    at the stage times, the field is called as f(t, y, u).  The stage
+    multipliers are 0-d arrays, which numpy combines with a small array
+    faster than Python floats, in the same IEEE products.
     """
     u0, uh, u1 = ((),) * 3 if inputs is None else [(u,) for u in inputs]
+    half, whole, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
     k1 = f(t, y, *u0)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1, *uh)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2, *uh)
-    k4 = f(t + dt, y + dt * k3, *u1)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + 0.5 * dt, y + half * k1, *uh)
+    k3 = f(t + 0.5 * dt, y + half * k2, *uh)
+    k4 = f(t + dt, y + whole * k3, *u1)
+    return y + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4)
 
 
 def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitclf as oc
+from orbitclf import clf
 
 SQRT3 = np.sqrt(3.0)
 
@@ -235,8 +237,9 @@ def _batch_cases(cert01_e01, dyn01):
 
 
 def test_min_norm_batch_matches_rows(cert01_e01, dyn01):
-    # the batched law equals the point law row by row, bit for bit, on both
-    # branches, at zero and on wildly scaled rows
+    # the batched law equals the lone point's law row by row, byte for byte
+    # (a lone point takes the scalar path, so -0.0 against +0.0 counts), on
+    # both branches, at zero and on wildly scaled rows
     rng = np.random.default_rng(11)
     for cert, dyn in _batch_cases(cert01_e01, dyn01):
         n = cert.dims.n_eta
@@ -245,9 +248,9 @@ def test_min_norm_batch_matches_rows(cert01_e01, dyn01):
         mu = _mu(cert, dyn, E)
         assert mu.shape == (64, cert.dims.n_mu)
         assert np.count_nonzero(np.any(mu != 0.0, axis=1)) not in (0, 64)  # both branches
-        assert np.array_equal(mu, [_mu(cert, dyn, e) for e in E])
+        assert mu.tobytes() == np.array([_mu(cert, dyn, e) for e in E]).tobytes()
         us = _us(cert, dyn, E, 0.1)
-        assert np.array_equal(us, [_us(cert, dyn, e, 0.1) for e in E])
+        assert us.tobytes() == np.array([_us(cert, dyn, e, 0.1) for e in E]).tobytes()
         for bad in (np.zeros((3, n + 1)), np.zeros((2, 2, n))):
             with pytest.raises(ValueError):
                 oc.min_norm_mu(cert, bad, bad)
@@ -261,10 +264,93 @@ def test_min_norm_batch_consistency_error(cert01_e01, dyn01):
     kernel = np.array([-w[1], w[0]])
     E = np.array([[0.3, -0.1], kernel, [0.0, 0.0]])
     _mu(broken, dyn01, E[[0, 2]])  # the other rows are fine
-    with pytest.raises(oc.ClfConsistencyError, match="row 1"):
+    with pytest.raises(oc.ClfConsistencyError, match="row 1") as batch:
         _mu(broken, dyn01, E)
-    with pytest.raises(oc.ClfConsistencyError):
+    # the lone point says the same, without a row
+    with pytest.raises(oc.ClfConsistencyError) as lone:
         _mu(broken, dyn01, kernel)
+    assert str(batch.value) == "row 1: " + str(lone.value)
+    assert re.fullmatch(r"psi1 ~ 0 with psi0 = \S+ > 0; certificate invariants are broken",
+                        str(lone.value))
+
+
+def _vecdot_from_first_product(a, b):
+    """x @ y row by row, summed from the first product on.
+
+    np.vecdot starts its sum at +0.0, so it never returns -0.0; this
+    stand-in returns -0.0 when every product is -0.0.
+    """
+    p = a * b
+    out = p[..., 0]
+    for j in range(1, p.shape[-1]):
+        out = out + p[..., j]
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("dot", [clf.vecdot, _vecdot_from_first_product])
+def test_min_norm_lone_matches_batch_on_signed_zeros_nan_and_inf(monkeypatch, dot,
+                                                                 cert01_e01, dyn01):
+    # rows where Python floats and numpy could part: psi0 = -0.0
+    # (np.maximum(-0.0, 0.0) is +0.0, Python's max(-0.0, 0.0) is -0.0),
+    # psi1 exactly 0, and NaN or +-inf in psi0 or ||psi1||^2.  The lone
+    # point's law has the bytes of the batch law on that row alone, NaN
+    # included, or raises its error without the row prefix.  Against a
+    # longer batch only NaN's sign and payload may differ: where both
+    # factors of mu's product are NaN, which one numpy keeps depends on its
+    # loop, in the batch code alone too
+    monkeypatch.setattr(clf, "vecdot", dot)
+    inf, nan = np.inf, np.nan
+    for cert, dyn in _batch_cases(cert01_e01, dyn01):
+        n, m = cert.dims.n_eta, cert.dims.n_mu
+        x = np.zeros(n)
+        x[0] = 1.0
+        X, R = [], []
+        for psi0 in (-0.0, 0.0, -1.5, 2.5, -inf, inf, nan):
+            for lead in (0.0, -0.0, 0.7, 1e200, inf, -inf, nan):
+                rows = np.zeros(3 * n + m)
+                rows[2 * n] = lead  # psi1 = (lead, 0, ...); ||psi1||^2 may be 0, inf or NaN
+                rows[2 * n + m:] = -0.0
+                rows[2 * n + m] = psi0  # psi0 = x'(M x) = psi0 + -0.0 + ...
+                got = dot(x, rows[2 * n + m:])
+                # np.vecdot makes the -0.0 row +0.0
+                assert (got.tobytes() == np.float64(psi0).tobytes()
+                        or dot is clf.vecdot and got == psi0 == 0.0)
+                X.append(x)
+                R.append(rows)
+        X, R = np.array(X), np.array(R)
+        lone, raised = [], []
+        for i, (xi, ri) in enumerate(zip(X, R)):
+            try:
+                lone.append(oc.min_norm_mu(cert, xi, ri))
+            except oc.ClfConsistencyError as exc:
+                with pytest.raises(oc.ClfConsistencyError) as batch:
+                    oc.min_norm_mu(cert, X[i:i + 2], R[i:i + 2])
+                assert str(batch.value) == "row 0: " + str(exc)
+                raised.append(i)
+                continue
+            assert lone[-1].tobytes() == oc.min_norm_mu(cert, X[i:i + 1], R[i:i + 1]).tobytes()
+        keep = np.setdiff1d(np.arange(len(X)), raised)
+        mu, lone = oc.min_norm_mu(cert, X[keep], R[keep]), np.array(lone)
+        assert np.isnan(mu).any() and np.signbit(mu[mu == 0.0]).any()
+        assert np.array_equal(np.isnan(mu), np.isnan(lone))
+        assert np.where(np.isnan(mu), 1.0, mu).tobytes() == np.where(np.isnan(lone), 1.0, lone).tobytes()
+        # flat and psi0 > 0: psi0 = 2.5 with psi1 = 0, and psi0 = inf unless ||psi1||^2 is NaN
+        assert len(raised) == 2 + 6
+
+
+def test_overflowed_state_is_not_reported_as_a_broken_certificate(cert01_e01, dyn01):
+    # eta = (1e170, 0) overflows psi0 and ||psi1||^2 to inf, and inf <= 1e-14 inf
+    # marks the row flat: the error says the state overflowed, in both branches
+    eta = np.array([1e170, 0.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(oc.ClfConsistencyError) as lone:
+            _mu(cert01_e01, dyn01, eta)
+        with pytest.raises(oc.ClfConsistencyError) as batch:
+            _mu(cert01_e01, dyn01, np.array([[0.1, 0.2], eta]))
+    assert str(lone.value) == "the state overflowed: psi0 = inf, ||psi1||^2 = inf"
+    assert str(batch.value) == "row 1: " + str(lone.value)
 
 
 def _textbook_mu(cert, dyn, eta):

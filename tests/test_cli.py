@@ -367,6 +367,15 @@ def test_on_orbit_start_is_rejected_before_integrating(tmp_path, capsys, monkeyp
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_overflowed_start_is_not_reported_as_a_broken_certificate(tmp_path, capsys, command):
+    # eta = (1e170, 0) overflows psi0 and ||psi1||^2 to inf in the first RHS,
+    # which marks the row flat: the run aborts (exit 3) saying so
+    assert run([command, "--out", str(tmp_path), "--override", "initial.eta=[1e170,0]"]) == 3
+    _one_line_error(capsys, "run aborted: row 0: the state overflowed: "
+                            "psi0 = inf, ||psi1||^2 = inf")
+
+
 def test_run_abort_exits_3(tmp_path, capsys, monkeypatch):
     # dt = 0.5 is outside RK4's stability region at eps = 0.01: the state
     # overflows and the run aborts with one line, no traceback, exit 3

@@ -17,6 +17,34 @@ def test_rk4_single_step_linear_decay():
     assert abs(z1 - np.exp(-0.1)) <= 1e-7  # actual truncation is ~8.2e-8
 
 
+def _rk4_written_out(f, t, y, dt, inputs=None):
+    """Classical RK4 with Python-float stage multipliers: the oracle."""
+    u0, uh, u1 = ((),) * 3 if inputs is None else [(u,) for u in inputs]
+    k1 = f(t, y, *u0)
+    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1, *uh)
+    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2, *uh)
+    k4 = f(t + dt, y + dt * k3, *u1)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_rk4_step_equals_the_written_out_formula(mech_plant, mech_cert):
+    # rk4_step's 0-d multipliers make the same IEEE products as Python
+    # floats: byte for byte on a Hopf batch of five (with a stage input) and
+    # on a lone mech state, at a dt that is not a power of two
+    dt = 1.3e-3
+    loops, x0 = _batch_of_five()
+    rng = np.random.default_rng(4)
+    inputs = tuple(loops[0].place(0.05 * rng.normal(size=(5, 3))) for _ in range(3))
+    mech = oc.MechClosedLoop(plant=mech_plant, cert=mech_cert, signal=None)
+    mech_x = np.array([0.05, mech_plant.y2d(0.05) + 0.04, 1.0, -0.05])
+    for f, y, u in ((loops[0].field, x0, inputs), (mech.field, mech_x, None)):
+        for i in range(3):
+            got = oc.rk4_step(f, 0.7 + i * dt, y, dt, u)
+            want = _rk4_written_out(f, 0.7 + i * dt, y, dt, u)
+            assert got.shape == y.shape and got.tobytes() == want.tobytes()
+            y = got
+
+
 def test_orbit_invariance(hopf01, dyn01):
     cert = oc.certificate(dyn01, np.eye(2), 0.5)
     loop = oc.DisturbedClosedLoop(plant=hopf01, cert=cert, controller="min_norm", sigma=1.0)
