@@ -38,13 +38,14 @@ loop = oc.DisturbedClosedLoop(plant=plant, cert=cert, controller="min_norm_plus_
 rec = oc.integrate(loop, np.array([0.45, 0.2, 1.2, 0.0]), T=20.0, dt=1e-3)
 
 threshold = oc.rejection_threshold(cert, eps_bar, amp)
-vc_ok, eiss_ok, details = oc.check_iss_lyapunov(rec, cert, sigma, amp, eps_bar)
+vc_ok, eiss_ok, details = oc.check_iss_lyapunov(rec, loop, amp)
 print(f"\nrejection threshold on ||eta||: {threshold:.4f} "
       f"(initial ||eta|| = {np.linalg.norm(rec.eta[0]):.4f})")
 print(f"samples inside the checked region: {details['region_samples']}")
-print(f"worst dV_c/dt there: {details['worst_vdot_c']:.4f} "
-      f"(tolerance {details['vc_tolerance']:.2e})")
-print(f"composite decrease holds: {vc_ok}; strict e-ISS inequality holds: {eiss_ok}")
+print(f"worst dV_c/dt there (grad V_c times the integrated field): "
+      f"{details['worst_vdot_c']:.4f}")
+print(f"composite decrease holds: {vc_ok}; strict e-ISS inequality holds: {eiss_ok} "
+      f"(margin {details['eiss_margin']:.2e})")
 
 lower, upper = oc.composite_bounds(cert, sigma, consts)
 print(f"\nV_c sandwich coefficients: lower {lower:.4f}, upper {upper:.1f}")
@@ -56,6 +57,6 @@ print("fails, which is exactly what the rule is for:")
 bad = oc.DisturbedClosedLoop(plant=plant, cert=cert, controller="min_norm_plus_us",
                              signal=sig, eps_bar=eps_bar, sigma=5000.0)
 rec_bad = oc.integrate(bad, np.array([0.45, 0.2, 1.0, 0.0]), T=20.0, dt=1e-3)
-vc_bad, _, det_bad = oc.check_iss_lyapunov(rec_bad, cert, 5000.0, amp, eps_bar)
+vc_bad, _, det_bad = oc.check_iss_lyapunov(rec_bad, bad, amp)
 print(f"sigma = 5000: decrease check passes? {vc_bad} "
       f"(worst dV_c/dt {det_bad['worst_vdot_c']:.2f})")

@@ -130,11 +130,11 @@ def min_norm_mu(cert: ResClfCertificate, x: np.ndarray, rows: np.ndarray) -> np.
     a state x of width w != n_eta with a state operator [L; G 2 G'P_eps; M]
     (3w rows, see the module docstring) gives G mu in the state's
     coordinates (w wide).  x is one point or a batch (B, width); each row
-    equals the law at that row alone, bit for bit.  A lone point (x and
-    rows 1-D) takes the scalar path: the same IEEE operations on Python
-    floats, which skip numpy's per-call cost on 0-d values, with the same
-    bits.  A row with psi0 <= 0 gives a zero mu (possibly -0.0), and
-    psi1 = 0 there gives no NaN.
+    equals the law at that row alone, bit for bit (but for a NaN's sign
+    where psi0 and psi1 are NaN).  A lone point (x and rows 1-D) takes the
+    scalar path: the same IEEE operations on Python floats, which skip
+    numpy's per-call cost on 0-d values, with the same bits.  A row with
+    psi0 <= 0 gives a zero mu (possibly -0.0), and psi1 = 0 there gives no NaN.
     """
     w = x.shape[-1]
     n = cert.dims.n_eta

@@ -483,11 +483,11 @@ def run_certify(config: dict, out_dir: Path) -> tuple[dict, list[Check]]:
     settle = float(config["settle_fraction"])
     dt = float(config["integrator"]["dt"])
     horizon = float(config["integrator"]["horizon"])
-    eps_bar = float(config["eps_bar"])
 
     loop, cert, plant, x0 = build_closed_loop(config)
     n = cert.dims.n_eta
-    dist0 = float(orbit_distance(x0[:n], x0[n:], plant))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf is off the orbit: integrate aborts
+        dist0 = float(orbit_distance(x0[:n], x0[n:], plant))
     if dist0 <= cert_mod.ON_ORBIT_ATOL:
         raise ConfigError(f"certify needs a start off the orbit: x0 lies at orbit distance "
                           f"{dist0:g} <= {cert_mod.ON_ORBIT_ATOL:g}, so the d = 0 run has "
@@ -509,9 +509,8 @@ def run_certify(config: dict, out_dir: Path) -> tuple[dict, list[Check]]:
     eta_ult = ultimate_bound(main_rec, settle)
     l3 = cert_mod.min_norm_ultimate_bound(cert, d_inf)
     with_us = config["controller"] == "min_norm_plus_us"
-    l4 = cert_mod.damped_ultimate_bound(cert, eps_bar, d_inf) if with_us else None
-    vc_ok, eiss_form_ok, vc_details = cert_mod.check_iss_lyapunov(
-        main_rec, cert, sigma, d_inf, eps_bar)
+    l4 = cert_mod.damped_ultimate_bound(cert, loop.eps_bar, d_inf) if with_us else None
+    vc_ok, eiss_form_ok, vc_details = cert_mod.check_iss_lyapunov(main_rec, loop, d_inf)
     sandwich_ok = cert_mod.check_composite_sandwich(main_rec, cert, sigma, consts, plant)
 
     zs_ok, zs_rate = cert_mod.check_zero_stability(zero_rec)
@@ -529,7 +528,7 @@ def run_certify(config: dict, out_dir: Path) -> tuple[dict, list[Check]]:
     eta_gain, _, _ = cert_mod.check_asymptotic_gain(np.array(amp_grid), np.array(eta_ults))
 
     figures = {
-        "eps": cert.eps, "eps_bar": eps_bar, "d_inf": d_inf,
+        "eps": cert.eps, "eps_bar": loop.eps_bar, "d_inf": d_inf,
         "eta_ultimate_measured": eta_ult, "eta_bound_min_norm": l3, "eta_bound_damped": l4,
         "sigma": sigma, "sigma_margin": sigma_margin, "zs_rate": zs_rate,
         "ag_gain_estimate": ag_gain, "ag_intercept": ag_intercept,

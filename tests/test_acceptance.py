@@ -116,7 +116,7 @@ def test_criterion_5_composite_certificate():
                                   signal=sig, eps_bar=eps_bar, sigma=sigma)
     rec = oc.integrate(loop, np.array([0.45, 0.2, 1.2, 0.0]), T=20.0, dt=1e-3)
 
-    vc_ok, _, details = oc.check_iss_lyapunov(rec, cert, sigma, amp, eps_bar)
+    vc_ok, _, details = oc.check_iss_lyapunov(rec, loop, amp)
     region_nonvacuous = details["region_samples"] > 0
     sandwich_ok = (len(rec) >= 10_000
                    and oc.check_composite_sandwich(rec, cert, sigma, consts, plant))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import orbitclf as oc
+from orbitclf import certify
 from orbitclf.certify import rejection_threshold
 from orbitclf.plants import pzd_distance
 
@@ -19,7 +20,7 @@ def composite_setup(dims01, dyn01, hopf01):
     loop = oc.DisturbedClosedLoop(plant=hopf01, cert=cert, controller="min_norm_plus_us",
                                   signal=sig, eps_bar=0.1, sigma=sigma)
     rec = oc.integrate(loop, np.array([0.45, 0.2, 1.2, 0.0]), T=20.0, dt=1e-3)
-    return cert, consts, sigma, amp, rec
+    return cert, consts, sigma, amp, rec, loop
 
 
 def test_choose_sigma_uncoupled(cert01_e01, hopf01):
@@ -92,7 +93,7 @@ def test_zs_fails_for_unstable_plant(dims01, dyn01):
 
 
 def test_zs_requires_zero_disturbance(composite_setup):
-    *_, rec = composite_setup
+    *_, rec, _ = composite_setup
     with pytest.raises(ValueError):
         oc.check_zero_stability(rec)
 
@@ -138,18 +139,29 @@ def test_ag_rejects_nonlinear_data():
 # --- composite checks ----------------------------------------------------------
 
 def test_vc_decrease_in_region(composite_setup):
-    cert, consts, sigma, amp, rec = composite_setup
-    vc_ok, eiss_ok, details = oc.check_iss_lyapunov(rec, cert, sigma, amp, 0.1)
+    *_, amp, rec, loop = composite_setup
+    vc_ok, eiss_ok, details = oc.check_iss_lyapunov(rec, loop, amp)
     assert vc_ok and eiss_ok
     assert details["region_samples"] > 100  # non-vacuous
     assert details["worst_vdot_c"] < 0.0
 
 
+@pytest.mark.parametrize("scale", [0.0, 0.1])
+def test_eiss_fails_when_d_inf_understates_the_disturbance(composite_setup, scale):
+    # the record's d reaches amp; a smaller |d|inf leaves the gain term too
+    # small for the exact rate, beyond rounding
+    *_, amp, rec, loop = composite_setup
+    _, eiss_ok, details = oc.check_iss_lyapunov(rec, loop, scale * amp)
+    assert not eiss_ok
+    assert details["eiss_margin"] < -1e-7
+
+
 def test_vc_zero_disturbance_everywhere(zero_record_eps05):
     cert, loop, rec = zero_record_eps05
-    vc_ok, eiss_ok, details = oc.check_iss_lyapunov(rec, cert, loop.sigma, 0.0, 0.1)
+    vc_ok, eiss_ok, details = oc.check_iss_lyapunov(rec, loop, 0.0)
     assert vc_ok and eiss_ok
     assert details["threshold"] == 0.0  # region is everywhere
+    assert details["region_samples"] == len(rec)  # both endpoints included
 
 
 def test_vc_adversarial_sigma_fails(dims01, dyn01, hopf01):
@@ -161,12 +173,58 @@ def test_vc_adversarial_sigma_fails(dims01, dyn01, hopf01):
     loop = oc.DisturbedClosedLoop(plant=hopf01, cert=cert, controller="min_norm_plus_us",
                                   signal=sig, eps_bar=0.1, sigma=5000.0)
     rec = oc.integrate(loop, np.array([0.45, 0.2, 1.0, 0.0]), T=20.0, dt=1e-3)
-    vc_ok, _, _ = oc.check_iss_lyapunov(rec, cert, 5000.0, 0.002, 0.1)
+    vc_ok, _, _ = oc.check_iss_lyapunov(rec, loop, 0.002)
     assert not vc_ok
 
 
+def test_iss_lyapunov_rejects_a_mech_loop(mech_plant, mech_cert):
+    loop = oc.MechClosedLoop(plant=mech_plant, cert=mech_cert)
+    with pytest.raises(ValueError, match="needs a Hopf closed loop, got MechClosedLoop"):
+        oc.check_iss_lyapunov(None, loop, 0.0)
+
+
+@pytest.mark.parametrize("k1", [0, 1])
+@pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
+def test_lyapunov_rates_match_the_written_out_field(k1, controller):
+    # dV_eps/dt = 2 eta'P_eps (F eta + G(mu + u_s + d)) and
+    # dV_Z/dt = 4 s z.(Psi0(z) + C eta) + 2 y1.dy1/dt, from the record's
+    # mu, u_s and d and the plant's pieces, not from the loop's operator
+    dims = oc.OutputDims(k1=k1, k2=1)
+    plant = oc.HopfPlant(dims=dims)
+    cert = oc.certificate(plant.dyn, np.eye(dims.n_eta), 0.2)
+    F, G, P, C = plant.dyn.F, plant.dyn.G, cert.P_eps, plant.coupling
+    sig = oc.DisturbanceSignal(kind="sinusoid", dim=dims.n_mu, amplitude=0.05, frequency=0.5)
+    loop = oc.DisturbedClosedLoop(plant=plant, cert=cert, controller=controller,
+                                  signal=sig, eps_bar=0.5, sigma=0.3)
+    x0 = np.concatenate([np.linspace(0.4, -0.3, dims.n_eta), [1.2, 0.1]])
+    rec = oc.integrate(loop, x0, T=3.0, dt=1e-3)
+    assert np.any(rec.u_s != 0.0) == loop.damped
+    vdot_eps, vdot_z = certify._lyapunov_rates(rec, loop)
+
+    eta, z, y1 = rec.eta, rec.z, rec.eta[:, :k1]
+    deta = eta @ F.T + (rec.mu + rec.u_s + rec.d) @ G.T
+    dz = plant.zero_field(z) + eta @ C.T
+    r2 = np.sum(z * z, axis=1)
+    s = r2 - plant.r0 ** 2
+    want_eps = np.sum(2.0 * (eta @ P) * deta, axis=1)
+    want_z = np.sum(4.0 * s[:, None] * z * dz, axis=1) + np.sum(2.0 * y1 * deta[:, :k1], axis=1)
+
+    # rtol 1e-13 of the forward-error scale: the same sums over absolute
+    # values, since the rotation terms of z.Psi0(z) cancel exactly, and
+    # s, P eta and C eta may cancel too
+    a_eta, a_z = np.abs(eta), np.abs(z)
+    a_deta = a_eta @ F.T + (np.abs(rec.mu) + np.abs(rec.u_s) + np.abs(rec.d)) @ G.T
+    a_dz = (plant.omega * a_z[:, ::-1] + plant.lambda_h * np.abs(s)[:, None] * a_z
+            + a_eta @ np.abs(C).T)
+    size_eps = np.sum(2.0 * (a_eta @ np.abs(P)) * a_deta, axis=1)
+    size_z = (np.sum(4.0 * (r2 + plant.r0 ** 2)[:, None] * a_z * a_dz, axis=1)
+              + np.sum(2.0 * a_eta[:, :k1] * a_deta[:, :k1], axis=1))
+    for got, want, size in ((vdot_eps, want_eps, size_eps), (vdot_z, want_z, size_z)):
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+
 def test_ultimate_bound_formulas(composite_setup):
-    cert, _, _, amp, rec = composite_setup
+    cert, _, _, amp, rec, _ = composite_setup
     ult = oc.ultimate_bound(rec)
     assert ult <= oc.damped_ultimate_bound(cert, 0.1, amp)
     assert ult <= oc.min_norm_ultimate_bound(cert, amp)
@@ -193,7 +251,7 @@ def test_composite_upper_grows_as_eps_shrinks(dyn01, hopf01):
 
 
 def test_sandwich_on_trajectory(composite_setup, hopf01):
-    cert, consts, sigma, _, rec = composite_setup
+    cert, consts, sigma, _, rec, _ = composite_setup
     assert len(rec) >= 10_000
     assert oc.check_composite_sandwich(rec, cert, sigma, consts, hopf01)
 
@@ -230,7 +288,7 @@ def _sandwich_reference(record, cert, sigma, consts, plant, rel_tol=1e-9):
 
 
 def test_sandwich_matches_loop_reference(composite_setup, hopf01):
-    cert, consts, sigma, _, rec = composite_setup
+    cert, consts, sigma, _, rec, _ = composite_setup
     variants = [
         rec,
         dataclasses.replace(rec, v_c=rec.v_c * 1e3),      # above the upper bound

@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,7 +13,8 @@ from orbitclf import cli, simulator
 from orbitclf.certify import Check, verdict
 from orbitclf.clf import ClfConsistencyError
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 SQRT3 = np.sqrt(3.0)
 
@@ -374,6 +377,18 @@ def test_overflowed_start_is_not_reported_as_a_broken_certificate(tmp_path, caps
     assert run([command, "--out", str(tmp_path), "--override", "initial.eta=[1e170,0]"]) == 3
     _one_line_error(capsys, "run aborted: row 0: the state overflowed: "
                             "psi0 = inf, ||psi1||^2 = inf")
+
+
+def test_overflowed_start_prints_one_line_in_its_own_process(tmp_path):
+    # in a process of its own numpy's warnings reach stderr: the on-orbit
+    # guard's overflowed distance must print none ahead of the abort line
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "default"}
+    proc = subprocess.run([sys.executable, "-m", "orbitclf.cli", "certify", "--out", str(tmp_path),
+                           "--override", "initial.eta=[1e170,0]"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("run aborted: row 0: the state overflowed"), proc.stderr
 
 
 def test_run_abort_exits_3(tmp_path, capsys, monkeypatch):
