@@ -25,7 +25,6 @@ Two testbeds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import pairwise
 
 import numpy as np
 
@@ -197,6 +196,7 @@ def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndar
 # bit the lone call's.  Those that take a jet (y2d, y2d', y2d'') take the
 # entries xs = (q1, q2, dq1, dq2) of ``_entries``: a lone state's are plain
 # floats, which do numpy's IEEE operations on a stack's columns, faster.
+# ``mech_feedforward`` returns entries too, which each caller stacks.
 
 
 def _entries(a: np.ndarray):
@@ -207,6 +207,8 @@ def _entries(a: np.ndarray):
 #: a mech run's phase domain, checked in order: the estimate (1e-9 slack), the true phase
 PHASE_DOMAIN = (("phase {:g} outside [0, 1]", -1e-9, 1.0 + 1e-9),
                 ("true phase {:g} outside [0, 1]", 0.0, 1.0))
+#: PHASE_DOMAIN's bounds, against which ``check_phases`` compares lone phases
+(_, _HAT_LO, _HAT_HI), (_, _TRUE_LO, _TRUE_HI) = PHASE_DOMAIN
 
 
 def check_phases(*taus) -> None:
@@ -217,6 +219,9 @@ def check_phases(*taus) -> None:
         if ok.all():
             return
         taus = [tau[np.argmin(ok)] for tau in taus]  # the first row out of the domain
+    elif (_HAT_LO <= taus[0] <= _HAT_HI
+          and (len(taus) == 1 or _TRUE_LO <= taus[1] <= _TRUE_HI)):
+        return  # lone phases in the domain: plain comparisons, no message built
     for (message, lo, hi), tau in zip(PHASE_DOMAIN, taus):
         if not lo <= tau <= hi:
             raise ValueError(message.format(tau))
@@ -256,20 +261,24 @@ class MechPlant:
     def jet(self, tau: float | np.ndarray) -> tuple:
         """(y2d, y2d', y2d'') at a lone phase or an array of phases, by one de Casteljau pass.
 
-        With n the degree and b^(k) the level-k points, y2d' = n (b1^(n-1) -
-        b0^(n-1)) and y2d'' = n (n-1) (b2^(n-2) - 2 b1^(n-2) + b0^(n-2))
-        (Farin, *Curves and Surfaces for CAGD*).  A lone phase runs on floats.
+        The degree-5 pass is written out: each level replaces b_i by
+        b_i + tau (b_{i+1} - b_i), the same IEEE operations in the same
+        order for a float and for an array.  With b^(k) the level-k points,
+        y2d' = 5 (b1^(4) - b0^(4)) and y2d'' = 20 (b2^(3) - 2 b1^(3) +
+        b0^(3)) (Farin, *Curves and Surfaces for CAGD*).  A lone phase,
+        np.float64 included, runs on Python floats.
         """
         if not isinstance(tau, np.ndarray):
             tau = float(tau)
-        n = len(self._alpha) - 1
-        b = self._alpha
-        for _ in range(n - 2):
-            b = [b0 + tau * (b1 - b0) for b0, b1 in pairwise(b)]
-        b0, b1, b2 = b
+        b0, b1, b2, b3, b4, b5 = self._alpha
+        b0, b1, b2, b3, b4 = (b0 + tau * (b1 - b0), b1 + tau * (b2 - b1), b2 + tau * (b3 - b2),
+                              b3 + tau * (b4 - b3), b4 + tau * (b5 - b4))
+        b0, b1, b2, b3 = (b0 + tau * (b1 - b0), b1 + tau * (b2 - b1), b2 + tau * (b3 - b2),
+                          b3 + tau * (b4 - b3))
+        b0, b1, b2 = b0 + tau * (b1 - b0), b1 + tau * (b2 - b1), b2 + tau * (b3 - b2)
         c0, c1 = b0 + tau * (b1 - b0), b1 + tau * (b2 - b1)
         db = c1 - c0
-        return c0 + tau * db, n * db, n * (n - 1) * (b2 - 2.0 * b1 + b0)
+        return c0 + tau * db, 5.0 * db, 20.0 * (b2 - 2.0 * b1 + b0)
 
     def y2d(self, tau: float | np.ndarray) -> float | np.ndarray:
         return self.jet(tau)[0]
@@ -310,8 +319,8 @@ class MechPlant:
         return np.array([q1, y2 + y2d, dq1, dy2 + dy2d * dq1 / self.delta])
 
 
-def mech_feedforward(plant: MechPlant, xs, mu: np.ndarray, jet: tuple) -> np.ndarray:
-    """The linearizing input u = (u1, u2) of the state with entries xs, for the jet given."""
+def mech_feedforward(plant: MechPlant, xs, mu: np.ndarray, jet: tuple) -> tuple:
+    """The linearizing input's entries (u1, u2) for the state with entries xs and the jet given."""
     dq1 = xs[2]
     tau_rate = dq1 / plant.delta
     if plant.v_d is None:
@@ -322,7 +331,7 @@ def mech_feedforward(plant: MechPlant, xs, mu: np.ndarray, jet: tuple) -> np.nda
     # d2y2/dt2 = u2 - y2d'' tau_rate^2 - y2d' u1/delta; the square is a
     # product, as ** 2 on a numpy scalar calls pow, which can differ in the last bit
     u2 = jet[2] * (tau_rate * tau_rate) + jet[1] * (u1 / plant.delta) + mu2
-    return np.array([u1, u2]).T
+    return u1, u2
 
 
 def mech_feedback_linearize(plant: MechPlant, x: np.ndarray, mu: np.ndarray,
@@ -353,13 +362,15 @@ def mech_feedback_linearize(plant: MechPlant, x: np.ndarray, mu: np.ndarray,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     check_phases(tau_ff)
-    return mech_feedforward(plant, xs, mu, plant.jet(tau_ff))
+    return np.array(mech_feedforward(plant, xs, mu, plant.jet(tau_ff))).T
 
 
 def mech_phase_disturbance(plant: MechPlant, xs, jet: tuple, jet_hat: tuple) -> np.ndarray:
     """derive_phase_disturbance of the state with entries xs, from the jets at tau and tau + e."""
     mu0 = np.zeros(np.shape(xs[0]) + (plant.dims.n_mu,))
-    du = mech_feedforward(plant, xs, mu0, jet_hat) - mech_feedforward(plant, xs, mu0, jet)
+    u1_hat, u2_hat = mech_feedforward(plant, xs, mu0, jet_hat)
+    u1, u2 = mech_feedforward(plant, xs, mu0, jet)
+    du = np.array([u1_hat - u1, u2_hat - u2]).T
     return du[..., 2 - plant.dims.n_mu:]  # u1 is a mu channel only when k1 = 1
 
 
@@ -503,13 +514,21 @@ class MechClosedLoop:
             return 0.0 * t  # times are nonnegative, so this is +0.0 in t's shape
         return self.signal.phase_error(t)
 
-    def field(self, t: float, x: np.ndarray) -> np.ndarray:
+    def field(self, t: float, x: np.ndarray, e: float) -> np.ndarray:
+        """The closed-loop right-hand side at time t.
+
+        x is one state (4,); e is the phase error e(t) at t, a float, tabled
+        by the integrator as the Hopf loop's d is.  The outputs and the
+        feedforward read one jet at tau_hat = tau(q1) + e, and
+
+            dx/dt = (dq1, dq2, u1, u2).
+        """
         xs = x.tolist()
         tau = self.plant.tau(xs[0])
-        tau_hat = tau + self.phase_error(t)
+        tau_hat = tau + e
         check_phases(tau_hat, tau)
-        # one jet at the phase estimate, read by the outputs and the feedforward
         jet = self.plant.jet(tau_hat)
         eta_hat = self.plant.outputs(xs, jet)
         mu = min_norm_mu(self.cert, eta_hat, matvec(self.operator, eta_hat))
-        return np.concatenate((x[2:], mech_feedforward(self.plant, xs, mu, jet)))
+        u1, u2 = mech_feedforward(self.plant, xs, mu, jet)
+        return np.array([xs[2], xs[3], u1, u2])

@@ -7,14 +7,20 @@ than held over the step; the sup-norm bounds used downstream are safe
 under stage sampling for every signal kind shipped here.
 
 The stage times are the accumulated node times t_i (t_0 = 0, t_{i+1} =
-t_i + dt, the same float sums RK4's last stage makes) and t_i + dt/2.  The
-Hopf loops' d is tabled at both, CHUNK steps at a time, before those
-steps are taken, and placed there once in state coordinates (G d, see
-``DisturbedClosedLoop.place``), so a stage adds its row as it is; a
-record's d column holds the node rows before placement, which are the d
-that each step's first stage applied.  A mech record evaluates its phase
-error at the same node times, so its d and mu are those of each step's
-first stage too.  The record's t column prints the grid i*dt.
+t_i + dt, the same float sums RK4's last stage makes) and t_i + dt/2.  Each
+loop's exogenous input is tabled at both, CHUNK steps at a time, before
+those steps are taken, and one stepping loop hands it to the field as a
+stage input, f(t, x, u):
+
+* the Hopf loops' d, placed once in state coordinates (G d, see
+  ``DisturbedClosedLoop.place``), so a stage adds its row as it is;
+* the mech loop's phase error e, as Python floats, which the field adds
+  to the phase as it is.
+
+A record reads the node rows of that table (d before placement, or e),
+which are the inputs that each step's first stage applied, so its d and
+mu are those of each step's first stage.  The record's t column prints
+the grid i*dt.
 """
 
 from __future__ import annotations
@@ -118,32 +124,34 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
 
     # the node times 0, dt, 2 dt, ... summed in order, as t is below: the same floats
     nodes = np.add.accumulate(np.concatenate([[0.0], np.full(n_steps, dt)]))
-    table = d = place = None
+    # each loop's exogenous input at an array of times, and its stage form:
+    # the Hopf d placed through G, the mech phase error e as Python floats
     if isinstance(closed_loop, MechClosedLoop):
-        f = closed_loop.field
+        loop = closed_loop
+        sample, place = loop.phase_error, np.ndarray.tolist
+        recorded = np.empty(n_steps + 1)  # e at the node times
     else:
         loop = _shared_hopf_loop(loops)
-        table = DisturbanceTable([lp.signal for lp in loops], loop.plant.dims.n_mu, T)
-        f, place = loop.field, loop.place
+        sample = DisturbanceTable([lp.signal for lp in loops], loop.plant.dims.n_mu, T)
+        place = loop.place
         x0 = x0.reshape(len(loops), -1)
-        d = np.empty((n_steps + 1,) + table.shape)  # d at the node times, recorded
+        recorded = np.empty((n_steps + 1,) + sample.shape)  # d at the node times
 
+    f = loop.field
     states = np.empty((n_steps + 1,) + x0.shape)
     states[0] = x0
     t = 0.0
-    inputs = None
     # a state that overflows ends the run below, with a diagnosis; numpy's
     # warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            if table is not None:
-                j = i % CHUNK
-                if j == 0:
-                    k = min(CHUNK, n_steps - i)
-                    d[i:i + k + 1] = table(nodes[i:i + k + 1])
-                    d_node = place(d[i:i + k + 1])
-                    d_half = place(table(nodes[i:i + k] + 0.5 * dt))
-                inputs = (d_node[j], d_half[j], d_node[j + 1])
+            j = i % CHUNK
+            if j == 0:
+                k = min(CHUNK, n_steps - i)
+                recorded[i:i + k + 1] = sample(nodes[i:i + k + 1])
+                u_node = place(recorded[i:i + k + 1])
+                u_half = place(sample(nodes[i:i + k] + 0.5 * dt))
+            inputs = (u_node[j], u_half[j], u_node[j + 1])
             x = states[i + 1] = rk4_step(f, t, states[i], dt, inputs)
             t += dt
             if np.count_nonzero(np.isfinite(x)) < x.size:
@@ -154,8 +162,8 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
     ts = np.arange(n_steps + 1) * dt
 
     if isinstance(closed_loop, MechClosedLoop):
-        return _record_mech(closed_loop, ts, nodes, states)
-    records = _record_hopf(loops, d, ts, states)
+        return _record_mech(closed_loop, ts, recorded, states)
+    records = _record_hopf(loops, recorded, ts, states)
     return records[0] if single else records
 
 
@@ -214,18 +222,18 @@ def _record_hopf(loops, d: np.ndarray, ts: np.ndarray,
     return records
 
 
-def _record_mech(loop: MechClosedLoop, ts: np.ndarray, nodes: np.ndarray,
+def _record_mech(loop: MechClosedLoop, ts: np.ndarray, e: np.ndarray,
                  states: np.ndarray) -> TrajectoryRecord:
     """Traces of the mech run, every sample at once; states has shape (samples, 4).
 
-    The phase error is evaluated at the node times that stepping used, so
-    d and mu are those of each step's first stage; ts is the printed grid.
+    e holds the phase error that stepping applied at the node times, so d
+    and mu are those of each step's first stage; ts is the printed grid.
     """
     plant, cert = loop.plant, loop.cert
     n = len(ts)
     xs = states.T
     tau = plant.tau(xs[0])
-    tau_hat = tau + loop.phase_error(nodes)
+    tau_hat = tau + e
     check_phases(tau_hat, tau)
     jet, jet_hat = plant.jet(tau), plant.jet(tau_hat)
     eta = plant.outputs(xs, jet)

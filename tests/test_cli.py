@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,23 @@ FAST = ["--override", "integrator.horizon=8",
         "--override", "sweep.amplitude_grid=[0.0,0.01,0.02]"]
 
 
+#: the warnings that ``run`` calls raised since ``_one_line_error`` last looked
+_WARNINGS = []
+
+
+@pytest.fixture(autouse=True)
+def _fresh_warnings():
+    _WARNINGS.clear()
+
+
 def run(args):
-    return cli.main(args)
+    # in a process of its own every warning reaches stderr, where pytest's
+    # own capture would hide it from capsys: keep them all to check
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(args)
+    _WARNINGS.extend(caught)
+    return code
 
 
 def _workloads():
@@ -198,6 +214,9 @@ def test_config_file_roundtrip(tmp_path):
 def _one_line_error(capsys, text):
     err = capsys.readouterr().err
     assert text in err and len(err.strip().splitlines()) == 1, err
+    warned = [f"{w.category.__name__}: {w.message}" for w in _WARNINGS]
+    _WARNINGS.clear()
+    assert not warned, warned  # each would be one more stderr line
 
 
 def test_non_numeric_value_exits_2(tmp_path, capsys):

@@ -1,10 +1,11 @@
+import math
 from itertools import pairwise
 
 import numpy as np
 import pytest
 
 import orbitclf as oc
-from orbitclf.plants import pzd_distance
+from orbitclf.plants import check_phases, pzd_distance
 
 
 # --- Hopf plant ---------------------------------------------------------------
@@ -213,6 +214,79 @@ def test_mech_jet_derivatives_by_finite_differences(mech_plant):
     assert np.max(np.abs(fd - mech_plant.d2y2d(taus))) <= 1e-6
     fd = (mech_plant.y2d(taus + h) - mech_plant.y2d(taus - h)) / (2.0 * h)
     assert np.max(np.abs(fd - mech_plant.dy2d(taus))) <= 1e-7
+
+
+def _bernstein_jet(alpha, tau):
+    """(y, y', y'') of the degree-n Bezier alpha in the Bernstein basis: an independent oracle."""
+    n = len(alpha) - 1
+    diffs = [list(alpha)]
+    for _ in range(2):
+        diffs.append([b1 - b0 for b0, b1 in pairwise(diffs[-1])])
+    return tuple(math.perm(n, k) * sum(math.comb(n - k, i) * tau ** i * (1.0 - tau) ** (n - k - i)
+                                       * c for i, c in enumerate(diffs[k]))
+                 for k in range(3))
+
+
+JET_TAUS = [0.0, 1.0, 0.5, 1e-9, 1.0 - 1e-9, 0.123456789, 0.75, -0.25, 1.25]
+
+
+@pytest.mark.parametrize("alpha", [[0.0, 0.1, 0.3, 0.3, 0.1, 0.0],
+                                   [0.2, -1.3, 0.7, 2.1, -0.4, 0.9]])
+def test_mech_jet_matches_the_bernstein_form(alpha):
+    # the written-out de Casteljau pass against the Bernstein sum, at lone
+    # floats, np.float64 and an array, the ends of [0, 1] included
+    plant = oc.MechPlant(alpha=np.array(alpha))
+    wants = [_bernstein_jet(alpha, tau) for tau in JET_TAUS]
+    scale = np.max(np.abs(wants), axis=0)  # each component's size over the phases
+    stacked = plant.jet(np.array(JET_TAUS))
+    for i, (tau, want) in enumerate(zip(JET_TAUS, wants)):
+        lone, scalar = plant.jet(tau), plant.jet(np.float64(tau))
+        assert all(type(c) is float for c in lone + scalar)
+        for got in (lone, scalar, [c[i] for c in stacked]):
+            assert np.all(np.abs(np.subtract(got, want)) <= 1e-14 * scale), tau
+    assert plant.jet(0.0)[0] == alpha[0]
+
+
+@pytest.mark.parametrize("alpha", [[0.0, 0.1, 0.3, 0.3, 0.1, 0.0],
+                                   [0.2, -1.3, 0.7, 2.1, -0.4, 0.9]])
+def test_mech_jet_lone_and_array_calls_are_bitwise_equal(alpha):
+    plant = oc.MechPlant(alpha=np.array(alpha))
+    taus = np.concatenate([JET_TAUS, np.random.default_rng(5).uniform(0.0, 1.0, 200)])
+    stacked = plant.jet(taus)
+    for i, tau in enumerate(taus.tolist()):
+        for lone in (plant.jet(tau), plant.jet(taus[i])):
+            assert [c[i] for c in stacked] == list(lone), tau
+
+
+@pytest.mark.parametrize("taus", [(-0.01, 0.5), (1.01, 0.5), (0.0, -1e-10), (1.0, 1.0 + 1e-10),
+                                  (float("nan"), 0.5), (0.5, float("nan")), (2.0, -1.0)],
+                         ids=["low estimate", "high estimate", "low true phase",
+                              "high true phase", "nan estimate", "nan true phase", "both"])
+def test_check_phases_on_floats_raises_the_array_message(taus):
+    # the lone-float path decides by comparisons and then builds the array
+    # path's exact message, naming the estimate first
+    with pytest.raises(ValueError) as stack:
+        check_phases(*(np.array([0.5, tau, 0.5]) for tau in taus))
+    with pytest.raises(ValueError) as lone:
+        check_phases(*taus)
+    assert str(lone.value) == str(stack.value)
+    with pytest.raises(ValueError) as lone:
+        check_phases(*(np.float64(tau) for tau in taus))
+    assert str(lone.value) == str(stack.value)
+    if not 0.0 <= taus[0] <= 1.0:  # an estimate alone
+        with pytest.raises(ValueError) as stack:
+            check_phases(np.array([0.5, taus[0]]))
+        with pytest.raises(ValueError) as lone:
+            check_phases(taus[0])
+        assert str(lone.value) == str(stack.value)
+
+
+def test_check_phases_accepts_the_domain_edges():
+    for taus in ((-1e-9, 0.0), (1.0 + 1e-9, 1.0), (0.0, 0.0), (1.0, 1.0), (0.5,), (-1e-9,)):
+        check_phases(*taus)
+        check_phases(*(np.array([tau]) for tau in taus))
+    with pytest.raises(ValueError, match=r"^phase -2e-09 outside \[0, 1\]$"):
+        check_phases(-2e-9, 0.0)
 
 
 def test_mech_dims(mech_plant):

@@ -29,15 +29,17 @@ def _rk4_written_out(f, t, y, dt, inputs=None):
 
 def test_rk4_step_equals_the_written_out_formula(mech_plant, mech_cert):
     # rk4_step's 0-d multipliers make the same IEEE products as Python
-    # floats: byte for byte on a Hopf batch of five (with a stage input) and
-    # on a lone mech state, at a dt that is not a power of two
+    # floats: byte for byte on a Hopf batch of five (with a placed d) and on
+    # a lone mech state (with a phase error e as floats), at a dt that is not
+    # a power of two
     dt = 1.3e-3
     loops, x0 = _batch_of_five()
     rng = np.random.default_rng(4)
     inputs = tuple(loops[0].place(0.05 * rng.normal(size=(5, 3))) for _ in range(3))
     mech = oc.MechClosedLoop(plant=mech_plant, cert=mech_cert, signal=None)
     mech_x = np.array([0.05, mech_plant.y2d(0.05) + 0.04, 1.0, -0.05])
-    for f, y, u in ((loops[0].field, x0, inputs), (mech.field, mech_x, None)):
+    mech_e = tuple(rng.uniform(-0.02, 0.02, 3).tolist())  # e(t), e(t + dt/2), e(t + dt)
+    for f, y, u in ((loops[0].field, x0, inputs), (mech.field, mech_x, mech_e)):
         for i in range(3):
             got = oc.rk4_step(f, 0.7 + i * dt, y, dt, u)
             want = _rk4_written_out(f, 0.7 + i * dt, y, dt, u)
@@ -337,22 +339,29 @@ def _record_mech_per_sample(loop, ts, states):
             "d": np.array(d), "mu": np.array(mu), "v_eps": np.array(v_eps)}
 
 
-@pytest.mark.parametrize("v_d, driven", [(1.0, True), (None, True), (1.0, False)],
-                         ids=["v_d=1", "v_d=None", "no signal"])
-def test_mech_record_equals_per_sample_loop(v_d, driven):
+def _mech_loop(v_d=1.0, driven=True):
     plant = oc.MechPlant(alpha=np.array([0.0, 0.1, 0.3, 0.3, 0.1, 0.0]), q1_plus=4.0, v_d=v_d)
     cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
     signal = oc.DisturbanceSignal(kind="phase_error_driven", dim=plant.dims.n_mu,
                                   amplitude=0.01, frequency=2.0) if driven else None
-    loop = oc.MechClosedLoop(plant=plant, cert=cert, signal=signal)
-    x0 = np.array([0.4, plant.y2d(0.1) + 0.05, 1.0, 0.0])
+    return (oc.MechClosedLoop(plant=plant, cert=cert, signal=signal),
+            np.array([0.4, plant.y2d(0.1) + 0.05, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("v_d, driven", [(1.0, True), (None, True), (1.0, False)],
+                         ids=["v_d=1", "v_d=None", "no signal"])
+def test_mech_record_equals_per_sample_loop(v_d, driven):
+    loop, x0 = _mech_loop(v_d, driven)
     rec = oc.integrate(loop, x0, T=0.5, dt=1e-3)
-    # the states that integrate recorded, stepped again as it steps them, and
-    # the accumulated node times at which stepping evaluated the phase error
-    states, times = [x0], [0.0]
+    # the states that integrate recorded, stepped again as it steps them,
+    # with the phase error evaluated one stage time at a time, and the
+    # accumulated node times at which stepping evaluated it
+    dt, states, times = 1e-3, [x0], [0.0]
     for _ in range(len(rec) - 1):
-        states.append(oc.rk4_step(loop.field, times[-1], states[-1], 1e-3))
-        times.append(times[-1] + 1e-3)
+        t = times[-1]
+        e = tuple(float(loop.phase_error(s)) for s in (t, t + 0.5 * dt, t + dt))
+        states.append(oc.rk4_step(loop.field, t, states[-1], dt, e))
+        times.append(t + dt)
     ref = _record_mech_per_sample(loop, times, np.array(states))
     for name, want in ref.items():
         assert np.array_equal(getattr(rec, name), want), name
@@ -362,25 +371,38 @@ def test_mech_record_equals_per_sample_loop(v_d, driven):
 
 def test_mech_record_shows_what_stepping_applied(monkeypatch):
     # record.d and record.mu at sample i are bitwise the phase disturbance and
-    # mu of step i's first stage: the record's phase error is taken at the
-    # accumulated node times that stepping used, not at the printed grid i*dt
-    plant = oc.MechPlant(alpha=np.array([0.0, 0.1, 0.3, 0.3, 0.1, 0.0]), q1_plus=4.0)
-    cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
-    signal = oc.DisturbanceSignal(kind="phase_error_driven", dim=plant.dims.n_mu,
-                                  amplitude=0.01, frequency=2.0)
-    loop = oc.MechClosedLoop(plant=plant, cert=cert, signal=signal)
+    # mu of step i's first stage: the record reads the phase error that
+    # stepping was given at the accumulated node times, not the printed grid i*dt
+    loop, x0 = _mech_loop()
     fields = _recording_calls(monkeypatch, oc.MechClosedLoop, "field")
     mus = _recording_calls(monkeypatch, plants, "min_norm_mu")
-    rec = oc.integrate(loop, np.array([0.4, plant.y2d(0.1) + 0.05, 1.0, 0.0]), T=0.5, dt=1e-3)
+    rec = oc.integrate(loop, x0, T=0.5, dt=1e-3)
     n = len(rec) - 1
     assert len(fields) == len(mus) == 4 * n
-    first = [args[1:] for args, _ in fields[::4]]  # (t, x) of each step's first stage
+    first = [args[1:] for args, _ in fields[::4]]  # (t, x, e) of each step's first stage
     assert np.array_equal(rec.mu[:n], [mu for _, mu in mus[::4]])
-    assert np.array_equal(rec.d[:n], [oc.derive_phase_disturbance(plant, x, loop.phase_error(t))
-                                      for t, x in first])
+    assert np.array_equal(rec.d[:n], [oc.derive_phase_disturbance(loop.plant, x, e)
+                                      for _, x, e in first])
     # the grid i*dt and the node times give another phase error at most samples
-    nodes = np.array([t for t, _ in first])
+    nodes = np.array([t for t, _, _ in first])
     assert np.count_nonzero(loop.phase_error(rec.t[:n]) != loop.phase_error(nodes)) > n // 2
+
+
+@pytest.mark.parametrize("chunk", [7, 500])
+def test_mech_stage_inputs_equal_phase_error_at_stage_time(monkeypatch, chunk):
+    # each field call gets e at its own stage time t, t + dt/2 or t + dt as a
+    # Python float, bit for bit the loop's phase error evaluated there alone,
+    # across chunk boundaries
+    loop, x0 = _mech_loop()
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    fields = _recording_calls(monkeypatch, oc.MechClosedLoop, "field")
+    oc.integrate(loop, x0, T=0.5, dt=1e-3)
+    assert len(fields) == 4 * 500
+    times = [t for (_, t, _, _), _ in fields]
+    assert times[1] == times[2] == 0.5e-3 and times[3] == times[4] == 1e-3
+    for (_, t, _, e), _ in fields:
+        assert type(e) is float and e == loop.phase_error(t), t
+    assert any(e != 0.0 for (_, _, _, e), _ in fields)
 
 
 def test_mech_jet_passes_per_step_and_per_record(monkeypatch):
