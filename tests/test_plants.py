@@ -227,11 +227,11 @@ def _bernstein_jet(alpha, tau):
                  for k in range(3))
 
 
+JET_ALPHAS = [[0.0, 0.1, 0.3, 0.3, 0.1, 0.0], [0.2, -1.3, 0.7, 2.1, -0.4, 0.9]]
 JET_TAUS = [0.0, 1.0, 0.5, 1e-9, 1.0 - 1e-9, 0.123456789, 0.75, -0.25, 1.25]
 
 
-@pytest.mark.parametrize("alpha", [[0.0, 0.1, 0.3, 0.3, 0.1, 0.0],
-                                   [0.2, -1.3, 0.7, 2.1, -0.4, 0.9]])
+@pytest.mark.parametrize("alpha", JET_ALPHAS)
 def test_mech_jet_matches_the_bernstein_form(alpha):
     # the written-out de Casteljau pass against the Bernstein sum, at lone
     # floats, np.float64 and an array, the ends of [0, 1] included
@@ -247,8 +247,7 @@ def test_mech_jet_matches_the_bernstein_form(alpha):
     assert plant.jet(0.0)[0] == alpha[0]
 
 
-@pytest.mark.parametrize("alpha", [[0.0, 0.1, 0.3, 0.3, 0.1, 0.0],
-                                   [0.2, -1.3, 0.7, 2.1, -0.4, 0.9]])
+@pytest.mark.parametrize("alpha", JET_ALPHAS)
 def test_mech_jet_lone_and_array_calls_are_bitwise_equal(alpha):
     plant = oc.MechPlant(alpha=np.array(alpha))
     taus = np.concatenate([JET_TAUS, np.random.default_rng(5).uniform(0.0, 1.0, 200)])

@@ -408,12 +408,7 @@ def test_mech_stage_inputs_equal_phase_error_at_stage_time(monkeypatch, chunk):
 def test_mech_jet_passes_per_step_and_per_record(monkeypatch):
     # one Bezier jet per RHS, so four per RK4 step, and two array jets (at
     # tau and at tau + e) per recording: a duplicate evaluation shows as a count
-    plant = oc.MechPlant(alpha=np.array([0.0, 0.1, 0.3, 0.3, 0.1, 0.0]), q1_plus=4.0)
-    cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
-    signal = oc.DisturbanceSignal(kind="phase_error_driven", dim=plant.dims.n_mu,
-                                  amplitude=0.01, frequency=2.0)
-    loop = oc.MechClosedLoop(plant=plant, cert=cert, signal=signal)
-    x0 = np.array([0.4, plant.y2d(0.1) + 0.05, 1.0, 0.0])
+    loop, x0 = _mech_loop()
     jets = _recording_calls(monkeypatch, oc.MechPlant, "jet")
     rec = oc.integrate(loop, x0, T=0.02, dt=1e-3)
     taus = [args[1] for args, _ in jets]
