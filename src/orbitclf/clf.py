@@ -27,15 +27,21 @@ one row-by-row ``matvec`` of a stacked operator gives all the laws need.
 
 whose rows give F eta, P_eps eta, psi1 and M eta, in that order.  A closed
 loop on a state x = (eta, ...) of width w > n_eta may instead build one
-operator on x with the same law rows in state coordinates,
+operator on x with the law rows in state coordinates, six w x w blocks
 
-    W_x = [L; G 2 G'P_eps; M]    (3w x w; the law's blocks are zero off eta),
+    W_x = [L; Psi; M; Q; I; R],    Psi = G 2 G'P_eps,  Q = Psi + R,
 
-where L is the loop's own linear field: ``min_norm_mu`` then reads G psi1
-and M eta from ``matvec(W_x, x)`` and returns G mu, already placed.  G is
-a 0/1 selection with disjoint columns, so ||G psi1|| = ||psi1||, and the
-placed law is G times the law (the longer rows may round differently in
-the last bit).
+where L is the loop's own linear field, Psi and M are the law's blocks
+(zero off eta), I is the identity and R selects coordinates of x off
+G's rows for the loop's own use (the Hopf loop's z).  Blocks 1-3 and 3-5
+of ``matvec(W_x, x)``, read as two stacked (3, w) views, meet in one
+``vecdot`` (``state_forms``): Psi x . Q x = ||psi1||^2, M x . x = psi0
+and Q x . R x = |R x|^2.  G is a 0/1 selection with disjoint columns,
+so ||G psi1|| = ||psi1||, and on a finite x the identity rows are x and
+the products with zero rows add only zeros: the forms have the bits of
+the plain dot products.  ``min_norm_mu`` then gives each row's gain
+k = -max(psi0, 0) / ||psi1||^2, with G mu = k Psi x, which the loop
+multiplies into Q x together with its own coefficient on R's rows.
 
 The same membership test applies verbatim to time-parameterized outputs:
 evaluate it on eta_t in place of eta.
@@ -43,6 +49,7 @@ evaluate it on eta_t in place of eta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +85,7 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     Each row goes through the same BLAS call as a lone vector, so a
     row's result is bit for bit independent of the batch it sits in.
     """
-    return (A @ x[..., None])[..., 0]
+    return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
 
 
 #: x @ y row by row, as a gufunc: each row takes the same dot-product call
@@ -114,72 +121,97 @@ def evaluate_clf(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray) 
     return ClfEvaluation(V=float(V), LF_V=float(LF_V), LG_V=LG_V)
 
 
-#: the law's constants as 0-d arrays, which numpy combines with a small
+#: the law's constants as 0-d arrays, which numpy combines with a large
 #: array faster than a Python float: 0, the 1e-14 of the flat-psi1 guard,
 #: and the smallest normal double, a floor for denominators that may be 0
-#: (also as a Python float, for a lone point)
 _ZERO, _FLAT, _TINY = np.array(0.0), np.array(1e-14), np.array(np.finfo(float).tiny)
 _TINY_F = float(_TINY)
 
+#: a batch of at most this many rows runs the law's per-row scalars on
+#: Python floats, which skip numpy's per-call cost; a larger one runs them
+#: as whole-array operations.  Both make the same IEEE operations.
+SCALAR_ROWS = 16
 
-def min_norm_mu(cert: ResClfCertificate, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+
+def state_forms(blocks: np.ndarray) -> np.ndarray:
+    """(||psi1||^2, psi0, |R x|^2) of each row of a state operator's rows, by one ``vecdot``.
+
+    blocks is matvec(W_x, x) for a state operator W_x = [L; Psi; M; Q; I; R]
+    (module docstring) read as (..., 6, w); the forms have shape (..., 3).
+    """
+    return vecdot(blocks[..., 1:4, :], blocks[..., 3:, :])
+
+
+def min_norm_mu(cert: ResClfCertificate, x: np.ndarray, rows: np.ndarray,
+                forms: np.ndarray | None = None) -> np.ndarray:
     """Minimum-Euclidean-norm element of the rate-(gamma/eps) controller set.
 
     rows = matvec(W, x), and the width of x tells the layout apart:
     x = eta (n_eta wide) with W from ``clf_operator`` gives mu (n_mu wide);
-    a state x of width w != n_eta with a state operator [L; G 2 G'P_eps; M]
-    (3w rows, see the module docstring) gives G mu in the state's
-    coordinates (w wide).  x is one point or a batch (B, width); each row
-    equals the law at that row alone, bit for bit (but for a NaN's sign
-    where psi0 and psi1 are NaN).  A lone point (x and rows 1-D) takes the
-    scalar path: the same IEEE operations on Python floats, which skip
-    numpy's per-call cost on 0-d values, with the same bits.  A row with
-    psi0 <= 0 gives a zero mu (possibly -0.0), and psi1 = 0 there gives no NaN.
+    a state x of width w != n_eta with a state operator W_x (6w rows, see
+    the module docstring) gives each row's gain k, G mu = k Psi x;
+    forms are its rows' ``state_forms``, if the caller has them.  x is one
+    point or a batch (B, width); each row equals the law at that row
+    alone, bit for bit (but for a NaN's sign where psi0 and psi1 are NaN).
+    Up to ``SCALAR_ROWS`` rows, a lone point included, the flat-psi1 test,
+    the clamps and the quotient run on Python floats.  A row with
+    psi0 <= 0 gives a zero mu (possibly -0.0), and psi1 = 0 there gives no
+    NaN.
     """
-    w = x.shape[-1]
-    n = cert.dims.n_eta
-    a, b = (2 * n, 2 * n + cert.dims.n_mu) if w == n else (w, 2 * w)
-    if rows.shape[-1:] != (b + w,):
-        raise ValueError(f"rows have shape {rows.shape}, expected (..., {b + w}) "
-                         f"for a point of width {w}")
-    psi1 = rows[..., a:b]
-    psi0 = vecdot(x, rows[..., b:])
-    denom = vecdot(psi1, psi1)
-    if x.ndim == rows.ndim == 1:
-        p, q = float(psi0), float(denom)
-        if q <= 1e-14 * p:
-            _check_consistency(x, psi0, denom, True)
-        # np.maximum's semantics: NaN propagates and max(-0.0, 0.0) is +0.0
-        p = 0.0 if p <= 0.0 else p
-        q = _TINY_F if q < _TINY_F else q
-        return -(p / q) * psi1
-    # psi1 ~ 0 relative to psi0; only such a row can be inconsistent, so the
-    # full check runs only when one exists
-    flat = denom <= _FLAT * psi0
-    if np.count_nonzero(flat):
-        _check_consistency(x, psi0, denom, flat)
-    return -(np.maximum(psi0, _ZERO) / np.maximum(denom, _TINY))[..., None] * psi1
+    w, n, m = x.shape[-1], cert.dims.n_eta, cert.dims.n_mu
+    width = 6 * w if w != n else 3 * n + m
+    if rows.shape[-1] != width or x.ndim > 2:
+        raise ValueError(f"x and rows have shapes {x.shape} and {rows.shape}, expected "
+                         f"(width,) or (B, width) and (..., {width}) for width {w}")
+    if w != n:
+        if forms is None:
+            forms = state_forms(rows.reshape(rows.shape[:-1] + (6, w)))
+        denom, psi0 = forms[..., 0], forms[..., 1]
+    else:
+        psi1 = rows[..., 2 * n:2 * n + m]
+        denom, psi0 = vecdot(psi1, psi1), vecdot(x, rows[..., 2 * n + m:])
+    if x.ndim == 1:
+        gain = _gain(float(psi0), float(denom))
+        return np.array(gain) if w != n else gain * psi1
+    if len(x) <= SCALAR_ROWS:
+        gains = np.array([_gain(p, q, row) for row, (p, q)
+                          in enumerate(zip(psi0.tolist(), denom.tolist()))])
+    else:
+        # psi1 ~ 0 relative to psi0; only such a row can be inconsistent, so
+        # the full check runs only when one exists
+        flat = denom <= _FLAT * psi0
+        if np.count_nonzero(flat):
+            bad = np.flatnonzero(flat & (psi0 > 0.0))
+            if bad.size:
+                row = int(bad[0])
+                raise _inconsistency(f"row {row}: ", float(psi0[row]), float(denom[row]))
+        gains = -(np.maximum(psi0, _ZERO) / np.maximum(denom, _TINY))
+    return gains if w != n else gains[:, None] * psi1
 
 
-def _check_consistency(x: np.ndarray, psi0: np.ndarray, denom: np.ndarray,
-                       flat: np.ndarray | bool) -> None:
-    """Raise ClfConsistencyError for the first row with psi0 > 0 among the flat rows.
+def _gain(psi0: float, denom: float, row: int | None = None) -> float:
+    """The law's gain -max(psi0, 0) / max(||psi1||^2, tiny) at one point, on Python floats.
+
+    The comparisons keep np.maximum's semantics: NaN propagates, and
+    max(-0.0, 0.0) is +0.0.  row is the point's index in its batch, which
+    a ClfConsistencyError names.
+    """
+    if denom <= 1e-14 * psi0 and psi0 > 0.0:
+        raise _inconsistency("" if row is None else f"row {row}: ", psi0, denom)
+    return -((0.0 if psi0 <= 0.0 else psi0) / (_TINY_F if denom < _TINY_F else denom))
+
+
+def _inconsistency(where: str, psi0: float, denom: float) -> ClfConsistencyError:
+    """The error for a flat row (||psi1||^2 <= 1e-14 psi0) with psi0 > 0.
 
     psi0 = inf marks a row flat unless ||psi1||^2 is NaN; such a row is a
     state that overflowed, not a broken certificate, and its message says so.
     """
-    psi0, denom = np.ravel(psi0), np.ravel(denom)
-    bad = np.flatnonzero((psi0 > 0.0) & flat)
-    if bad.size:
-        row = int(bad[0])
-        where = f"row {row}: " if x.ndim == 2 else ""
-        if not (np.isfinite(psi0[row]) and np.isfinite(denom[row])):
-            raise ClfConsistencyError(
-                f"{where}the state overflowed: psi0 = {psi0[row]:g}, "
-                f"||psi1||^2 = {denom[row]:g}")
-        raise ClfConsistencyError(
-            f"{where}psi1 ~ 0 with psi0 = {psi0[row]:g} > 0; "
-            "certificate invariants are broken")
+    if not (math.isfinite(psi0) and math.isfinite(denom)):
+        return ClfConsistencyError(f"{where}the state overflowed: psi0 = {psi0:g}, "
+                                   f"||psi1||^2 = {denom:g}")
+    return ClfConsistencyError(f"{where}psi1 ~ 0 with psi0 = {psi0:g} > 0; "
+                               "certificate invariants are broken")
 
 
 def membership(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clf import clf_operator, matvec, min_norm_mu, u_s_damping, vecdot
+from .clf import SCALAR_ROWS, clf_operator, matvec, min_norm_mu, state_forms, u_s_damping, vecdot
 from .disturbance import DisturbanceSignal
 from .output_dynamics import OutputDims, OutputDynamics, build_fg
 from .riccati import ResClfCertificate
@@ -410,12 +410,12 @@ class DisturbedClosedLoop:
     signal: DisturbanceSignal | None = None
     eps_bar: float = 0.1
     sigma: float = 1.0  # composite Lyapunov weight used for the V_c trace
-    #: [L; G 2 G'P_eps; M] on the state x, built once (see ``field``)
+    #: [L; Psi; M; Q; I; Z] on the state x, built once (see ``field``)
     operator: np.ndarray = field(init=False, repr=False, compare=False)
     #: the state rows that G feeds, in mu order: (G v)[g_rows[j]] = v[j]
     g_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    #: lambda_h and r0^2 as 0-d arrays (see ``clf._ZERO``)
-    _radial: tuple = field(init=False, repr=False, compare=False)
+    #: for B = 1..SCALAR_ROWS rows, the index that spreads (k_1..k_B, r_1..r_B) over (B, w)
+    _spread: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.controller not in CONTROLLER_MODES:
@@ -427,7 +427,7 @@ class DisturbedClosedLoop:
         # u_s = K eta; u_s_damping reads K off W's psi1 rows, and checks eps_bar
         K = u_s_damping(self.cert, W.T, self.eps_bar).T
         g = plant.dyn.G.argmax(axis=0)
-        L, psi1, M = np.zeros((3, n + 2, n + 2))
+        L, psi1, M, Z = np.zeros((4, n + 2, n + 2))
         L[:n, :n] = plant.dyn.F
         if self.damped:
             L[g, :n] = K  # F is zero on G's rows
@@ -435,9 +435,13 @@ class DisturbedClosedLoop:
         L[n:, n:] = [[0.0, -plant.omega], [plant.omega, 0.0]]
         psi1[g, :n] = W[2 * n:2 * n + m]
         M[:n, :n] = W[2 * n + m:]
-        object.__setattr__(self, "operator", np.vstack([L, psi1, M]))
+        Z[n:, n:] = np.eye(2)
+        operator = np.vstack([L, psi1, M, psi1 + Z, np.eye(n + 2), Z])
+        object.__setattr__(self, "operator", operator)
         object.__setattr__(self, "g_rows", g)
-        object.__setattr__(self, "_radial", (np.array(plant.lambda_h), np.array(plant.r0 ** 2)))
+        spread = [None] + [np.add.outer(np.arange(B), [0] * n + [B, B])
+                           for B in range(1, SCALAR_ROWS + 1)]
+        object.__setattr__(self, "_spread", spread)
 
     @property
     def state_dim(self) -> int:
@@ -460,25 +464,42 @@ class DisturbedClosedLoop:
         state is one flat state x = (eta, z) of shape (state_dim,) or a batch
         (B, state_dim) of runs under this loop's plant, certificate and
         controller; d is the mu-channel disturbance at t already placed,
-        ``place(d)``, one row per run.  ``operator``'s first rows hold every
-        linear term,
+        ``place(d)``, one row per run.  ``operator`` is the law's state
+        operator (see ``clf``) with Z selecting z: its first block holds
+        every linear term,
 
             L x = (F eta + G u_s,  C eta + (-w z2, w z1)),   u_s = K eta or 0,
 
-        so one row-by-row ``matvec`` gives L x and the law's rows,
-        ``min_norm_mu`` returns G mu already placed, and
+        so one row-by-row ``matvec`` gives L x, the law's rows and
+        Q x = G psi1 + (0, z), and one ``vecdot`` (``state_forms``) gives
+        ||psi1||^2, psi0 and |z|^2 of every row.  The law returns each row's
+        gain k (G mu = k G psi1), and with c = k on eta and
+        lh (r0^2 - |z|^2) on z, one coefficient row per run,
 
-            dx/dt = L x + G mu + G d + (0, lh (r0^2 - |z|^2) z),
+            dx/dt = L x + c Q x + G d,
 
         that is d eta/dt = F eta + G(mu + u_s + d), dz/dt = Psi0(z) + C eta.
+        A lone state is a batch of one.  Up to ``clf.SCALAR_ROWS`` rows, the
+        coefficients are built from Python floats.
         """
-        rows = matvec(self.operator, state)
-        out = rows[..., :state.shape[-1]] + min_norm_mu(self.cert, state, rows)
+        x = state if state.ndim == 2 else state[None]
+        rows = matvec(self.operator, x)
+        blocks = rows.reshape(len(x), 6, -1)
+        forms = state_forms(blocks)
+        gains = min_norm_mu(self.cert, x, rows, forms)
+        lh, r0_sq = self.plant.lambda_h, self.plant.r0 ** 2
+        if len(x) <= SCALAR_ROWS:
+            # (k_1..k_B, r_1..r_B) spread to (B, w): k on eta, r on z
+            coef = gains.tolist() + [lh * (r0_sq - zz) for zz in forms[:, 2].tolist()]
+            coef = np.array(coef)[self._spread[len(x)]]
+        else:
+            n = self.plant.dims.n_eta
+            coef = np.empty(x.shape)
+            coef[:, :n] = gains[:, None]
+            coef[:, n:] = (lh * (r0_sq - forms[:, 2]))[:, None]
+        out = blocks[:, 0] + coef * blocks[:, 3]
         out += d
-        z, out_z = state[..., -2:], out[..., -2:]
-        lh, r0_sq = self._radial
-        out_z += (lh * (r0_sq - vecdot(z, z)))[..., None] * z
-        return out
+        return out if x is state else out[0]
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ the grid i*dt.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,10 +37,17 @@ from .plants import (DisturbedClosedLoop, MechClosedLoop, check_phases,
                      mech_phase_disturbance, orbit_distance, vz_value)
 
 MAX_STEPS = 10_000_000
-#: steps whose stage-time disturbance is tabled at once, and samples recorded at once
+#: steps whose stage-time disturbance is tabled at once and whose states are
+#: checked for finiteness at once, and samples recorded at once
 CHUNK = 500
 #: RK4's stage weight 2, a 0-d array as ``rk4_step``'s other multipliers
 _TWO = np.array(2.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _stage_multipliers(dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dt/2, dt and dt/6 as 0-d arrays, built once per step size."""
+    return np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
 
 
 class SimulationError(RuntimeError):
@@ -80,11 +88,11 @@ def rk4_step(f: Callable[..., np.ndarray], t: float, y: np.ndarray, dt: float,
 
     With inputs = (u(t), u(t + dt/2), u(t + dt)), an exogenous input tabled
     at the stage times, the field is called as f(t, y, u).  The stage
-    multipliers are 0-d arrays, which numpy combines with a small array
-    faster than Python floats, in the same IEEE products.
+    multipliers are 0-d arrays, built once per dt, which numpy combines
+    with a small array faster than Python floats, in the same IEEE products.
     """
     u0, uh, u1 = ((),) * 3 if inputs is None else [(u,) for u in inputs]
-    half, whole, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
+    half, whole, sixth = _stage_multipliers(dt)
     k1 = f(t, y, *u0)
     k2 = f(t + 0.5 * dt, y + half * k1, *uh)
     k3 = f(t + 0.5 * dt, y + half * k2, *uh)
@@ -102,8 +110,10 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
     sigmas may differ) integrates as one batch from x0 of shape
     (B, state_dim) and returns one record per loop; a single Hopf loop is
     a batch of one, and each run's record is the same bit for bit whatever
-    batch it sits in.  Raises SimulationError with the run index and the
-    offending time if a state leaves the finite range.
+    batch it sits in.  Raises SimulationError with the run index, the
+    offending time and the state if a state leaves the finite range; the
+    states are checked once per CHUNK steps, and the first non-finite one
+    is named even if a field call on its successors raised first.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -152,19 +162,36 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
                 u_node = place(recorded[i:i + k + 1])
                 u_half = place(sample(nodes[i:i + k] + 0.5 * dt))
             inputs = (u_node[j], u_half[j], u_node[j + 1])
-            x = states[i + 1] = rk4_step(f, t, states[i], dt, inputs)
+            try:
+                states[i + 1] = rk4_step(f, t, states[i], dt, inputs)
+            except Exception:
+                # a state of this chunk that left the finite range is the diagnosis,
+                # whatever its non-finite successors then raised
+                _check_finite(states, i - j + 1, i + 1, nodes)
+                raise
             t += dt
-            if np.count_nonzero(np.isfinite(x)) < x.size:
-                rows = np.atleast_2d(x)
-                run = int(np.flatnonzero(~np.all(np.isfinite(rows), axis=1))[0])
-                raise SimulationError(
-                    f"non-finite state in run {run} at t = {t:.6g}: {rows[run]}")
+            if j == k - 1:
+                _check_finite(states, i - j + 1, i + 2, nodes)
     ts = np.arange(n_steps + 1) * dt
 
     if isinstance(closed_loop, MechClosedLoop):
         return _record_mech(closed_loop, ts, recorded, states)
     records = _record_hopf(loops, recorded, ts, states)
     return records[0] if single else records
+
+
+def _check_finite(states: np.ndarray, start: int, stop: int, nodes: np.ndarray) -> None:
+    """Raise SimulationError for the first of states[start:stop] with a non-finite entry.
+
+    The error names the run (the row of a batch), the node time and the state.
+    """
+    finite = np.isfinite(states[start:stop])
+    if finite.all():
+        return
+    i = start + int(np.flatnonzero(~finite.reshape(stop - start, -1).all(axis=1))[0])
+    rows = np.atleast_2d(states[i])
+    run = int(np.flatnonzero(~np.all(np.isfinite(rows), axis=1))[0])
+    raise SimulationError(f"non-finite state in run {run} at t = {nodes[i]:.6g}: {rows[run]}")
 
 
 def _shared_hopf_loop(loops) -> DisturbedClosedLoop:
@@ -186,8 +213,9 @@ def _record_hopf(loops, d: np.ndarray, ts: np.ndarray,
 
     d holds the disturbance rows that stepping applied at the sample times.
     mu and u_s are read back from the operator and law calls stepping makes:
-    G mu from the law, u_s from L's rows on G (F is zero there).  V_eps
-    comes from ``clf_operator``'s rows on eta, as ``evaluate_clf`` gives it.
+    mu as the law's gain times the operator's psi1 rows, u_s from L's rows
+    on G (F is zero there).  V_eps comes from ``clf_operator``'s rows on
+    eta, as ``evaluate_clf`` gives it.
     """
     loop = loops[0]
     plant, cert, g = loop.plant, loop.cert, loop.g_rows
@@ -201,7 +229,8 @@ def _record_hopf(loops, d: np.ndarray, ts: np.ndarray,
     for a in range(0, S, CHUNK):
         x = states[a:a + CHUNK].reshape(-1, w)  # one row per (sample, run)
         rows = matvec(loop.operator, x)
-        mu[a:a + CHUNK] = min_norm_mu(cert, x, rows)[:, g].reshape(-1, B, m)
+        gains = min_norm_mu(cert, x, rows)
+        mu[a:a + CHUNK] = (gains[:, None] * rows[:, w + g]).reshape(-1, B, m)
         if loop.damped:
             us[a:a + CHUNK] = rows[:, g].reshape(-1, B, m)
         e = eta[a:a + CHUNK].reshape(-1, n)

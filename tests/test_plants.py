@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import orbitclf as oc
+from orbitclf.clf import SCALAR_ROWS
 from orbitclf.plants import check_phases, pzd_distance
 
 
@@ -550,37 +551,65 @@ def _hopf_loop_and_inputs(k1, k2, controller):
     return loop, rng.normal(size=(32, dims.n_eta + 2)), 0.1 * rng.normal(size=(32, dims.n_mu))
 
 
+#: batch sizes on both sides of the law's switch from Python floats to whole arrays
+BATCH_SIZES = (1, 2, 5, 8, SCALAR_ROWS, SCALAR_ROWS + 1, 32)
+
+
+def _batches_and_lone_states(loop, X, D):
+    """The field on the first B rows for every B in BATCH_SIZES, and on each row alone."""
+    Gd = loop.place(D)
+    batches = [loop.field(0.0, X[:B], Gd[:B]) for B in BATCH_SIZES]
+    return batches, [loop.field(0.0, x, d) for x, d in zip(X, Gd)]
+
+
 @pytest.mark.parametrize("k1, k2", HOPF_DIMS)
 @pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
 def test_hopf_field_places_f_eta_plus_g_v(k1, k2, controller):
     # the field is L x + G mu + G d, plus lh (r0^2 - |z|^2) z on the z rows,
-    # bitwise: one matvec of the state operator gives L x and the law's rows,
-    # the law returns G mu placed and d comes placed; G mu, G d and the
-    # damping sit on G's rows only, and F is zero there
+    # bitwise: one matvec of the state operator [L; Psi; M; Q; I; Z] gives L x
+    # and the law's rows, one vecdot gives ||psi1||^2, psi0 and |z|^2 as the
+    # plain dot products, the law gives each row's gain k with G mu = k Psi x,
+    # and d comes placed; G mu, G d and the damping sit on G's rows only, and
+    # F is zero there.  Every batch size and a lone state give the same bytes
     loop, X, D = _hopf_loop_and_inputs(k1, k2, controller)
     plant, cert = loop.plant, loop.cert
-    n, g = plant.dims.n_eta, loop.g_rows
-    off = np.setdiff1d(np.arange(n + 2), g)
+    n, m, g = plant.dims.n_eta, plant.dims.n_mu, loop.g_rows
+    w = n + 2
+    off = np.setdiff1d(np.arange(w), g)
     Gd = loop.place(D)
     assert np.array_equal(Gd[:, g], D) and not Gd[:, off].any()
     assert np.array_equal(Gd[:, :n], oc.matvec(plant.dyn.G, D))
-    rows = oc.matvec(loop.operator, X)
-    Gmu = oc.min_norm_mu(cert, X, rows)
-    assert Gmu.shape == X.shape and not Gmu[:, off].any() and Gmu[:, g].any()
-    L, F_rows = loop.operator[:n + 2], np.setdiff1d(np.arange(n), g)
+    L, Psi, M, Q, I, Z = loop.operator.reshape(6, w, w)
+    W = oc.clf_operator(cert, plant.dyn)
+    assert np.array_equal(Psi[g, :n], W[2 * n:2 * n + m]) and not Psi[off].any()
+    assert not Psi[:, n:].any()
+    assert np.array_equal(M[:n, :n], W[2 * n + m:]) and not M[n:].any() and not M[:, n:].any()
+    assert np.array_equal(Z, np.diag([0.0] * n + [1.0, 1.0]))
+    assert np.array_equal(Q, Psi + Z) and np.array_equal(I, np.eye(w))
+    F_rows = np.setdiff1d(np.arange(n), g)
     assert not plant.dyn.F[g].any()
     assert np.array_equal(L[F_rows, :n], plant.dyn.F[F_rows]) and not L[F_rows, n:].any()
     assert np.array_equal(L[n:], np.hstack([plant.coupling, [[0.0, -plant.omega],
                                                              [plant.omega, 0.0]]]))
-    W = oc.clf_operator(cert, plant.dyn)
     K = oc.u_s_damping(cert, W.T, loop.eps_bar).T if loop.damped else 0.0
     assert np.array_equal(L[g, :n], np.zeros((len(g), n)) + K) and not L[g, n:].any()
-    want = rows[:, :n + 2] + Gmu + Gd
-    z = X[:, n:]
+    rows = oc.matvec(loop.operator, X)
+    blocks = rows.reshape(-1, 6, w)
+    psi1, Mx, z = blocks[:, 1], blocks[:, 2], X[:, n:]
+    forms = oc.state_forms(blocks)
+    assert forms.tobytes() == np.stack([np.vecdot(psi1, psi1), np.vecdot(X, Mx),
+                                        np.vecdot(z, z)], axis=-1).tobytes()
+    gains = oc.min_norm_mu(cert, X, rows)
+    # both branches (k2 = 0: psi0 > 0 off the origin)
+    assert gains.shape == (32,) and gains.any() and (not gains.all() or k2 == 0)
+    Gmu = gains[:, None] * psi1
+    assert not Gmu[:, off].any() and Gmu[:, g].any()
+    want = blocks[:, 0] + Gmu + Gd
     want[:, n:] += (plant.lambda_h * (plant.r0 ** 2 - np.vecdot(z, z)))[:, None] * z
-    out = loop.field(0.0, X, Gd)
-    assert np.array_equal(out, want)
-    assert np.array_equal(out[3], loop.field(0.0, X[3], Gd[3]))  # a lone state
+    batches, lone = _batches_and_lone_states(loop, X, D)
+    for B, out in zip(BATCH_SIZES, batches):
+        assert out.shape == (B, w) and out.tobytes() == want[:B].tobytes(), B
+    assert all(x.shape == (w,) and x.tobytes() == y.tobytes() for x, y in zip(lone, want))
 
 
 @pytest.mark.parametrize("k1, k2", HOPF_DIMS)
@@ -588,12 +617,17 @@ def test_hopf_field_places_f_eta_plus_g_v(k1, k2, controller):
 def test_hopf_field_matches_written_out_dynamics(k1, k2, controller):
     # the oracle: d eta/dt = F eta + G(mu + u_s + d) and dz/dt = Psi0(z) + C eta
     # with mu, u_s and Psi0 written out from their formulas, to rtol 1e-13 and
-    # an atol of 1e-13 times the size of the terms that are summed
+    # an atol of 1e-13 times the size of the terms that are summed; every
+    # batch size and a lone state give the 32-row batch's bytes
     loop, X, D = _hopf_loop_and_inputs(k1, k2, controller)
     plant, cert = loop.plant, loop.cert
     F, G, C, P = plant.dyn.F, plant.dyn.G, plant.coupling, cert.P_eps
     n, w, lh, r0 = plant.dims.n_eta, plant.omega, plant.lambda_h, plant.r0
-    out = loop.field(0.0, X, loop.place(D))
+    batches, lone = _batches_and_lone_states(loop, X, D)
+    out = batches[-1]
+    for B, got in zip(BATCH_SIZES, batches):
+        assert got.tobytes() == out[:B].tobytes(), B
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(lone, out))
     for x, d, got in zip(X, D, out):
         eta, (z1, z2) = x[:n], x[n:]
         LF_V, V = eta @ (F.T @ P + P @ F) @ eta, eta @ P @ eta

@@ -261,19 +261,20 @@ def test_stage_inputs_equal_per_call_table(monkeypatch, chunk):
 def test_record_shows_what_stepping_applied(monkeypatch, controller):
     # record.d, record.mu and record.u_s at sample i are bitwise the d, mu and
     # u_s of step i's first stage (the last sample: the last step's last
-    # stage): d and mu read back from the placed stage input and the law's
-    # placed output, u_s from the operator's rows on G
+    # stage): d read back from the placed stage input, mu as the law's gain
+    # times the operator's psi1 rows on G, u_s from the operator's rows on G
     loop = dataclasses.replace(_every_signal_kind(controller)[0][-1], eps_bar=0.5)
     x0 = _batch_of_five()[1][1]
     fields = _recording_calls(monkeypatch, oc.DisturbedClosedLoop, "field")
     mus = _recording_calls(monkeypatch, plants, "min_norm_mu")
     rows = _recording_calls(monkeypatch, plants, "matvec")
     rec = oc.integrate(loop, x0, T=8.0, dt=1e-3)  # the benchmark's certify horizon
-    n, g = len(rec) - 1, loop.g_rows
+    n, g, w = len(rec) - 1, loop.g_rows, loop.state_dim
     assert len(fields) == len(mus) == len(rows) == 4 * n
     first = slice(0, None, 4)
     assert np.array_equal(rec.d, [args[3][0][g] for args, _ in fields[first] + fields[-1:]])
-    assert np.array_equal(rec.mu[:n], [mu[0][g] for _, mu in mus[first]])
+    assert np.array_equal(rec.mu[:n], [k[0] * r[0][w + g]
+                                       for (_, k), (_, r) in zip(mus[first], rows[first])])
     if loop.damped:
         assert np.array_equal(rec.u_s[:n], [r[0][g] for _, r in rows[first]])
         assert rec.u_s.any()
@@ -322,6 +323,57 @@ def test_batch_nonfinite_names_the_run():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(oc.SimulationError, match="run 3 at t = "):
         oc.integrate(loops, x0, T=1.0, dt=0.1)
+
+
+def _overflowing_batch():
+    """A batch of five whose run 3 leaves the finite range at the fourth step of dt = 0.01.
+
+    z = (15.5, 0.3) is just outside RK4's stability region for the radial
+    term: |z| grows for three steps, and the fourth state has finite and
+    infinite entries.
+    """
+    loops, x0 = _batch_of_five("min_norm")
+    x0[3, 5] = 15.5
+    return loops, x0
+
+
+def _abort(loops, x0):
+    with pytest.raises(oc.SimulationError) as err:
+        oc.integrate(loops, x0, T=3.0, dt=0.01)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("chunk", [3, 7, 500])
+def test_batch_overflow_mid_chunk_names_the_first_nonfinite_state(monkeypatch, chunk):
+    # the finiteness check once per chunk names the run, time and state that
+    # a check after every step (chunk = 1) names, although the steps after
+    # it ran on within the chunk
+    loops, x0 = _overflowing_batch()
+    monkeypatch.setattr(simulator, "CHUNK", 1)
+    each_step = _abort(loops, x0)
+    assert each_step.startswith("non-finite state in run 3 at t = 0.04: [")
+    assert "inf" in each_step and "nan" not in each_step  # the state itself, not a successor
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    assert _abort(loops, x0) == each_step
+
+
+def test_field_error_after_overflow_names_the_nonfinite_state(monkeypatch):
+    # a field that raises on a non-finite state, as a law may, does not hide
+    # the state that left the finite range; an error on finite states passes
+    loops, x0 = _overflowing_batch()
+    want = _abort(loops, x0)
+    field = oc.DisturbedClosedLoop.field
+
+    def strict(self, t, state, d):
+        if not np.isfinite(state).all():
+            raise oc.ClfConsistencyError("row 3: the state overflowed")
+        return field(self, t, state, d)
+
+    monkeypatch.setattr(oc.DisturbedClosedLoop, "field", strict)
+    assert _abort(loops, x0) == want
+    monkeypatch.setattr(oc.DisturbedClosedLoop, "field", lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        oc.integrate(loops, _batch_of_five()[1], T=3.0, dt=0.01)
 
 
 def _record_mech_per_sample(loop, ts, states):
