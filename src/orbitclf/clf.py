@@ -39,9 +39,11 @@ of ``matvec(W_x, x)``, read as two stacked (3, w) views, meet in one
 and Q x . R x = |R x|^2.  G is a 0/1 selection with disjoint columns,
 so ||G psi1|| = ||psi1||, and on a finite x the identity rows are x and
 the products with zero rows add only zeros: the forms have the bits of
-the plain dot products.  ``min_norm_mu`` then gives each row's gain
-k = -max(psi0, 0) / ||psi1||^2, with G mu = k Psi x, which the loop
-multiplies into Q x together with its own coefficient on R's rows.
+the plain dot products.  ``min_norm_mu`` takes just the forms psi0 and
+||psi1||^2, 0-d for one point or (B,) for a batch, and gives each row's
+gain k = -max(psi0, 0) / ||psi1||^2.  Its caller multiplies: mu = k psi1,
+or G mu = k Psi x, which the Hopf loop multiplies into Q x together with
+its own coefficient on R's rows.
 
 The same membership test applies verbatim to time-parameterized outputs:
 evaluate it on eta_t in place of eta.
@@ -142,51 +144,33 @@ def state_forms(blocks: np.ndarray) -> np.ndarray:
     return vecdot(blocks[..., 1:4, :], blocks[..., 3:, :])
 
 
-def min_norm_mu(cert: ResClfCertificate, x: np.ndarray, rows: np.ndarray,
-                forms: np.ndarray | None = None) -> np.ndarray:
-    """Minimum-Euclidean-norm element of the rate-(gamma/eps) controller set.
+def min_norm_mu(psi0: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Each row's gain k of the min-norm law: k psi1 is the least-norm mu of the rate-gamma/eps set.
 
-    rows = matvec(W, x), and the width of x tells the layout apart:
-    x = eta (n_eta wide) with W from ``clf_operator`` gives mu (n_mu wide);
-    a state x of width w != n_eta with a state operator W_x (6w rows, see
-    the module docstring) gives each row's gain k, G mu = k Psi x;
-    forms are its rows' ``state_forms``, if the caller has them.  x is one
-    point or a batch (B, width); each row equals the law at that row
-    alone, bit for bit (but for a NaN's sign where psi0 and psi1 are NaN).
-    Up to ``SCALAR_ROWS`` rows, a lone point included, the flat-psi1 test,
-    the clamps and the quotient run on Python floats.  A row with
-    psi0 <= 0 gives a zero mu (possibly -0.0), and psi1 = 0 there gives no
-    NaN.
+    psi0 = eta'M eta and denom = ||psi1||^2 are 0-d for a lone point or
+    (B,) for a batch, and so are the gains.  Each row's gain equals the
+    law at that row alone, bit for bit (but for a NaN's sign where psi0
+    and ||psi1||^2 are NaN).  Up to ``SCALAR_ROWS`` rows, a lone point
+    included, the flat-psi1 test, the clamps and the quotient run on
+    Python floats.  A row with psi0 <= 0 gives a zero gain (possibly -0.0),
+    and psi1 = 0 there gives no NaN.
     """
-    w, n, m = x.shape[-1], cert.dims.n_eta, cert.dims.n_mu
-    width = 6 * w if w != n else 3 * n + m
-    if rows.shape[-1] != width or x.ndim > 2:
-        raise ValueError(f"x and rows have shapes {x.shape} and {rows.shape}, expected "
-                         f"(width,) or (B, width) and (..., {width}) for width {w}")
-    if w != n:
-        if forms is None:
-            forms = state_forms(rows.reshape(rows.shape[:-1] + (6, w)))
-        denom, psi0 = forms[..., 0], forms[..., 1]
-    else:
-        psi1 = rows[..., 2 * n:2 * n + m]
-        denom, psi0 = vecdot(psi1, psi1), vecdot(x, rows[..., 2 * n + m:])
-    if x.ndim == 1:
-        gain = _gain(float(psi0), float(denom))
-        return np.array(gain) if w != n else gain * psi1
-    if len(x) <= SCALAR_ROWS:
-        gains = np.array([_gain(p, q, row) for row, (p, q)
-                          in enumerate(zip(psi0.tolist(), denom.tolist()))])
-    else:
-        # psi1 ~ 0 relative to psi0; only such a row can be inconsistent, so
-        # the full check runs only when one exists
-        flat = denom <= _FLAT * psi0
-        if np.count_nonzero(flat):
-            bad = np.flatnonzero(flat & (psi0 > 0.0))
-            if bad.size:
-                row = int(bad[0])
-                raise _inconsistency(f"row {row}: ", float(psi0[row]), float(denom[row]))
-        gains = -(np.maximum(psi0, _ZERO) / np.maximum(denom, _TINY))
-    return gains if w != n else gains[:, None] * psi1
+    if psi0.shape != denom.shape:
+        raise ValueError(f"psi0 and ||psi1||^2 have shapes {psi0.shape} and {denom.shape}")
+    if psi0.ndim == 0:
+        return np.array(_gain(float(psi0), float(denom)))
+    if len(psi0) <= SCALAR_ROWS:
+        return np.array([_gain(p, q, row) for row, (p, q)
+                         in enumerate(zip(psi0.tolist(), denom.tolist()))])
+    # psi1 ~ 0 relative to psi0; only such a row can be inconsistent, so
+    # the full check runs only when one exists
+    flat = denom <= _FLAT * psi0
+    if np.count_nonzero(flat):
+        bad = np.flatnonzero(flat & (psi0 > 0.0))
+        if bad.size:
+            row = int(bad[0])
+            raise _inconsistency(f"row {row}: ", float(psi0[row]), float(denom[row]))
+    return -(np.maximum(psi0, _ZERO) / np.maximum(denom, _TINY))
 
 
 def _gain(psi0: float, denom: float, row: int | None = None) -> float:

@@ -43,7 +43,7 @@ from .plants import (
     orbit_distance,
 )
 from .riccati import CareSolveError, certificate
-from .simulator import SimulationError, integrate, ultimate_bound
+from .simulator import MAX_STEPS, SimulationError, integrate, ultimate_bound
 
 DEFAULT_ALPHA = [0.0, 0.1, 0.3, 0.3, 0.1, 0.0]
 
@@ -114,7 +114,11 @@ def load_config(path: str | None, overrides: list[str], seed: int | None,
     """Resolve defaults <- file <- overrides <- flags into a validated config."""
     given: dict = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+            raise ConfigError(f"cannot read config {path}: {reason}") from exc
         try:
             given = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -231,6 +235,9 @@ def _validate(config: dict) -> None:
     integ = config["integrator"]
     if float(integ["dt"]) <= 0.0 or float(integ["horizon"]) < float(integ["dt"]):
         raise ConfigError("integrator needs dt > 0 and horizon >= dt")
+    if not float(integ["horizon"]) / float(integ["dt"]) <= MAX_STEPS:
+        raise ConfigError(f"integrator.horizon / integrator.dt exceeds the {MAX_STEPS} "
+                          "step ceiling")
     if not (0.0 < float(config["settle_fraction"]) < 1.0):
         raise ConfigError("settle_fraction must lie in (0, 1)")
 
@@ -498,7 +505,7 @@ def run_certify(config: dict, out_dir: Path) -> tuple[dict, list[Check]]:
     sigma_ok, sigma_margin = cert_mod.sigma_condition(cert, consts, L_q, sigma)
 
     main_sig = build_signal(config, cert.dims)
-    d_inf = 0.0 if main_sig.kind == "zero" else sup_norm(main_sig, horizon)
+    d_inf = sup_norm(main_sig, horizon)
 
     # one batch: the main run, the d = 0 run (also amplitude 0 of the grid)
     # and the grid's other amplitudes
@@ -600,7 +607,7 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
         loop, cert, _, x0 = build_closed_loop(config, eps=eps)
         rec = integrate(loop, x0, T=horizon, dt=dt)
         sig = build_signal(config, cert.dims)
-        d_inf = 0.0 if sig.kind == "zero" else sup_norm(sig, horizon)
+        d_inf = sup_norm(sig, horizon)
         eps_rows.append([eps, ultimate_bound(rec, settle),
                          cert_mod.min_norm_ultimate_bound(cert, d_inf)])
     amps = sorted(float(a) for a in config["sweep"]["amplitude_grid"])
@@ -659,12 +666,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, args.override, args.seed, args.out)
         out_dir = Path(config["out"])
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from exc
         return args.fn(config, out_dir)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SimulationError, ClfConsistencyError) as exc:

@@ -486,7 +486,7 @@ class DisturbedClosedLoop:
         rows = matvec(self.operator, x)
         blocks = rows.reshape(len(x), 6, -1)
         forms = state_forms(blocks)
-        gains = min_norm_mu(self.cert, x, rows, forms)
+        gains = min_norm_mu(forms[:, 1], forms[:, 0])
         lh, r0_sq = self.plant.lambda_h, self.plant.r0 ** 2
         if len(x) <= SCALAR_ROWS:
             # (k_1..k_B, r_1..r_B) spread to (B, w): k on eta, r on z
@@ -550,6 +550,8 @@ class MechClosedLoop:
         check_phases(tau_hat, tau)
         jet = self.plant.jet(tau_hat)
         eta_hat = self.plant.outputs(xs, jet)
-        mu = min_norm_mu(self.cert, eta_hat, matvec(self.operator, eta_hat))
+        n, rows = len(eta_hat), matvec(self.operator, eta_hat)  # rows [F; P_eps; psi1; M] eta_hat
+        psi1 = rows[2 * n:-n]
+        mu = min_norm_mu(vecdot(eta_hat, rows[-n:]), vecdot(psi1, psi1)) * psi1
         u1, u2 = mech_feedforward(self.plant, xs, mu, jet)
         return np.array([xs[2], xs[3], u1, u2])

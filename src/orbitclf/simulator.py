@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clf import clf_operator, lie_terms, matvec, min_norm_mu
+from .clf import clf_operator, lie_terms, matvec, min_norm_mu, state_forms, vecdot
 from .disturbance import DisturbanceTable
 from .plants import (DisturbedClosedLoop, MechClosedLoop, check_phases,
                      mech_phase_disturbance, orbit_distance, vz_value)
@@ -119,9 +119,9 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
         raise ValueError("dt must be positive")
     if T < dt:
         raise ValueError("T must be at least dt")
+    if not T / dt <= MAX_STEPS:  # an infinite ratio too
+        raise ValueError(f"T/dt = {T / dt:g} exceeds the {MAX_STEPS} step ceiling")
     n_steps = int(round(T / dt))
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"T/dt = {n_steps} exceeds the {MAX_STEPS} step ceiling")
 
     single = isinstance(closed_loop, (DisturbedClosedLoop, MechClosedLoop))
     loops = [closed_loop] if single else list(closed_loop)
@@ -229,7 +229,8 @@ def _record_hopf(loops, d: np.ndarray, ts: np.ndarray,
     for a in range(0, S, CHUNK):
         x = states[a:a + CHUNK].reshape(-1, w)  # one row per (sample, run)
         rows = matvec(loop.operator, x)
-        gains = min_norm_mu(cert, x, rows)
+        forms = state_forms(rows.reshape(-1, 6, w))
+        gains = min_norm_mu(forms[:, 1], forms[:, 0])
         mu[a:a + CHUNK] = (gains[:, None] * rows[:, w + g]).reshape(-1, B, m)
         if loop.damped:
             us[a:a + CHUNK] = rows[:, g].reshape(-1, B, m)
@@ -268,7 +269,9 @@ def _record_mech(loop: MechClosedLoop, ts: np.ndarray, e: np.ndarray,
     eta = plant.outputs(xs, jet)
     d = mech_phase_disturbance(plant, xs, jet, jet_hat)
     eta_hat = plant.outputs(xs, jet_hat)
-    mu = min_norm_mu(cert, eta_hat, matvec(loop.operator, eta_hat))
+    n_eta, rows = plant.dims.n_eta, matvec(loop.operator, eta_hat)  # as MechClosedLoop.field's
+    psi1 = rows[:, 2 * n_eta:-n_eta]
+    mu = min_norm_mu(vecdot(eta_hat, rows[:, -n_eta:]), vecdot(psi1, psi1))[:, None] * psi1
     v_eps = lie_terms(cert, eta, matvec(loop.operator, eta))[0]
     nan = np.full(n, np.nan)
     meta = {

@@ -16,9 +16,17 @@ def _rows(cert, dyn, eta):
     return oc.matvec(oc.clf_operator(cert, dyn), np.asarray(eta, dtype=float))
 
 
+def _law(eta, rows):
+    """mu = k psi1 at eta from rows = matvec(W, eta) = (F, P_eps, psi1, M) eta, as the mech loop."""
+    n = eta.shape[-1]
+    psi1 = rows[..., 2 * n:-n]
+    return oc.min_norm_mu(clf.vecdot(eta, rows[..., -n:]), clf.vecdot(psi1, psi1))[..., None] * psi1
+
+
 def _mu(cert, dyn, eta):
     """The min-norm law at eta, from one matvec of the law's operator."""
-    return oc.min_norm_mu(cert, eta, _rows(cert, dyn, eta))
+    eta = np.asarray(eta, dtype=float)
+    return _law(eta, _rows(cert, dyn, eta))
 
 
 def _us(cert, dyn, eta, eps_bar):
@@ -251,9 +259,19 @@ def test_min_norm_batch_matches_rows(cert01_e01, dyn01):
         assert mu.tobytes() == np.array([_mu(cert, dyn, e) for e in E]).tobytes()
         us = _us(cert, dyn, E, 0.1)
         assert us.tobytes() == np.array([_us(cert, dyn, e, 0.1) for e in E]).tobytes()
-        for bad in (np.zeros((3, n + 1)), np.zeros((2, 2, n))):
-            with pytest.raises(ValueError):
-                oc.min_norm_mu(cert, bad, bad)
+
+
+@pytest.mark.parametrize("psi0_shape, denom_shape", [
+    ((), (1,)), ((1,), ()),  # a lone point
+    ((5,), (3,)), ((3,), (1,)),  # up to SCALAR_ROWS rows, where zip would truncate
+    ((clf.SCALAR_ROWS + 1,), (1,)), ((clf.SCALAR_ROWS + 1,), (clf.SCALAR_ROWS,)),  # whole arrays
+])
+def test_min_norm_rejects_forms_of_other_shapes(psi0_shape, denom_shape):
+    # psi0 and ||psi1||^2 of one point or batch have one shape; neither a
+    # shorter denominator nor a broadcast one is a law
+    psi0, denom = np.ones(psi0_shape), np.ones(denom_shape)
+    with pytest.raises(ValueError, match=re.escape(f"shapes {psi0_shape} and {denom_shape}")):
+        oc.min_norm_mu(psi0, denom)
 
 
 def test_min_norm_batch_consistency_error(cert01_e01, dyn01):
@@ -323,16 +341,16 @@ def test_min_norm_lone_matches_batch_on_signed_zeros_nan_and_inf(monkeypatch, do
         lone, raised = [], []
         for i, (xi, ri) in enumerate(zip(X, R)):
             try:
-                lone.append(oc.min_norm_mu(cert, xi, ri))
+                lone.append(_law(xi, ri))
             except oc.ClfConsistencyError as exc:
                 with pytest.raises(oc.ClfConsistencyError) as batch:
-                    oc.min_norm_mu(cert, X[i:i + 2], R[i:i + 2])
+                    _law(X[i:i + 2], R[i:i + 2])
                 assert str(batch.value) == "row 0: " + str(exc)
                 raised.append(i)
                 continue
-            assert lone[-1].tobytes() == oc.min_norm_mu(cert, X[i:i + 1], R[i:i + 1]).tobytes()
+            assert lone[-1].tobytes() == _law(X[i:i + 1], R[i:i + 1]).tobytes()
         keep = np.setdiff1d(np.arange(len(X)), raised)
-        mu, lone = oc.min_norm_mu(cert, X[keep], R[keep]), np.array(lone)
+        mu, lone = _law(X[keep], R[keep]), np.array(lone)
         assert np.isnan(mu).any() and np.signbit(mu[mu == 0.0]).any()
         assert np.array_equal(np.isnan(mu), np.isnan(lone))
         assert np.where(np.isnan(mu), 1.0, mu).tobytes() == np.where(np.isnan(lone), 1.0, lone).tobytes()
@@ -403,6 +421,6 @@ def test_min_norm_inactive_rows_are_exactly_zero(cert01_e01, dyn01):
     assert np.all(np.sum(E * exact[:, 2 * n + m:3 * n + m], axis=1) <= 0.0)
     with np.errstate(all="raise"):
         for r in (rows, exact):
-            mu = oc.min_norm_mu(cert, E, r)
+            mu = _law(E, r)
             assert mu.shape == (4, m) and np.all(mu == 0.0)
-        assert np.all(oc.min_norm_mu(cert, np.zeros(n), np.zeros(3 * n + m)) == 0.0)
+        assert np.all(_law(np.zeros(n), np.zeros(3 * n + m)) == 0.0)

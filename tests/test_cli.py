@@ -283,6 +283,33 @@ def test_residual_failure_names_the_residual_and_its_scale(tmp_path, capsys):
                             "try rescaling Q to a smaller norm")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--config", "{tmp}"], "cannot read config {tmp}: Is a directory"),
+    (["--config", "{tmp}/latin1.json"], "cannot read config {tmp}/latin1.json: not UTF-8 text"),
+    (["--config", "{tmp}/missing.json"],
+     "cannot read config {tmp}/missing.json: No such file or directory"),
+    (["--out", "{tmp}/latin1.json"], "cannot make output directory {tmp}/latin1.json: File exists"),
+    (["--out", "{tmp}/latin1.json/sub"],
+     "cannot make output directory {tmp}/latin1.json/sub: Not a directory"),
+], ids=["config is a directory", "config not UTF-8", "config missing", "out is a file",
+        "out under a file"])
+def test_unreadable_config_or_unusable_out_exits_2(tmp_path, capsys, args, message):
+    (tmp_path / "latin1.json").write_bytes('{"eps": 0.1} # \xe9'.encode("latin-1"))
+    args = [a.format(tmp=tmp_path) for a in args]
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "out")]
+    assert run(["synth"] + args) == 2
+    _one_line_error(capsys, message.format(tmp=tmp_path))
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
+@pytest.mark.parametrize("dt", ["1e-9", "1e-310"])  # billions of steps, and an infinite T/dt
+def test_step_ceiling_exits_2(tmp_path, capsys, command, dt):
+    assert run([command, "--out", str(tmp_path), "--override", f"integrator.dt={dt}"]) == 2
+    _one_line_error(capsys, f"integrator.horizon / integrator.dt exceeds the "
+                            f"{simulator.MAX_STEPS} step ceiling")
+
+
 def test_object_override_merges_into_section(tmp_path):
     assert run(["synth", "--out", str(tmp_path), "--override", 'initial={"eta":[0.1,0.1]}']) == 0
     initial = json.loads((tmp_path / "certificate.json").read_text())["config"]["initial"]

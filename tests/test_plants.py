@@ -381,11 +381,13 @@ def test_mech_pzd_invariance(mech_plant, mech_cert):
     assert abs(eta[0]) > 0.1  # y1 nonzero: genuinely partial
     assert np.allclose(eta[1:], 0.0, atol=1e-14)
 
-    W = oc.clf_operator(mech_cert, dyn)
+    W, n = oc.clf_operator(mech_cert, dyn), mech_plant.dims.n_eta
 
     def field(t, y):
         eta_y = mech_plant.eta_of(y)
-        mu = oc.min_norm_mu(mech_cert, eta_y, oc.matvec(W, eta_y))
+        rows = oc.matvec(W, eta_y)
+        psi1 = rows[2 * n:-n]
+        mu = oc.min_norm_mu(np.vecdot(eta_y, rows[-n:]), np.vecdot(psi1, psi1)) * psi1
         u = oc.mech_feedback_linearize(mech_plant, y, mu, mode="state")
         return np.array([y[2], y[3], u[0], u[1]])
 
@@ -599,7 +601,7 @@ def test_hopf_field_places_f_eta_plus_g_v(k1, k2, controller):
     forms = oc.state_forms(blocks)
     assert forms.tobytes() == np.stack([np.vecdot(psi1, psi1), np.vecdot(X, Mx),
                                         np.vecdot(z, z)], axis=-1).tobytes()
-    gains = oc.min_norm_mu(cert, X, rows)
+    gains = oc.min_norm_mu(np.vecdot(X, Mx), np.vecdot(psi1, psi1))
     # both branches (k2 = 0: psi0 > 0 off the origin)
     assert gains.shape == (32,) and gains.any() and (not gains.all() or k2 == 0)
     Gmu = gains[:, None] * psi1

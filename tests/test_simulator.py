@@ -124,8 +124,10 @@ def test_integrate_validation(hopf01, dyn01):
         oc.integrate(loop, np.zeros(4), T=0.5, dt=1.0)
     with pytest.raises(ValueError):
         oc.integrate(loop, np.zeros(3), T=1.0, dt=0.1)
-    with pytest.raises(ValueError):
-        oc.integrate(loop, np.zeros(4), T=1e6, dt=1e-2)  # step ceiling
+    with pytest.raises(ValueError, match="step ceiling"):
+        oc.integrate(loop, np.zeros(4), T=1e6, dt=1e-2)
+    with pytest.raises(ValueError, match="T/dt = inf exceeds"):
+        oc.integrate(loop, np.zeros(4), T=1.0, dt=1e-310)  # not an OverflowError
 
 
 def test_integrate_aborts_on_nonfinite(hopf01, dyn01):
@@ -385,7 +387,9 @@ def _record_mech_per_sample(loop, ts, states):
         eta.append(plant.eta_of(x))
         d.append(oc.derive_phase_disturbance(plant, x, e))
         eta_hat = plant.eta_at(x, plant.tau(x[0]) + e)
-        mu.append(oc.min_norm_mu(cert, eta_hat, oc.matvec(loop.operator, eta_hat)))
+        rows, n = oc.matvec(loop.operator, eta_hat), len(eta_hat)
+        psi1 = rows[2 * n:-n]
+        mu.append(oc.min_norm_mu(np.vecdot(eta_hat, rows[-n:]), np.vecdot(psi1, psi1)) * psi1)
         v_eps.append(oc.evaluate_clf(cert, plant.dyn, eta[-1]).V)
     return {"eta": np.array(eta), "z": np.array([plant.z_of(x) for x in states]),
             "d": np.array(d), "mu": np.array(mu), "v_eps": np.array(v_eps)}
@@ -423,16 +427,19 @@ def test_mech_record_equals_per_sample_loop(v_d, driven):
 
 def test_mech_record_shows_what_stepping_applied(monkeypatch):
     # record.d and record.mu at sample i are bitwise the phase disturbance and
-    # mu of step i's first stage: the record reads the phase error that
-    # stepping was given at the accumulated node times, not the printed grid i*dt
+    # mu of step i's first stage, mu as the law's gain times psi1: the record
+    # reads the phase error that stepping was given at the accumulated node
+    # times, not the printed grid i*dt
     loop, x0 = _mech_loop()
     fields = _recording_calls(monkeypatch, oc.MechClosedLoop, "field")
     mus = _recording_calls(monkeypatch, plants, "min_norm_mu")
+    rows = _recording_calls(monkeypatch, plants, "matvec")
     rec = oc.integrate(loop, x0, T=0.5, dt=1e-3)
-    n = len(rec) - 1
-    assert len(fields) == len(mus) == 4 * n
+    n, n_eta = len(rec) - 1, loop.plant.dims.n_eta
+    assert len(fields) == len(mus) == len(rows) == 4 * n
     first = [args[1:] for args, _ in fields[::4]]  # (t, x, e) of each step's first stage
-    assert np.array_equal(rec.mu[:n], [mu for _, mu in mus[::4]])
+    assert np.array_equal(rec.mu[:n], [g * r[2 * n_eta:-n_eta]  # the gain times psi1
+                                       for (_, g), (_, r) in zip(mus[::4], rows[::4])])
     assert np.array_equal(rec.d[:n], [oc.derive_phase_disturbance(loop.plant, x, e)
                                       for _, x, e in first])
     # the grid i*dt and the node times give another phase error at most samples

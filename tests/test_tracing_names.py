@@ -2,7 +2,7 @@
 (module, attribute).  A refactor that renames or deletes one of them makes
 ``perfbench/run.py --trace 1`` crash and the sampler lose its call points,
 so every name they list must still resolve, and the law they tick on and
-count must still be called once per Hopf RHS."""
+count must still be called once per Hopf and per mech RHS."""
 
 import importlib
 import importlib.util
@@ -40,6 +40,25 @@ def test_traced_names_resolve():
     assert not missing, f"names the benchmark wraps are gone: {missing}"
 
 
+def _counting_law(monkeypatch):
+    """Route plants.min_norm_mu through a wrapper that keeps each call's result."""
+    results, law = [], plants.min_norm_mu
+
+    def counting(*args):
+        results.append(law(*args))
+        return results[-1]
+
+    monkeypatch.setattr(plants, "min_norm_mu", counting)
+    return results
+
+
+def _mu(W, eta):
+    """The min-norm mu at eta from the rows of W = clf_operator(...), as the mech loop forms it."""
+    rows, n = oc.matvec(W, eta), eta.shape[-1]
+    psi1 = rows[..., 2 * n:-n]
+    return oc.min_norm_mu(np.vecdot(eta, rows[..., -n:]), np.vecdot(psi1, psi1))[..., None] * psi1
+
+
 def test_hopf_field_calls_the_law_once_and_gets_an_ndarray(monkeypatch):
     # the benchmark ticks the host-speed sampler on every min_norm_mu call,
     # finds it at plants.min_norm_mu, and counts a call as active when
@@ -49,13 +68,8 @@ def test_hopf_field_calls_the_law_once_and_gets_an_ndarray(monkeypatch):
     plant = oc.HopfPlant(dims=dims)
     cert = oc.certificate(plant.dyn, np.eye(dims.n_eta), 0.1)
     loop = oc.DisturbedClosedLoop(plant=plant, cert=cert)
-    results, law = [], plants.min_norm_mu
-
-    def counting(*args):
-        results.append(law(*args))
-        return results[-1]
-
-    monkeypatch.setattr(plants, "min_norm_mu", counting)
+    W = oc.clf_operator(cert, plant.dyn)
+    results = _counting_law(monkeypatch)
     rng = np.random.default_rng(3)
     for X in (rng.normal(size=(5, 7)), rng.normal(size=7), rng.normal(size=(SCALAR_ROWS + 1, 7)),
               np.zeros((2, 7))):
@@ -64,6 +78,27 @@ def test_hopf_field_calls_the_law_once_and_gets_an_ndarray(monkeypatch):
         (gains,) = results
         # one gain per row; a lone state is a batch of one
         assert isinstance(gains, np.ndarray) and gains.shape == (len(np.atleast_2d(X)),)
-        mu = oc.min_norm_mu(cert, X[..., :5], oc.matvec(oc.clf_operator(cert, plant.dyn),
-                                                        X[..., :5]))
-        assert bool(gains.any()) == bool(mu.any())
+        assert bool(gains.any()) == bool(_mu(W, X[..., :5]).any())
+
+
+def test_mech_field_calls_the_law_once_and_gets_an_ndarray(monkeypatch):
+    # the same contract on the mech loop's lone state: one law call per field
+    # call, whose 0-d ndarray (a Python float has no .any()) is nonzero
+    # exactly where the field's mu is
+    plant = oc.MechPlant(alpha=np.array([0.0, 0.1, 0.3, 0.3, 0.1, 0.0]), q1_plus=4.0)
+    cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
+    loop = oc.MechClosedLoop(plant=plant, cert=cert)
+    results = _counting_law(monkeypatch)
+    rng = np.random.default_rng(4)
+    active = []
+    for _ in range(40):
+        x = np.array([rng.uniform(0.5, 3.5), rng.normal(), rng.uniform(0.5, 1.5), rng.normal()])
+        e = rng.uniform(-0.05, 0.05)
+        results.clear()
+        loop.field(0.0, x, e)
+        (gain,) = results
+        assert isinstance(gain, np.ndarray) and gain.shape == ()
+        eta_hat = plant.eta_at(x, plant.tau(x[0]) + e)
+        active.append(bool(_mu(loop.operator, eta_hat).any()))
+        assert bool(gain.any()) == active[-1]
+    assert any(active) and not all(active)  # both branches
