@@ -43,7 +43,7 @@ from .plants import (
     orbit_distance,
 )
 from .riccati import CareSolveError, certificate
-from .simulator import MAX_STEPS, SimulationError, integrate, ultimate_bound
+from .simulator import CHUNK, MAX_STEPS, SimulationError, integrate, ultimate_bound
 
 DEFAULT_ALPHA = [0.0, 0.1, 0.3, 0.3, 0.1, 0.0]
 
@@ -281,17 +281,20 @@ def build_certificate(config: dict):
 
 def build_plant(config: dict, dims: OutputDims):
     p = config["plant"]
-    if p["kind"] == "hopf":
-        coupling = p["coupling"]
-        if isinstance(coupling, (int, float)):
-            coupling = np.full((2, dims.n_eta), float(coupling))
-        else:
-            coupling = np.asarray(coupling, dtype=float)
-        return HopfPlant(dims=dims, omega=float(p["omega"]), lambda_h=float(p["lambda_h"]),
-                         r0=float(p["r0"]), coupling=coupling, y1_rate=float(p["y1_rate"]))
-    plant = MechPlant(alpha=np.asarray(p["alpha"], dtype=float),
-                      q1_minus=float(p["q1_minus"]), q1_plus=float(p["q1_plus"]),
-                      v_d=None if p["v_d"] is None else float(p["v_d"]))
+    try:  # the constructors reject a non-positive lambda_h or r0, or q1_plus <= q1_minus
+        if p["kind"] == "hopf":
+            coupling = p["coupling"]
+            if isinstance(coupling, (int, float)):
+                coupling = np.full((2, dims.n_eta), float(coupling))
+            else:
+                coupling = np.asarray(coupling, dtype=float)
+            return HopfPlant(dims=dims, omega=float(p["omega"]), lambda_h=float(p["lambda_h"]),
+                             r0=float(p["r0"]), coupling=coupling, y1_rate=float(p["y1_rate"]))
+        plant = MechPlant(alpha=np.asarray(p["alpha"], dtype=float),
+                          q1_minus=float(p["q1_minus"]), q1_plus=float(p["q1_plus"]),
+                          v_d=None if p["v_d"] is None else float(p["v_d"]))
+    except ValueError as exc:
+        raise ConfigError(f"plant: {exc}") from exc
     if plant.dims != dims:
         raise ConfigError(
             f"mech plant implies dims (k1={plant.dims.k1}, k2={plant.dims.k2}); "
@@ -304,9 +307,12 @@ def build_signal(config: dict, dims: OutputDims, amplitude: float | None = None)
     amp = float(d["amplitude"]) if amplitude is None else float(amplitude)
     kind = d["kind"] if amp != 0.0 else "zero"
     seed = config["seed"] if d["seed"] is None else d["seed"]
-    return DisturbanceSignal(kind=kind, dim=dims.n_mu, amplitude=amp,
-                             frequency=float(d["frequency"]), dwell=float(d["dwell"]),
-                             seed=int(seed))
+    try:  # the constructor rejects a non-positive dwell of the piecewise-random kind
+        return DisturbanceSignal(kind=kind, dim=dims.n_mu, amplitude=amp,
+                                 frequency=float(d["frequency"]), dwell=float(d["dwell"]),
+                                 seed=int(seed))
+    except ValueError as exc:
+        raise ConfigError(f"disturbance: {exc}") from exc
 
 
 def resolve_sigma(config: dict, cert, plant) -> float:
@@ -380,10 +386,19 @@ def _require_hopf(config: dict, command: str) -> None:
 # output helpers
 
 
-def _provenance(config: dict, body: str) -> dict:
-    """What every output file carries: the resolved config, its hash and the body's hash."""
+def _provenance(config: dict, body: list[str]) -> dict:
+    """What every output file carries: the resolved config, its hash and the body's hash.
+
+    The body is given as the pieces that the file joins with newlines; they
+    are hashed one by one, so a long table's text is never copied whole.
+    """
+    digest = hashlib.sha256()
+    for i, piece in enumerate(body):
+        if i:
+            digest.update(b"\n")
+        digest.update(piece.encode())
     return {"config": embeddable(config), "config_hash": config_hash(config),
-            "content_hash": hashlib.sha256(body.encode()).hexdigest()}
+            "content_hash": digest.hexdigest()}
 
 
 def _finite_or_null(data):
@@ -400,25 +415,27 @@ def _finite_or_null(data):
 def _write_json(path: Path, config: dict, payload: dict) -> None:
     """Standard JSON (RFC 8259): a non-finite figure is written as null."""
     payload = _finite_or_null(payload)
-    body = {**_provenance(config, canonical_json(payload)), "payload": payload}
+    body = {**_provenance(config, [canonical_json(payload)]), "payload": payload}
     path.write_text(json.dumps(body, sort_keys=True, indent=2, allow_nan=False) + "\n",
                     encoding="utf-8")
 
 
 def _write_csv(path: Path, config: dict, headers: list[str], rows) -> None:
     """The provenance as leading '# key=value' lines, the header line, one line per row."""
-    # the body is joined once and written as it is: each further copy of a
-    # long trace's text would raise the peak memory by its size.  "%.17g"
-    # writes a float as format(v, ".17g") does; each row becomes Python
-    # floats on its own, as the whole table at once would be a large copy
-    fmt = ",".join(["%.17g"] * len(headers))
-    body = "\n".join(fmt % tuple(row.tolist()) for row in np.asarray(rows, dtype=float))
+    # CHUNK rows at a time become Python floats and one block of lines,
+    # formatted by one "%" ("%.17g" writes a float as format(v, ".17g")
+    # does); the blocks are hashed and written one by one, never joined, as
+    # each copy of a long trace's whole text would raise the peak memory by its size
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * len(headers))
+    blocks = ["\n".join([line] * len(b)) % tuple(b.ravel().tolist())
+              for b in (rows[a:a + CHUNK] for a in range(0, len(rows), CHUNK))]
     lines = [f"# {key}={value if isinstance(value, str) else canonical_json(value)}"
-             for key, value in _provenance(config, body).items()]
+             for key, value in _provenance(config, blocks).items()]
     with path.open("w", encoding="utf-8") as fh:
         fh.write("\n".join(lines + [",".join(headers)]) + "\n")
-        if body:
-            fh.write(body)
+        for block in blocks:
+            fh.write(block)
             fh.write("\n")
 
 

@@ -196,7 +196,8 @@ def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndar
 # bit the lone call's.  Those that take a jet (y2d, y2d', y2d'') take the
 # entries xs = (q1, q2, dq1, dq2) of ``_entries``: a lone state's are plain
 # floats, which do numpy's IEEE operations on a stack's columns, faster.
-# ``mech_feedforward`` returns entries too, which each caller stacks.
+# ``MechPlant.outputs``, ``MechClosedLoop.law_forms`` and ``mech_feedforward``
+# take and return entries too (mu's included), which each caller stacks.
 
 
 def _entries(a: np.ndarray):
@@ -283,24 +284,16 @@ class MechPlant:
     def y2d(self, tau: float | np.ndarray) -> float | np.ndarray:
         return self.jet(tau)[0]
 
-    def dy2d(self, tau: float | np.ndarray) -> float | np.ndarray:
-        return self.jet(tau)[1]
-
-    def d2y2d(self, tau: float | np.ndarray) -> float | np.ndarray:
-        return self.jet(tau)[2]
-
-    def outputs(self, xs, jet: tuple) -> np.ndarray:
-        """Output coordinates (y1?, y2, dy2) of the state with entries xs against a jet."""
+    def outputs(self, xs, jet: tuple) -> tuple:
+        """The entries of the outputs (y1?, y2, dy2) of the state with entries xs against a jet."""
         _, q2, dq1, dq2 = xs
         y2 = q2 - jet[0]
         dy2 = dq2 - jet[1] * dq1 / self.delta
-        if self.v_d is None:
-            return np.array([y2, dy2]).T
-        return np.array([dq1 - self.v_d, y2, dy2]).T
+        return (y2, dy2) if self.v_d is None else (dq1 - self.v_d, y2, dy2)
 
     def eta_at(self, x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
         """Output coordinates (y1?, y2, dy2) of x measured at phase tau."""
-        return self.outputs(_entries(x), self.jet(tau))
+        return np.array(self.outputs(_entries(x), self.jet(tau))).T
 
     def eta_of(self, x: np.ndarray) -> np.ndarray:
         """Output coordinates eta(x) at the true phase."""
@@ -319,15 +312,15 @@ class MechPlant:
         return np.array([q1, y2 + y2d, dq1, dy2 + dy2d * dq1 / self.delta])
 
 
-def mech_feedforward(plant: MechPlant, xs, mu: np.ndarray, jet: tuple) -> tuple:
-    """The linearizing input's entries (u1, u2) for the state with entries xs and the jet given."""
+def mech_feedforward(plant: MechPlant, xs, mu, jet: tuple) -> tuple:
+    """The linearizing input's entries (u1, u2) at a state's entries xs, mu's entries and a jet."""
     dq1 = xs[2]
     tau_rate = dq1 / plant.delta
     if plant.v_d is None:
         u1 = 0.0 if isinstance(dq1, float) else np.zeros(dq1.shape)
-        (mu2,) = _entries(mu)
+        (mu2,) = mu
     else:
-        u1, mu2 = _entries(mu)  # dy1/dt = u1 and the desired velocity is constant
+        u1, mu2 = mu  # dy1/dt = u1 and the desired velocity is constant
     # d2y2/dt2 = u2 - y2d'' tau_rate^2 - y2d' u1/delta; the square is a
     # product, as ** 2 on a numpy scalar calls pow, which can differ in the last bit
     u2 = jet[2] * (tau_rate * tau_rate) + jet[1] * (u1 / plant.delta) + mu2
@@ -362,12 +355,12 @@ def mech_feedback_linearize(plant: MechPlant, x: np.ndarray, mu: np.ndarray,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     check_phases(tau_ff)
-    return np.array(mech_feedforward(plant, xs, mu, plant.jet(tau_ff))).T
+    return np.array(mech_feedforward(plant, xs, _entries(mu), plant.jet(tau_ff))).T
 
 
 def mech_phase_disturbance(plant: MechPlant, xs, jet: tuple, jet_hat: tuple) -> np.ndarray:
     """derive_phase_disturbance of the state with entries xs, from the jets at tau and tau + e."""
-    mu0 = np.zeros(np.shape(xs[0]) + (plant.dims.n_mu,))
+    mu0 = _entries(np.zeros(np.shape(xs[0]) + (plant.dims.n_mu,)))
     u1_hat, u2_hat = mech_feedforward(plant, xs, mu0, jet_hat)
     u1, u2 = mech_feedforward(plant, xs, mu0, jet)
     du = np.array([u1_hat - u1, u2_hat - u2]).T
@@ -502,6 +495,19 @@ class DisturbedClosedLoop:
         return out if x is state else out[0]
 
 
+def _dot(a, b):
+    """a[0] b[0] + a[1] b[1] + ..., written out and summed left to right, for 1-3 entries.
+
+    The entries are floats or columns; the mech loop's forms have at most three.
+    """
+    if len(a) == 3:
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    if len(a) == 2:
+        return a[0] * b[0] + a[1] * b[1]
+    (a0,), (b0,) = a, b
+    return a0 * b0
+
+
 @dataclass(frozen=True)
 class MechClosedLoop:
     """Mech plant under the time-based controller at a corrupted phase.
@@ -517,13 +523,19 @@ class MechClosedLoop:
     signal: DisturbanceSignal | None = None
     #: the laws' operator [F; P_eps; 2 G'P_eps; M], built once
     operator: np.ndarray = field(init=False, repr=False, compare=False)
+    #: the operator's psi1 rows and M rows as tuples of floats, for ``law_forms``
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cert.dims != self.plant.dims:
             raise ValueError("certificate and plant dims disagree")
         if self.signal is not None and self.signal.kind != "phase_error_driven":
             raise ValueError("mech closed loop takes a phase_error_driven signal")
-        object.__setattr__(self, "operator", clf_operator(self.cert, self.plant.dyn))
+        W = clf_operator(self.cert, self.plant.dyn)
+        n = self.plant.dims.n_eta
+        object.__setattr__(self, "operator", W)
+        object.__setattr__(self, "_rows", (tuple(map(tuple, W[2 * n:-n].tolist())),
+                                           tuple(map(tuple, W[-n:].tolist()))))
 
     @property
     def state_dim(self) -> int:
@@ -535,23 +547,41 @@ class MechClosedLoop:
             return 0.0 * t  # times are nonnegative, so this is +0.0 in t's shape
         return self.signal.phase_error(t)
 
-    def field(self, t: float, x: np.ndarray, e: float) -> np.ndarray:
-        """The closed-loop right-hand side at time t.
+    def law_forms(self, eta) -> tuple:
+        """(psi0, ||psi1||^2, psi1's entries) at the output entries eta, floats or columns.
 
-        x is one state (4,); e is the phase error e(t) at t, a float, tabled
-        by the integrator as the Hopf loop's d is.  The outputs and the
-        feedforward read one jet at tau_hat = tau(q1) + e, and
-
-            dx/dt = (dq1, dq2, u1, u2).
+        psi1 = 2 G'P_eps eta, M eta, psi0 = eta . M eta and ||psi1||^2 are
+        sums written out over eta's entries (``_dot``) with the operator's
+        rows held as floats, so each row of a stack of columns is bit for
+        bit the lone floats' result.  BLAS (``matvec``) may fuse a product
+        into its sum, so it agrees to a few ulps only.
         """
-        xs = x.tolist()
-        tau = self.plant.tau(xs[0])
+        psi1_rows, m_rows = self._rows
+        psi1 = [_dot(row, eta) for row in psi1_rows]
+        return _dot(eta, [_dot(row, eta) for row in m_rows]), _dot(psi1, psi1), psi1
+
+    def field(self, t: float, x: list | np.ndarray, e: float) -> list:
+        """The closed-loop right-hand side at time t, as a list of Python floats.
+
+        x is one state, a list of four Python floats (as ``rk4_step`` steps
+        a lone mech state) or an array (4,); e is the phase error e(t) at t,
+        a float, tabled by the integrator as the Hopf loop's d is.  The
+        outputs and the feedforward read one jet at tau_hat = tau(q1) + e,
+        the law's forms are the written-out sums of ``law_forms``, the law
+        is one ``min_norm_mu`` call on 0-d arrays giving the gain k,
+        mu = k psi1, and
+
+            dx/dt = [dq1, dq2, u1, u2],
+
+        every entry computed on Python floats.
+        """
+        xs = x if isinstance(x, list) else x.tolist()
+        plant = self.plant
+        tau = plant.tau(xs[0])
         tau_hat = tau + e
         check_phases(tau_hat, tau)
-        jet = self.plant.jet(tau_hat)
-        eta_hat = self.plant.outputs(xs, jet)
-        n, rows = len(eta_hat), matvec(self.operator, eta_hat)  # rows [F; P_eps; psi1; M] eta_hat
-        psi1 = rows[2 * n:-n]
-        mu = min_norm_mu(vecdot(eta_hat, rows[-n:]), vecdot(psi1, psi1)) * psi1
-        u1, u2 = mech_feedforward(self.plant, xs, mu, jet)
-        return np.array([xs[2], xs[3], u1, u2])
+        jet = plant.jet(tau_hat)
+        psi0, denom, psi1 = self.law_forms(plant.outputs(xs, jet))
+        k = float(min_norm_mu(np.array(psi0), np.array(denom)))
+        u1, u2 = mech_feedforward(plant, xs, [k * p for p in psi1], jet)
+        return [xs[2], xs[3], u1, u2]

@@ -17,6 +17,12 @@ stage input, f(t, x, u):
 * the mech loop's phase error e, as Python floats, which the field adds
   to the phase as it is.
 
+A lone mech state steps as a list of four Python floats, which skip
+numpy's per-call cost: ``rk4_step`` makes its array formula's IEEE
+operations entry by entry, the field gives a list of floats, and the
+integrator writes each step's list into its state array, where the
+finiteness checks and the record read it.
+
 A record reads the node rows of that table (d before placement, or e),
 which are the inputs that each step's first stage applied, so its d and
 mu are those of each step's first stage.  The record's t column prints
@@ -31,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clf import clf_operator, lie_terms, matvec, min_norm_mu, state_forms, vecdot
+from .clf import clf_operator, lie_terms, matvec, min_norm_mu, state_forms
 from .disturbance import DisturbanceTable
 from .plants import (DisturbedClosedLoop, MechClosedLoop, check_phases,
                      mech_phase_disturbance, orbit_distance, vz_value)
@@ -82,16 +88,28 @@ class TrajectoryRecord:
         return np.linalg.norm(self.eta, axis=1)
 
 
-def rk4_step(f: Callable[..., np.ndarray], t: float, y: np.ndarray, dt: float,
-             inputs: tuple | None = None) -> np.ndarray:
+def rk4_step(f: Callable[..., np.ndarray], t: float, y: np.ndarray | list, dt: float,
+             inputs: tuple | None = None) -> np.ndarray | list:
     """One classical Runge-Kutta 4 step of dy/dt = f(t, y).
 
     With inputs = (u(t), u(t + dt/2), u(t + dt)), an exogenous input tabled
-    at the stage times, the field is called as f(t, y, u).  The stage
-    multipliers are 0-d arrays, built once per dt, which numpy combines
-    with a small array faster than Python floats, in the same IEEE products.
+    at the stage times, the field is called as f(t, y, u).  An array y
+    steps with 0-d stage multipliers, built once per dt, which numpy
+    combines with a small array faster than Python floats.  A list y (a
+    lone mech state) steps entry by entry on Python floats, and f gives a
+    list too.  Both make the same IEEE operations: y + h k for each stage,
+    and y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right.
     """
     u0, uh, u1 = ((),) * 3 if inputs is None else [(u,) for u in inputs]
+    if isinstance(y, list):
+        half = 0.5 * dt
+        k1 = f(t, y, *u0)
+        k2 = f(t + half, [a + half * b for a, b in zip(y, k1)], *uh)
+        k3 = f(t + half, [a + half * b for a, b in zip(y, k2)], *uh)
+        k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3)], *u1)
+        sixth = dt / 6.0
+        return [a + sixth * (b + 2.0 * c + 2.0 * d + e)
+                for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
     half, whole, sixth = _stage_multipliers(dt)
     k1 = f(t, y, *u0)
     k2 = f(t + 0.5 * dt, y + half * k1, *uh)
@@ -150,6 +168,9 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
     f = loop.field
     states = np.empty((n_steps + 1,) + x0.shape)
     states[0] = x0
+    # the state that each step starts from: a lone mech state as a list of
+    # Python floats (see rk4_step), a Hopf batch as its array
+    y = x0.tolist() if isinstance(loop, MechClosedLoop) else x0
     t = 0.0
     # a state that overflows ends the run below, with a diagnosis; numpy's
     # warnings on the way there would only repeat it
@@ -163,7 +184,7 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
                 u_half = place(sample(nodes[i:i + k] + 0.5 * dt))
             inputs = (u_node[j], u_half[j], u_node[j + 1])
             try:
-                states[i + 1] = rk4_step(f, t, states[i], dt, inputs)
+                y = states[i + 1] = rk4_step(f, t, y, dt, inputs)
             except Exception:
                 # a state of this chunk that left the finite range is the diagnosis,
                 # whatever its non-finite successors then raised
@@ -266,12 +287,12 @@ def _record_mech(loop: MechClosedLoop, ts: np.ndarray, e: np.ndarray,
     tau_hat = tau + e
     check_phases(tau_hat, tau)
     jet, jet_hat = plant.jet(tau), plant.jet(tau_hat)
-    eta = plant.outputs(xs, jet)
+    eta = np.array(plant.outputs(xs, jet)).T
     d = mech_phase_disturbance(plant, xs, jet, jet_hat)
-    eta_hat = plant.outputs(xs, jet_hat)
-    n_eta, rows = plant.dims.n_eta, matvec(loop.operator, eta_hat)  # as MechClosedLoop.field's
-    psi1 = rows[:, 2 * n_eta:-n_eta]
-    mu = min_norm_mu(vecdot(eta_hat, rows[:, -n_eta:]), vecdot(psi1, psi1))[:, None] * psi1
+    # the forms on columns, as MechClosedLoop.field makes them on floats
+    psi0, denom, psi1 = loop.law_forms(plant.outputs(xs, jet_hat))
+    gains = min_norm_mu(psi0, denom)
+    mu = np.array([gains * p for p in psi1]).T
     v_eps = lie_terms(cert, eta, matvec(loop.operator, eta))[0]
     nan = np.full(n, np.nan)
     meta = {

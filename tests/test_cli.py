@@ -302,6 +302,20 @@ def test_unreadable_config_or_unusable_out_exits_2(tmp_path, capsys, args, messa
     _one_line_error(capsys, message.format(tmp=tmp_path))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (["plant.kind=mech", "k1=1", "plant.q1_plus=0"], "plant: q1_plus must exceed q1_minus"),
+    (["plant.lambda_h=-1"], "plant: lambda_h must be positive"),
+    (["plant.r0=0"], "plant: r0 must be positive"),
+    (["disturbance.kind=piecewise_constant_random", "disturbance.dwell=0"],
+     "disturbance: dwell time must be positive"),
+], ids=["q1_plus", "lambda_h", "r0", "dwell"])
+def test_bad_plant_or_disturbance_exits_2(tmp_path, capsys, overrides, message):
+    # the plant and signal constructors' own checks, which pass _validate
+    args = ["simulate", "--out", str(tmp_path), "--override", "integrator.horizon=0.01"]
+    assert run(args + [a for o in overrides for a in ("--override", o)]) == 2
+    _one_line_error(capsys, f"config error: {message}")
+
+
 @pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
 @pytest.mark.parametrize("dt", ["1e-9", "1e-310"])  # billions of steps, and an infinite T/dt
 def test_step_ceiling_exits_2(tmp_path, capsys, command, dt):
@@ -401,6 +415,27 @@ def test_csv_body_formats_as_format_17g(tmp_path):
     assert body == [",".join(format(v, ".17g") for v in row) for row in rows]
     cli._write_csv(path, {}, ["a", "b"], [[1, -0.0], [2.5, float("nan")]])  # plain lists
     assert path.read_text(encoding="utf-8").splitlines()[-2:] == ["1,-0", "2.5,nan"]
+
+
+@pytest.mark.parametrize("rows", [2 * simulator.CHUNK + 37, simulator.CHUNK, 5, 0])
+def test_csv_blocks_equal_the_per_row_writer(tmp_path, rows):
+    # the writer formats CHUNK rows with one "%"; the bytes are those of one
+    # "%" per row, for NaN, infinities, signed zeros and subnormals, a last
+    # block shorter than CHUNK included
+    rng = np.random.default_rng(17)
+    table = rng.normal(size=(rows, 6)) * np.exp(rng.uniform(-700, 700, size=(rows, 6)))
+    special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e308, 0.1]
+    table.ravel()[::7] = np.resize(special, table.ravel()[::7].shape)
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, {"seed": 1}, list("abcdef"), table)
+    fmt = ",".join(["%.17g"] * 6)
+    want = "\n".join(fmt % tuple(row.tolist()) for row in table)
+    text = path.read_text(encoding="utf-8")
+    head, _, body = text.partition("a,b,c,d,e,f\n")
+    assert body == (want + "\n" if rows else "")
+    assert f"# content_hash={hashlib.sha256(want.encode()).hexdigest()}\n" in head
+    if rows > 100:
+        assert {"nan", "-inf", "-0", "4.9406564584124654e-324"} <= set(body.replace("\n", ",").split(","))
 
 
 def test_on_orbit_start_is_rejected_before_integrating(tmp_path, capsys, monkeypatch):

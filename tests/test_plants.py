@@ -169,8 +169,9 @@ def mech_eta_rate(plant, x, u):
     q1, _, dq1, dq2 = x
     tau = plant.tau(q1)
     tau_rate = dq1 / plant.delta
-    dy2_rate = u[1] - plant.d2y2d(tau) * tau_rate ** 2 - plant.dy2d(tau) * u[0] / plant.delta
-    dy2 = dq2 - plant.dy2d(tau) * dq1 / plant.delta
+    _, dy2d, d2y2d = plant.jet(tau)
+    dy2_rate = u[1] - d2y2d * tau_rate ** 2 - dy2d * u[0] / plant.delta
+    dy2 = dq2 - dy2d * dq1 / plant.delta
     if plant.v_d is None:
         return np.array([dy2, dy2_rate])
     return np.array([u[0], dy2, dy2_rate])
@@ -211,10 +212,10 @@ def test_mech_jet_derivatives_by_finite_differences(mech_plant):
     # central differences carry an h^2 truncation error and an eps/h rounding error
     h = 1e-4
     taus = np.linspace(h, 1.0 - h, 257)
-    fd = (mech_plant.dy2d(taus + h) - mech_plant.dy2d(taus - h)) / (2.0 * h)
-    assert np.max(np.abs(fd - mech_plant.d2y2d(taus))) <= 1e-6
+    fd = (mech_plant.jet(taus + h)[1] - mech_plant.jet(taus - h)[1]) / (2.0 * h)
+    assert np.max(np.abs(fd - mech_plant.jet(taus)[2])) <= 1e-6
     fd = (mech_plant.y2d(taus + h) - mech_plant.y2d(taus - h)) / (2.0 * h)
-    assert np.max(np.abs(fd - mech_plant.dy2d(taus))) <= 1e-7
+    assert np.max(np.abs(fd - mech_plant.jet(taus)[1])) <= 1e-7
 
 
 def _bernstein_jet(alpha, tau):
@@ -298,7 +299,7 @@ def test_mech_zero_dynamics_invariance(mech_plant, mech_cert):
     # eta(0) = 0 with mu = 0 keeps the outputs identically zero
     tau0 = 0.1
     x = np.array([tau0, mech_plant.y2d(tau0),
-                  mech_plant.v_d, mech_plant.dy2d(tau0) * mech_plant.v_d / mech_plant.delta])
+                  mech_plant.v_d, mech_plant.jet(tau0)[1] * mech_plant.v_d / mech_plant.delta])
     assert np.allclose(mech_plant.eta_of(x), 0.0, atol=1e-14)
 
     def field(t, y):
@@ -376,7 +377,7 @@ def test_mech_pzd_invariance(mech_plant, mech_cert):
     dyn = oc.build_fg(mech_plant.dims)
     tau0 = 0.2
     x = np.array([tau0 * mech_plant.delta + mech_plant.q1_minus, mech_plant.y2d(tau0),
-                  1.3, mech_plant.dy2d(tau0) * 1.3 / mech_plant.delta])
+                  1.3, mech_plant.jet(tau0)[1] * 1.3 / mech_plant.delta])
     eta = mech_plant.eta_of(x)
     assert abs(eta[0]) > 0.1  # y1 nonzero: genuinely partial
     assert np.allclose(eta[1:], 0.0, atol=1e-14)
@@ -417,7 +418,7 @@ def test_phase_disturbance_lipschitz_in_e(mech_plant):
     taus = np.linspace(0.0, 1.0, 2001)
     for x in xs:
         tr = x[2] / mech_plant.delta
-        ff = np.array([mech_plant.d2y2d(t) * tr**2 for t in taus])
+        ff = np.array([mech_plant.jet(t)[2] * tr**2 for t in taus])
         l_ff = np.max(np.abs(np.diff(ff))) / (taus[1] - taus[0])
         for e in (0.01, -0.02, 0.05):
             if not (0.0 <= mech_plant.tau(x[0]) + e <= 1.0):
@@ -433,7 +434,7 @@ def test_phase_disturbance_sign_flip(mech_plant):
     x = np.array([0.3, 0.25, 1.1, 0.05])
     tau, tr = mech_plant.tau(x[0]), x[2] / mech_plant.delta
     h = 1e-4
-    ff = lambda t: mech_plant.d2y2d(t) * tr**2
+    ff = lambda t: mech_plant.jet(t)[2] * tr**2
     curv = abs(ff(tau + h) + ff(tau - h) - 2.0 * ff(tau)) / h**2
     for e in (0.01, 0.02):
         d_plus = oc.derive_phase_disturbance(mech_plant, x, e)
@@ -470,8 +471,7 @@ def test_mech_kernels_on_a_stack_equal_lone_calls(v_d):
     mu = mu[:, :plant.dims.n_mu]
     tau = plant.tau(X[:, 0])
     tau_hat = tau + e
-    for bez in (plant.y2d, plant.dy2d, plant.d2y2d):
-        assert np.array_equal(bez(tau_hat), _lone_rows(bez, tau_hat))
+    assert np.array_equal(plant.y2d(tau_hat), _lone_rows(plant.y2d, tau_hat))
     assert np.array_equal(plant.jet(tau_hat), _lone_rows(plant.jet, tau_hat).T)
     assert np.array_equal(plant.eta_at(X, tau_hat), _lone_rows(plant.eta_at, X, tau_hat))
     assert np.array_equal(plant.eta_of(X), _lone_rows(plant.eta_of, X))
@@ -483,6 +483,60 @@ def test_mech_kernels_on_a_stack_equal_lone_calls(v_d):
         _lone_rows(lambda x, m, th: lin(plant, x, m, mode="time", tau_input=th), X, mu, tau_hat))
     dpd = oc.derive_phase_disturbance
     assert np.array_equal(dpd(plant, X, e), _lone_rows(lambda x, ei: dpd(plant, x, ei), X, e))
+
+
+def _law_loop(v_d):
+    plant = oc.MechPlant(alpha=MECH_ALPHA, v_d=v_d)
+    cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
+    return oc.MechClosedLoop(plant=plant, cert=cert)
+
+
+@pytest.mark.parametrize("v_d", [1.0, None])
+def test_mech_law_forms_on_columns_equal_lone_floats(v_d):
+    # the written-out sums make the same IEEE operations on a stack's columns
+    # as on a lone state's Python floats: each row's psi0, ||psi1||^2 and
+    # psi1 are bit for bit the lone result, zeros, overflow and signed zeros
+    # included
+    loop = _law_loop(v_d)
+    X, e, _ = _stack(61)
+    eta = loop.plant.eta_at(X, loop.plant.tau(X[:, 0]) + e)
+    eta[:4] = np.array([0.0, -0.0, 1e160, -3e155])[:, None]  # whole rows
+    eta[4, 0], eta[5, -1] = -0.0, 1e200
+    with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow silently
+        psi0, denom, psi1 = loop.law_forms(tuple(eta.T))
+    lone = [loop.law_forms(row.tolist()) for row in eta]
+    assert all(type(v) is float for p0, dn, p1 in lone for v in (p0, dn, *p1))
+    assert np.array([p0 for p0, _, _ in lone]).tobytes() == psi0.tobytes()
+    assert np.array([dn for _, dn, _ in lone]).tobytes() == denom.tobytes()
+    assert np.array([p1 for _, _, p1 in lone]).tobytes() == np.array(psi1).T.tobytes()
+    assert np.isinf(psi0[2:4]).all() and np.isinf(denom[2:4]).all()
+
+
+@pytest.mark.parametrize("v_d", [1.0, None])
+def test_mech_law_forms_agree_with_the_operator_rows(v_d):
+    # BLAS may fuse a product into its sum, so the matvec/vecdot oracle agrees
+    # to a few ulps of each form's scale (the same sums over absolute values),
+    # and so does mu = k psi1
+    loop = _law_loop(v_d)
+    X, e, _ = _stack(67, rows=400)
+    eta = loop.plant.eta_at(X, loop.plant.tau(X[:, 0]) + e)
+    n = eta.shape[1]
+    rows = oc.matvec(loop.operator, eta)
+    abs_rows = oc.matvec(np.abs(loop.operator), np.abs(eta))
+    want_psi1, want_m = rows[:, 2 * n:-n], rows[:, -n:]
+    want = (np.vecdot(eta, want_m), np.vecdot(want_psi1, want_psi1), want_psi1)
+    scale = (np.vecdot(np.abs(eta), abs_rows[:, -n:]), want[1], abs_rows[:, 2 * n:-n])
+    got = loop.law_forms(tuple(eta.T))
+    got = (got[0], got[1], np.array(got[2]).T)
+    for g, w, s in zip(got, want, scale):
+        assert np.all(np.abs(g - w) <= 1e-14 * s)
+    gains, want_gains = oc.min_norm_mu(got[0], got[1]), oc.min_norm_mu(want[0], want[1])
+    mu, want_mu = gains[:, None] * got[2], want_gains[:, None] * want_psi1
+    # |dk| <= |d psi0| / ||psi1||^2 + |k| |d ||psi1||^2| / ||psi1||^2
+    dk = 1e-14 * (scale[0] + np.abs(want[0])) / want[1]
+    assert np.all(np.abs(mu - want_mu) <= (dk + 1e-14 * np.abs(want_gains))[:, None] * scale[2]
+                  + 1e-14 * np.abs(want_mu))
+    assert mu.any() and not mu.all()  # both branches of the law
 
 
 def test_mech_phase_error_on_an_array_of_times(mech_plant, mech_cert):

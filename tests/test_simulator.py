@@ -31,20 +31,29 @@ def test_rk4_step_equals_the_written_out_formula(mech_plant, mech_cert):
     # rk4_step's 0-d multipliers make the same IEEE products as Python
     # floats: byte for byte on a Hopf batch of five (with a placed d) and on
     # a lone mech state (with a phase error e as floats), at a dt that is not
-    # a power of two
+    # a power of two.  The mech state steps both as an array and as the list
+    # of Python floats that integrate steps (the field gives a list); the
+    # list's entries are the array formula's bits
     dt = 1.3e-3
     loops, x0 = _batch_of_five()
     rng = np.random.default_rng(4)
     inputs = tuple(loops[0].place(0.05 * rng.normal(size=(5, 3))) for _ in range(3))
     mech = oc.MechClosedLoop(plant=mech_plant, cert=mech_cert, signal=None)
+    mech_field = lambda t, x, e: np.array(mech.field(t, x, e))
     mech_x = np.array([0.05, mech_plant.y2d(0.05) + 0.04, 1.0, -0.05])
     mech_e = tuple(rng.uniform(-0.02, 0.02, 3).tolist())  # e(t), e(t + dt/2), e(t + dt)
-    for f, y, u in ((loops[0].field, x0, inputs), (mech.field, mech_x, mech_e)):
+    for f, y, u in ((loops[0].field, x0, inputs), (mech_field, mech_x, mech_e)):
         for i in range(3):
             got = oc.rk4_step(f, 0.7 + i * dt, y, dt, u)
             want = _rk4_written_out(f, 0.7 + i * dt, y, dt, u)
             assert got.shape == y.shape and got.tobytes() == want.tobytes()
             y = got
+    y = mech_x.tolist()
+    for i in range(3):
+        want = _rk4_written_out(mech_field, 0.7 + i * dt, np.array(y), dt, mech_e)
+        y = oc.rk4_step(mech.field, 0.7 + i * dt, y, dt, mech_e)
+        assert type(y) is list and [type(v) for v in y] == [float] * 4
+        assert np.array(y).tobytes() == want.tobytes()
 
 
 def test_orbit_invariance(hopf01, dyn01):
@@ -387,9 +396,8 @@ def _record_mech_per_sample(loop, ts, states):
         eta.append(plant.eta_of(x))
         d.append(oc.derive_phase_disturbance(plant, x, e))
         eta_hat = plant.eta_at(x, plant.tau(x[0]) + e)
-        rows, n = oc.matvec(loop.operator, eta_hat), len(eta_hat)
-        psi1 = rows[2 * n:-n]
-        mu.append(oc.min_norm_mu(np.vecdot(eta_hat, rows[-n:]), np.vecdot(psi1, psi1)) * psi1)
+        psi0, denom, psi1 = loop.law_forms(eta_hat.tolist())  # the field's written-out sums
+        mu.append(oc.min_norm_mu(np.array(psi0), np.array(denom)) * np.array(psi1))
         v_eps.append(oc.evaluate_clf(cert, plant.dyn, eta[-1]).V)
     return {"eta": np.array(eta), "z": np.array([plant.z_of(x) for x in states]),
             "d": np.array(d), "mu": np.array(mu), "v_eps": np.array(v_eps)}
@@ -409,9 +417,10 @@ def _mech_loop(v_d=1.0, driven=True):
 def test_mech_record_equals_per_sample_loop(v_d, driven):
     loop, x0 = _mech_loop(v_d, driven)
     rec = oc.integrate(loop, x0, T=0.5, dt=1e-3)
-    # the states that integrate recorded, stepped again as it steps them,
-    # with the phase error evaluated one stage time at a time, and the
-    # accumulated node times at which stepping evaluated it
+    # the states that integrate recorded, stepped again by the array formula
+    # (integrate steps a list of floats), with the phase error evaluated one
+    # stage time at a time, and the accumulated node times at which stepping
+    # evaluated it
     dt, states, times = 1e-3, [x0], [0.0]
     for _ in range(len(rec) - 1):
         t = times[-1]
@@ -433,13 +442,14 @@ def test_mech_record_shows_what_stepping_applied(monkeypatch):
     loop, x0 = _mech_loop()
     fields = _recording_calls(monkeypatch, oc.MechClosedLoop, "field")
     mus = _recording_calls(monkeypatch, plants, "min_norm_mu")
-    rows = _recording_calls(monkeypatch, plants, "matvec")
+    forms = _recording_calls(monkeypatch, oc.MechClosedLoop, "law_forms")
     rec = oc.integrate(loop, x0, T=0.5, dt=1e-3)
-    n, n_eta = len(rec) - 1, loop.plant.dims.n_eta
-    assert len(fields) == len(mus) == len(rows) == 4 * n
+    n = len(rec) - 1
+    # one law and one set of forms per stage; the last forms are the record's columns
+    assert len(fields) == len(mus) == len(forms) - 1 == 4 * n
     first = [args[1:] for args, _ in fields[::4]]  # (t, x, e) of each step's first stage
-    assert np.array_equal(rec.mu[:n], [g * r[2 * n_eta:-n_eta]  # the gain times psi1
-                                       for (_, g), (_, r) in zip(mus[::4], rows[::4])])
+    assert np.array_equal(rec.mu[:n], [g * np.array(f[2])  # the gain times psi1
+                                       for (_, g), (_, f) in zip(mus[::4], forms[:-1:4])])
     assert np.array_equal(rec.d[:n], [oc.derive_phase_disturbance(loop.plant, x, e)
                                       for _, x, e in first])
     # the grid i*dt and the node times give another phase error at most samples
@@ -474,3 +484,28 @@ def test_mech_jet_passes_per_step_and_per_record(monkeypatch):
     stacked = [tau for tau in taus if isinstance(tau, np.ndarray)]
     assert len(taus) - len(stacked) == 4 * (len(rec) - 1)
     assert [tau.shape for tau in stacked] == [(len(rec),)] * 2
+
+
+@pytest.mark.parametrize("v_d, x0, error, message", [
+    (1.0, [0.4, 0.0, 1.0, 1e160], oc.ClfConsistencyError,
+     "the state overflowed: psi0 = inf, ||psi1||^2 = inf"),
+    (None, [0.4, 1e155, 1.0, 0.0], oc.ClfConsistencyError,
+     "the state overflowed: psi0 = inf, ||psi1||^2 = inf"),
+    (1.0, [0.4, 0.0, 1e300, 0.0], oc.ClfConsistencyError,
+     "the state overflowed: psi0 = inf, ||psi1||^2 = inf"),
+    (1.0, [0.4, 0.0, 1.0, 1e308], ValueError, "phase nan outside [0, 1]"),
+    (None, [0.4, 0.0, 1.0, 1e308], oc.SimulationError,
+     "non-finite state in run 0 at t = 0.001: [0.401   nan 1.      nan]"),
+    (1.0, [3.95, 0.0, 1.0, 0.0], ValueError, "phase 1.00014 outside [0, 1]"),
+    (1.0, [0.03, 0.0, -1.0, 0.0], ValueError, "true phase -3.63943e-05 outside [0, 1]"),
+    (None, [0.03, 0.0, -1.0, 0.0], ValueError, "true phase -5.20417e-18 outside [0, 1]"),
+], ids=["dq2 overflows", "q2 overflows k1=0", "dq1 overflows", "phase nan", "nan state k1=0",
+        "estimate leaves", "true phase leaves", "true phase leaves k1=0"])
+def test_mech_overflow_and_phase_domain_messages(v_d, x0, error, message):
+    # a lone mech state steps on Python floats; a run that overflows or leaves
+    # the phase domain still ends with the error and the exact text that the
+    # array stepping gave
+    loop, _ = _mech_loop(v_d)
+    with pytest.raises(error) as caught:
+        oc.integrate(loop, np.array(x0), T=0.5, dt=1e-3)
+    assert str(caught.value) == message

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import orbitclf as oc
-from orbitclf import plants
+from orbitclf import plants, simulator
 from orbitclf.clf import SCALAR_ROWS
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -102,3 +102,34 @@ def test_mech_field_calls_the_law_once_and_gets_an_ndarray(monkeypatch):
         active.append(bool(_mu(loop.operator, eta_hat).any()))
         assert bool(gain.any()) == active[-1]
     assert any(active) and not all(active)  # both branches
+
+
+def test_mech_run_steps_and_calls_through_the_traced_names(monkeypatch):
+    # the benchmark counts simulator.rk4_step calls as RK4 steps and
+    # MechClosedLoop.field calls as RHS evaluations, and ticks its host-speed
+    # sampler on plants.min_norm_mu: a lone mech run of N steps, which steps a
+    # list of Python floats, must still make N, 4N and 4N such calls, each
+    # law call giving a 0-d ndarray
+    plant = oc.MechPlant(alpha=np.array([0.0, 0.1, 0.3, 0.3, 0.1, 0.0]), q1_plus=4.0)
+    cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
+    signal = oc.DisturbanceSignal(kind="phase_error_driven", dim=2, amplitude=0.01, frequency=2.0)
+    loop = oc.MechClosedLoop(plant=plant, cert=cert, signal=signal)
+    counts = {"rk4_step": 0, "field": 0}
+
+    def counting(holder, name):
+        original = getattr(holder, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(holder, name, wrapper)
+
+    counting(simulator, "rk4_step")
+    counting(oc.MechClosedLoop, "field")
+    results = _counting_law(monkeypatch)
+    rec = oc.integrate(loop, np.array([0.4, plant.y2d(0.1) + 0.05, 1.0, 0.0]), T=0.05, dt=1e-3)
+    N = len(rec) - 1
+    assert N == 50 and counts == {"rk4_step": N, "field": 4 * N}
+    assert len(results) == 4 * N
+    assert all(isinstance(gain, np.ndarray) and gain.shape == () for gain in results)
