@@ -24,11 +24,14 @@ Two testbeds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .clf import SCALAR_ROWS, clf_operator, matvec, min_norm_mu, state_forms, u_s_damping, vecdot
+from .clf import (SCALAR_ROWS, ClfConsistencyError, clf_operator, matvec, min_norm_mu,
+                  state_forms, u_s_damping, vecdot)
 from .disturbance import DisturbanceSignal
 from .output_dynamics import OutputDims, OutputDynamics, build_fg
 from .riccati import ResClfCertificate
@@ -197,7 +200,8 @@ def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndar
 # entries xs = (q1, q2, dq1, dq2) of ``_entries``: a lone state's are plain
 # floats, which do numpy's IEEE operations on a stack's columns, faster.
 # ``MechPlant.outputs``, ``MechClosedLoop.law_forms`` and ``mech_feedforward``
-# take and return entries too (mu's included), which each caller stacks.
+# take and return entries too (mu's included), which each caller stacks.  The
+# lone stage (``MechClosedLoop.field``) writes outputs and feedforward out.
 
 
 def _entries(a: np.ndarray):
@@ -208,7 +212,7 @@ def _entries(a: np.ndarray):
 #: a mech run's phase domain, checked in order: the estimate (1e-9 slack), the true phase
 PHASE_DOMAIN = (("phase {:g} outside [0, 1]", -1e-9, 1.0 + 1e-9),
                 ("true phase {:g} outside [0, 1]", 0.0, 1.0))
-#: PHASE_DOMAIN's bounds, against which ``check_phases`` compares lone phases
+#: PHASE_DOMAIN's bounds, against which ``MechClosedLoop.field`` compares its phases
 (_, _HAT_LO, _HAT_HI), (_, _TRUE_LO, _TRUE_HI) = PHASE_DOMAIN
 
 
@@ -220,9 +224,6 @@ def check_phases(*taus) -> None:
         if ok.all():
             return
         taus = [tau[np.argmin(ok)] for tau in taus]  # the first row out of the domain
-    elif (_HAT_LO <= taus[0] <= _HAT_HI
-          and (len(taus) == 1 or _TRUE_LO <= taus[1] <= _TRUE_HI)):
-        return  # lone phases in the domain: plain comparisons, no message built
     for (message, lo, hi), tau in zip(PHASE_DOMAIN, taus):
         if not lo <= tau <= hi:
             raise ValueError(message.format(tau))
@@ -236,6 +237,7 @@ class MechPlant:
     q1_minus: float = 0.0
     q1_plus: float = 1.0
     v_d: float | None = 1.0  # desired phase velocity; None drops the velocity output
+    delta: float = field(init=False, repr=False, compare=False)  # q1_plus - q1_minus
     dims: OutputDims = field(init=False, repr=False, compare=False)
     dyn: OutputDynamics = field(init=False, repr=False, compare=False)
     _alpha: tuple = field(init=False, repr=False, compare=False)  # alpha as floats
@@ -248,13 +250,10 @@ class MechPlant:
             raise ValueError("q1_plus must exceed q1_minus")
         dims = OutputDims(k1=0 if self.v_d is None else 1, k2=1)
         object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "delta", float(self.q1_plus - self.q1_minus))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "dyn", build_fg(dims))
         object.__setattr__(self, "_alpha", tuple(a.tolist()))
-
-    @property
-    def delta(self) -> float:
-        return self.q1_plus - self.q1_minus
 
     def tau(self, q1: float | np.ndarray) -> float | np.ndarray:
         return (q1 - self.q1_minus) / self.delta
@@ -495,17 +494,27 @@ class DisturbedClosedLoop:
         return out if x is state else out[0]
 
 
-def _dot(a, b):
-    """a[0] b[0] + a[1] b[1] + ..., written out and summed left to right, for 1-3 entries.
+def _law_forms(W: np.ndarray, n: int):
+    """``MechClosedLoop.law_forms`` for the laws' operator W on an eta of n = 3 or 2 entries."""
+    rows = W[2 * n:].tolist()  # psi1's rows, then M's
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2), (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
 
-    The entries are floats or columns; the mech loop's forms have at most three.
-    """
-    if len(a) == 3:
-        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-    if len(a) == 2:
-        return a[0] * b[0] + a[1] * b[1]
-    (a0,), (b0,) = a, b
-    return a0 * b0
+        def law_forms(eta):
+            y1, y2, dy2 = eta
+            p = a0 * y1 + a1 * y2 + a2 * dy2
+            q = b0 * y1 + b1 * y2 + b2 * dy2
+            psi0 = (y1 * (m00 * y1 + m01 * y2 + m02 * dy2) + y2 * (m10 * y1 + m11 * y2 + m12 * dy2)
+                    + dy2 * (m20 * y1 + m21 * y2 + m22 * dy2))
+            return psi0, p * p + q * q, (p, q)
+    else:
+        (a0, a1), (m00, m01), (m10, m11) = rows
+
+        def law_forms(eta):
+            y2, dy2 = eta
+            p = a0 * y2 + a1 * dy2
+            return y2 * (m00 * y2 + m01 * dy2) + dy2 * (m10 * y2 + m11 * dy2), p * p, (p,)
+    return law_forms
 
 
 @dataclass(frozen=True)
@@ -523,8 +532,12 @@ class MechClosedLoop:
     signal: DisturbanceSignal | None = None
     #: the laws' operator [F; P_eps; 2 G'P_eps; M], built once
     operator: np.ndarray = field(init=False, repr=False, compare=False)
-    #: the operator's psi1 rows and M rows as tuples of floats, for ``law_forms``
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    #: (psi0, ||psi1||^2, psi1's entries) at eta's entries, floats or columns:
+    #: psi1 = 2 G'P_eps eta, M eta, eta . M eta and ||psi1||^2 written out for
+    #: the plant's dims over the operator's rows, bound once as floats.  The
+    #: stage and the record both call it, so a stack's rows get the lone bits;
+    #: BLAS (``matvec``) may fuse a product into its sum, a few ulps off.
+    law_forms: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cert.dims != self.plant.dims:
@@ -532,10 +545,8 @@ class MechClosedLoop:
         if self.signal is not None and self.signal.kind != "phase_error_driven":
             raise ValueError("mech closed loop takes a phase_error_driven signal")
         W = clf_operator(self.cert, self.plant.dyn)
-        n = self.plant.dims.n_eta
         object.__setattr__(self, "operator", W)
-        object.__setattr__(self, "_rows", (tuple(map(tuple, W[2 * n:-n].tolist())),
-                                           tuple(map(tuple, W[-n:].tolist()))))
+        object.__setattr__(self, "law_forms", _law_forms(W, self.plant.dims.n_eta))
 
     @property
     def state_dim(self) -> int:
@@ -547,41 +558,36 @@ class MechClosedLoop:
             return 0.0 * t  # times are nonnegative, so this is +0.0 in t's shape
         return self.signal.phase_error(t)
 
-    def law_forms(self, eta) -> tuple:
-        """(psi0, ||psi1||^2, psi1's entries) at the output entries eta, floats or columns.
-
-        psi1 = 2 G'P_eps eta, M eta, psi0 = eta . M eta and ||psi1||^2 are
-        sums written out over eta's entries (``_dot``) with the operator's
-        rows held as floats, so each row of a stack of columns is bit for
-        bit the lone floats' result.  BLAS (``matvec``) may fuse a product
-        into its sum, so it agrees to a few ulps only.
-        """
-        psi1_rows, m_rows = self._rows
-        psi1 = [_dot(row, eta) for row in psi1_rows]
-        return _dot(eta, [_dot(row, eta) for row in m_rows]), _dot(psi1, psi1), psi1
-
     def field(self, t: float, x: list | np.ndarray, e: float) -> list:
         """The closed-loop right-hand side at time t, as a list of Python floats.
 
         x is one state, a list of four Python floats (as ``rk4_step`` steps
         a lone mech state) or an array (4,); e is the phase error e(t) at t,
-        a float, tabled by the integrator as the Hopf loop's d is.  The
-        outputs and the feedforward read one jet at tau_hat = tau(q1) + e,
-        the law's forms are the written-out sums of ``law_forms``, the law
-        is one ``min_norm_mu`` call on 0-d arrays giving the gain k,
-        mu = k psi1, and
-
-            dx/dt = [dq1, dq2, u1, u2],
-
-        every entry computed on Python floats.
+        a float, tabled by the integrator as the Hopf loop's d is.  One flat
+        body on floats, for either dims: tau and tau_hat = tau + e, the
+        phase guard as plain comparisons (a message is built only when one
+        fails; a phase that is not finite is an overflow), one jet at
+        tau_hat, eta_hat = (y1?, y2, dy2) and the feedforward written out as
+        ``MechPlant.outputs`` and ``mech_feedforward`` make them, the forms
+        from ``law_forms``, one ``min_norm_mu`` call on 0-d arrays giving
+        the gain k, mu = k psi1, and dx/dt = [dq1, dq2, u1, u2].
         """
-        xs = x if isinstance(x, list) else x.tolist()
+        q1, q2, dq1, dq2 = x if isinstance(x, list) else x.tolist()
         plant = self.plant
-        tau = plant.tau(xs[0])
+        delta, v_d = plant.delta, plant.v_d
+        tau = (q1 - plant.q1_minus) / delta
         tau_hat = tau + e
-        check_phases(tau_hat, tau)
-        jet = plant.jet(tau_hat)
-        psi0, denom, psi1 = self.law_forms(plant.outputs(xs, jet))
+        if not (_HAT_LO <= tau_hat <= _HAT_HI and _TRUE_LO <= tau <= _TRUE_HI):
+            if not math.isfinite(tau_hat):  # e is finite: the state overflowed in the step
+                raise ClfConsistencyError(f"the state overflowed: phase {tau_hat:g}")
+            check_phases(tau_hat, tau)
+        y2d, dy2d, d2y2d = plant.jet(tau_hat)
+        y2 = q2 - y2d
+        dy2 = dq2 - dy2d * dq1 / delta
+        psi0, denom, psi1 = self.law_forms((y2, dy2) if v_d is None else (dq1 - v_d, y2, dy2))
         k = float(min_norm_mu(np.array(psi0), np.array(denom)))
-        u1, u2 = mech_feedforward(plant, xs, [k * p for p in psi1], jet)
-        return [xs[2], xs[3], u1, u2]
+        # with k1 = 0 the phase joint is unactuated; else dy1/dt = u1 = mu1
+        u1 = 0.0 if v_d is None else k * psi1[0]
+        tau_rate = dq1 / delta
+        u2 = d2y2d * (tau_rate * tau_rate) + dy2d * (u1 / delta) + k * psi1[-1]
+        return [dq1, dq2, u1, u2]

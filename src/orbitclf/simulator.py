@@ -19,14 +19,15 @@ stage input, f(t, x, u):
 
 A lone mech state steps as a list of four Python floats, which skip
 numpy's per-call cost: ``rk4_step`` makes its array formula's IEEE
-operations entry by entry, the field gives a list of floats, and the
-integrator writes each step's list into its state array, where the
-finiteness checks and the record read it.
+operations entry by entry, the field (one flat body on floats) gives a
+list, and the integrator writes each step's list into its state array,
+where the finiteness checks and the record read it.
 
 A record reads the node rows of that table (d before placement, or e),
 which are the inputs that each step's first stage applied, so its d and
-mu are those of each step's first stage.  The record's t column prints
-the grid i*dt.
+mu are those of each step's first stage; a mech record's mu comes from
+the loop's one forms function, ``law_forms``, on columns.  The record's
+t column prints the grid i*dt.
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ def _record_mech(loop: MechClosedLoop, ts: np.ndarray, e: np.ndarray,
     jet, jet_hat = plant.jet(tau), plant.jet(tau_hat)
     eta = np.array(plant.outputs(xs, jet)).T
     d = mech_phase_disturbance(plant, xs, jet, jet_hat)
-    # the forms on columns, as MechClosedLoop.field makes them on floats
+    # the forms on columns, by the function that MechClosedLoop.field calls on floats
     psi0, denom, psi1 = loop.law_forms(plant.outputs(xs, jet_hat))
     gains = min_norm_mu(psi0, denom)
     mu = np.array([gains * p for p in psi1]).T

@@ -472,6 +472,23 @@ def test_overflowed_start_prints_one_line_in_its_own_process(tmp_path):
     assert proc.stderr.startswith("run aborted: row 0: the state overflowed"), proc.stderr
 
 
+@pytest.mark.parametrize("dims, message", [
+    (["k1=1"], "run aborted: the state overflowed: phase nan"),
+    (["k1=0", "plant.v_d=null"], "run aborted: non-finite state in run 0 at t = 0.001: "),
+], ids=["k1=1", "k1=0"])
+def test_mech_overflow_within_a_step_aborts(tmp_path, capsys, dims, message):
+    # dq2 = 1e308 overflows in the first step: at k1 = 1 the first stage's mu
+    # is NaN (inf/inf), so the next stage's phase is NaN before any state is
+    # stored; that is an overflow, exit 3 with one line, as at k1 = 0, not a
+    # phase-domain exit
+    overrides = dims + ["plant.kind=mech", "disturbance.kind=phase_error_driven",
+                        "plant.q1_plus=4", "initial.x=[0.4,0,1,1e308]"]
+    assert run(["simulate", "--out", str(tmp_path)]
+               + [arg for o in overrides for arg in ("--override", o)]) == 3
+    _one_line_error(capsys, message)
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_run_abort_exits_3(tmp_path, capsys, monkeypatch):
     # dt = 0.5 is outside RK4's stability region at eps = 0.01: the state
     # overflows and the run aborts with one line, no traceback, exit 3

@@ -1,0 +1,26 @@
+"""tools/output_digest.py: one command that digests every output of a fixed list of runs."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _digest(*args):
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"), *args],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_output_digest_repeats_on_a_fast_case():
+    # a mech run twice, each into its own temporary directory: the same lines,
+    # one per output file, then stdout (its output path normalized) and the exit
+    first = _digest("--case", "mech_k1_0")
+    assert first == _digest("--case", "mech_k1_0", "--root", str(ROOT))
+    names = [line.split()[0] for line in first]
+    assert names == ["mech_k1_0/summary.json", "mech_k1_0/trajectory.csv",
+                     "mech_k1_0/stdout", "mech_k1_0/exit"], first
+    assert first[-1] == "mech_k1_0/exit 0"
+    assert all(len(line.split()[1]) == 64 for line in first[:-1])

@@ -3,10 +3,12 @@ from itertools import pairwise
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbitclf as oc
 from orbitclf.clf import SCALAR_ROWS
-from orbitclf.plants import check_phases, pzd_distance
+from orbitclf.plants import check_phases, mech_feedforward, pzd_distance
 
 
 # --- Hopf plant ---------------------------------------------------------------
@@ -485,8 +487,8 @@ def test_mech_kernels_on_a_stack_equal_lone_calls(v_d):
     assert np.array_equal(dpd(plant, X, e), _lone_rows(lambda x, ei: dpd(plant, x, ei), X, e))
 
 
-def _law_loop(v_d):
-    plant = oc.MechPlant(alpha=MECH_ALPHA, v_d=v_d)
+def _law_loop(v_d, q1_plus=1.0):
+    plant = oc.MechPlant(alpha=MECH_ALPHA, q1_plus=q1_plus, v_d=v_d)
     cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
     return oc.MechClosedLoop(plant=plant, cert=cert)
 
@@ -537,6 +539,85 @@ def test_mech_law_forms_agree_with_the_operator_rows(v_d):
     assert np.all(np.abs(mu - want_mu) <= (dk + 1e-14 * np.abs(want_gains))[:, None] * scale[2]
                   + 1e-14 * np.abs(want_mu))
     assert mu.any() and not mu.all()  # both branches of the law
+
+
+def _column_field(loop, X, e):
+    """The mech RHS of each row of a stack X (S, 4), by the column kernels that the record runs.
+
+    ``MechPlant.outputs``, ``law_forms``, the batch law and ``mech_feedforward``
+    on X's columns: the reference of the flat lone stage.  Also returns the
+    eta_hat columns that reached ``law_forms``.
+    """
+    plant, xs = loop.plant, X.T
+    tau = plant.tau(xs[0])
+    tau_hat = tau + e
+    check_phases(tau_hat, tau)
+    jet = plant.jet(tau_hat)
+    eta_hat = plant.outputs(xs, jet)
+    psi0, denom, psi1 = loop.law_forms(eta_hat)
+    gains = oc.min_norm_mu(psi0, denom)
+    u1, u2 = mech_feedforward(plant, xs, [gains * p for p in psi1], jet)
+    return np.array([xs[2], xs[3], u1, u2]).T, eta_hat
+
+
+#: entries that the drawn states mix in: signed zeros, subnormals, and
+#: magnitudes whose squares or products overflow
+_ODD = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e155, -1e160, 1e200, 1e300, -1e308]
+#: q1 = 3 tau here (q1_minus = 0, delta = 3, whose quotients round): both
+#: domain edges, near and past them, and phases that are not finite, as an
+#: overflow within a step makes them
+_Q1 = [0.0, -0.0, 3.0, 3e-9, -3e-9, 3.0 + 3e-9, -6e-9, 3.0 + 6e-9, 5e-324, 3.0 - 2.0 ** -51,
+       1e308, math.nan, math.inf, -math.inf]
+#: phase errors that put tau_hat on its edges, past them, or leave it as it is
+_E = [0.0, -0.0, 1e-9, -1e-9, 2e-9, -2e-9, 5e-324]
+
+
+def _entry(odd, lo, hi):
+    return st.one_of(st.floats(lo, hi), st.sampled_from(odd))
+
+
+@pytest.mark.parametrize("v_d", [1.0, None])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_entry(_Q1, -0.15, 3.15), _entry(_ODD, -3.0, 3.0), _entry(_ODD, -2.0, 2.0),
+       _entry(_ODD, -3.0, 3.0), _entry(_E, -0.02, 0.02))
+def test_mech_stage_equals_the_column_kernels(v_d, q1, q2, dq1, dq2, e):
+    # the flat lone stage is bit for bit the column code path on a stack of
+    # one row, and raises what the lone stage of the written-out helpers
+    # raised: check_phases' text for a finite phase out of the domain, the
+    # law's text (with no row index) for an overflowed state, and an
+    # overflow for a phase that is not finite
+    loop = _law_loop(v_d, q1_plus=3.0)
+    x = [q1, q2, dq1, dq2]
+    seen, law_forms = [], loop.law_forms
+
+    def recording(eta):
+        seen.append(eta)
+        return law_forms(eta)
+
+    object.__setattr__(loop, "law_forms", recording)
+    try:
+        got = loop.field(0.0, x, e)
+    except (ValueError, oc.ClfConsistencyError) as exc:
+        got = (type(exc), str(exc))
+    object.__setattr__(loop, "law_forms", law_forms)
+    with np.errstate(all="ignore"):
+        try:
+            want, eta_hat = _column_field(loop, np.array([x]), np.array([e]))
+        except ValueError as exc:  # a phase out of the domain
+            tau_hat = q1 / 3.0 + e
+            want = ((ValueError, str(exc)) if math.isfinite(tau_hat) else
+                    (oc.ClfConsistencyError, f"the state overflowed: phase {tau_hat:g}"))
+        except oc.ClfConsistencyError as exc:
+            want = (oc.ClfConsistencyError, str(exc).removeprefix("row 0: "))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert type(got) is list and all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == want[0].tobytes()
+    # the stage's written-out outputs are MechPlant.outputs' bits
+    (lone_eta,) = seen
+    assert all(type(v) is float for v in lone_eta)
+    assert np.array(lone_eta).tobytes() == np.concatenate(eta_hat).tobytes()
 
 
 def test_mech_phase_error_on_an_array_of_times(mech_plant, mech_cert):

@@ -442,7 +442,15 @@ def test_mech_record_shows_what_stepping_applied(monkeypatch):
     loop, x0 = _mech_loop()
     fields = _recording_calls(monkeypatch, oc.MechClosedLoop, "field")
     mus = _recording_calls(monkeypatch, plants, "min_norm_mu")
-    forms = _recording_calls(monkeypatch, oc.MechClosedLoop, "law_forms")
+    # law_forms is the loop's own forms function, which the stage and the
+    # record both call: spy on this loop's
+    forms, law_forms = [], loop.law_forms
+
+    def recording(eta):
+        forms.append(((eta,), law_forms(eta)))
+        return forms[-1][1]
+
+    object.__setattr__(loop, "law_forms", recording)
     rec = oc.integrate(loop, x0, T=0.5, dt=1e-3)
     n = len(rec) - 1
     # one law and one set of forms per stage; the last forms are the record's columns
@@ -493,7 +501,7 @@ def test_mech_jet_passes_per_step_and_per_record(monkeypatch):
      "the state overflowed: psi0 = inf, ||psi1||^2 = inf"),
     (1.0, [0.4, 0.0, 1e300, 0.0], oc.ClfConsistencyError,
      "the state overflowed: psi0 = inf, ||psi1||^2 = inf"),
-    (1.0, [0.4, 0.0, 1.0, 1e308], ValueError, "phase nan outside [0, 1]"),
+    (1.0, [0.4, 0.0, 1.0, 1e308], oc.ClfConsistencyError, "the state overflowed: phase nan"),
     (None, [0.4, 0.0, 1.0, 1e308], oc.SimulationError,
      "non-finite state in run 0 at t = 0.001: [0.401   nan 1.      nan]"),
     (1.0, [3.95, 0.0, 1.0, 0.0], ValueError, "phase 1.00014 outside [0, 1]"),
@@ -504,7 +512,9 @@ def test_mech_jet_passes_per_step_and_per_record(monkeypatch):
 def test_mech_overflow_and_phase_domain_messages(v_d, x0, error, message):
     # a lone mech state steps on Python floats; a run that overflows or leaves
     # the phase domain still ends with the error and the exact text that the
-    # array stepping gave
+    # array stepping gave, but for a stage phase made NaN by an overflow
+    # within the step (dq2 = 1e308 makes the first stage's mu NaN), which
+    # ends the run as an overflow, not as a domain exit
     loop, _ = _mech_loop(v_d)
     with pytest.raises(error) as caught:
         oc.integrate(loop, np.array(x0), T=0.5, dt=1e-3)

@@ -1,0 +1,97 @@
+"""Print a digest of every output of a fixed list of runs, to compare two trees byte for byte.
+
+    python tools/output_digest.py [--root CHECKOUT] [--case NAME ...]
+
+Each case runs in a process of its own with the package from
+``CHECKOUT/src`` (default: this checkout), CLI runs into a temporary
+directory.  For each case the tool prints one line per output file,
+``<case>/<file> <sha256>``, then ``<case>/stdout <sha256>`` with the output
+directory's path replaced by ``<out>``, ``<case>/exit <code>`` and, when
+stderr is not empty, ``<case>/error <its last line>``.  Run it on two
+checkouts and diff the output: equal lines mean byte-identical files,
+stdout, exit codes and error texts.  ``--root`` may name a checkout that
+lacks this tool, such as a parent commit's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _override(*pairs: str) -> tuple[str, ...]:
+    return tuple(arg for pair in pairs for arg in ("--override", pair))
+
+
+BENCH_CERTIFY = _override("k1=1", "k2=2", "disturbance.kind=piecewise_constant_random",
+                          "integrator.horizon=8")
+MECH = _override("plant.kind=mech", "disturbance.kind=phase_error_driven")
+
+#: case name -> CLI arguments, or the demo script's file name
+CASES = {
+    "synth": ("synth",),
+    "simulate": ("simulate",),
+    "certify": ("certify",),
+    "sweep": ("sweep",),
+    **{f"certify_seed{s}": ("certify", "--seed", str(s)) + BENCH_CERTIFY for s in range(4)},
+    "mech_long": ("simulate",) + MECH + _override("k1=1", "plant.q1_plus=4",
+                                                  "integrator.horizon=3"),
+    "mech_k1_0": ("simulate",) + MECH + _override("k1=0", "plant.v_d=null", "plant.q1_plus=4",
+                                                  "integrator.horizon=3"),
+    "mech_default": ("simulate",) + MECH + _override("k1=1"),
+    "demo_01": "01_certificate_synthesis.py",
+    "demo_02": "02_rapid_exponential_tracking.py",
+    "demo_03": "03_disturbance_rejection_bounds.py",
+    "demo_04": "04_composite_certificate.py",
+    "demo_05": "05_phase_error_mechanism.py",
+    "demo_06": "06_epsilon_sweep.py",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(case: str, root: Path = ROOT) -> list[str]:
+    """The digest lines of one case, run against the checkout at root."""
+    spec = CASES[case]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
+        out = Path(tmp) / "out"
+        if isinstance(spec, str):
+            argv = [sys.executable, str(root / "demos" / spec)]
+        else:
+            argv = [sys.executable, "-m", "orbitclf.cli", *spec, "--out", str(out)]
+        proc = subprocess.run(argv, capture_output=True, cwd=tmp, env=env)
+        lines = [f"{case}/{path.relative_to(out).as_posix()} {_sha(path.read_bytes())}"
+                 for path in sorted(out.rglob("*")) if path.is_file()]
+        stdout = proc.stdout.replace(str(out).encode(), b"<out>")
+        lines += [f"{case}/stdout {_sha(stdout)}", f"{case}/exit {proc.returncode}"]
+        stderr = proc.stderr.decode(errors="replace").replace(str(out), "<out>").splitlines()
+        if stderr:
+            lines.append(f"{case}/error {stderr[-1]}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=ROOT,
+                        help="checkout whose src/ and demos/ run")
+    parser.add_argument("--case", action="append", choices=sorted(CASES),
+                        help="run only this case; may repeat (default: every case)")
+    args = parser.parse_args(argv)
+    for case in args.case or CASES:
+        for line in digest(case, args.root.resolve()):
+            print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
