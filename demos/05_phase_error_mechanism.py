@@ -21,9 +21,8 @@ for _ in range(100):
     x = np.array([rng.uniform(0.1, 0.9), rng.normal(0, 0.3),
                   rng.uniform(0.5, 1.5), rng.normal(0, 0.3)])
     mu = rng.normal(size=2)
-    u_s = oc.mech_feedback_linearize(plant, x, mu, mode="state")
-    u_t = oc.mech_feedback_linearize(plant, x, mu, mode="time",
-                                     tau_input=plant.tau(x[0]))
+    u_s = oc.mech_feedback_linearize(plant, x, mu)
+    u_t = oc.mech_feedback_linearize(plant, x, mu, tau=plant.tau(x[0]))
     worst = max(worst, float(np.max(np.abs(u_s - u_t))))
 print(f"largest |u_state - u_time| over 100 random states: {worst:.2e}")
 

@@ -5,16 +5,19 @@ converse-Lyapunov constants; no bound is hard-coded.  The checks implement
 the verifiable content of the stability analysis:
 
 * zero stability: with d = 0 the orbit distance envelope decays below
-  1e-6 of its initial value (and a decay rate is fitted);
+  ZS_DECAY (1e-6) of its initial value (and a decay rate is fitted); a run
+  whose envelope never exceeds ON_ORBIT_ATOL (1e-8) started on the orbit;
 * asymptotic gain: ultimate distances over an amplitude grid admit a
-  linear fit through a near-zero intercept;
+  linear fit through an intercept within AG_INTERCEPT_TOL (1e-4), each
+  within AG_ENVELOPE_TOL (0.25) of the line;
 * ultimate bounds: measured tail ||eta|| against 4 c2/(gamma c1 eps) |d|inf
   (min-norm controller) and 2 eps_bar c2/(c1^2 eps^2) |d|inf (with the
   damping feedback);
 * composite decrease: wherever ||eta|| exceeds the rejection threshold,
   the exact derivative of V_c = sigma V_Z + V_eps along the integrated
-  field is nonpositive up to rounding, and V_c is sandwiched by
-  min(sigma c4, c1), max(sigma c5, c2/eps^2) times (dist_pz^2 + ||eta||^2);
+  field is nonpositive up to RATE_RTOL (1e-12) of its terms, and V_c is
+  sandwiched by min(sigma c4, c1), max(sigma c5, c2/eps^2) times
+  (dist_pz^2 + ||eta||^2) up to SANDWICH_RTOL (1e-9) of max(1, |V_c|);
 * the sigma rule: sigma is half the supremum allowed by
   c6 c1 gamma/eps - sigma c7^2 Lq^2 / 4 > 0.
 
@@ -38,6 +41,14 @@ from .simulator import TrajectoryRecord
 ON_ORBIT_ATOL = 1e-8
 #: a Lyapunov-rate inequality's rounding allowance per unit of its terms, as ``membership``'s
 RATE_RTOL = 1e-12
+#: fraction of its initial value below which a d = 0 run's distance envelope must decay
+ZS_DECAY = 1e-6
+#: largest |intercept| of the asymptotic-gain line
+AG_INTERCEPT_TOL = 1e-4
+#: largest relative distance of a positive amplitude's ultimate from the gain line
+AG_ENVELOPE_TOL = 0.25
+#: the composite sandwich's allowance per unit of max(1, |V_c|)
+SANDWICH_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,15 +117,14 @@ def sigma_condition(cert: ResClfCertificate, consts: ConverseConstants, L_q: flo
     return used < lhs, float(margin)
 
 
-def check_zero_stability(record: TrajectoryRecord, decay_target: float = 1e-6,
-                         atol: float = ON_ORBIT_ATOL) -> tuple[bool, float]:
+def check_zero_stability(record: TrajectoryRecord) -> tuple[bool, float]:
     """Zero-stability verdict and fitted envelope decay rate for a d = 0 run.
 
     The forward-supremum envelope of the orbit distance must fall below
-    decay_target of its initial value; the rate is the least-squares slope
-    of log(dist) over the samples before the floor is reached.  Runs whose
-    envelope never exceeds atol count as trivially stable (an on-orbit
-    start leaves only integrator noise to measure).
+    ZS_DECAY of its initial value; the rate is the least-squares slope of
+    log(dist) over the samples before the floor is reached.  Runs whose
+    envelope never exceeds ON_ORBIT_ATOL count as trivially stable (an
+    on-orbit start leaves only integrator noise to measure).
     """
     if len(record) < 8:
         raise ValueError("record too short to assess decay")
@@ -123,10 +133,10 @@ def check_zero_stability(record: TrajectoryRecord, decay_target: float = 1e-6,
     dist = record.dist
     env = np.maximum.accumulate(dist[::-1])[::-1]  # sup over the future
     d0 = env[0]
-    if d0 <= atol:
+    if d0 <= ON_ORBIT_ATOL:
         return True, np.inf  # started on the orbit
-    zs_ok = bool(env[-1] <= decay_target * d0)
-    floor = max(decay_target * d0, 1e-14)
+    zs_ok = bool(env[-1] <= ZS_DECAY * d0)
+    floor = max(ZS_DECAY * d0, 1e-14)
     mask = dist > floor
     if int(np.count_nonzero(mask)) < 4:
         return zs_ok, np.inf
@@ -134,14 +144,13 @@ def check_zero_stability(record: TrajectoryRecord, decay_target: float = 1e-6,
     return zs_ok, float(-slope)
 
 
-def check_asymptotic_gain(amplitudes: np.ndarray, ultimates: np.ndarray,
-                          intercept_tol: float = 1e-4,
-                          envelope_tol: float = 0.25) -> tuple[float, float, bool]:
+def check_asymptotic_gain(amplitudes: np.ndarray,
+                          ultimates: np.ndarray) -> tuple[float, float, bool]:
     """Linear gain fit over an amplitude grid; returns (gain, intercept, ok).
 
     Needs at least 3 amplitudes including 0.  ok requires the intercept to
-    be below intercept_tol and every positive-amplitude ultimate to lie
-    within (1 +- envelope_tol) of the fitted line through the origin.
+    be within AG_INTERCEPT_TOL and every positive-amplitude ultimate to lie
+    within (1 +- AG_ENVELOPE_TOL) of the fitted line through the origin.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     ultimates = np.asarray(ultimates, dtype=float)
@@ -153,11 +162,11 @@ def check_asymptotic_gain(amplitudes: np.ndarray, ultimates: np.ndarray,
         return 0.0, 0.0, True
     A = np.column_stack([amplitudes, np.ones_like(amplitudes)])
     (gain, intercept), *_ = np.linalg.lstsq(A, ultimates, rcond=None)
-    ok = abs(intercept) <= intercept_tol and np.isfinite(gain) and gain >= 0.0
+    ok = abs(intercept) <= AG_INTERCEPT_TOL and np.isfinite(gain) and gain >= 0.0
     pos = amplitudes > 0.0
     if gain > 0.0:
         ratio = ultimates[pos] / (gain * amplitudes[pos])
-        ok = ok and bool(np.all(np.abs(ratio - 1.0) <= envelope_tol))
+        ok = ok and bool(np.all(np.abs(ratio - 1.0) <= AG_ENVELOPE_TOL))
     return float(gain), float(intercept), bool(ok)
 
 
@@ -218,7 +227,7 @@ def composite_bounds(cert: ResClfCertificate, sigma: float,
 
 def check_composite_sandwich(record: TrajectoryRecord, cert: ResClfCertificate,
                              sigma: float, consts: ConverseConstants,
-                             plant: HopfPlant, rel_tol: float = 1e-9) -> bool:
+                             plant: HopfPlant) -> bool:
     """lower (dist_pz^2 + |eta|^2) <= V_c <= upper (...) at in-annulus samples."""
     lower, upper = composite_bounds(cert, sigma, consts)
     nz = np.sqrt(vecdot(record.z, record.z))
@@ -227,7 +236,7 @@ def check_composite_sandwich(record: TrajectoryRecord, cert: ResClfCertificate,
     dpz = pzd_distance(record.eta[:, :plant.dims.k1], record.z, plant)
     s = dpz * dpz + vecdot(record.eta, record.eta)
     vc = record.v_c
-    slack = rel_tol * np.maximum(1.0, np.abs(vc))
+    slack = SANDWICH_RTOL * np.maximum(1.0, np.abs(vc))
     inside = (lower * s - slack <= vc) & (vc <= upper * s + slack)
     return bool(np.all(inside | ~in_annulus))
 

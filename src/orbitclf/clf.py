@@ -82,12 +82,12 @@ def _check_eta(cert: ResClfCertificate, eta: np.ndarray) -> np.ndarray:
 
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for x of shape (n,) or row by row for x of shape (..., n).
+    """A @ x row by row for x of shape (..., n), one vector (n,) included.
 
-    Each row goes through the same BLAS call as a lone vector, so a
-    row's result is bit for bit independent of the batch it sits in.
+    Each row goes through the same stacked BLAS call, so a row's result
+    is bit for bit independent of the batch it sits in.
     """
-    return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
+    return (A @ x[..., None])[..., 0]
 
 
 #: x @ y row by row, as a gufunc: each row takes the same dot-product call
@@ -199,25 +199,20 @@ def _inconsistency(where: str, psi0: float, denom: float) -> ClfConsistencyError
 
 
 def membership(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray,
-               mu: np.ndarray, mode: str = "res", c: float | None = None) -> tuple[bool, float]:
+               mu: np.ndarray, rate: float | None = None) -> tuple[bool, float]:
     """Controller-set membership test; returns (member, signed slack).
 
-    mode "res" tests against the rapid rate gamma/eps; mode "es" against a
-    plain exponential rate c (defaulting to gamma).  Membership allows the
-    slack a working-precision margin (1e-12 scaled to the term magnitudes)
-    so that the exactly-tight min-norm selection is a member despite
-    round-off.  Applies unchanged to time-based outputs by passing eta_t.
+    The set is that of decrease rate `rate`, by default the rapid rate
+    gamma/eps (rate = gamma gives the plain exponential set).  Membership
+    allows the slack a working-precision margin (1e-12 scaled to the term
+    magnitudes) so that the exactly-tight min-norm selection is a member
+    despite round-off.  Applies unchanged to time-based outputs via eta_t.
     """
     eta = _check_eta(cert, eta)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (cert.dims.n_mu,):
         raise ValueError(f"mu has shape {mu.shape}, expected ({cert.dims.n_mu},)")
-    if mode == "res":
-        rate = cert.rate
-    elif mode == "es":
-        rate = cert.gamma if c is None else float(c)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    rate = cert.rate if rate is None else rate
     ev = evaluate_clf(cert, dyn, eta)
     slack = ev.LF_V + float(ev.LG_V @ mu) + rate * ev.V
     guard = 1e-12 * max(1.0, abs(ev.LF_V), rate * ev.V, abs(float(ev.LG_V @ mu)))

@@ -158,9 +158,9 @@ def load_config(path: str | None, overrides: list[str], seed: int | None,
 #: dotted config paths whose value must be a JSON number (None where allowed)
 _NUMBERS = ("eps", "eps_bar", "settle_fraction", "plant.omega", "plant.lambda_h",
             "plant.r0", "plant.y1_rate", "plant.annulus_fraction", "plant.q1_minus",
-            "plant.q1_plus", "disturbance.amplitude", "disturbance.frequency",
+            "plant.q1_plus", "plant.v_d", "disturbance.amplitude", "disturbance.frequency",
             "disturbance.dwell", "integrator.dt", "integrator.horizon")
-_OPTIONAL_NUMBERS = ("sigma", "plant.v_d")
+_OPTIONAL_NUMBERS = ("sigma",)
 _INTEGERS = ("k1", "k2", "seed")
 _OPTIONAL_INTEGERS = ("disturbance.seed",)
 
@@ -290,16 +290,14 @@ def build_plant(config: dict, dims: OutputDims):
                 coupling = np.asarray(coupling, dtype=float)
             return HopfPlant(dims=dims, omega=float(p["omega"]), lambda_h=float(p["lambda_h"]),
                              r0=float(p["r0"]), coupling=coupling, y1_rate=float(p["y1_rate"]))
-        plant = MechPlant(alpha=np.asarray(p["alpha"], dtype=float),
-                          q1_minus=float(p["q1_minus"]), q1_plus=float(p["q1_plus"]),
-                          v_d=None if p["v_d"] is None else float(p["v_d"]))
+        if dims.k1 > 1 or dims.k2 != 1:
+            raise ValueError(f"the mech plant has k1 = 0 or 1 and k2 = 1, "
+                             f"not (k1={dims.k1}, k2={dims.k2})")
+        return MechPlant(alpha=np.asarray(p["alpha"], dtype=float),
+                         q1_minus=float(p["q1_minus"]), q1_plus=float(p["q1_plus"]),
+                         v_d=float(p["v_d"]) if dims.k1 else None)
     except ValueError as exc:
         raise ConfigError(f"plant: {exc}") from exc
-    if plant.dims != dims:
-        raise ConfigError(
-            f"mech plant implies dims (k1={plant.dims.k1}, k2={plant.dims.k2}); "
-            f"config says (k1={dims.k1}, k2={dims.k2})")
-    return plant
 
 
 def build_signal(config: dict, dims: OutputDims, amplitude: float | None = None) -> DisturbanceSignal:
@@ -342,7 +340,7 @@ def initial_state(config: dict, plant, dims: OutputDims) -> np.ndarray:
     return np.asarray(x0, dtype=float)
 
 
-def build_closed_loop(config: dict, amplitude: float | None = None, eps: float | None = None):
+def build_closed_loop(config: dict, eps: float | None = None):
     """(closed_loop, cert, plant, x0) assembled from the config."""
     cfg = copy.deepcopy(config)
     if eps is not None:
@@ -350,7 +348,7 @@ def build_closed_loop(config: dict, amplitude: float | None = None, eps: float |
     dyn, cert = build_certificate(cfg)
     dims = dyn.dims
     plant = build_plant(cfg, dims)
-    signal = build_signal(cfg, dims, amplitude)
+    signal = build_signal(cfg, dims)
     if isinstance(plant, HopfPlant):
         if signal.kind == "phase_error_driven":
             raise ConfigError("phase_error_driven disturbances require the mech plant")

@@ -69,6 +69,12 @@ class DisturbanceSignal:
         return np.where(tiny[:, None], self.amplitude * self._direction(),
                         (self.amplitude / np.where(tiny, 1.0, nrm))[:, None] * raw)
 
+    def closed_form(self, t: float | np.ndarray) -> np.ndarray:
+        """d(t) of the constant or sinusoid kind at one time or an array of times, (..., dim)."""
+        value = (self.amplitude * np.sin(2.0 * np.pi * self.frequency * t)
+                 if self.kind == "sinusoid" else self.amplitude)
+        return np.multiply.outer(value, self._direction())
+
     def phase_error(self, t: float | np.ndarray) -> float | np.ndarray:
         """The phase error e(t) of the phase_error_driven kind, at one time or an array of times."""
         if self.kind != "phase_error_driven":
@@ -82,10 +88,8 @@ def sample(signal: DisturbanceSignal, t: float) -> np.ndarray:
         raise ValueError(f"t must be nonnegative, got {t}")
     if signal.kind == "zero":
         return np.zeros(signal.dim)
-    if signal.kind == "constant":
-        return signal.amplitude * signal._direction()
-    if signal.kind == "sinusoid":
-        return (signal.amplitude * np.sin(2.0 * np.pi * signal.frequency * t)) * signal._direction()
+    if signal.kind in ("constant", "sinusoid"):
+        return signal.closed_form(t)
     if signal.kind == "piecewise_constant_random":
         return signal.block_vectors([int(t / signal.dwell)])[0]
     raise ValueError("a phase_error_driven disturbance depends on the state; "
@@ -95,7 +99,7 @@ def sample(signal: DisturbanceSignal, t: float) -> np.ndarray:
 class DisturbanceTable:
     """d(t) of a batch of runs on [0, horizon], one row per run.
 
-    The piecewise-random block vectors are computed once per run for the
+    Each piecewise-random run's block vectors are computed once for the
     whole horizon and looked up with the same int(t / dwell) as ``sample``;
     the constant and sinusoid kinds come from their closed forms.  Each row
     equals ``sample(signal, t)`` bit for bit; a run without a signal, or
@@ -112,35 +116,18 @@ class DisturbanceTable:
                 raise ValueError("phase_error_driven signals depend on the state; "
                                  "they have no table")
         self.shape = (len(signals), dim)
-        self._direction = np.eye(dim)[0]
-        self._groups = []  # (rows, kind, amplitudes, frequencies, dwells, block tables)
-        for kind in ("constant", "sinusoid", "piecewise_constant_random"):
-            members = [(row, s) for row, s in enumerate(signals)
-                       if s is not None and s.kind == kind]
-            if not members:
-                continue
-            sigs = [s for _, s in members]
-            tables = None
-            if kind == "piecewise_constant_random":
-                # the stage times of the last step reach horizon plus round-off
-                n_blocks = max(int(horizon / s.dwell) for s in sigs) + 2
-                tables = np.stack([s.block_vectors(np.arange(n_blocks)) for s in sigs])
-            self._groups.append((np.array([row for row, _ in members]), kind,
-                                 np.array([s.amplitude for s in sigs]),
-                                 np.array([s.frequency for s in sigs]),
-                                 np.array([s.dwell for s in sigs]), tables))
+        # (row, signal, its block vectors or None) of each nonzero run; the
+        # stage times of the last step reach horizon plus round-off
+        self._runs = [(row, s, s.block_vectors(np.arange(int(horizon / s.dwell) + 2))
+                       if s.kind == "piecewise_constant_random" else None)
+                      for row, s in enumerate(signals) if s is not None and s.kind != "zero"]
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)[..., None]  # broadcasts against the group's runs
-        d = np.zeros(t.shape[:-1] + self.shape)
-        for rows, kind, amp, freq, dwell, tables in self._groups:
-            if kind == "constant":
-                rows_d = amp[:, None] * self._direction  # broadcast over the times
-            elif kind == "sinusoid":
-                rows_d = (amp * np.sin(2.0 * np.pi * freq * t))[..., None] * self._direction
-            else:
-                rows_d = tables[np.arange(len(rows)), (t / dwell).astype(np.intp)]
-            d[..., rows, :] = rows_d
+        t = np.asarray(t, dtype=float)
+        d = np.zeros(t.shape + self.shape)
+        for row, s, blocks in self._runs:
+            d[..., row, :] = (s.closed_form(t) if blocks is None
+                              else blocks[(t / s.dwell).astype(np.intp)])
         return d
 
 

@@ -197,16 +197,11 @@ def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndar
 # The mech kernels take one state x of shape (4,) or a stack (S, 4) with one
 # phase, phase error or mu per row; each row of a stack's result is bit for
 # bit the lone call's.  Those that take a jet (y2d, y2d', y2d'') take the
-# entries xs = (q1, q2, dq1, dq2) of ``_entries``: a lone state's are plain
-# floats, which do numpy's IEEE operations on a stack's columns, faster.
+# entries xs = x.T = (q1, q2, dq1, dq2): a lone state's are numpy scalars, a
+# stack's are its columns, and both make the same IEEE operations.
 # ``MechPlant.outputs``, ``MechClosedLoop.law_forms`` and ``mech_feedforward``
 # take and return entries too (mu's included), which each caller stacks.  The
-# lone stage (``MechClosedLoop.field``) writes outputs and feedforward out.
-
-
-def _entries(a: np.ndarray):
-    """A lone vector's entries as floats, or a stack's columns (its last axis)."""
-    return a.tolist() if a.ndim == 1 else a.T
+# lone stage (``MechClosedLoop.field``) writes them out on Python floats.
 
 
 #: a mech run's phase domain, checked in order: the estimate (1e-9 slack), the true phase
@@ -292,7 +287,7 @@ class MechPlant:
 
     def eta_at(self, x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
         """Output coordinates (y1?, y2, dy2) of x measured at phase tau."""
-        return np.array(self.outputs(_entries(x), self.jet(tau))).T
+        return np.array(self.outputs(x.T, self.jet(tau))).T
 
     def eta_of(self, x: np.ndarray) -> np.ndarray:
         """Output coordinates eta(x) at the true phase."""
@@ -316,7 +311,7 @@ def mech_feedforward(plant: MechPlant, xs, mu, jet: tuple) -> tuple:
     dq1 = xs[2]
     tau_rate = dq1 / plant.delta
     if plant.v_d is None:
-        u1 = 0.0 if isinstance(dq1, float) else np.zeros(dq1.shape)
+        u1 = np.zeros(np.shape(dq1))
         (mu2,) = mu
     else:
         u1, mu2 = mu  # dy1/dt = u1 and the desired velocity is constant
@@ -327,39 +322,31 @@ def mech_feedforward(plant: MechPlant, xs, mu, jet: tuple) -> tuple:
 
 
 def mech_feedback_linearize(plant: MechPlant, x: np.ndarray, mu: np.ndarray,
-                            mode: str = "state",
-                            tau_input: float | np.ndarray | None = None) -> np.ndarray:
+                            tau: float | np.ndarray | None = None) -> np.ndarray:
     """Feedback linearizing input u for the mech plant.
 
-    mode "state" uses the state-based phase tau(q1); mode "time" uses the
-    supplied phase estimate tau_input in the feedforward, with the phase
-    rate and acceleration taken from the true state (only the phase value
-    is corrupted).  With tau_input = tau(q1) the two modes coincide exactly.
-    Returns u = (u1, u2); for the k1 = 0 plant the phase joint is
-    unactuated and u1 = 0.  A stack x (S, 4) takes mu (S, n_mu) and a
-    tau_input of shape (S,), and gives u (S, 2).
+    The feedforward is evaluated at the phase tau, by default the
+    state-based phase tau(q1).  The time-based controller passes its phase
+    estimate instead; the phase rate and acceleration are still taken from
+    the true state (only the phase value is corrupted), so tau = tau(q1)
+    gives the state-based input exactly.  Returns u = (u1, u2); for the
+    k1 = 0 plant the phase joint is unactuated and u1 = 0.  A stack x
+    (S, 4) takes mu (S, n_mu) and a tau of shape (S,), and gives u (S, 2).
     """
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
     expected = x.shape[:-1] + (plant.dims.n_mu,)
     if mu.shape != expected:
         raise ValueError(f"mu has shape {mu.shape}, expected {expected}")
-    xs = _entries(x)
-    if mode == "state":
-        tau_ff = plant.tau(xs[0])
-    elif mode == "time":
-        if tau_input is None:
-            raise ValueError("time mode requires tau_input")
-        tau_ff = tau_input
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    check_phases(tau_ff)
-    return np.array(mech_feedforward(plant, xs, _entries(mu), plant.jet(tau_ff))).T
+    if tau is None:
+        tau = plant.tau(x.T[0])
+    check_phases(tau)
+    return np.array(mech_feedforward(plant, x.T, mu.T, plant.jet(tau))).T
 
 
 def mech_phase_disturbance(plant: MechPlant, xs, jet: tuple, jet_hat: tuple) -> np.ndarray:
     """derive_phase_disturbance of the state with entries xs, from the jets at tau and tau + e."""
-    mu0 = _entries(np.zeros(np.shape(xs[0]) + (plant.dims.n_mu,)))
+    mu0 = np.zeros(np.shape(xs[0]) + (plant.dims.n_mu,)).T
     u1_hat, u2_hat = mech_feedforward(plant, xs, mu0, jet_hat)
     u1, u2 = mech_feedforward(plant, xs, mu0, jet)
     du = np.array([u1_hat - u1, u2_hat - u2]).T
@@ -376,7 +363,7 @@ def derive_phase_disturbance(plant: MechPlant, x: np.ndarray,
     the actuated inputs, the feedforward mismatch.  d = 0 at e = 0.
     A stack x (S, 4) takes e of shape (S,) and gives d (S, n_mu).
     """
-    xs = _entries(np.asarray(x, dtype=float))
+    xs = np.asarray(x, dtype=float).T
     tau = plant.tau(xs[0])
     tau_hat = tau + e
     check_phases(tau_hat, tau)

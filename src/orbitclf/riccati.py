@@ -28,6 +28,10 @@ gamma * P <= Q; it is also the decrease constant c3), c1 = lambda_min(P),
 c2 = lambda_max(P).
 Since I <= M <= (1/eps) I, the quadratic form eta' P_e eta is sandwiched
 between c1 ||eta||^2 and (c2/eps^2) ||eta||^2 for every 0 < eps <= 1.
+
+The bounds are module constants: RESIDUAL_TOL (1e-10) on both residuals,
+SYM_TOL (1e-12) on the asymmetry ``sym_eig`` accepts, and NK_MAX_ITER
+(100) Newton-Kleinman iterations.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ SQRT3 = float(np.sqrt(3.0))
 
 #: Frobenius-norm ceiling accepted for both Riccati residuals.
 RESIDUAL_TOL = 1e-10
+#: largest |A - A'| accepted as symmetric, per unit of max(1, max |A|)
+SYM_TOL = 1e-12
+#: Newton-Kleinman iterations before the solve gives up
+NK_MAX_ITER = 100
 
 #: Sign-iteration cap, and the entrywise step below which A has stopped moving
 #: (convergence is quadratic, so the next error is about its square).
@@ -54,29 +62,29 @@ class CareSolveError(RuntimeError):
     """Newton-Kleinman failed to reach the residual tolerance."""
 
 
-def sym_eig(A: np.ndarray, sym_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a symmetric matrix (LAPACK, via np.linalg.eigh).
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
-    Raises ValueError if A is not square, or not symmetric within sym_tol
+    Raises ValueError if A is not square, or not symmetric within SYM_TOL
     (scaled by the magnitude of A).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-    if A.size and float(np.max(np.abs(A - A.T))) > sym_tol * scale:
+    if A.size and float(np.max(np.abs(A - A.T))) > SYM_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return np.linalg.eigh(0.5 * (A + A.T))
 
 
-def is_spd(A: np.ndarray, tol: float = 0.0) -> bool:
-    """True when A is symmetric positive definite (smallest eigenvalue > tol)."""
+def is_spd(A: np.ndarray) -> bool:
+    """True when A is symmetric positive definite (smallest eigenvalue > 0)."""
     try:
         w, _ = sym_eig(A)
     except ValueError:
         return False
-    return bool(w[0] > tol)
+    return bool(w[0] > 0.0)
 
 
 def care_residual(dyn: OutputDynamics, P: np.ndarray, Q: np.ndarray) -> float:
@@ -133,27 +141,25 @@ def solve_lyapunov(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     return 0.25 * (C + C.T)
 
 
-def newton_kleinman_iterates(dyn: OutputDynamics, Q: np.ndarray,
-                             max_iter: int = 100) -> Iterator[np.ndarray]:
-    """Yield successive Newton-Kleinman iterates P_i (all stabilizing), in correction form."""
+def newton_kleinman_iterates(dyn: OutputDynamics, Q: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield up to NK_MAX_ITER Newton-Kleinman iterates P_i (all stabilizing), correction form."""
     F, G = dyn.F, dyn.G
     P = closed_form_identity_p(dyn.dims)
-    for _ in range(max_iter):
+    for _ in range(NK_MAX_ITER):
         K = G.T @ P
         R = F.T @ P + P @ F - K.T @ K + Q
         P = P + solve_lyapunov(F - G @ K, R)
         yield P
 
 
-def solve_care(dyn: OutputDynamics, Q: np.ndarray, tol: float = RESIDUAL_TOL,
-               max_iter: int = 100) -> np.ndarray:
+def solve_care(dyn: OutputDynamics, Q: np.ndarray) -> np.ndarray:
     """Solve the CARE for (F, G) and SPD Q; returns the stabilizing P.
 
-    Iterates past tol down to the round-off floor: the epsilon-scaled
-    identity downstream amplifies this residual by up to 1/eps^3, so the
-    solve must be as exact as the arithmetic allows.  Raises ValueError
-    for a non-SPD Q, and CareSolveError on overflow or on non-convergence
-    within max_iter.
+    Iterates past RESIDUAL_TOL down to the round-off floor: the
+    epsilon-scaled identity downstream amplifies this residual by up to
+    1/eps^3, so the solve must be as exact as the arithmetic allows.
+    Raises ValueError for a non-SPD Q, and CareSolveError on overflow or on
+    non-convergence within NK_MAX_ITER iterations.
     """
     Q = np.asarray(Q, dtype=float)
     n = dyn.dims.n_eta
@@ -165,11 +171,11 @@ def solve_care(dyn: OutputDynamics, Q: np.ndarray, tol: float = RESIDUAL_TOL,
     try:
         with np.errstate(over="raise", invalid="raise"):
             floor = 1e-15 * max(1.0, float(np.linalg.norm(Q)))
-            for P in newton_kleinman_iterates(dyn, Q, max_iter=max_iter):
+            for P in newton_kleinman_iterates(dyn, Q):
                 res = care_residual(dyn, P, Q)
                 at_floor = res <= floor or res >= 0.25 * prev_res
                 prev_res = res
-                if res <= tol and at_floor:
+                if res <= RESIDUAL_TOL and at_floor:
                     cl_eigs = np.linalg.eigvals(dyn.F - dyn.G @ dyn.G.T @ P)
                     if np.max(cl_eigs.real) >= 0.0:
                         raise CareSolveError("converged P is not stabilizing")
@@ -178,21 +184,16 @@ def solve_care(dyn: OutputDynamics, Q: np.ndarray, tol: float = RESIDUAL_TOL,
                     return P
     except FloatingPointError as exc:
         raise CareSolveError(f"Newton-Kleinman left the double range ({exc})") from exc
-    raise CareSolveError(f"no convergence to residual {tol:g} within {max_iter} iterations")
-
-
-def scaling_matrix(dims: OutputDims, eps: float) -> np.ndarray:
-    """The block scaling M = diag(I_k1, (1/eps) I_k2, I_k2)."""
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    d = np.concatenate([np.ones(dims.k1), np.full(dims.k2, 1.0 / eps), np.ones(dims.k2)])
-    return np.diag(d)
+    raise CareSolveError(f"no convergence to residual {RESIDUAL_TOL:g} "
+                         f"within {NK_MAX_ITER} iterations")
 
 
 def scale_epsilon(P: np.ndarray, Q: np.ndarray, dims: OutputDims,
                   eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (M, P_eps, Q_eps) with P_eps = M P M and Q_eps = M Q M."""
-    M = scaling_matrix(dims, eps)
+    """(M, P_eps, Q_eps) = (M, M P M, M Q M) for the scaling M = diag(I_k1, (1/eps) I_k2, I_k2)."""
+    if not (0.0 < eps <= 1.0):
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    M = np.diag(np.concatenate([np.ones(dims.k1), np.full(dims.k2, 1.0 / eps), np.ones(dims.k2)]))
     return M, M @ P @ M, M @ Q @ M
 
 

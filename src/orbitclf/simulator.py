@@ -151,7 +151,7 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
     if x0.shape != expected:
         raise ValueError(f"x0 has shape {x0.shape}, expected {expected}")
 
-    # the node times 0, dt, 2 dt, ... summed in order, as t is below: the same floats
+    # the node times 0, dt, 2 dt, ... summed in order
     nodes = np.add.accumulate(np.concatenate([[0.0], np.full(n_steps, dt)]))
     # each loop's exogenous input at an array of times, and its stage form:
     # the Hopf d placed through G, the mech phase error e as Python floats
@@ -172,7 +172,6 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
     # the state that each step starts from: a lone mech state as a list of
     # Python floats (see rk4_step), a Hopf batch as its array
     y = x0.tolist() if isinstance(loop, MechClosedLoop) else x0
-    t = 0.0
     # a state that overflows ends the run below, with a diagnosis; numpy's
     # warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -180,18 +179,18 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
             j = i % CHUNK
             if j == 0:
                 k = min(CHUNK, n_steps - i)
+                clock = nodes[i:i + k].tolist()  # each step starts at its node
                 recorded[i:i + k + 1] = sample(nodes[i:i + k + 1])
                 u_node = place(recorded[i:i + k + 1])
                 u_half = place(sample(nodes[i:i + k] + 0.5 * dt))
             inputs = (u_node[j], u_half[j], u_node[j + 1])
             try:
-                y = states[i + 1] = rk4_step(f, t, y, dt, inputs)
+                y = states[i + 1] = rk4_step(f, clock[j], y, dt, inputs)
             except Exception:
                 # a state of this chunk that left the finite range is the diagnosis,
                 # whatever its non-finite successors then raised
                 _check_finite(states, i - j + 1, i + 1, nodes)
                 raise
-            t += dt
             if j == k - 1:
                 _check_finite(states, i - j + 1, i + 2, nodes)
     ts = np.arange(n_steps + 1) * dt

@@ -187,9 +187,8 @@ def test_criterion_8_time_vs_state_and_phase_disturbance():
         x = np.array([rng.uniform(0.05, 0.95), rng.normal(0.0, 0.4),
                       rng.uniform(0.3, 1.8), rng.normal(0.0, 0.4)])
         mu = rng.normal(size=2)
-        u_state = oc.mech_feedback_linearize(plant, x, mu, mode="state")
-        u_time = oc.mech_feedback_linearize(plant, x, mu, mode="time",
-                                            tau_input=plant.tau(x[0]))
+        u_state = oc.mech_feedback_linearize(plant, x, mu)
+        u_time = oc.mech_feedback_linearize(plant, x, mu, tau=plant.tau(x[0]))
         worst = max(worst, float(np.max(np.abs(u_state - u_time))))
     equiv_ok = worst <= 1e-12
 

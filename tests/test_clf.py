@@ -170,7 +170,7 @@ def test_membership_at_zero(cert01_e1, dyn01):
 def test_membership_es_mode(cert01_e1, dyn01):
     eta = np.array([0.3, -0.2])
     mu = _mu(cert01_e1, dyn01, eta)
-    member, _ = oc.membership(cert01_e1, dyn01, eta, mu, mode="es", c=cert01_e1.gamma)
+    member, _ = oc.membership(cert01_e1, dyn01, eta, mu, rate=cert01_e1.gamma)
     assert member  # es rate gamma <= res rate gamma/eps at eps = 1
 
 

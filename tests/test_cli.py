@@ -361,6 +361,35 @@ def test_mech_simulate_in_domain(tmp_path):
 
 MECH = ["--override", "k1=1", "--override", "plant.kind=mech",
         "--override", "disturbance.kind=phase_error_driven"]
+MECH_K1_0 = ["k1=0", "plant.kind=mech", "disturbance.kind=phase_error_driven",
+             "plant.q1_plus=4", "integrator.horizon=0.5"]
+
+
+def test_mech_k1_0_drops_the_velocity_output(tmp_path):
+    # k1 alone picks the mech velocity output: the k1 = 0 run needs no
+    # plant.v_d and writes the data rows and summary payload (their content
+    # hashes) that the spelling "k1=0 plant.v_d=null" wrote before k1 did
+    assert run(["simulate", "--out", str(tmp_path)]
+               + [a for o in MECH_K1_0 for a in ("--override", o)]) == 0
+    csv = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert csv[3] == "t,eta_0,eta_1,z_0,z_1,d_0,V_eps,V_Z,V_c,dist"
+    assert csv[2] == ("# content_hash="
+                      "3225ed893ef028c85c5f0ce4945fcaecc7043de3e1b7ac23ebfa56123ec72fd5")
+    summary = _strict_json(tmp_path / "summary.json")
+    assert summary["content_hash"] == (
+        "e9de9af7bb3036c22aa1d889a00cc77128a13457b1403bc62598c9fdd33163ba")
+
+
+@pytest.mark.parametrize("override, message", [
+    ("plant.v_d=null", "config error: plant.v_d must be a number, got None"),
+    ("k2=2", "config error: plant: the mech plant has k1 = 0 or 1 and k2 = 1, not (k1=0, k2=2)"),
+    ("k1=2", "config error: plant: the mech plant has k1 = 0 or 1 and k2 = 1, not (k1=2, k2=1)"),
+], ids=["v_d null", "k2=2", "k1=2"])
+def test_mech_dims_or_null_v_d_exit_2(tmp_path, capsys, override, message):
+    overrides = MECH_K1_0 + [override]
+    assert run(["simulate", "--out", str(tmp_path)]
+               + [a for o in overrides for a in ("--override", o)]) == 2
+    _one_line_error(capsys, message)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -474,7 +503,7 @@ def test_overflowed_start_prints_one_line_in_its_own_process(tmp_path):
 
 @pytest.mark.parametrize("dims, message", [
     (["k1=1"], "run aborted: the state overflowed: phase nan"),
-    (["k1=0", "plant.v_d=null"], "run aborted: non-finite state in run 0 at t = 0.001: "),
+    (["k1=0"], "run aborted: non-finite state in run 0 at t = 0.001: "),
 ], ids=["k1=1", "k1=0"])
 def test_mech_overflow_within_a_step_aborts(tmp_path, capsys, dims, message):
     # dq2 = 1e308 overflows in the first step: at k1 = 1 the first stage's mu

@@ -138,17 +138,27 @@ def test_block_table_matches_splitmix_reference(dim, dwell, seed):
 
 
 def test_table_closed_forms_match_sample():
+    # every kind in one batch, two runs of a kind with different parameters:
+    # each row is its own signal's, bit for bit
     sigs = [DisturbanceSignal(kind="sinusoid", dim=2, amplitude=0.3, frequency=1.7),
             DisturbanceSignal(kind="constant", dim=2, amplitude=-0.2),
-            DisturbanceSignal(kind="zero", dim=2)]
+            DisturbanceSignal(kind="zero", dim=2),
+            DisturbanceSignal(kind="piecewise_constant_random", dim=2, amplitude=0.05,
+                              dwell=0.3, seed=4),
+            DisturbanceSignal(kind="sinusoid", dim=2, amplitude=-0.1, frequency=0.45),
+            None,
+            DisturbanceSignal(kind="piecewise_constant_random", dim=2, amplitude=0.08,
+                              dwell=0.5, seed=9)]
     table = oc.DisturbanceTable(sigs, 2, 4.0)
     ts = np.linspace(0.0, 4.0, 1001)
     grid = table(ts)
     for b, sig in enumerate(sigs):
-        ref = np.array([sample(sig, float(t)) for t in ts])
+        ref = np.array([np.zeros(2) if sig is None else sample(sig, float(t)) for t in ts])
         assert np.array_equal(grid[:, b], ref)
         assert np.array_equal(np.signbit(grid[:, b]), np.signbit(ref))  # signed zeros too
     with pytest.raises(ValueError):
         oc.DisturbanceTable([DisturbanceSignal(kind="phase_error_driven", dim=2)], 2, 1.0)
     with pytest.raises(ValueError):
         oc.DisturbanceTable(sigs, 3, 1.0)
+    with pytest.raises(ValueError):  # a zero run's dimension is checked too
+        oc.DisturbanceTable([None, DisturbanceSignal(kind="zero", dim=2)], 3, 1.0)

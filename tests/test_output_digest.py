@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def _digest(*args):
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"), *args],
                           capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout.splitlines()
 
 
@@ -24,3 +24,15 @@ def test_output_digest_repeats_on_a_fast_case():
                      "mech_k1_0/stdout", "mech_k1_0/exit"], first
     assert first[-1] == "mech_k1_0/exit 0"
     assert all(len(line.split()[1]) == 64 for line in first[:-1])
+
+
+def test_output_digest_against_prints_only_the_differences(tmp_path):
+    # both trees digested, only differing lines printed: none, exit 0
+    assert _digest("--case", "mech_k1_0", "--against", str(ROOT)) == []
+    # against a tree without the package every line differs, and the exit is 1
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"),
+                           "--case", "mech_k1_0", "--against", str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert "- mech_k1_0/exit 1" in lines and "+ mech_k1_0/exit 0" in lines, lines

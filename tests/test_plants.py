@@ -305,7 +305,7 @@ def test_mech_zero_dynamics_invariance(mech_plant, mech_cert):
     assert np.allclose(mech_plant.eta_of(x), 0.0, atol=1e-14)
 
     def field(t, y):
-        u = oc.mech_feedback_linearize(mech_plant, y, np.zeros(2), mode="state")
+        u = oc.mech_feedback_linearize(mech_plant, y, np.zeros(2))
         return np.array([y[2], y[3], u[0], u[1]])
 
     dt = 1e-3
@@ -323,7 +323,7 @@ def test_mech_fd_oracle_state_mode(mech_plant):
         x = np.array([rng.uniform(0.1, 0.9), rng.normal(0, 0.3),
                       rng.uniform(0.5, 1.5), rng.normal(0, 0.3)])
         mu = rng.normal(size=2)
-        u = oc.mech_feedback_linearize(mech_plant, x, mu, mode="state")
+        u = oc.mech_feedback_linearize(mech_plant, x, mu)
         field = lambda t, y: np.array([y[2], y[3], u[0], u[1]])
         xp = oc.rk4_step(field, 0.0, x, h)
         xm = oc.rk4_step(field, 0.0, x, -h)
@@ -338,25 +338,22 @@ def test_mech_time_mode_matches_state_mode(mech_plant):
         x = np.array([rng.uniform(0.05, 0.95), rng.normal(0, 0.4),
                       rng.uniform(0.3, 1.8), rng.normal(0, 0.4)])
         mu = rng.normal(size=2)
-        u_state = oc.mech_feedback_linearize(mech_plant, x, mu, mode="state")
-        u_time = oc.mech_feedback_linearize(mech_plant, x, mu, mode="time",
-                                            tau_input=mech_plant.tau(x[0]))
+        u_state = oc.mech_feedback_linearize(mech_plant, x, mu)
+        u_time = oc.mech_feedback_linearize(mech_plant, x, mu, tau=mech_plant.tau(x[0]))
         assert np.max(np.abs(u_state - u_time)) <= 1e-12
 
 
 def test_mech_time_mode_requires_tau(mech_plant):
+    # a phase estimate outside [0, 1] is rejected
     with pytest.raises(ValueError):
         oc.mech_feedback_linearize(mech_plant, np.array([0.2, 0.0, 1.0, 0.0]),
-                                   np.zeros(2), mode="time")
-    with pytest.raises(ValueError):
-        oc.mech_feedback_linearize(mech_plant, np.array([0.2, 0.0, 1.0, 0.0]),
-                                   np.zeros(2), mode="time", tau_input=1.4)
+                                   np.zeros(2), tau=1.4)
 
 
 def test_mech_k1_0_variant():
     plant = oc.MechPlant(alpha=np.array([0.0, 0.1, 0.3, 0.3, 0.1, 0.0]), v_d=None)
     x = np.array([0.3, 0.2, 1.0, 0.1])
-    u = oc.mech_feedback_linearize(plant, x, np.array([0.5]), mode="state")
+    u = oc.mech_feedback_linearize(plant, x, np.array([0.5]))
     assert u[0] == 0.0  # unactuated phase joint
     # the y2 channel still linearizes exactly
     dyn = oc.build_fg(plant.dims)
@@ -391,7 +388,7 @@ def test_mech_pzd_invariance(mech_plant, mech_cert):
         rows = oc.matvec(W, eta_y)
         psi1 = rows[2 * n:-n]
         mu = oc.min_norm_mu(np.vecdot(eta_y, rows[-n:]), np.vecdot(psi1, psi1)) * psi1
-        u = oc.mech_feedback_linearize(mech_plant, y, mu, mode="state")
+        u = oc.mech_feedback_linearize(mech_plant, y, mu)
         return np.array([y[2], y[3], u[0], u[1]])
 
     dt = 1e-3
@@ -481,8 +478,8 @@ def test_mech_kernels_on_a_stack_equal_lone_calls(v_d):
     lin = oc.mech_feedback_linearize
     assert np.array_equal(lin(plant, X, mu), _lone_rows(lambda x, m: lin(plant, x, m), X, mu))
     assert np.array_equal(
-        lin(plant, X, mu, mode="time", tau_input=tau_hat),
-        _lone_rows(lambda x, m, th: lin(plant, x, m, mode="time", tau_input=th), X, mu, tau_hat))
+        lin(plant, X, mu, tau=tau_hat),
+        _lone_rows(lambda x, m, th: lin(plant, x, m, tau=th), X, mu, tau_hat))
     dpd = oc.derive_phase_disturbance
     assert np.array_equal(dpd(plant, X, e), _lone_rows(lambda x, ei: dpd(plant, x, ei), X, e))
 
@@ -636,7 +633,7 @@ def test_mech_stack_names_its_first_out_of_domain_phase(mech_plant):
     tau_hat = tau.copy()
     tau_hat[[3, 6]] = [1.25, -0.5]
     with pytest.raises(ValueError, match=r"^phase 1\.25 outside \[0, 1\]$"):
-        oc.mech_feedback_linearize(mech_plant, X, mu, mode="time", tau_input=tau_hat)
+        oc.mech_feedback_linearize(mech_plant, X, mu, tau=tau_hat)
     e[5] = 1.0 - tau[5] + 0.125  # rows 0-4 stay in [0, 1]; rows 5 and 7 leave it
     e[7] = -1.0
     with pytest.raises(ValueError) as lone:

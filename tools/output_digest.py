@@ -1,15 +1,17 @@
 """Print a digest of every output of a fixed list of runs, to compare two trees byte for byte.
 
-    python tools/output_digest.py [--root CHECKOUT] [--case NAME ...]
+    python tools/output_digest.py [--root CHECKOUT] [--against OTHER] [--case NAME ...]
 
 Each case runs in a process of its own with the package from
 ``CHECKOUT/src`` (default: this checkout), CLI runs into a temporary
 directory.  For each case the tool prints one line per output file,
 ``<case>/<file> <sha256>``, then ``<case>/stdout <sha256>`` with the output
 directory's path replaced by ``<out>``, ``<case>/exit <code>`` and, when
-stderr is not empty, ``<case>/error <its last line>``.  Run it on two
-checkouts and diff the output: equal lines mean byte-identical files,
-stdout, exit codes and error texts.  ``--root`` may name a checkout that
+stderr is not empty, ``<case>/error <its last line>``.  Equal lines mean
+byte-identical files, stdout, exit codes and error texts.  With
+``--against OTHER`` it digests both checkouts and prints only the lines
+that differ, ``- `` before OTHER's and ``+ `` before CHECKOUT's, and exits 1
+on any difference.  ``--root`` and ``--against`` may name a checkout that
 lacks this tool, such as a parent commit's.
 """
 
@@ -43,7 +45,7 @@ CASES = {
     **{f"certify_seed{s}": ("certify", "--seed", str(s)) + BENCH_CERTIFY for s in range(4)},
     "mech_long": ("simulate",) + MECH + _override("k1=1", "plant.q1_plus=4",
                                                   "integrator.horizon=3"),
-    "mech_k1_0": ("simulate",) + MECH + _override("k1=0", "plant.v_d=null", "plant.q1_plus=4",
+    "mech_k1_0": ("simulate",) + MECH + _override("k1=0", "plant.q1_plus=4",
                                                   "integrator.horizon=3"),
     "mech_default": ("simulate",) + MECH + _override("k1=1"),
     "demo_01": "01_certificate_synthesis.py",
@@ -84,13 +86,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="checkout whose src/ and demos/ run")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="checkout to compare with; print only the lines that differ")
     parser.add_argument("--case", action="append", choices=sorted(CASES),
                         help="run only this case; may repeat (default: every case)")
     args = parser.parse_args(argv)
+    differ = False
     for case in args.case or CASES:
-        for line in digest(case, args.root.resolve()):
-            print(line, flush=True)
-    return 0
+        lines = digest(case, args.root.resolve())
+        if args.against is None:
+            print("\n".join(lines), flush=True)
+            continue
+        other = digest(case, args.against.resolve())
+        diff = ([f"- {line}" for line in other if line not in lines]
+                + [f"+ {line}" for line in lines if line not in other])
+        if diff:
+            differ = True
+            print("\n".join(diff), flush=True)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
