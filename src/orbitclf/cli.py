@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -183,10 +184,9 @@ def _is_number(value) -> bool:
 
 def _is_array(value, shape: tuple) -> bool:
     """value is nested lists of numbers of this shape; None in shape is any length."""
-    if not shape:
-        return _is_number(value)
     return (isinstance(value, list) and shape[0] in (None, len(value))
-            and all(_is_array(v, shape[1:]) for v in value))
+            and (all(map(_is_number, value)) if len(shape) == 1  # a row in one pass
+                 else all(_is_array(row, shape[1:]) for row in value)))
 
 
 def _array_text(shape: tuple) -> str:
@@ -384,42 +384,66 @@ def _require_hopf(config: dict, command: str) -> None:
 # output helpers
 
 
-def _provenance(config: dict, body: list[str]) -> dict:
-    """What every output file carries: the resolved config, its hash and the body's hash.
+def _render(data, indent: str) -> tuple[str, str]:
+    """data's compact JSON text and its text indented from this indent, as json.dumps(...,
+    sort_keys=True) writes them but with null for a NaN or an infinity; each leaf is
+    formatted once.  A type json.dumps refuses, or a key that is not a str, raises TypeError."""
+    if isinstance(data, float):
+        text = float.__repr__(data) if math.isfinite(data) else "null"
+    elif isinstance(data, str):
+        text = encode_basestring_ascii(data)
+    elif data is None or isinstance(data, bool):
+        text = "null" if data is None else "true" if data else "false"
+    elif isinstance(data, (list, tuple)):
+        try:  # a list of floats: one map formats them, a NaN or an infinity as "nan" or "[-]inf"
+            compact = indented = list(map(float.__repr__, data))
+            if "nan" in compact or "inf" in compact or "-inf" in compact:
+                compact = indented = ["null" if t in ("nan", "inf", "-inf") else t for t in compact]
+        except TypeError:  # data is not empty here
+            compact, indented = zip(*[_render(v, indent + "  ") for v in data])
+        return _join("[", compact, indented, "]", indent)
+    elif isinstance(data, dict):
+        items = [(encode_basestring_ascii(k), *_render(data[k], indent + "  "))
+                 for k in sorted(data)]
+        return _join("{", [f"{n}:{c}" for n, c, _ in items], [f"{n}: {t}" for n, _, t in items],
+                     "}", indent)
+    else:  # an int: int.__repr__ raises TypeError for any type that json.dumps refuses
+        text = int.__repr__(data)
+    return text, text
 
-    The body is given as the pieces that the file joins with newlines; they
-    are hashed one by one, so a long table's text is never copied whole.
-    """
+
+def _join(start: str, compact, indented, end: str, indent: str) -> tuple[str, str]:
+    """A container's two texts from its items' two texts; an empty one is "[]" or "{}"."""
+    inner = "\n" + indent + "  " if compact else ""
+    return (start + ",".join(compact) + end,
+            start + inner + ("," + inner).join(indented) + inner[:-2] + end)  # at indent
+
+
+def _provenance(config: dict, body: list[str]) -> tuple[str, str, str, str]:
+    """What every output file carries: the config's compact and indented texts, rendered once,
+    the compact text's hash and the body's hash.  The body is given as the pieces that the
+    file joins with newlines, hashed one by one, so a long table's text is never copied whole."""
     digest = hashlib.sha256()
     for i, piece in enumerate(body):
         if i:
             digest.update(b"\n")
         digest.update(piece.encode())
-    return {"config": embeddable(config), "config_hash": config_hash(config),
-            "content_hash": digest.hexdigest()}
-
-
-def _finite_or_null(data):
-    """data with each non-finite float (a NaN or an infinity) replaced by None."""
-    if isinstance(data, float):
-        return data if math.isfinite(data) else None
-    if isinstance(data, dict):
-        return {key: _finite_or_null(value) for key, value in data.items()}
-    if isinstance(data, (list, tuple)):
-        return [_finite_or_null(value) for value in data]
-    return data
+    compact, indented = _render(embeddable(config), "  ")
+    return compact, indented, hashlib.sha256(compact.encode()).hexdigest(), digest.hexdigest()
 
 
 def _write_json(path: Path, config: dict, payload: dict) -> None:
-    """Standard JSON (RFC 8259): a non-finite figure is written as null."""
-    payload = _finite_or_null(payload)
-    body = {**_provenance(config, [canonical_json(payload)]), "payload": payload}
-    path.write_text(json.dumps(body, sort_keys=True, indent=2, allow_nan=False) + "\n",
+    """Standard JSON (RFC 8259), a non-finite figure written as null.  The payload's compact
+    text is hashed and its indented text written: json.dumps(..., sort_keys=True, indent=2)."""
+    compact, indented = _render(payload, "  ")
+    _, config_text, config_digest, content_digest = _provenance(config, [compact])
+    path.write_text(f'{{\n  "config": {config_text},\n  "config_hash": "{config_digest}",\n'
+                    f'  "content_hash": "{content_digest}",\n  "payload": {indented}\n}}\n',
                     encoding="utf-8")
 
 
 def _write_csv(path: Path, config: dict, headers: list[str], rows) -> None:
-    """The provenance as leading '# key=value' lines, the header line, one line per row."""
+    """'# key=value' provenance lines (the config's compact text), the header, one line per row."""
     # CHUNK rows at a time become Python floats and one block of lines,
     # formatted by one "%" ("%.17g" writes a float as format(v, ".17g")
     # does); the blocks are hashed and written one by one, never joined, as
@@ -428,10 +452,10 @@ def _write_csv(path: Path, config: dict, headers: list[str], rows) -> None:
     line = ",".join(["%.17g"] * len(headers))
     blocks = ["\n".join([line] * len(b)) % tuple(b.ravel().tolist())
               for b in (rows[a:a + CHUNK] for a in range(0, len(rows), CHUNK))]
-    lines = [f"# {key}={value if isinstance(value, str) else canonical_json(value)}"
-             for key, value in _provenance(config, blocks).items()]
+    config_text, _, config_digest, content_digest = _provenance(config, blocks)
     with path.open("w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines + [",".join(headers)]) + "\n")
+        fh.write(f"# config={config_text}\n# config_hash={config_digest}\n"
+                 f"# content_hash={content_digest}\n{','.join(headers)}\n")
         for block in blocks:
             fh.write(block)
             fh.write("\n")

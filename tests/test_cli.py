@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitclf import cli, simulator
 from orbitclf.certify import Check, verdict
@@ -16,6 +18,7 @@ from orbitclf.clf import ClfConsistencyError
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
+OUTPUT_DIGEST = ROOT / "tools" / "output_digest.py"
 
 SQRT3 = np.sqrt(3.0)
 
@@ -533,3 +536,83 @@ def test_run_abort_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "integrate", broken)
     assert run(["simulate", "--out", str(tmp_path)]) == 3
     _one_line_error(capsys, "run aborted: row 1: psi1 ~ 0")
+
+
+# ---------------------------------------------------------------------------
+# the JSON renderer: one pass gives the hashed compact text and the written
+# indented text; json.dumps is the oracle for both
+
+
+def _nulled(data):
+    """data as json.dumps should see it: NaN and infinities become None, tuples lists."""
+    if isinstance(data, float):
+        return data if np.isfinite(data) else None
+    if isinstance(data, dict):
+        return {key: _nulled(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_nulled(value) for value in data]
+    return data
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e16, 1e308, float("nan"), float("inf"), float("-inf")]
+_floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+_leaves = (st.none() | st.booleans() | st.integers() | _floats | _floats.map(np.float64)
+           | st.text() | st.lists(_floats) | st.lists(_floats.map(np.float64)).map(tuple))
+_json_values = st.recursive(
+    _leaves, lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                               | st.dictionaries(st.text(), children)), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example({"q": 'say "hi"\\', "c": "\x00\x1f\n\t\x7f", "u": "\u00e9\u2603\U0001f600"})
+@example([True, 1, False, 0, None, 1.0, [], {}, (), [[]], {"": {}}])
+@example({"a": [1.0, float("nan"), -float("inf"), 2.5], "b": [1e308, 1e308]})
+@example((np.float64(-0.0), np.float64("nan"), 5e-324))
+def test_render_matches_json_dumps(data):
+    compact, indented = cli._render(data, "")
+    want = _nulled(data)
+    assert compact == json.dumps(want, sort_keys=True, separators=(",", ":"))
+    assert indented == json.dumps(want, sort_keys=True, indent=2)
+    assert compact == cli.canonical_json(want)
+
+
+@pytest.mark.parametrize("data", [np.bool_(True), [1.0, np.bool_(False)], {"a": np.int64(3)},
+                                  [np.float32(1.5)], {"a": {1, 2}}])
+def test_render_refuses_what_json_dumps_refuses(data):
+    with pytest.raises(TypeError):
+        json.dumps(data)
+    with pytest.raises(TypeError):
+        cli._render(data, "")
+
+
+@pytest.mark.parametrize("data", [{1: 2.0}, {"a": {None: 1}}, {"a": 1, 2: 3}])
+def test_render_refuses_a_key_that_is_not_a_str(data):
+    # json.dumps would write such a key as a string; no payload or config has one
+    with pytest.raises(TypeError):
+        cli._render(data, "")
+
+
+def test_csv_provenance_header_is_the_compact_config(tmp_path):
+    config = {"a": [0.1, float(2**60)], "b": {"c": None, "d": "x\"y"}, "e": True, "seed": 3,
+              "out": "elsewhere"}
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, config, ["a"], [[1.0]])
+    head = path.read_text(encoding="utf-8").splitlines()[:3]
+    assert head[0] == f"# config={cli.canonical_json(cli.embeddable(config))}"
+    assert head[1] == f"# config_hash={cli.config_hash(config)}"
+
+
+def test_largest_certificate_is_json_dumps_bytes(tmp_path):
+    # tools/output_digest.py's synth_n30 case: n = 30, the largest certificate.json
+    spec = importlib.util.spec_from_file_location("output_digest", OUTPUT_DIGEST)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    assert run([*digest.CASES["synth_n30"], "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "certificate.json").read_text(encoding="utf-8")
+    body = json.loads(text)
+    assert len(body["payload"]["P"]) == 30
+    assert text == json.dumps(body, sort_keys=True, indent=2) + "\n"
+    payload_text = cli.canonical_json(body["payload"])
+    assert body["content_hash"] == hashlib.sha256(payload_text.encode()).hexdigest()
+    assert body["config_hash"] == cli.config_hash(body["config"])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -35,10 +36,15 @@ def _override(*pairs: str) -> tuple[str, ...]:
 BENCH_CERTIFY = _override("k1=1", "k2=2", "disturbance.kind=piecewise_constant_random",
                           "integrator.horizon=8")
 MECH = _override("plant.kind=mech", "disturbance.kind=phase_error_driven")
+#: a fixed tridiagonal SPD Q for the n = 30 synthesis, the largest certificate.json:
+#: 2 on the diagonal, -0.5 beside it, so its eigenvalues lie in (1, 3)
+Q_N30 = [[2.0 if i == j else -0.5 if abs(i - j) == 1 else 0.0 for j in range(30)]
+         for i in range(30)]
 
 #: case name -> CLI arguments, or the demo script's file name
 CASES = {
     "synth": ("synth",),
+    "synth_n30": ("synth",) + _override("k1=2", "k2=14", "Q=" + json.dumps(Q_N30)),
     "simulate": ("simulate",),
     "certify": ("certify",),
     "sweep": ("sweep",),
