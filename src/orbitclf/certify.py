@@ -43,6 +43,8 @@ ON_ORBIT_ATOL = 1e-8
 RATE_RTOL = 1e-12
 #: fraction of its initial value below which a d = 0 run's distance envelope must decay
 ZS_DECAY = 1e-6
+#: fewest samples of a d = 0 run whose decay the zero-stability check assesses
+ZS_MIN_SAMPLES = 8
 #: largest |intercept| of the asymptotic-gain line
 AG_INTERCEPT_TOL = 1e-4
 #: largest relative distance of a positive amplitude's ultimate from the gain line
@@ -126,7 +128,7 @@ def check_zero_stability(record: TrajectoryRecord) -> tuple[bool, float]:
     envelope never exceeds ON_ORBIT_ATOL count as trivially stable (an
     on-orbit start leaves only integrator noise to measure).
     """
-    if len(record) < 8:
+    if len(record) < ZS_MIN_SAMPLES:
         raise ValueError("record too short to assess decay")
     if float(np.max(np.abs(record.d))) != 0.0:
         raise ValueError("zero-stability check requires a d = 0 record")

@@ -1,11 +1,15 @@
 """Command-line front end: config parsing, run orchestration, file output.
 
-Subcommands:
+Commands (``COMMANDS``):
 
     synth     solve the Riccati synthesis and write the certificate JSON
     simulate  integrate one closed-loop run; trajectory CSV + summary JSON
     certify   run the full stability check battery; report JSON + table
     sweep     epsilon and amplitude sweeps; plot-ready CSVs
+
+Every command takes the same options, ``--config``, ``--out``, ``--seed``
+and a repeatable ``--override KEY=VALUE``, so one parser reads them all,
+before or after the command name (``orbitclf --help`` lists them).
 
 Every output file embeds the fully resolved configuration and a content
 hash, and contains no timestamps, so identical config + seed reproduces
@@ -200,6 +204,8 @@ def _validate(config: dict) -> None:
         value = _lookup(config, path)
         if not (_is_number(value) or (value is None and path in _OPTIONAL_NUMBERS)):
             raise ConfigError(f"{path} must be a number, got {value!r}")
+    if config["sigma"] is not None and not config["sigma"] > 0:
+        raise ConfigError(f"sigma must be a positive number, got {config['sigma']!r}")
     for path in _INTEGERS + _OPTIONAL_INTEGERS:
         value = _lookup(config, path)
         if value is None and path in _OPTIONAL_INTEGERS:
@@ -492,7 +498,7 @@ def _summary(record, settle: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# commands
 
 
 def cmd_synth(config: dict, out_dir: Path) -> int:
@@ -529,6 +535,11 @@ def run_certify(config: dict, out_dir: Path) -> tuple[dict, list[Check]]:
     settle = float(config["settle_fraction"])
     dt = float(config["integrator"]["dt"])
     horizon = float(config["integrator"]["horizon"])
+    samples = round(horizon / dt) + 1  # as integrate records them
+    if samples < cert_mod.ZS_MIN_SAMPLES:
+        raise ConfigError(f"certify needs at least {cert_mod.ZS_MIN_SAMPLES} samples to assess "
+                          f"zero stability; integrator.horizon = {horizon:g} at "
+                          f"integrator.dt = {dt:g} gives {samples}")
 
     loop, cert, plant, x0 = build_closed_loop(config)
     n = cert.dims.n_eta
@@ -683,20 +694,22 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: command name -> its function; the parser's choices and main's dispatch
+COMMANDS = {"synth": cmd_synth, "simulate": cmd_simulate, "certify": cmd_certify,
+            "sweep": cmd_sweep}
+
+
 def make_parser() -> argparse.ArgumentParser:
+    """One parser for every command: they all take the same four options."""
     parser = argparse.ArgumentParser(
         prog="orbitclf",
         description="RES-CLF synthesis and phase-to-state stability certification")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("synth", cmd_synth), ("simulate", cmd_simulate),
-                     ("certify", cmd_certify), ("sweep", cmd_sweep)):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override (u64)")
-        p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
-                       help="dotted-path config override, may repeat")
-        p.set_defaults(fn=fn)
+    parser.add_argument("command", choices=COMMANDS, help="what to run")
+    parser.add_argument("--config", default=None, help="JSON config path")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="seed override (u64)")
+    parser.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
+                        help="dotted-path config override, may repeat")
     return parser
 
 
@@ -709,7 +722,7 @@ def main(argv: list[str] | None = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from exc
-        return args.fn(config, out_dir)
+        return COMMANDS[args.command](config, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

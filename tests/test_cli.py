@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orbitclf import certify as cert_mod
 from orbitclf import cli, simulator
 from orbitclf.certify import Check, verdict
 from orbitclf.clf import ClfConsistencyError
@@ -483,6 +484,40 @@ def test_on_orbit_start_is_rejected_before_integrating(tmp_path, capsys, monkeyp
     assert not (tmp_path / "report.json").exists()
 
 
+class _Integrated(Exception):
+    """Raised in place of an integration, to show that a run got that far."""
+
+
+@pytest.mark.parametrize("horizon, samples", [("0.006", 7), ("0.007", 8)])
+def test_short_certify_is_rejected_before_integrating(tmp_path, capsys, monkeypatch,
+                                                       horizon, samples):
+    # the zero-stability check needs ZS_MIN_SAMPLES samples: fewer exit 2 with
+    # one line, before any integration and with no file written
+    def integrated(*args, **kwargs):
+        raise _Integrated
+
+    monkeypatch.setattr(cli, "integrate", integrated)
+    args = ["certify", "--out", str(tmp_path), "--override", f"integrator.horizon={horizon}"]
+    if samples < cert_mod.ZS_MIN_SAMPLES:
+        assert run(args) == 2
+        _one_line_error(capsys, f"config error: certify needs at least {cert_mod.ZS_MIN_SAMPLES} "
+                                f"samples to assess zero stability; integrator.horizon = "
+                                f"{horizon} at integrator.dt = 0.001 gives {samples}")
+        assert list(tmp_path.iterdir()) == []
+    else:
+        with pytest.raises(_Integrated):
+            run(args)
+
+
+@pytest.mark.parametrize("sigma", ["0", "-1"])
+def test_non_positive_sigma_exits_2(tmp_path, capsys, sigma):
+    # min(sigma c4, c1) would be 0 or negative: the sandwich certifies nothing
+    args = ["--override", "k1=1", "--override", "k2=2", "--override", "integrator.horizon=8"]
+    assert run(["certify", "--out", str(tmp_path), "--override", f"sigma={sigma}"] + args) == 2
+    _one_line_error(capsys, f"config error: sigma must be a positive number, got {sigma}")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["simulate", "certify"])
 def test_overflowed_start_is_not_reported_as_a_broken_certificate(tmp_path, capsys, command):
     # eta = (1e170, 0) overflows psi0 and ||psi1||^2 to inf in the first RHS,
@@ -616,3 +651,74 @@ def test_largest_certificate_is_json_dumps_bytes(tmp_path):
     payload_text = cli.canonical_json(body["payload"])
     assert body["content_hash"] == hashlib.sha256(payload_text.encode()).hexdigest()
     assert body["config_hash"] == cli.config_hash(body["config"])
+
+
+# ---------------------------------------------------------------------------
+# the parser: one for every command, options before or after the command name
+
+OPTIONS = ["--config", "{tmp}/cfg.json", "--seed", "7",
+           "--override", "eps=0.2", "--override", "disturbance.amplitude=0.01",
+           "--override", "eps=0.3"]
+
+
+def _resolved(argv):
+    args = cli.make_parser().parse_args(argv)
+    return args.command, args.override, cli.load_config(args.config, args.override, args.seed,
+                                                        args.out)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_options_before_or_after_the_command_resolve_alike(tmp_path, command):
+    (tmp_path / "cfg.json").write_text('{"eps_bar": 0.2}')
+    options = [a.format(tmp=tmp_path) for a in OPTIONS] + ["--out", str(tmp_path / "o")]
+    after = _resolved([command] + options)
+    assert _resolved(options + [command]) == after
+    assert _resolved(options[:4] + [command] + options[4:]) == after
+    name, overrides, config = after
+    assert name == command
+    assert overrides == ["eps=0.2", "disturbance.amplitude=0.01", "eps=0.3"]  # in the given order
+    assert (config["eps"], config["eps_bar"], config["seed"]) == (0.3, 0.2, 7)
+    assert config["disturbance"]["amplitude"] == 0.01
+    assert config["out"] == str(tmp_path / "o")
+
+
+def test_benchmark_resolves_every_workload():
+    # perfbench/workloads.resolve reads config, override, seed and out of the parsed args
+    workloads = _workloads()
+    for name, workload in workloads.WORKLOADS.items():
+        ops = workload.build_ops(workloads.instance_of(workload, 3))
+        configs = workloads.resolve(name, 3)
+        assert len(configs) == len(ops) > 0, name
+        for op, config in zip(ops, configs):
+            assert op.argv[0] in cli.COMMANDS
+            assert config["out"] == cli.DEFAULT_CONFIG["out"]
+    dims = [(c["k1"], c["k2"]) for c in workloads.resolve("synth_care", 3)]
+    assert dims == workloads.SYNTH_DIMS
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["--out", "{tmp}"], "the following arguments are required: command"),
+    (["synth", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["synth", "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["nothing", "unknown command", "no command", "non-integer seed", "unknown option"])
+def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(tmp=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: orbitclf ") and "Traceback" not in err, err
+    assert err.splitlines()[-1].startswith(f"orbitclf: error: {message}"), err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_help_lists_the_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: orbitclf ")
+    for option in ("--config CONFIG", "--out OUT", "--seed SEED", "--override KEY=VALUE"):
+        assert option in out, option

@@ -54,6 +54,10 @@ CASES = {
     "mech_k1_0": ("simulate",) + MECH + _override("k1=0", "plant.q1_plus=4",
                                                   "integrator.horizon=3"),
     "mech_default": ("simulate",) + MECH + _override("k1=1"),
+    # a usage error and two config errors, each exit 2
+    "usage_no_command": (),
+    "certify_short": ("certify",) + _override("integrator.horizon=0.006"),
+    "certify_sigma0": ("certify",) + _override("k1=1", "k2=2", "integrator.horizon=8", "sigma=0"),
     "demo_01": "01_certificate_synthesis.py",
     "demo_02": "02_rapid_exponential_tracking.py",
     "demo_03": "03_disturbance_rejection_bounds.py",
