@@ -40,10 +40,10 @@ and Q x . R x = |R x|^2.  G is a 0/1 selection with disjoint columns,
 so ||G psi1|| = ||psi1||, and on a finite x the identity rows are x and
 the products with zero rows add only zeros: the forms have the bits of
 the plain dot products.  ``min_norm_mu`` takes just the forms psi0 and
-||psi1||^2, 0-d for one point or (B,) for a batch, and gives each row's
-gain k = -max(psi0, 0) / ||psi1||^2.  Its caller multiplies: mu = k psi1,
-or G mu = k Psi x, which the Hopf loop multiplies into Q x together with
-its own coefficient on R's rows.
+||psi1||^2, two Python floats or 0-d arrays for one point or (B,) for a
+batch, and gives each row's gain k = -max(psi0, 0) / ||psi1||^2.  Its
+caller multiplies: mu = k psi1, or G mu = k Psi x, which the Hopf loop
+multiplies into Q x together with its own coefficient on R's rows.
 
 The same membership test applies verbatim to time-parameterized outputs:
 evaluate it on eta_t in place of eta.
@@ -144,20 +144,24 @@ def state_forms(blocks: np.ndarray) -> np.ndarray:
     return vecdot(blocks[..., 1:4, :], blocks[..., 3:, :])
 
 
-def min_norm_mu(psi0: np.ndarray, denom: np.ndarray) -> np.ndarray:
+def min_norm_mu(psi0: float | np.ndarray, denom: float | np.ndarray) -> np.ndarray:
     """Each row's gain k of the min-norm law: k psi1 is the least-norm mu of the rate-gamma/eps set.
 
-    psi0 = eta'M eta and denom = ||psi1||^2 are 0-d for a lone point or
-    (B,) for a batch, and so are the gains.  Each row's gain equals the
-    law at that row alone, bit for bit (but for a NaN's sign where psi0
-    and ||psi1||^2 are NaN).  Up to ``SCALAR_ROWS`` rows, a lone point
-    included, the flat-psi1 test, the clamps and the quotient run on
-    Python floats.  A row with psi0 <= 0 gives a zero gain (possibly -0.0),
-    and psi1 = 0 there gives no NaN.
+    psi0 = eta'M eta and denom = ||psi1||^2 are two Python floats or 0-d
+    arrays for a lone point, or (B,) for a batch; the gains are 0-d or
+    (B,).  Each row's gain equals the law at that row alone, bit for bit
+    (but for a NaN's sign where psi0 and ||psi1||^2 are NaN).  Up to
+    ``SCALAR_ROWS`` rows, a lone point included, the flat-psi1 test, the
+    clamps and the quotient run on Python floats; two Python floats go
+    straight there.  A row with psi0 <= 0 gives a zero gain (possibly
+    -0.0), and psi1 = 0 there gives no NaN.
     """
-    if psi0.shape != denom.shape:
-        raise ValueError(f"psi0 and ||psi1||^2 have shapes {psi0.shape} and {denom.shape}")
-    if psi0.ndim == 0:
+    if type(psi0) is float and type(denom) is float:
+        return np.array(_gain(psi0, denom))
+    shape = getattr(psi0, "shape", ())  # a Python float is one point
+    if shape != getattr(denom, "shape", ()):
+        raise ValueError(f"psi0 and ||psi1||^2 have shapes {shape} and {np.shape(denom)}")
+    if not shape:
         return np.array(_gain(float(psi0), float(denom)))
     if len(psi0) <= SCALAR_ROWS:
         return np.array([_gain(p, q, row) for row, (p, q)

@@ -652,18 +652,25 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
     dt = float(config["integrator"]["dt"])
     horizon = float(config["integrator"]["horizon"])
 
-    eps_rows = []
-    for eps in sorted(float(e) for e in config["sweep"]["eps_grid"]):
-        loop, cert, _, x0 = build_closed_loop(config, eps=eps)
-        rec = integrate(loop, x0, T=horizon, dt=dt)
-        sig = build_signal(config, cert.dims)
-        d_inf = sup_norm(sig, horizon)
-        eps_rows.append([eps, ultimate_bound(rec, settle),
-                         cert_mod.min_norm_ultimate_bound(cert, d_inf)])
+    # every loop is built, and so every grid value checked, before the grids' sizes
+    eps_grid = sorted(float(e) for e in config["sweep"]["eps_grid"])
+    eps_loops = [build_closed_loop(config, eps=eps) for eps in eps_grid]
     amps = sorted(float(a) for a in config["sweep"]["amplitude_grid"])
     loop, cert, _, x0 = build_closed_loop(config)
     loops = with_amplitudes(config, loop, amps)
-    recs = integrate(loops, np.tile(x0, (len(loops), 1)), T=horizon, dt=dt) if loops else []
+    # a check over no data would pass: each needs a grid that can fail it
+    if len(eps_grid) < 2:
+        raise ConfigError("sweep needs a sweep.eps_grid of at least 2 values")
+    if 0.0 not in amps or amps[-1] <= 0.0:
+        raise ConfigError("sweep needs a sweep.amplitude_grid with 0 and an amplitude above 0")
+
+    eps_rows = []
+    for eps, (eps_loop, eps_cert, _, eps_x0) in zip(eps_grid, eps_loops):
+        rec = integrate(eps_loop, eps_x0, T=horizon, dt=dt)
+        d_inf = sup_norm(build_signal(config, eps_cert.dims), horizon)
+        eps_rows.append([eps, ultimate_bound(rec, settle),
+                         cert_mod.min_norm_ultimate_bound(eps_cert, d_inf)])
+    recs = integrate(loops, np.tile(x0, (len(loops), 1)), T=horizon, dt=dt)
     amp_rows = [[amp, ultimate_bound(rec, settle), cert_mod.min_norm_ultimate_bound(cert, amp)]
                 for amp, rec in zip(amps, recs)]
 

@@ -194,14 +194,13 @@ def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndar
 # ---------------------------------------------------------------------------
 # 2-DOF mechanical plant with virtual constraints
 #
-# The mech kernels take one state x of shape (4,) or a stack (S, 4) with one
-# phase, phase error or mu per row; each row of a stack's result is bit for
-# bit the lone call's.  Those that take a jet (y2d, y2d', y2d'') take the
-# entries xs = x.T = (q1, q2, dq1, dq2): a lone state's are numpy scalars, a
-# stack's are its columns, and both make the same IEEE operations.
-# ``MechPlant.outputs``, ``MechClosedLoop.law_forms`` and ``mech_feedforward``
-# take and return entries too (mu's included), which each caller stacks.  The
-# lone stage (``MechClosedLoop.field``) writes them out on Python floats.
+# A closed mech loop runs one stage function, ``MechClosedLoop.stage``, on a
+# lone state's Python floats (stepping) and on a run's columns (recording),
+# with the same IEEE operations.  The public kernels below take one state x
+# (4,) or a stack (S, 4) with one phase, phase error or mu per row, and each
+# row of a stack is bit for bit the lone call's; ``MechPlant.outputs`` and
+# ``mech_feedforward`` take the entries xs = x.T = (q1, q2, dq1, dq2) and a
+# jet (y2d, y2d', y2d'').  They are the stage's reference in the tests.
 
 
 #: a mech run's phase domain, checked in order: the estimate (1e-9 slack), the true phase
@@ -235,7 +234,8 @@ class MechPlant:
     delta: float = field(init=False, repr=False, compare=False)  # q1_plus - q1_minus
     dims: OutputDims = field(init=False, repr=False, compare=False)
     dyn: OutputDynamics = field(init=False, repr=False, compare=False)
-    _alpha: tuple = field(init=False, repr=False, compare=False)  # alpha as floats
+    #: alpha's first five entries and its five differences alpha_{i+1} - alpha_i, as floats
+    _bezier: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=float)
@@ -248,7 +248,8 @@ class MechPlant:
         object.__setattr__(self, "delta", float(self.q1_plus - self.q1_minus))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "dyn", build_fg(dims))
-        object.__setattr__(self, "_alpha", tuple(a.tolist()))
+        b = a.tolist()
+        object.__setattr__(self, "_bezier", tuple(b[:5] + [q - p for p, q in zip(b, b[1:])]))
 
     def tau(self, q1: float | np.ndarray) -> float | np.ndarray:
         return (q1 - self.q1_minus) / self.delta
@@ -258,21 +259,29 @@ class MechPlant:
 
         The degree-5 pass is written out: each level replaces b_i by
         b_i + tau (b_{i+1} - b_i), the same IEEE operations in the same
-        order for a float and for an array.  With b^(k) the level-k points,
+        order for a float and for an array; the first level's differences
+        are alpha's, computed once.  With b^(k) the level-k points,
         y2d' = 5 (b1^(4) - b0^(4)) and y2d'' = 20 (b2^(3) - 2 b1^(3) +
         b0^(3)) (Farin, *Curves and Surfaces for CAGD*).  A lone phase,
         np.float64 included, runs on Python floats.
         """
         if not isinstance(tau, np.ndarray):
             tau = float(tau)
-        b0, b1, b2, b3, b4, b5 = self._alpha
-        b0, b1, b2, b3, b4 = (b0 + tau * (b1 - b0), b1 + tau * (b2 - b1), b2 + tau * (b3 - b2),
-                              b3 + tau * (b4 - b3), b4 + tau * (b5 - b4))
-        b0, b1, b2, b3 = (b0 + tau * (b1 - b0), b1 + tau * (b2 - b1), b2 + tau * (b3 - b2),
-                          b3 + tau * (b4 - b3))
-        b0, b1, b2 = b0 + tau * (b1 - b0), b1 + tau * (b2 - b1), b2 + tau * (b3 - b2)
-        c0, c1 = b0 + tau * (b1 - b0), b1 + tau * (b2 - b1)
-        db = c1 - c0
+        a0, a1, a2, a3, a4, d0, d1, d2, d3, d4 = self._bezier
+        b0 = a0 + tau * d0
+        b1 = a1 + tau * d1
+        b2 = a2 + tau * d2
+        b3 = a3 + tau * d3
+        b4 = a4 + tau * d4
+        c0 = b0 + tau * (b1 - b0)
+        c1 = b1 + tau * (b2 - b1)
+        c2 = b2 + tau * (b3 - b2)
+        c3 = b3 + tau * (b4 - b3)
+        b0 = c0 + tau * (c1 - c0)
+        b1 = c1 + tau * (c2 - c1)
+        b2 = c2 + tau * (c3 - c2)
+        c0 = b0 + tau * (b1 - b0)
+        db = b1 + tau * (b2 - b1) - c0
         return c0 + tau * db, 5.0 * db, 20.0 * (b2 - 2.0 * b1 + b0)
 
     def y2d(self, tau: float | np.ndarray) -> float | np.ndarray:
@@ -344,15 +353,6 @@ def mech_feedback_linearize(plant: MechPlant, x: np.ndarray, mu: np.ndarray,
     return np.array(mech_feedforward(plant, x.T, mu.T, plant.jet(tau))).T
 
 
-def mech_phase_disturbance(plant: MechPlant, xs, jet: tuple, jet_hat: tuple) -> np.ndarray:
-    """derive_phase_disturbance of the state with entries xs, from the jets at tau and tau + e."""
-    mu0 = np.zeros(np.shape(xs[0]) + (plant.dims.n_mu,)).T
-    u1_hat, u2_hat = mech_feedforward(plant, xs, mu0, jet_hat)
-    u1, u2 = mech_feedforward(plant, xs, mu0, jet)
-    du = np.array([u1_hat - u1, u2_hat - u2]).T
-    return du[..., 2 - plant.dims.n_mu:]  # u1 is a mu channel only when k1 = 1
-
-
 def derive_phase_disturbance(plant: MechPlant, x: np.ndarray,
                              e: float | np.ndarray) -> np.ndarray:
     """Equivalent mu-channel disturbance induced by the phase error e.
@@ -367,7 +367,11 @@ def derive_phase_disturbance(plant: MechPlant, x: np.ndarray,
     tau = plant.tau(xs[0])
     tau_hat = tau + e
     check_phases(tau_hat, tau)
-    return mech_phase_disturbance(plant, xs, plant.jet(tau), plant.jet(tau_hat))
+    mu0 = np.zeros(np.shape(xs[0]) + (plant.dims.n_mu,)).T
+    u1_hat, u2_hat = mech_feedforward(plant, xs, mu0, plant.jet(tau_hat))
+    u1, u2 = mech_feedforward(plant, xs, mu0, plant.jet(tau))
+    du = np.array([u1_hat - u1, u2_hat - u2]).T
+    return du[..., 2 - plant.dims.n_mu:]  # u1 is a mu channel only when k1 = 1
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +508,41 @@ def _law_forms(W: np.ndarray, n: int):
     return law_forms
 
 
+def _mech_stage(plant: MechPlant, law_forms: Callable) -> Callable:
+    """``MechClosedLoop.stage`` for a plant and the loop's forms function."""
+    q1_minus, delta, v_d, jet = float(plant.q1_minus), plant.delta, plant.v_d, plant.jet
+    zero_rate = 0.0 / delta  # u1 / delta at u1 = 0
+
+    def stage(q1, q2, dq1, dq2, e, law):
+        tau = (q1 - q1_minus) / delta
+        tau_hat = tau + e
+        columns = isinstance(tau_hat, np.ndarray)
+        if columns:
+            check_phases(tau_hat, tau)
+        elif not (_HAT_LO <= tau_hat <= _HAT_HI and _TRUE_LO <= tau <= _TRUE_HI):
+            if not math.isfinite(tau_hat):  # e is finite: the state overflowed in the step
+                raise ClfConsistencyError(f"the state overflowed: phase {tau_hat:g}")
+            check_phases(tau_hat, tau)
+        y2d, dy2d, d2y2d = jet(tau_hat)
+        y2 = q2 - y2d
+        dy2 = dq2 - dy2d * dq1 / delta
+        eta_hat = (y2, dy2) if v_d is None else (dq1 - v_d, y2, dy2)
+        psi0, denom, psi1 = law_forms(eta_hat)
+        k = law(psi0, denom)
+        if not columns:
+            k = float(k)
+        mu2 = k * psi1[-1]
+        # with k1 = 0 the phase joint is unactuated; else dy1/dt = u1 = mu1
+        u1 = 0.0 if v_d is None else k * psi1[0]
+        tau_rate = dq1 / delta
+        curvature = d2y2d * (tau_rate * tau_rate)
+        u2 = curvature + dy2d * (u1 / delta) + mu2
+        mu = (mu2,) if v_d is None else (u1, mu2)
+        return [dq1, dq2, u1, u2], eta_hat, mu, curvature + dy2d * zero_rate + 0.0
+
+    return stage
+
+
 @dataclass(frozen=True)
 class MechClosedLoop:
     """Mech plant under the time-based controller at a corrupted phase.
@@ -522,9 +561,22 @@ class MechClosedLoop:
     #: (psi0, ||psi1||^2, psi1's entries) at eta's entries, floats or columns:
     #: psi1 = 2 G'P_eps eta, M eta, eta . M eta and ||psi1||^2 written out for
     #: the plant's dims over the operator's rows, bound once as floats.  The
-    #: stage and the record both call it, so a stack's rows get the lone bits;
-    #: BLAS (``matvec``) may fuse a product into its sum, a few ulps off.
+    #: stage calls it, so a stack's rows get the lone bits; BLAS
+    #: (``matvec``) may fuse a product into its sum, a few ulps off.
     law_forms: Callable = field(init=False, repr=False, compare=False)
+    #: stage(q1, q2, dq1, dq2, e, law) -> (dx, eta_hat, mu, ff), built once:
+    #: the loop at one state and phase error, on Python floats or on columns.
+    #: tau_hat = tau(q1) + e in the phase domain (``check_phases``; on floats
+    #: a phase that is not finite is an overflow, ``ClfConsistencyError``),
+    #: one ``MechPlant.jet`` at tau_hat, the outputs eta_hat = (y1?, y2, dy2)
+    #: there, the forms, one call of ``law`` (``min_norm_mu`` as the caller's
+    #: module finds it, so that a traced RHS law call and a record's law call
+    #: stay apart), mu = k psi1, dx = [dq1, dq2, u1, u2] as a list, and ff,
+    #: the input u2 at mu = 0 with ``mech_feedforward``'s operations; the
+    #: phase disturbance d is the change of ff from e = -0.0 (tau + -0.0 is
+    #: tau, bit for bit) to e.  Only ``+ - * /`` touch the state, so floats
+    #: and columns share bits; a lone gain is a Python float.
+    stage: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cert.dims != self.plant.dims:
@@ -532,8 +584,10 @@ class MechClosedLoop:
         if self.signal is not None and self.signal.kind != "phase_error_driven":
             raise ValueError("mech closed loop takes a phase_error_driven signal")
         W = clf_operator(self.cert, self.plant.dyn)
+        law_forms = _law_forms(W, self.plant.dims.n_eta)
         object.__setattr__(self, "operator", W)
-        object.__setattr__(self, "law_forms", _law_forms(W, self.plant.dims.n_eta))
+        object.__setattr__(self, "law_forms", law_forms)
+        object.__setattr__(self, "stage", _mech_stage(self.plant, law_forms))
 
     @property
     def state_dim(self) -> int:
@@ -550,31 +604,9 @@ class MechClosedLoop:
 
         x is one state, a list of four Python floats (as ``rk4_step`` steps
         a lone mech state) or an array (4,); e is the phase error e(t) at t,
-        a float, tabled by the integrator as the Hopf loop's d is.  One flat
-        body on floats, for either dims: tau and tau_hat = tau + e, the
-        phase guard as plain comparisons (a message is built only when one
-        fails; a phase that is not finite is an overflow), one jet at
-        tau_hat, eta_hat = (y1?, y2, dy2) and the feedforward written out as
-        ``MechPlant.outputs`` and ``mech_feedforward`` make them, the forms
-        from ``law_forms``, one ``min_norm_mu`` call on 0-d arrays giving
-        the gain k, mu = k psi1, and dx/dt = [dq1, dq2, u1, u2].
+        a float, tabled by the integrator as the Hopf loop's d is.  The
+        loop's ``stage`` on the state's floats, with the law found in this
+        module on each call, gives dx/dt = [dq1, dq2, u1, u2].
         """
         q1, q2, dq1, dq2 = x if isinstance(x, list) else x.tolist()
-        plant = self.plant
-        delta, v_d = plant.delta, plant.v_d
-        tau = (q1 - plant.q1_minus) / delta
-        tau_hat = tau + e
-        if not (_HAT_LO <= tau_hat <= _HAT_HI and _TRUE_LO <= tau <= _TRUE_HI):
-            if not math.isfinite(tau_hat):  # e is finite: the state overflowed in the step
-                raise ClfConsistencyError(f"the state overflowed: phase {tau_hat:g}")
-            check_phases(tau_hat, tau)
-        y2d, dy2d, d2y2d = plant.jet(tau_hat)
-        y2 = q2 - y2d
-        dy2 = dq2 - dy2d * dq1 / delta
-        psi0, denom, psi1 = self.law_forms((y2, dy2) if v_d is None else (dq1 - v_d, y2, dy2))
-        k = float(min_norm_mu(np.array(psi0), np.array(denom)))
-        # with k1 = 0 the phase joint is unactuated; else dy1/dt = u1 = mu1
-        u1 = 0.0 if v_d is None else k * psi1[0]
-        tau_rate = dq1 / delta
-        u2 = d2y2d * (tau_rate * tau_rate) + dy2d * (u1 / delta) + k * psi1[-1]
-        return [dq1, dq2, u1, u2]
+        return self.stage(q1, q2, dq1, dq2, e, min_norm_mu)[0]

@@ -19,14 +19,14 @@ stage input, f(t, x, u):
 
 A lone mech state steps as a list of four Python floats, which skip
 numpy's per-call cost: ``rk4_step`` makes its array formula's IEEE
-operations entry by entry, the field (one flat body on floats) gives a
-list, and the integrator writes each step's list into its state array,
+operations entry by entry, the field (the loop's stage on floats) gives
+a list, and the integrator writes each step's list into its state array,
 where the finiteness checks and the record read it.
 
 A record reads the node rows of that table (d before placement, or e),
 which are the inputs that each step's first stage applied, so its d and
-mu are those of each step's first stage; a mech record's mu comes from
-the loop's one forms function, ``law_forms``, on columns.  The record's
+mu are those of each step's first stage; a mech record runs the loop's
+one stage function, ``MechClosedLoop.stage``, on columns.  The record's
 t column prints the grid i*dt.
 """
 
@@ -40,8 +40,7 @@ import numpy as np
 
 from .clf import clf_operator, lie_terms, matvec, min_norm_mu, state_forms
 from .disturbance import DisturbanceTable
-from .plants import (DisturbedClosedLoop, MechClosedLoop, check_phases,
-                     mech_phase_disturbance, orbit_distance, vz_value)
+from .plants import DisturbedClosedLoop, MechClosedLoop, orbit_distance, vz_value
 
 MAX_STEPS = 10_000_000
 #: steps whose stage-time disturbance is tabled at once and whose states are
@@ -94,28 +93,37 @@ def rk4_step(f: Callable[..., np.ndarray], t: float, y: np.ndarray | list, dt: f
     """One classical Runge-Kutta 4 step of dy/dt = f(t, y).
 
     With inputs = (u(t), u(t + dt/2), u(t + dt)), an exogenous input tabled
-    at the stage times, the field is called as f(t, y, u).  An array y
-    steps with 0-d stage multipliers, built once per dt, which numpy
-    combines with a small array faster than Python floats.  A list y (a
-    lone mech state) steps entry by entry on Python floats, and f gives a
-    list too.  Both make the same IEEE operations: y + h k for each stage,
-    and y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right.
+    at the stage times, the field is called as f(t, y, u); without, as
+    f(t, y).  An array y steps with 0-d stage multipliers, built once per
+    dt, which numpy combines with a small array faster than Python floats.
+    A list y (a lone mech state, four Python floats) steps entry by entry,
+    written out, and f gives a list too.  Both make the same IEEE
+    operations: y + h k for each stage, and y + (dt/6) (k1 + 2 k2 + 2 k3 +
+    k4), summed left to right.
     """
-    u0, uh, u1 = ((),) * 3 if inputs is None else [(u,) for u in inputs]
-    if isinstance(y, list):
-        half = 0.5 * dt
-        k1 = f(t, y, *u0)
-        k2 = f(t + half, [a + half * b for a, b in zip(y, k1)], *uh)
-        k3 = f(t + half, [a + half * b for a, b in zip(y, k2)], *uh)
-        k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3)], *u1)
-        sixth = dt / 6.0
-        return [a + sixth * (b + 2.0 * c + 2.0 * d + e)
-                for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+    if inputs is None:  # f(t, y) takes no input
+        field, inputs = f, (None,) * 3
+        f = lambda s, x, _: field(s, x)
+    u0, uh, u1 = inputs
+    t_half = t + 0.5 * dt
+    if isinstance(y, list):  # a lone mech state, written out entry by entry
+        half, sixth = 0.5 * dt, dt / 6.0
+        y0, y1, y2, y3 = y
+        a0, a1, a2, a3 = f(t, y, u0)
+        b0, b1, b2, b3 = f(t_half, [y0 + half * a0, y1 + half * a1, y2 + half * a2,
+                                    y3 + half * a3], uh)
+        c0, c1, c2, c3 = f(t_half, [y0 + half * b0, y1 + half * b1, y2 + half * b2,
+                                    y3 + half * b3], uh)
+        d0, d1, d2, d3 = f(t + dt, [y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3], u1)
+        return [y0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+                y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)]
     half, whole, sixth = _stage_multipliers(dt)
-    k1 = f(t, y, *u0)
-    k2 = f(t + 0.5 * dt, y + half * k1, *uh)
-    k3 = f(t + 0.5 * dt, y + half * k2, *uh)
-    k4 = f(t + dt, y + whole * k3, *u1)
+    k1 = f(t, y, u0)
+    k2 = f(t_half, y + half * k1, uh)
+    k3 = f(t_half, y + half * k2, uh)
+    k4 = f(t + dt, y + whole * k3, u1)
     return y + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4)
 
 
@@ -279,20 +287,18 @@ def _record_mech(loop: MechClosedLoop, ts: np.ndarray, e: np.ndarray,
 
     e holds the phase error that stepping applied at the node times, so d
     and mu are those of each step's first stage; ts is the printed grid.
+    The loop's stage runs on the columns twice: at e, for mu and the
+    feedforward there, and at e = -0.0, the true phase, for eta and the
+    feedforward that d is measured from.
     """
     plant, cert = loop.plant, loop.cert
     n = len(ts)
     xs = states.T
-    tau = plant.tau(xs[0])
-    tau_hat = tau + e
-    check_phases(tau_hat, tau)
-    jet, jet_hat = plant.jet(tau), plant.jet(tau_hat)
-    eta = np.array(plant.outputs(xs, jet)).T
-    d = mech_phase_disturbance(plant, xs, jet, jet_hat)
-    # the forms on columns, by the function that MechClosedLoop.field calls on floats
-    psi0, denom, psi1 = loop.law_forms(plant.outputs(xs, jet_hat))
-    gains = min_norm_mu(psi0, denom)
-    mu = np.array([gains * p for p in psi1]).T
+    _, _, mu, ff_hat = loop.stage(*xs, e, min_norm_mu)
+    _, eta, _, ff = loop.stage(*xs, -0.0, min_norm_mu)
+    eta, mu = np.array(eta).T, np.array(mu).T
+    # (u1_hat - u1, u2_hat - u2) at mu = 0, where u1 = 0; u1 is a mu channel only when k1 = 1
+    d = np.array([np.zeros(n), ff_hat - ff]).T[:, 2 - plant.dims.n_mu:]
     v_eps = lie_terms(cert, eta, matvec(loop.operator, eta))[0]
     nan = np.full(n, np.nan)
     meta = {

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -271,6 +272,42 @@ def test_min_norm_rejects_forms_of_other_shapes(psi0_shape, denom_shape):
     # shorter denominator nor a broadcast one is a law
     psi0, denom = np.ones(psi0_shape), np.ones(denom_shape)
     with pytest.raises(ValueError, match=re.escape(f"shapes {psi0_shape} and {denom_shape}")):
+        oc.min_norm_mu(psi0, denom)
+
+
+#: law inputs the drawn floats mix in: signed zeros, subnormals, the smallest
+#: normal, the flat-psi1 threshold's scale, huge values, infinities and NaNs
+_LAW_ODD = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.finfo(float).tiny, 1e-14, 1.0, -1.0,
+            1e300, -1e300, math.inf, -math.inf, math.nan, -math.nan]
+
+
+def _law_or_error(psi0, denom):
+    try:
+        return oc.min_norm_mu(psi0, denom)
+    except oc.ClfConsistencyError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.floats(), st.sampled_from(_LAW_ODD)),
+       st.one_of(st.floats(), st.sampled_from(_LAW_ODD)))
+def test_min_norm_on_two_floats_equals_the_0d_call(psi0, denom):
+    # a lone point given as two Python floats goes straight to the float law:
+    # a 0-d ndarray bit for bit the 0-d array call's, NaN signs included, or
+    # the same ClfConsistencyError text, with no row index
+    got, want = _law_or_error(psi0, denom), _law_or_error(np.array(psi0), np.array(denom))
+    if isinstance(want, str):
+        assert got == want and not got.startswith("row")
+        return
+    assert type(got) is np.ndarray and got.shape == () and got.dtype == float
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("psi0, denom", [(0.5, np.ones(1)), (np.ones(1), 0.5)])
+def test_min_norm_rejects_a_float_with_an_array(psi0, denom):
+    # a Python float is one point, of shape (): a (1,) array beside it is no law
+    shapes = f"shapes {np.shape(psi0)} and {np.shape(denom)}"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
         oc.min_norm_mu(psi0, denom)
 
 

@@ -509,6 +509,55 @@ def test_short_certify_is_rejected_before_integrating(tmp_path, capsys, monkeypa
             run(args)
 
 
+_EPS_GRID = "sweep needs a sweep.eps_grid of at least 2 values"
+_AMPLITUDE_GRID = "sweep needs a sweep.amplitude_grid with 0 and an amplitude above 0"
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["sweep.eps_grid=[0.1]"], _EPS_GRID),
+    (["sweep.eps_grid=[]"], _EPS_GRID),
+    (["sweep.amplitude_grid=[0.01,0.02]"], _AMPLITUDE_GRID),
+    (["sweep.amplitude_grid=[0.0]"], _AMPLITUDE_GRID),
+    (["sweep.amplitude_grid=[]"], _AMPLITUDE_GRID),
+    # the repro that printed three PASS rows and exited 0
+    (["sweep.eps_grid=[0.1]", "sweep.amplitude_grid=[0.01]", "integrator.horizon=4"],
+     _EPS_GRID),
+], ids=["one eps", "no eps", "no zero amplitude", "only zero amplitude", "no amplitude",
+        "one eps and no zero amplitude"])
+def test_sweep_rejects_a_grid_its_checks_cannot_test(tmp_path, capsys, monkeypatch, overrides,
+                                                     message):
+    # a check row over no data would print PASS: such a grid exits 2 with one
+    # line, before any integration and with no file written
+    def integrated(*args, **kwargs):
+        raise _Integrated
+
+    monkeypatch.setattr(cli, "integrate", integrated)
+    args = ["sweep", "--out", str(tmp_path)]
+    for pair in overrides:
+        args += ["--override", pair]
+    assert run(args) == 2
+    _one_line_error(capsys, f"config error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("overrides", [
+    ["sweep.eps_grid=[0.2,0.1]", "sweep.amplitude_grid=[0.0,0.01]"],
+    ["sweep.eps_grid=[0.1,0.2]", "sweep.amplitude_grid=[0.02,0.0]"],
+])
+def test_sweep_takes_the_smallest_testable_grids(tmp_path, monkeypatch, overrides):
+    # two eps values and an amplitude grid with 0 and one amplitude above it
+    # reach the integration, in any order
+    def integrated(*args, **kwargs):
+        raise _Integrated
+
+    monkeypatch.setattr(cli, "integrate", integrated)
+    args = ["sweep", "--out", str(tmp_path)]
+    for pair in overrides:
+        args += ["--override", pair]
+    with pytest.raises(_Integrated):
+        run(args)
+
+
 @pytest.mark.parametrize("sigma", ["0", "-1"])
 def test_non_positive_sigma_exits_2(tmp_path, capsys, sigma):
     # min(sigma c4, c1) would be 0 or negative: the sandwich certifies nothing

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitclf as oc
+from orbitclf import plants
 from orbitclf.clf import SCALAR_ROWS
 from orbitclf.plants import check_phases, mech_feedforward, pzd_distance
 
@@ -539,11 +540,11 @@ def test_mech_law_forms_agree_with_the_operator_rows(v_d):
 
 
 def _column_field(loop, X, e):
-    """The mech RHS of each row of a stack X (S, 4), by the column kernels that the record runs.
+    """The mech RHS of each row of a stack X (S, 4) by the public column kernels.
 
     ``MechPlant.outputs``, ``law_forms``, the batch law and ``mech_feedforward``
-    on X's columns: the reference of the flat lone stage.  Also returns the
-    eta_hat columns that reached ``law_forms``.
+    on X's columns: the reference of the loop's stage.  Also returns the
+    eta_hat columns that reached ``law_forms`` and the mu columns, k psi1.
     """
     plant, xs = loop.plant, X.T
     tau = plant.tau(xs[0])
@@ -553,8 +554,9 @@ def _column_field(loop, X, e):
     eta_hat = plant.outputs(xs, jet)
     psi0, denom, psi1 = loop.law_forms(eta_hat)
     gains = oc.min_norm_mu(psi0, denom)
-    u1, u2 = mech_feedforward(plant, xs, [gains * p for p in psi1], jet)
-    return np.array([xs[2], xs[3], u1, u2]).T, eta_hat
+    mu = [gains * p for p in psi1]
+    u1, u2 = mech_feedforward(plant, xs, mu, jet)
+    return np.array([xs[2], xs[3], u1, u2]).T, eta_hat, mu
 
 
 #: entries that the drawn states mix in: signed zeros, subnormals, and
@@ -578,28 +580,31 @@ def _entry(odd, lo, hi):
 @given(_entry(_Q1, -0.15, 3.15), _entry(_ODD, -3.0, 3.0), _entry(_ODD, -2.0, 2.0),
        _entry(_ODD, -3.0, 3.0), _entry(_E, -0.02, 0.02))
 def test_mech_stage_equals_the_column_kernels(v_d, q1, q2, dq1, dq2, e):
-    # the flat lone stage is bit for bit the column code path on a stack of
-    # one row, and raises what the lone stage of the written-out helpers
-    # raised: check_phases' text for a finite phase out of the domain, the
+    # the loop's one stage on a lone state's Python floats is bit for bit the
+    # public column kernels on a stack of one row, and raises what they
+    # raise: check_phases' text for a finite phase out of the domain, the
     # law's text (with no row index) for an overflowed state, and an
     # overflow for a phase that is not finite
     loop = _law_loop(v_d, q1_plus=3.0)
     x = [q1, q2, dq1, dq2]
-    seen, law_forms = [], loop.law_forms
+    # the stage binds its forms function when it is built: spy on a stage
+    # built on a recording one
+    seen, law_forms, stage = [], loop.law_forms, loop.stage
 
     def recording(eta):
         seen.append(eta)
         return law_forms(eta)
 
-    object.__setattr__(loop, "law_forms", recording)
+    object.__setattr__(loop, "stage", plants._mech_stage(loop.plant, recording))
     try:
         got = loop.field(0.0, x, e)
+        _, lone_eta, lone_mu, _ = stage(*x, e, oc.min_norm_mu)
     except (ValueError, oc.ClfConsistencyError) as exc:
         got = (type(exc), str(exc))
-    object.__setattr__(loop, "law_forms", law_forms)
+    object.__setattr__(loop, "stage", stage)
     with np.errstate(all="ignore"):
         try:
-            want, eta_hat = _column_field(loop, np.array([x]), np.array([e]))
+            want, eta_hat, mu = _column_field(loop, np.array([x]), np.array([e]))
         except ValueError as exc:  # a phase out of the domain
             tau_hat = q1 / 3.0 + e
             want = ((ValueError, str(exc)) if math.isfinite(tau_hat) else
@@ -611,10 +616,13 @@ def test_mech_stage_equals_the_column_kernels(v_d, q1, q2, dq1, dq2, e):
         return
     assert type(got) is list and all(type(v) is float for v in got)
     assert np.array(got).tobytes() == want[0].tobytes()
-    # the stage's written-out outputs are MechPlant.outputs' bits
-    (lone_eta,) = seen
-    assert all(type(v) is float for v in lone_eta)
-    assert np.array(lone_eta).tobytes() == np.concatenate(eta_hat).tobytes()
+    # one forms call per field call; the outputs that reached it are
+    # MechPlant.outputs' bits, and mu is the column law's gain times psi1
+    (field_eta,) = seen
+    assert np.array(field_eta).tobytes() == np.array(lone_eta).tobytes()
+    for lone, columns in ((lone_eta, eta_hat), (lone_mu, mu)):
+        assert all(type(v) is float for v in lone)
+        assert np.array(lone).tobytes() == np.concatenate(columns).tobytes()
 
 
 def test_mech_phase_error_on_an_array_of_times(mech_plant, mech_cert):

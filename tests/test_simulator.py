@@ -439,30 +439,90 @@ def test_mech_record_shows_what_stepping_applied(monkeypatch):
     # mu of step i's first stage, mu as the law's gain times psi1: the record
     # reads the phase error that stepping was given at the accumulated node
     # times, not the printed grid i*dt
+    # law_forms is the loop's own forms function, which its stage binds when
+    # the loop is built and runs for stepping and for the record: spy on the
+    # one that this loop is built with
+    forms, build_forms = [], plants._law_forms
+
+    def recording_forms(W, n):
+        law_forms = build_forms(W, n)
+
+        def recording(eta):
+            forms.append(((eta,), law_forms(eta)))
+            return forms[-1][1]
+
+        return recording
+
+    monkeypatch.setattr(plants, "_law_forms", recording_forms)
     loop, x0 = _mech_loop()
     fields = _recording_calls(monkeypatch, oc.MechClosedLoop, "field")
     mus = _recording_calls(monkeypatch, plants, "min_norm_mu")
-    # law_forms is the loop's own forms function, which the stage and the
-    # record both call: spy on this loop's
-    forms, law_forms = [], loop.law_forms
-
-    def recording(eta):
-        forms.append(((eta,), law_forms(eta)))
-        return forms[-1][1]
-
-    object.__setattr__(loop, "law_forms", recording)
     rec = oc.integrate(loop, x0, T=0.5, dt=1e-3)
     n = len(rec) - 1
-    # one law and one set of forms per stage; the last forms are the record's columns
-    assert len(fields) == len(mus) == len(forms) - 1 == 4 * n
+    # one law and one set of forms per stage; the last two forms are the
+    # record's columns, at tau + e and at the true phase
+    assert len(fields) == len(mus) == len(forms) - 2 == 4 * n
+    assert np.array_equal(np.array(forms[-1][0][0]).T, rec.eta)
     first = [args[1:] for args, _ in fields[::4]]  # (t, x, e) of each step's first stage
     assert np.array_equal(rec.mu[:n], [g * np.array(f[2])  # the gain times psi1
-                                       for (_, g), (_, f) in zip(mus[::4], forms[:-1:4])])
+                                       for (_, g), (_, f) in zip(mus[::4], forms[:-2:4])])
     assert np.array_equal(rec.d[:n], [oc.derive_phase_disturbance(loop.plant, x, e)
                                       for _, x, e in first])
     # the grid i*dt and the node times give another phase error at most samples
     nodes = np.array([t for t, _, _ in first])
     assert np.count_nonzero(loop.phase_error(rec.t[:n]) != loop.phase_error(nodes)) > n // 2
+
+
+def _assert_rows_are_the_lone_stage(loop, e, states, rec):
+    """rec's eta, d and mu rows are bit for bit the loop's stage on each state's Python floats.
+
+    eta at e = -0.0 (the true phase), mu at e, and d the change of the
+    mu = 0 feedforward ff from the one to the other.
+    """
+    eta, d, mu = [], [], []
+    for x, ei in zip(states.tolist(), e.tolist()):
+        _, _, lone_mu, ff_hat = loop.stage(*x, ei, plants.min_norm_mu)
+        _, lone_eta, _, ff = loop.stage(*x, -0.0, plants.min_norm_mu)
+        eta.append(lone_eta)
+        mu.append(lone_mu)
+        d.append([0.0, ff_hat - ff][2 - loop.plant.dims.n_mu:])  # u1 - u1 = 0 when k1 = 1
+    for name, lone in (("eta", eta), ("d", d), ("mu", mu)):
+        assert all(type(v) is float for row in lone for v in row), name
+        assert np.array(lone).tobytes() == getattr(rec, name).tobytes(), name
+
+
+@pytest.mark.parametrize("v_d", [1.0, None])
+def test_mech_record_rows_equal_the_lone_stage(monkeypatch, v_d):
+    # the record runs the loop's stage on the run's columns: at each recorded
+    # state its eta, d and mu rows are the stage on that state's floats with
+    # the phase error that stepping applied there
+    recorded, record = [], simulator._record_mech
+
+    def recording(loop, ts, e, states):
+        recorded.append((e, states))
+        return record(loop, ts, e, states)
+
+    monkeypatch.setattr(simulator, "_record_mech", recording)
+    loop, x0 = _mech_loop(v_d)
+    rec = oc.integrate(loop, x0, T=0.5, dt=1e-3)
+    ((e, states),) = recorded
+    _assert_rows_are_the_lone_stage(loop, e, states, rec)
+    assert rec.d.any() and rec.mu.any() and not rec.mu.all()  # both branches of the law
+    # signed zeros, also against the public column kernels: tau + -0.0 keeps
+    # a phase of -0.0 (alpha_0 = -0.0 and q2 = -0.0 carry its sign into y2),
+    # and ff's + 0.0 turns a -0.0 into the +0.0 that mech_feedforward adds
+    # as mu = 0, whatever the signs of y2d' and y2d'' (dq1 = 0)
+    plant = oc.MechPlant(alpha=np.array([-0.0, 0.1, 0.3, -0.3, 0.1, 0.0]), v_d=v_d)
+    cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
+    loop = oc.MechClosedLoop(plant=plant, cert=cert)
+    grid = [(q1, q2, dq1, e) for q1 in (-0.0, 0.0, 0.25, 0.45, 0.7, 0.85) for q2 in (-0.0, 0.1)
+            for dq1 in (-0.0, 0.0, 0.5) for e in (-0.0, 0.0, 0.1)]
+    X = np.array([[q1, q2, dq1, -0.0] for q1, q2, dq1, _ in grid])
+    e = np.array([e for *_, e in grid])
+    rec = record(loop, np.arange(len(X)) * 1e-3, e, X)
+    _assert_rows_are_the_lone_stage(loop, e, X, rec)
+    assert rec.eta.tobytes() == plant.eta_of(X).tobytes()
+    assert rec.d.tobytes() == oc.derive_phase_disturbance(plant, X, e).tobytes()
 
 
 @pytest.mark.parametrize("chunk", [7, 500])
@@ -484,9 +544,12 @@ def test_mech_stage_inputs_equal_phase_error_at_stage_time(monkeypatch, chunk):
 
 def test_mech_jet_passes_per_step_and_per_record(monkeypatch):
     # one Bezier jet per RHS, so four per RK4 step, and two array jets (at
-    # tau and at tau + e) per recording: a duplicate evaluation shows as a count
-    loop, x0 = _mech_loop()
+    # tau and at tau + e) per recording: a duplicate evaluation shows as a
+    # count.  The loop's stage binds the plant's jet when the loop is built,
+    # so the spy goes in first; building x0 takes one lone jet
     jets = _recording_calls(monkeypatch, oc.MechPlant, "jet")
+    loop, x0 = _mech_loop()
+    jets.clear()
     rec = oc.integrate(loop, x0, T=0.02, dt=1e-3)
     taus = [args[1] for args, _ in jets]
     stacked = [tau for tau in taus if isinstance(tau, np.ndarray)]

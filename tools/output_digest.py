@@ -54,10 +54,16 @@ CASES = {
     "mech_k1_0": ("simulate",) + MECH + _override("k1=0", "plant.q1_plus=4",
                                                   "integrator.horizon=3"),
     "mech_default": ("simulate",) + MECH + _override("k1=1"),
+    # k1 = 0 on the default phase interval: it stops in the phase domain
+    "mech_k1_0_default": ("simulate",) + MECH + _override("k1=0"),
     # a usage error and two config errors, each exit 2
     "usage_no_command": (),
     "certify_short": ("certify",) + _override("integrator.horizon=0.006"),
     "certify_sigma0": ("certify",) + _override("k1=1", "k2=2", "integrator.horizon=8", "sigma=0"),
+    # sweep grids on which a check row could not fail, each exit 2
+    "sweep_one_eps": ("sweep",) + _override("sweep.eps_grid=[0.1]", "integrator.horizon=4"),
+    "sweep_no_zero_amplitude": ("sweep",) + _override("sweep.amplitude_grid=[0.01]",
+                                                      "integrator.horizon=4"),
     "demo_01": "01_certificate_synthesis.py",
     "demo_02": "02_rapid_exponential_tracking.py",
     "demo_03": "03_disturbance_rejection_bounds.py",
