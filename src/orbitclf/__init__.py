@@ -21,7 +21,6 @@ from .clf import (
     matvec,
     membership,
     min_norm_mu,
-    state_forms,
     u_s_damping,
 )
 from .disturbance import DisturbanceSignal, DisturbanceTable, sample, sup_norm

@@ -28,11 +28,12 @@ exit code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clf import vecdot
+from .clf import matvec, vecdot
 from .plants import ConverseConstants, DisturbedClosedLoop, HopfPlant, pzd_distance
 from .riccati import ResClfCertificate
 from .simulator import TrajectoryRecord
@@ -119,6 +120,14 @@ def sigma_condition(cert: ResClfCertificate, consts: ConverseConstants, L_q: flo
     return used < lhs, float(margin)
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line through (x, y): closed form, math.fsum sums."""
+    x_bar, y_bar = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = x - x_bar
+    slope = math.fsum(dx * (y - y_bar)) / math.fsum(dx * dx)
+    return slope, y_bar - slope * x_bar
+
+
 def check_zero_stability(record: TrajectoryRecord) -> tuple[bool, float]:
     """Zero-stability verdict and fitted envelope decay rate for a d = 0 run.
 
@@ -142,7 +151,7 @@ def check_zero_stability(record: TrajectoryRecord) -> tuple[bool, float]:
     mask = dist > floor
     if int(np.count_nonzero(mask)) < 4:
         return zs_ok, np.inf
-    slope = np.polyfit(record.t[mask], np.log(dist[mask]), 1)[0]
+    slope, _ = _line_fit(record.t[mask], np.log(dist[mask]))
     return zs_ok, float(-slope)
 
 
@@ -162,8 +171,7 @@ def check_asymptotic_gain(amplitudes: np.ndarray,
         raise ValueError("the amplitude grid must include 0")
     if float(np.max(amplitudes)) == 0.0:
         return 0.0, 0.0, True
-    A = np.column_stack([amplitudes, np.ones_like(amplitudes)])
-    (gain, intercept), *_ = np.linalg.lstsq(A, ultimates, rcond=None)
+    gain, intercept = _line_fit(amplitudes, ultimates)
     ok = abs(intercept) <= AG_INTERCEPT_TOL and np.isfinite(gain) and gain >= 0.0
     pos = amplitudes > 0.0
     if gain > 0.0:
@@ -183,9 +191,9 @@ def _lyapunov_rates(record: TrajectoryRecord, loop: DisturbedClosedLoop) -> tupl
     dV_eps/dt = 2 eta'P_eps f_eta, dV_Z/dt = 4 s z.f_z + 2 y1.f_y1, s = |z|^2 - r0^2.
     """
     eta, z, n, k1 = record.eta, record.z, loop.plant.dims.n_eta, loop.plant.dims.k1
-    f = loop.field(0.0, np.hstack([eta, z]), loop.place(record.d))
+    f = loop.field(0.0, np.hstack([eta, z]), record.d)
     s = vecdot(z, z) - loop.plant.r0 ** 2
-    return (2.0 * vecdot(eta @ loop.cert.P_eps, f[:, :n]),
+    return (2.0 * vecdot(matvec(loop.cert.P_eps, eta), f[:, :n]),
             4.0 * s * vecdot(z, f[:, n:]) + 2.0 * vecdot(eta[:, :k1], f[:, :k1]))
 
 
@@ -253,7 +261,7 @@ def fit_eiss_envelope(record: TrajectoryRecord) -> tuple[float, float]:
     mask = dist > floor
     if int(np.count_nonzero(mask)) < 4:
         return 1.0, np.inf
-    slope, logc = np.polyfit(record.t[mask], np.log(dist[mask]), 1)
+    slope, logc = _line_fit(record.t[mask], np.log(dist[mask]))
     delta2 = float(-slope)
     # inflate delta1 so the envelope covers every sample
     ratio = dist[mask] / (np.exp(logc) * np.exp(slope * record.t[mask]))

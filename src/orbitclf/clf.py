@@ -19,31 +19,13 @@ scaled Riccati identity and gamma P_eps <= Q_eps hold (then psi0 =
 -(1/eps) eta'(Q_eps - gamma P_eps) eta on ker(G'P_eps)); it is reported as
 an internal-consistency failure.
 
-Every quantity above is linear in eta or a product of two linear ones, so
-one row-by-row ``matvec`` of a stacked operator gives all the laws need.
-``clf_operator`` builds it once per certificate on eta,
-
-    W = [F; P_eps; 2 G'P_eps; M]    ((3 n_eta + n_mu) x n_eta),
-
-whose rows give F eta, P_eps eta, psi1 and M eta, in that order.  A closed
-loop on a state x = (eta, ...) of width w > n_eta may instead build one
-operator on x with the law rows in state coordinates, six w x w blocks
-
-    W_x = [L; Psi; M; Q; I; R],    Psi = G 2 G'P_eps,  Q = Psi + R,
-
-where L is the loop's own linear field, Psi and M are the law's blocks
-(zero off eta), I is the identity and R selects coordinates of x off
-G's rows for the loop's own use (the Hopf loop's z).  Blocks 1-3 and 3-5
-of ``matvec(W_x, x)``, read as two stacked (3, w) views, meet in one
-``vecdot`` (``state_forms``): Psi x . Q x = ||psi1||^2, M x . x = psi0
-and Q x . R x = |R x|^2.  G is a 0/1 selection with disjoint columns,
-so ||G psi1|| = ||psi1||, and on a finite x the identity rows are x and
-the products with zero rows add only zeros: the forms have the bits of
-the plain dot products.  ``min_norm_mu`` takes just the forms psi0 and
-||psi1||^2, two Python floats or 0-d arrays for one point or (B,) for a
-batch, and gives each row's gain k = -max(psi0, 0) / ||psi1||^2.  Its
-caller multiplies: mu = k psi1, or G mu = k Psi x, which the Hopf loop
-multiplies into Q x together with its own coefficient on R's rows.
+Every quantity above is linear in eta or a product of two linear ones:
+``clf_operator`` stacks W = [F; P_eps; 2 G'P_eps; M] once per certificate,
+whose rows give F eta, P_eps eta, psi1 and M eta.  ``matvec`` and
+``vecdot`` sum row by row without BLAS; the closed loops write the same
+sums out over the rows' nonzero entries (``plants``).  ``min_norm_mu``
+takes the forms psi0 and ||psi1||^2 and gives each row's gain k; its
+caller multiplies, mu = k psi1.
 
 The same membership test applies verbatim to time-parameterized outputs:
 evaluate it on eta_t in place of eta.
@@ -82,17 +64,34 @@ def _check_eta(cert: ResClfCertificate, eta: np.ndarray) -> np.ndarray:
 
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x row by row for x of shape (..., n), one vector (n,) included.
+    """A @ x row by row for x of shape (..., n); A may be stacked, (..., r, n).
 
-    Each row goes through the same stacked BLAS call, so a row's result
-    is bit for bit independent of the batch it sits in.
+    Entry i is sum_j A[i, j] x_j, summed left to right from the first
+    product as plain numpy operations: its bits depend neither on the batch
+    a row sits in nor on the BLAS kernel.
     """
-    return (A @ x[..., None])[..., 0]
+    A, x = np.asarray(A, dtype=float), np.asarray(x, dtype=float)
+    out = x[..., 0, None] * A[..., 0]
+    for j in range(1, A.shape[-1]):
+        out = out + x[..., j, None] * A[..., j]
+    return out
 
 
-#: x @ y row by row, as a gufunc: each row takes the same dot-product call
-#: as a lone vector (see ``matvec``), in one numpy call
-vecdot = np.vecdot
+def vecdot(x: np.ndarray, y: np.ndarray, dtype: type = float) -> np.ndarray:
+    """x . y row by row over the last axis, summed as ``matvec`` sums; 0.0 for no entries.
+
+    With dtype=np.longdouble the sums run in that type and round once:
+    ``evaluate_clf`` and the records take V_eps (and LF_V) so.  Their bits
+    then follow np.longdouble's width, 80-bit on x86-64 Linux, IEEE quad on
+    aarch64 Linux and double on Windows and Apple arm64, not the BLAS kernel.
+    """
+    x, y = np.asarray(x, dtype=dtype), np.asarray(y, dtype=dtype)
+    if not x.shape[-1]:
+        return np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
+    out = x[..., 0] * y[..., 0]
+    for j in range(1, x.shape[-1]):
+        out = out + x[..., j] * y[..., j]
+    return out.astype(float, copy=False)
 
 
 def clf_operator(cert: ResClfCertificate, dyn: OutputDynamics) -> np.ndarray:
@@ -106,21 +105,14 @@ def clf_operator(cert: ResClfCertificate, dyn: OutputDynamics) -> np.ndarray:
     return np.vstack([F, P, 2.0 * (dyn.G.T @ P), 0.5 * (M + M.T)])
 
 
-def lie_terms(cert: ResClfCertificate, eta: np.ndarray,
-              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V_eps, LF_V and psi1 = LG_V' at eta, from rows = matvec(W, eta); batches as ``matvec``."""
-    n, m = cert.dims.n_eta, cert.dims.n_mu
-    Pe = rows[..., n:2 * n]
-    V = vecdot(eta, Pe)
-    LF_V = 2.0 * vecdot(rows[..., :n], Pe)  # eta'(F'P + PF)eta = 2 eta'P F eta
-    return V, LF_V, rows[..., 2 * n:2 * n + m]
-
-
 def evaluate_clf(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray) -> ClfEvaluation:
-    """Evaluate V_eps, LF_V, LG_V at eta."""
-    eta = _check_eta(cert, eta)
-    V, LF_V, LG_V = lie_terms(cert, eta, matvec(clf_operator(cert, dyn), eta))
-    return ClfEvaluation(V=float(V), LF_V=float(LF_V), LG_V=LG_V)
+    """V_eps, LF_V and LG_V = psi1' at eta, from the rows of ``clf_operator``."""
+    eta, n = _check_eta(cert, eta), cert.dims.n_eta
+    rows = matvec(clf_operator(cert, dyn), eta)
+    Pe = rows[n:2 * n]  # LF_V = eta'(F'P + PF)eta = 2 (F eta) . (P eta)
+    return ClfEvaluation(V=float(vecdot(eta, Pe, np.longdouble)),
+                         LF_V=float(2.0 * vecdot(rows[:n], Pe, np.longdouble)),
+                         LG_V=rows[2 * n:2 * n + cert.dims.n_mu])
 
 
 #: the law's constants as 0-d arrays, which numpy combines with a large
@@ -129,43 +121,31 @@ def evaluate_clf(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray) 
 _ZERO, _FLAT, _TINY = np.array(0.0), np.array(1e-14), np.array(np.finfo(float).tiny)
 _TINY_F = float(_TINY)
 
-#: a batch of at most this many rows runs the law's per-row scalars on
-#: Python floats, which skip numpy's per-call cost; a larger one runs them
-#: as whole-array operations.  Both make the same IEEE operations.
+#: a batch of at most this many rows runs the law on Python floats, which
+#: skip numpy's per-call cost; a larger one runs as whole-array operations.
+#: Both make the same IEEE operations.
 SCALAR_ROWS = 16
 
 
-def state_forms(blocks: np.ndarray) -> np.ndarray:
-    """(||psi1||^2, psi0, |R x|^2) of each row of a state operator's rows, by one ``vecdot``.
-
-    blocks is matvec(W_x, x) for a state operator W_x = [L; Psi; M; Q; I; R]
-    (module docstring) read as (..., 6, w); the forms have shape (..., 3).
-    """
-    return vecdot(blocks[..., 1:4, :], blocks[..., 3:, :])
-
-
-def min_norm_mu(psi0: float | np.ndarray, denom: float | np.ndarray) -> np.ndarray:
+def min_norm_mu(psi0: float | tuple | np.ndarray, denom: float | tuple | np.ndarray) -> np.ndarray:
     """Each row's gain k of the min-norm law: k psi1 is the least-norm mu of the rate-gamma/eps set.
 
-    psi0 = eta'M eta and denom = ||psi1||^2 are two Python floats or 0-d
-    arrays for a lone point, or (B,) for a batch; the gains are 0-d or
-    (B,).  Each row's gain equals the law at that row alone, bit for bit
-    (but for a NaN's sign where psi0 and ||psi1||^2 are NaN).  Up to
-    ``SCALAR_ROWS`` rows, a lone point included, the flat-psi1 test, the
-    clamps and the quotient run on Python floats; two Python floats go
-    straight there.  A row with psi0 <= 0 gives a zero gain (possibly
-    -0.0), and psi1 = 0 there gives no NaN.
+    psi0 = eta'M eta and denom = ||psi1||^2: two floats or 0-d arrays (a 0-d
+    gain), or two (B,) arrays or tuples of B floats ((B,) gains), each row
+    bitwise its lone law but for a NaN's sign.  Tuples and up to SCALAR_ROWS
+    rows run on Python floats.  psi0 <= 0 gives a zero gain (maybe -0.0), also at psi1 = 0.
     """
     if type(psi0) is float and type(denom) is float:
         return np.array(_gain(psi0, denom))
-    shape = getattr(psi0, "shape", ())  # a Python float is one point
-    if shape != getattr(denom, "shape", ()):
-        raise ValueError(f"psi0 and ||psi1||^2 have shapes {shape} and {np.shape(denom)}")
+    if type(psi0) is tuple and type(denom) is tuple and len(psi0) == len(denom):
+        return _gains(psi0, denom)
+    shape, other = np.shape(psi0), np.shape(denom)  # a Python float is one point
+    if shape != other or type(psi0) is tuple or type(denom) is tuple:
+        raise ValueError(f"psi0 and ||psi1||^2 have shapes {shape} and {other}")
     if not shape:
         return np.array(_gain(float(psi0), float(denom)))
     if len(psi0) <= SCALAR_ROWS:
-        return np.array([_gain(p, q, row) for row, (p, q)
-                         in enumerate(zip(psi0.tolist(), denom.tolist()))])
+        return _gains(psi0.tolist(), denom.tolist())
     # psi1 ~ 0 relative to psi0; only such a row can be inconsistent, so
     # the full check runs only when one exists
     flat = denom <= _FLAT * psi0
@@ -175,6 +155,16 @@ def min_norm_mu(psi0: float | np.ndarray, denom: float | np.ndarray) -> np.ndarr
             row = int(bad[0])
             raise _inconsistency(f"row {row}: ", float(psi0[row]), float(denom[row]))
     return -(np.maximum(psi0, _ZERO) / np.maximum(denom, _TINY))
+
+
+def _gains(psi0: list | tuple, denom: list | tuple) -> np.ndarray:
+    """``_gain`` of each row of two equal-length sequences of Python floats, as a (B,) array."""
+    try:
+        return np.fromiter(map(_gain, psi0, denom), float, len(psi0))
+    except ClfConsistencyError:
+        for row, (p, q) in enumerate(zip(psi0, denom)):
+            _gain(p, q, row)  # raises for the first flat row, naming it
+        raise
 
 
 def _gain(psi0: float, denom: float, row: int | None = None) -> float:
@@ -223,6 +213,13 @@ def membership(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray,
     return slack <= guard, slack
 
 
+def damping_gain(eps_bar: float) -> float:
+    """-1/(4 eps_bar), the damping feedback per unit psi1: u_s = damping_gain(eps_bar) psi1."""
+    if not (0.0 < eps_bar <= 1.0):
+        raise ValueError(f"eps_bar must lie in (0, 1], got {eps_bar}")
+    return -0.25 / eps_bar
+
+
 def u_s_damping(cert: ResClfCertificate, rows: np.ndarray, eps_bar: float) -> np.ndarray:
     """State-based damping feedback u_s = -(1/(2 eps_bar)) G' P_eps eta = -(1/(4 eps_bar)) psi1.
 
@@ -232,7 +229,5 @@ def u_s_damping(cert: ResClfCertificate, rows: np.ndarray, eps_bar: float) -> np
     rows, so it also maps W' itself: u_s_damping(cert, W.T, eps_bar).T is
     the gain K with u_s = K eta.
     """
-    if not (0.0 < eps_bar <= 1.0):
-        raise ValueError(f"eps_bar must lie in (0, 1], got {eps_bar}")
     n = cert.dims.n_eta
-    return (-0.25 / eps_bar) * rows[..., 2 * n:2 * n + cert.dims.n_mu]
+    return damping_gain(eps_bar) * rows[..., 2 * n:2 * n + cert.dims.n_mu]

@@ -24,14 +24,14 @@ Two testbeds:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .clf import (SCALAR_ROWS, ClfConsistencyError, clf_operator, matvec, min_norm_mu,
-                  state_forms, u_s_damping, vecdot)
+from .clf import ClfConsistencyError, clf_operator, damping_gain, min_norm_mu, vecdot
 from .disturbance import DisturbanceSignal
 from .output_dynamics import OutputDims, OutputDynamics, build_fg
 from .riccati import ResClfCertificate
@@ -88,8 +88,12 @@ class HopfPlant:
 
     @property
     def lipschitz_q(self) -> float:
-        """Lipschitz constant of Psi in eta: the top singular value of C."""
-        return float(np.linalg.norm(self.coupling, 2))
+        """Lipschitz constant of Psi in eta: the top singular value of C, in closed form.
+
+        sqrt((a + c)/2 + hypot((a - c)/2, b)) with C C' = [[a, b], [b, c]].
+        """
+        a, b, c = (float(v) for v in vecdot(self.coupling[[0, 0, 1]], self.coupling[[0, 1, 1]]))
+        return math.sqrt(0.5 * (a + c) + math.hypot(0.5 * (a - c), b))
 
     def zero_field(self, z: np.ndarray) -> np.ndarray:
         """Psi0(z), the uncoupled Hopf normal form; z is (2,) or a batch (..., 2)."""
@@ -112,8 +116,7 @@ class HopfPlant:
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
-    # the Euclidean norm of each row, computed as np.linalg.norm computes one vector's
-    return np.sqrt(vecdot(x, x))
+    return np.sqrt(vecdot(x, x))  # the Euclidean norm of each row
 
 
 def orbit_distance(eta: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndarray:
@@ -131,8 +134,7 @@ def orbit_distance(eta: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | 
 
 def pzd_distance(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndarray:
     """Distance of a partial-zero-dynamics point (y1, z) to its orbit; batches as above."""
-    z = np.asarray(z, dtype=float)
-    return np.abs(_norm(z) - plant.r0) + _norm(np.asarray(y1, dtype=float))
+    return np.abs(_norm(z) - plant.r0) + _norm(y1)
 
 
 def converse_constants(plant: HopfPlant, annulus_fraction: float = 0.5) -> ConverseConstants:
@@ -186,7 +188,6 @@ def vz_converse_lyapunov(y1: np.ndarray, z: np.ndarray, plant: HopfPlant,
 
 def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndarray:
     """V_Z without the annulus guard (used for trajectory traces); batches as above."""
-    y1 = np.asarray(y1, dtype=float)
     s = vecdot(z, z) - plant.r0 ** 2
     return s * s + vecdot(y1, y1)
 
@@ -393,38 +394,15 @@ class DisturbedClosedLoop:
     signal: DisturbanceSignal | None = None
     eps_bar: float = 0.1
     sigma: float = 1.0  # composite Lyapunov weight used for the V_c trace
-    #: [L; Psi; M; Q; I; Z] on the state x, built once (see ``field``)
-    operator: np.ndarray = field(init=False, repr=False, compare=False)
-    #: the state rows that G feeds, in mu order: (G v)[g_rows[j]] = v[j]
-    g_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    #: for B = 1..SCALAR_ROWS rows, the index that spreads (k_1..k_B, r_1..r_B) over (B, w)
-    _spread: list = field(init=False, repr=False, compare=False)
+    #: ``stage``'s generated RHS bodies by flat list length, each built on first use
+    _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.controller not in CONTROLLER_MODES:
             raise ValueError(f"unknown controller mode {self.controller!r}")
         if self.cert.dims != self.plant.dims:
             raise ValueError("certificate and plant dims disagree")
-        plant, n, m = self.plant, self.plant.dims.n_eta, self.plant.dims.n_mu
-        W = clf_operator(self.cert, plant.dyn)
-        # u_s = K eta; u_s_damping reads K off W's psi1 rows, and checks eps_bar
-        K = u_s_damping(self.cert, W.T, self.eps_bar).T
-        g = plant.dyn.G.argmax(axis=0)
-        L, psi1, M, Z = np.zeros((4, n + 2, n + 2))
-        L[:n, :n] = plant.dyn.F
-        if self.damped:
-            L[g, :n] = K  # F is zero on G's rows
-        L[n:, :n] = plant.coupling
-        L[n:, n:] = [[0.0, -plant.omega], [plant.omega, 0.0]]
-        psi1[g, :n] = W[2 * n:2 * n + m]
-        M[:n, :n] = W[2 * n + m:]
-        Z[n:, n:] = np.eye(2)
-        operator = np.vstack([L, psi1, M, psi1 + Z, np.eye(n + 2), Z])
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "g_rows", g)
-        spread = [None] + [np.add.outer(np.arange(B), [0] * n + [B, B])
-                           for B in range(1, SCALAR_ROWS + 1)]
-        object.__setattr__(self, "_spread", spread)
+        damping_gain(self.eps_bar)  # checks eps_bar
 
     @property
     def state_dim(self) -> int:
@@ -435,77 +413,126 @@ class DisturbedClosedLoop:
         """Whether the damping feedback u_s is on."""
         return self.controller == "min_norm_plus_us"
 
-    def place(self, v: np.ndarray) -> np.ndarray:
-        """G v in state coordinates: v (..., n_mu) gives (..., state_dim), 0 off G's rows."""
-        out = np.zeros(v.shape[:-1] + (self.state_dim,))
-        out[..., self.g_rows] = v
-        return out
+    def stage(self, rows: int) -> Callable:
+        """stage(x, d, law) -> dx/dt for `rows` states and their d as flat lists of Python floats.
 
-    def field(self, t: float, state: np.ndarray, d: np.ndarray) -> np.ndarray:
+        Generated once per count (``_hopf_stage``, this loop on every row); one ``law`` call.
+        """
+        size = rows * self.state_dim
+        if size not in self._stages:
+            self._stages[size] = _hopf_stage([self] * rows, columns=False)
+        return self._stages[size]
+
+    @functools.cached_property
+    def columns(self) -> Callable:
+        """``stage``'s one-row body on 1-D columns: columns(x, d, law) -> (dx, mu, u_s)."""
+        return _hopf_stage([self], columns=True)
+
+    def field(self, t: float, state: list | np.ndarray, d) -> list | np.ndarray:
         """The closed-loop right-hand side at time t.
 
-        state is one flat state x = (eta, z) of shape (state_dim,) or a batch
-        (B, state_dim) of runs under this loop's plant, certificate and
-        controller; d is the mu-channel disturbance at t already placed,
-        ``place(d)``, one row per run.  ``operator`` is the law's state
-        operator (see ``clf``) with Z selecting z: its first block holds
-        every linear term,
-
-            L x = (F eta + G u_s,  C eta + (-w z2, w z1)),   u_s = K eta or 0,
-
-        so one row-by-row ``matvec`` gives L x, the law's rows and
-        Q x = G psi1 + (0, z), and one ``vecdot`` (``state_forms``) gives
-        ||psi1||^2, psi0 and |z|^2 of every row.  The law returns each row's
-        gain k (G mu = k G psi1), and with c = k on eta and
-        lh (r0^2 - |z|^2) on z, one coefficient row per run,
-
-            dx/dt = L x + c Q x + G d,
-
-        that is d eta/dt = F eta + G(mu + u_s + d), dz/dt = Psi0(z) + C eta.
-        A lone state is a batch of one.  Up to ``clf.SCALAR_ROWS`` rows, the
-        coefficients are built from Python floats.
+        d eta/dt = F eta + G(u_s + mu + d) and dz/dt = Psi0(z) + C eta, with
+        the min-norm mu, u_s = damping_gain psi1 or 0 and the disturbance d.
+        Flat lists of B states and their d, as ``integrate`` steps, run
+        ``stage(B)`` and give a list; a state (state_dim,) or a batch
+        (B, state_dim), d broadcast to (B, n_mu), runs ``columns``.
         """
-        x = state if state.ndim == 2 else state[None]
-        rows = matvec(self.operator, x)
-        blocks = rows.reshape(len(x), 6, -1)
-        forms = state_forms(blocks)
-        gains = min_norm_mu(forms[:, 1], forms[:, 0])
-        lh, r0_sq = self.plant.lambda_h, self.plant.r0 ** 2
-        if len(x) <= SCALAR_ROWS:
-            # (k_1..k_B, r_1..r_B) spread to (B, w): k on eta, r on z
-            coef = gains.tolist() + [lh * (r0_sq - zz) for zz in forms[:, 2].tolist()]
-            coef = np.array(coef)[self._spread[len(x)]]
-        else:
-            n = self.plant.dims.n_eta
-            coef = np.empty(x.shape)
-            coef[:, :n] = gains[:, None]
-            coef[:, n:] = (lh * (r0_sq - forms[:, 2]))[:, None]
-        out = blocks[:, 0] + coef * blocks[:, 3]
-        out += d
-        return out if x is state else out[0]
+        if type(state) is list:
+            if (stage := self._stages.get(len(state))) is None:
+                rows, rest = divmod(len(state), self.state_dim)
+                if rest or not rows:
+                    raise ValueError(f"{len(state)} floats are not whole rows of {self.state_dim}")
+                stage = self.stage(rows)
+            return stage(state, d, min_norm_mu)
+        x = np.asarray(state, dtype=float)
+        rows = x.reshape(-1, self.state_dim)
+        d = np.broadcast_to(np.asarray(d, dtype=float), (len(rows), self.plant.dims.n_mu))
+        dx = self.columns(np.ascontiguousarray(rows.T), d.T, min_norm_mu)[0]
+        return np.array(dx).T.reshape(x.shape)
 
 
-def _law_forms(W: np.ndarray, n: int):
-    """``MechClosedLoop.law_forms`` for the laws' operator W on an eta of n = 3 or 2 entries."""
-    rows = W[2 * n:].tolist()  # psi1's rows, then M's
-    if n == 3:
-        (a0, a1, a2), (b0, b1, b2), (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+def compile_function(signature: str, body: list[str], label: str) -> Callable:
+    """The function `def signature:` with the given straight-line body, compiled under label."""
+    namespace = {}
+    exec(compile("\n    ".join([f"def {signature}:", *body]), label, "exec"), namespace)
+    return namespace[signature.partition("(")[0]]
 
-        def law_forms(eta):
-            y1, y2, dy2 = eta
-            p = a0 * y1 + a1 * y2 + a2 * dy2
-            q = b0 * y1 + b1 * y2 + b2 * dy2
-            psi0 = (y1 * (m00 * y1 + m01 * y2 + m02 * dy2) + y2 * (m10 * y1 + m11 * y2 + m12 * dy2)
-                    + dy2 * (m20 * y1 + m21 * y2 + m22 * dy2))
-            return psi0, p * p + q * q, (p, q)
+
+def _terms(coefficients, names) -> list[str]:
+    """The terms c * v of a linear form over its nonzero coefficients; 1.0 * v is v."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    if not np.isfinite(coefficients).all():
+        raise ValueError(f"non-finite coefficients {coefficients} in a closed loop's field")
+    return [v if c == 1.0 else f"{c!r} * {v}" for c, v in zip(coefficients.tolist(), names) if c]
+
+
+def _sum(terms) -> str:
+    """The terms summed left to right, or 0.0 for none."""
+    return " + ".join(terms) or "0.0"
+
+
+def _law_lines(W: np.ndarray, eta: list[str], p: list[str], s: str, q: str) -> list[str]:
+    """Lines setting psi1's entries p, psi0 = eta . (M eta) as s and ||psi1||^2 as q, by W."""
+    n, m = len(eta), len(p)
+    return ([f"{pj} = {_sum(_terms(row, eta))}" for pj, row in zip(p, W[2 * n:2 * n + m])]
+            + [f"{s} = " + _sum(f"{e} * ({_sum(_terms(row, eta))})"
+                                for e, row in zip(eta, W[2 * n + m:]) if row.any()),
+               f"{q} = " + _sum(f"{pj} * {pj}" for pj in p)])
+
+
+def _hopf_stage(loops: list[DisturbedClosedLoop], columns: bool) -> Callable:
+    """``DisturbedClosedLoop.stage``, a row per loop on floats, or ``.columns``, a loop on columns.
+
+    Straight-line Python over each row's loop's nonzero coefficients (reprs):
+    the row's law forms (``_law_lines``), one law call for all rows, d eta/dt
+    = F eta + G(u_s + k psi1 + d) and dz/dt = C eta + (-w z2, w z1) + lh (r0^2
+    - |z|^2) z.  Rows may come from loops with different certificates.
+    """
+    names, ds, before, after, dx, mu, u_s = [], [], [], [], [], [], []
+    for b, loop in enumerate(loops):
+        plant, n, m = loop.plant, loop.plant.dims.n_eta, loop.plant.dims.n_mu
+        W, C = clf_operator(loop.cert, plant.dyn), plant.coupling
+        g = plant.dyn.G.argmax(axis=0).tolist()  # the state rows that G feeds, in mu order
+        us = damping_gain(loop.eps_bar) if loop.damped else None
+        eta, za, zb, k = [f"e{b}_{i}" for i in range(n)], f"za{b}", f"zb{b}", f"k{b}"
+        p = [f"p{b}_{j}" for j in range(m)]
+        names += eta + [za, zb]
+        ds += [f"d{b}_{j}" for j in range(m)]
+        before += _law_lines(W, eta, p, f"s{b}", f"q{b}")
+        radial = f"({plant.r0 ** 2!r} - ({za} * {za} + {zb} * {zb}))"
+        after.append(f"r{b} = " + _sum(_terms([plant.lambda_h], [radial])))
+        c_eta = [_terms(C[0], eta), _terms(C[1], eta)]
+        if np.array_equal(C[0], C[1]) and c_eta[0]:
+            after.append(f"c{b} = {_sum(c_eta[0])}")
+            c_eta = [[f"c{b}"]] * 2
+        mu_b = [f"{k} * {pj}" for pj in p]
+        us_b = [] if us is None else [f"{us!r} * {pj}" for pj in p]
+        for i in range(n):
+            j = g.index(i) if i in g else None
+            dx.append(_sum(_terms(plant.dyn.F[i], eta) + (
+                [] if j is None else us_b[j:j + 1] + [mu_b[j], ds[j - m]])))
+        dx.append(_sum(c_eta[0] + _terms([-plant.omega], [zb]) + [f"r{b} * {za}"]))
+        dx.append(_sum(c_eta[1] + _terms([plant.omega], [za]) + [f"r{b} * {zb}"]))
+        mu += mu_b
+        u_s += us_b
+    if columns:
+        law, label = "k0 = law(s0, q0)", "<hopf stage, columns>"
+        result = f"[{', '.join(dx)}], [{', '.join(mu)}], [{', '.join(u_s)}]"
     else:
-        (a0, a1), (m00, m01), (m10, m11) = rows
+        s, q = (", ".join(f"{v}{b}" for b in range(len(loops))) for v in "sq")
+        law = f"{', '.join(f'k{b}' for b in range(len(loops)))}, = law(({s},), ({q},)).tolist()"
+        result, label = f"[{', '.join(dx)}]", f"<hopf stage, {len(loops)} rows>"
+    body = [f"{', '.join(names)}, = x", f"{', '.join(ds)}, = d", *before, law, *after]
+    return compile_function("stage(x, d, law)", [*body, f"return {result}"], label)
 
-        def law_forms(eta):
-            y2, dy2 = eta
-            p = a0 * y2 + a1 * dy2
-            return y2 * (m00 * y2 + m01 * dy2) + dy2 * (m10 * y2 + m11 * dy2), p * p, (p,)
-    return law_forms
+
+def _law_forms(W: np.ndarray, n: int) -> Callable:
+    """``MechClosedLoop.law_forms`` for the laws' operator W on n entries (``_law_lines``)."""
+    eta, p = [f"e{i}" for i in range(n)], [f"p{j}" for j in range(len(W) - 3 * n)]
+    return compile_function("law_forms(eta)", [f"{', '.join(eta)}, = eta",
+                                               *_law_lines(W, eta, p, "s", "q"),
+                                               f"return s, q, ({', '.join(p)},)"],
+                            f"<law forms, n = {n}>")
 
 
 def _mech_stage(plant: MechPlant, law_forms: Callable) -> Callable:
@@ -558,24 +585,18 @@ class MechClosedLoop:
     signal: DisturbanceSignal | None = None
     #: the laws' operator [F; P_eps; 2 G'P_eps; M], built once
     operator: np.ndarray = field(init=False, repr=False, compare=False)
-    #: (psi0, ||psi1||^2, psi1's entries) at eta's entries, floats or columns:
-    #: psi1 = 2 G'P_eps eta, M eta, eta . M eta and ||psi1||^2 written out for
-    #: the plant's dims over the operator's rows, bound once as floats.  The
-    #: stage calls it, so a stack's rows get the lone bits; BLAS
-    #: (``matvec``) may fuse a product into its sum, a few ulps off.
+    #: (psi0, ||psi1||^2, psi1's entries) at eta's entries, floats or columns,
+    #: generated from the operator's nonzero rows (``_law_lines``), so a
+    #: stack's rows get the lone bits
     law_forms: Callable = field(init=False, repr=False, compare=False)
     #: stage(q1, q2, dq1, dq2, e, law) -> (dx, eta_hat, mu, ff), built once:
     #: the loop at one state and phase error, on Python floats or on columns.
-    #: tau_hat = tau(q1) + e in the phase domain (``check_phases``; on floats
-    #: a phase that is not finite is an overflow, ``ClfConsistencyError``),
-    #: one ``MechPlant.jet`` at tau_hat, the outputs eta_hat = (y1?, y2, dy2)
-    #: there, the forms, one call of ``law`` (``min_norm_mu`` as the caller's
-    #: module finds it, so that a traced RHS law call and a record's law call
-    #: stay apart), mu = k psi1, dx = [dq1, dq2, u1, u2] as a list, and ff,
-    #: the input u2 at mu = 0 with ``mech_feedforward``'s operations; the
-    #: phase disturbance d is the change of ff from e = -0.0 (tau + -0.0 is
-    #: tau, bit for bit) to e.  Only ``+ - * /`` touch the state, so floats
-    #: and columns share bits; a lone gain is a Python float.
+    #: tau_hat = tau(q1) + e in the phase domain (``check_phases``; a phase
+    #: float that is not finite is an overflow), one ``MechPlant.jet``, the
+    #: outputs eta_hat, the forms, one call of ``law`` (the caller's
+    #: ``min_norm_mu``), mu = k psi1, dx as a list, and ff, the input u2 at
+    #: mu = 0; d is the change of ff from e = -0.0 (the true phase) to e.
+    #: Only ``+ - * /`` touch the state, so floats and columns share bits.
     stage: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -78,13 +78,13 @@ def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(0.5 * (A + A.T))
 
 
-def is_spd(A: np.ndarray) -> bool:
-    """True when A is symmetric positive definite (smallest eigenvalue > 0)."""
+def _spd_eigenvalues(A: np.ndarray) -> np.ndarray | None:
+    """``sym_eig``'s eigenvalues of A when A is symmetric positive definite, else None."""
     try:
         w, _ = sym_eig(A)
     except ValueError:
-        return False
-    return bool(w[0] > 0.0)
+        return None
+    return w if w[0] > 0.0 else None
 
 
 def care_residual(dyn: OutputDynamics, P: np.ndarray, Q: np.ndarray) -> float:
@@ -152,20 +152,23 @@ def newton_kleinman_iterates(dyn: OutputDynamics, Q: np.ndarray) -> Iterator[np.
         yield P
 
 
-def solve_care(dyn: OutputDynamics, Q: np.ndarray) -> np.ndarray:
+def solve_care(dyn: OutputDynamics, Q: np.ndarray, spectra: dict | None = None) -> np.ndarray:
     """Solve the CARE for (F, G) and SPD Q; returns the stabilizing P.
 
     Iterates past RESIDUAL_TOL down to the round-off floor: the
     epsilon-scaled identity downstream amplifies this residual by up to
     1/eps^3, so the solve must be as exact as the arithmetic allows.
     Raises ValueError for a non-SPD Q, and CareSolveError on overflow or on
-    non-convergence within NK_MAX_ITER iterations.
+    non-convergence within NK_MAX_ITER iterations.  A `spectra` dict
+    receives what the checks took on the way, ``sym_eig``'s eigenvalues of
+    P and Q ("P", "Q") and P's CARE residual ("residual").
     """
     Q = np.asarray(Q, dtype=float)
     n = dyn.dims.n_eta
     if Q.shape != (n, n):
         raise ValueError(f"Q has shape {Q.shape}, expected ({n}, {n})")
-    if not is_spd(Q):
+    w_q = _spd_eigenvalues(Q)
+    if w_q is None:
         raise ValueError("Q must be symmetric positive definite")
     prev_res = np.inf
     try:
@@ -179,8 +182,11 @@ def solve_care(dyn: OutputDynamics, Q: np.ndarray) -> np.ndarray:
                     cl_eigs = np.linalg.eigvals(dyn.F - dyn.G @ dyn.G.T @ P)
                     if np.max(cl_eigs.real) >= 0.0:
                         raise CareSolveError("converged P is not stabilizing")
-                    if not is_spd(P):
+                    w_p = _spd_eigenvalues(P)
+                    if w_p is None:
                         raise CareSolveError("converged P is not positive definite")
+                    if spectra is not None:
+                        spectra.update(P=w_p, Q=w_q, residual=res)
                     return P
     except FloatingPointError as exc:
         raise CareSolveError(f"Newton-Kleinman left the double range ({exc})") from exc
@@ -262,12 +268,10 @@ def certificate(dyn: OutputDynamics, Q: np.ndarray, eps: float) -> ResClfCertifi
     gamma > 0, and gamma*P <= Q up to 1e-12 eigenvalue slack.
     """
     Q = np.asarray(Q, dtype=float)
-    P = solve_care(dyn, Q)
+    P = solve_care(dyn, Q, spectra := {})
+    w_p, w_q, res = spectra["P"], spectra["Q"], spectra["residual"]
     M, P_eps, Q_eps = scale_epsilon(P, Q, dyn.dims, eps)
-    w_p, _ = sym_eig(P)
-    w_q, _ = sym_eig(Q)
     gamma = float(w_q[0] / w_p[-1])
-    res = care_residual(dyn, P, Q)
     res_eps = scaled_care_residual(dyn, P_eps, Q_eps, eps)
     for name, value in (("CARE residual", res), ("eps-scaled CARE residual", res_eps)):
         if value > RESIDUAL_TOL:

@@ -8,26 +8,16 @@ under stage sampling for every signal kind shipped here.
 
 The stage times are the accumulated node times t_i (t_0 = 0, t_{i+1} =
 t_i + dt, the same float sums RK4's last stage makes) and t_i + dt/2.  Each
-loop's exogenous input is tabled at both, CHUNK steps at a time, before
-those steps are taken, and one stepping loop hands it to the field as a
-stage input, f(t, x, u):
+loop's exogenous input, the Hopf d or the mech phase error e, is tabled at
+both, CHUNK steps at a time, and handed to the field as a stage input,
+f(t, x, u).  A lone mech state and a batch of Hopf runs of any size step
+as flat lists of Python floats, inputs included, through ``rk4_step``'s
+generated list step.
 
-* the Hopf loops' d, placed once in state coordinates (G d, see
-  ``DisturbedClosedLoop.place``), so a stage adds its row as it is;
-* the mech loop's phase error e, as Python floats, which the field adds
-  to the phase as it is.
-
-A lone mech state steps as a list of four Python floats, which skip
-numpy's per-call cost: ``rk4_step`` makes its array formula's IEEE
-operations entry by entry, the field (the loop's stage on floats) gives
-a list, and the integrator writes each step's list into its state array,
-where the finiteness checks and the record read it.
-
-A record reads the node rows of that table (d before placement, or e),
-which are the inputs that each step's first stage applied, so its d and
-mu are those of each step's first stage; a mech record runs the loop's
-one stage function, ``MechClosedLoop.stage``, on columns.  The record's
-t column prints the grid i*dt.
+A record reads the node rows of that table, the inputs that each step's
+first stage applied, and runs the loop's stage on columns, so its d, mu
+and u_s are those of each step's first stage.  Its t column prints the
+grid i*dt.
 """
 
 from __future__ import annotations
@@ -38,22 +28,15 @@ from typing import Callable
 
 import numpy as np
 
-from .clf import clf_operator, lie_terms, matvec, min_norm_mu, state_forms
+from .clf import matvec, min_norm_mu, vecdot
 from .disturbance import DisturbanceTable
-from .plants import DisturbedClosedLoop, MechClosedLoop, orbit_distance, vz_value
+from .plants import (DisturbedClosedLoop, MechClosedLoop, compile_function, orbit_distance,
+                     vz_value)
 
 MAX_STEPS = 10_000_000
 #: steps whose stage-time disturbance is tabled at once and whose states are
 #: checked for finiteness at once, and samples recorded at once
 CHUNK = 500
-#: RK4's stage weight 2, a 0-d array as ``rk4_step``'s other multipliers
-_TWO = np.array(2.0)
-
-
-@functools.lru_cache(maxsize=16)
-def _stage_multipliers(dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """dt/2, dt and dt/6 as 0-d arrays, built once per step size."""
-    return np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
 
 
 class SimulationError(RuntimeError):
@@ -94,53 +77,53 @@ def rk4_step(f: Callable[..., np.ndarray], t: float, y: np.ndarray | list, dt: f
 
     With inputs = (u(t), u(t + dt/2), u(t + dt)), an exogenous input tabled
     at the stage times, the field is called as f(t, y, u); without, as
-    f(t, y).  An array y steps with 0-d stage multipliers, built once per
-    dt, which numpy combines with a small array faster than Python floats.
-    A list y (a lone mech state, four Python floats) steps entry by entry,
-    written out, and f gives a list too.  Both make the same IEEE
-    operations: y + h k for each stage, and y + (dt/6) (k1 + 2 k2 + 2 k3 +
-    k4), summed left to right.
+    f(t, y).  A list y of Python floats, as ``integrate`` steps, goes
+    through a step written out once per list length (``_list_step``), and f
+    gives a list; an array y steps as an array.  Both make the same IEEE
+    operations: y + h k per stage, y + (dt/6) (k1 + 2 k2 + 2 k3 + k4).
     """
     if inputs is None:  # f(t, y) takes no input
         field, inputs = f, (None,) * 3
         f = lambda s, x, _: field(s, x)
     u0, uh, u1 = inputs
-    t_half = t + 0.5 * dt
-    if isinstance(y, list):  # a lone mech state, written out entry by entry
-        half, sixth = 0.5 * dt, dt / 6.0
-        y0, y1, y2, y3 = y
-        a0, a1, a2, a3 = f(t, y, u0)
-        b0, b1, b2, b3 = f(t_half, [y0 + half * a0, y1 + half * a1, y2 + half * a2,
-                                    y3 + half * a3], uh)
-        c0, c1, c2, c3 = f(t_half, [y0 + half * b0, y1 + half * b1, y2 + half * b2,
-                                    y3 + half * b3], uh)
-        d0, d1, d2, d3 = f(t + dt, [y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3], u1)
-        return [y0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-                y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-                y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)]
-    half, whole, sixth = _stage_multipliers(dt)
+    t_half, half, sixth = t + 0.5 * dt, 0.5 * dt, dt / 6.0
+    if isinstance(y, list):
+        return _list_step(len(y))(f, t, t_half, t + dt, y, dt, half, sixth, u0, uh, u1)
+    # 0-d multipliers, so that a field that gives a list steps as an array too
+    half, whole, sixth, two = map(np.array, (half, dt, sixth, 2.0))
     k1 = f(t, y, u0)
     k2 = f(t_half, y + half * k1, uh)
     k3 = f(t_half, y + half * k2, uh)
     k4 = f(t + dt, y + whole * k3, u1)
-    return y + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4)
+    return y + sixth * (k1 + two * k2 + two * k3 + k4)
+
+
+@functools.lru_cache(maxsize=64)
+def _list_step(size: int) -> Callable:
+    """``rk4_step``'s straight-line step for a list of `size` Python floats, built once per size."""
+    def stage(h, k):
+        return "[" + ", ".join(f"y{i} + {h} * {k}{i}" for i in range(size)) + "]"
+
+    body = [f"{', '.join(f'{s}{i}' for i in range(size))}, = {call}" for s, call in (
+        ("y", "y"), ("a", "f(t, y, u0)"), ("b", f"f(t_half, {stage('half', 'a')}, uh)"),
+        ("c", f"f(t_half, {stage('half', 'b')}, uh)"), ("d", f"f(t_end, {stage('dt', 'c')}, u1)"))]
+    body.append("return [" + ", ".join(f"y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
+                                       for i in range(size)) + "]")
+    signature = "step(f, t, t_half, t_end, y, dt, half, sixth, u0, uh, u1)"
+    return compile_function(signature, body, f"<rk4 step, {size} floats>")
 
 
 def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
               dt: float = 1e-3) -> TrajectoryRecord | list[TrajectoryRecord]:
     """Integrate a closed loop from x0 over [0, T] and record everything.
 
-    x0 is the flat state: (eta, z) concatenated for the Hopf loop, the
-    mechanical state x for the mech loop.  A sequence of B Hopf loops that
-    share plant, certificate, controller and eps_bar (their signals and
-    sigmas may differ) integrates as one batch from x0 of shape
-    (B, state_dim) and returns one record per loop; a single Hopf loop is
-    a batch of one, and each run's record is the same bit for bit whatever
-    batch it sits in.  Raises SimulationError with the run index, the
-    offending time and the state if a state leaves the finite range; the
-    states are checked once per CHUNK steps, and the first non-finite one
-    is named even if a field call on its successors raised first.
+    x0 is the flat state: (eta, z) for the Hopf loop, x for the mech loop.
+    B Hopf loops that share plant, certificate, controller and eps_bar
+    integrate as one batch from x0 (B, state_dim), one record per loop,
+    each bitwise the run alone.  A state that leaves the finite range raises
+    SimulationError with the run, the time and the state; states are checked
+    once per CHUNK steps, and the first non-finite one is named even if a
+    field call on its successors raised first.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -161,25 +144,23 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
 
     # the node times 0, dt, 2 dt, ... summed in order
     nodes = np.add.accumulate(np.concatenate([[0.0], np.full(n_steps, dt)]))
-    # each loop's exogenous input at an array of times, and its stage form:
-    # the Hopf d placed through G, the mech phase error e as Python floats
+    # each loop's exogenous input at an array of times, and its stage form: one
+    # flat list of Python floats per time, as the state steps
     if isinstance(closed_loop, MechClosedLoop):
-        loop = closed_loop
-        sample, place = loop.phase_error, np.ndarray.tolist
+        loop, sample, form = closed_loop, closed_loop.phase_error, np.ndarray.tolist
         recorded = np.empty(n_steps + 1)  # e at the node times
     else:
         loop = _shared_hopf_loop(loops)
         sample = DisturbanceTable([lp.signal for lp in loops], loop.plant.dims.n_mu, T)
-        place = loop.place
         x0 = x0.reshape(len(loops), -1)
+        form = lambda u: u.reshape(len(u), -1).tolist()
         recorded = np.empty((n_steps + 1,) + sample.shape)  # d at the node times
 
     f = loop.field
-    states = np.empty((n_steps + 1,) + x0.shape)
-    states[0] = x0
-    # the state that each step starts from: a lone mech state as a list of
-    # Python floats (see rk4_step), a Hopf batch as its array
-    y = x0.tolist() if isinstance(loop, MechClosedLoop) else x0
+    # the state that each step starts from, and every step's state as it steps
+    flat = np.empty((n_steps + 1, x0.size))
+    flat[0] = y = x0.ravel().tolist()
+    states = flat.reshape((n_steps + 1,) + x0.shape)
     # a state that overflows ends the run below, with a diagnosis; numpy's
     # warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -189,11 +170,11 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
                 k = min(CHUNK, n_steps - i)
                 clock = nodes[i:i + k].tolist()  # each step starts at its node
                 recorded[i:i + k + 1] = sample(nodes[i:i + k + 1])
-                u_node = place(recorded[i:i + k + 1])
-                u_half = place(sample(nodes[i:i + k] + 0.5 * dt))
+                u_node = form(recorded[i:i + k + 1])
+                u_half = form(sample(nodes[i:i + k] + 0.5 * dt))
             inputs = (u_node[j], u_half[j], u_node[j + 1])
             try:
-                y = states[i + 1] = rk4_step(f, clock[j], y, dt, inputs)
+                y = flat[i + 1] = rk4_step(f, clock[j], y, dt, inputs)
             except Exception:
                 # a state of this chunk that left the finite range is the diagnosis,
                 # whatever its non-finite successors then raised
@@ -240,31 +221,25 @@ def _record_hopf(loops, d: np.ndarray, ts: np.ndarray,
                  states: np.ndarray) -> list[TrajectoryRecord]:
     """Traces of every run at once; states has shape (samples, B, state_dim).
 
-    d holds the disturbance rows that stepping applied at the sample times.
-    mu and u_s are read back from the operator and law calls stepping makes:
-    mu as the law's gain times the operator's psi1 rows, u_s from L's rows
-    on G (F is zero there).  V_eps comes from ``clf_operator``'s rows on
-    eta, as ``evaluate_clf`` gives it.
+    d holds the disturbance rows that stepping applied at the sample times;
+    the loop's stage on columns gives the mu and u_s that stepping applied,
+    bit for bit, and V_eps is ``evaluate_clf``'s.
     """
     loop = loops[0]
-    plant, cert, g = loop.plant, loop.cert, loop.g_rows
+    plant, cert, stage = loop.plant, loop.cert, loop.columns
     S, B, w = states.shape
     n, m = plant.dims.n_eta, plant.dims.n_mu
-    W = clf_operator(cert, plant.dyn)
     eta, z = states[..., :n], states[..., n:]
     mu, us, v_eps = np.empty((S, B, m)), np.zeros((S, B, m)), np.empty((S, B))
-    # CHUNK samples at a time: the operator's rows of the whole trace would
-    # be the largest array of a run
+    # CHUNK samples at a time, which bounds the size of the stage's columns
     for a in range(0, S, CHUNK):
-        x = states[a:a + CHUNK].reshape(-1, w)  # one row per (sample, run)
-        rows = matvec(loop.operator, x)
-        forms = state_forms(rows.reshape(-1, 6, w))
-        gains = min_norm_mu(forms[:, 1], forms[:, 0])
-        mu[a:a + CHUNK] = (gains[:, None] * rows[:, w + g]).reshape(-1, B, m)
-        if loop.damped:
-            us[a:a + CHUNK] = rows[:, g].reshape(-1, B, m)
+        x = np.ascontiguousarray(states[a:a + CHUNK].reshape(-1, w).T)  # (sample, run) entries
+        _, mu_a, us_a = stage(x, d[a:a + CHUNK].reshape(-1, m).T, min_norm_mu)
+        mu[a:a + CHUNK] = np.array(mu_a).T.reshape(-1, B, m)
+        if us_a:
+            us[a:a + CHUNK] = np.array(us_a).T.reshape(-1, B, m)
         e = eta[a:a + CHUNK].reshape(-1, n)
-        v_eps[a:a + CHUNK] = lie_terms(cert, e, matvec(W, e))[0].reshape(-1, B)
+        v_eps[a:a + CHUNK] = vecdot(e, matvec(cert.P_eps, e), np.longdouble).reshape(-1, B)
     v_z = vz_value(eta[..., :plant.dims.k1], z, plant)
     dist = orbit_distance(eta, z, plant)
     v_c = np.array([lp.sigma for lp in loops]) * v_z + v_eps
@@ -285,11 +260,9 @@ def _record_mech(loop: MechClosedLoop, ts: np.ndarray, e: np.ndarray,
                  states: np.ndarray) -> TrajectoryRecord:
     """Traces of the mech run, every sample at once; states has shape (samples, 4).
 
-    e holds the phase error that stepping applied at the node times, so d
-    and mu are those of each step's first stage; ts is the printed grid.
-    The loop's stage runs on the columns twice: at e, for mu and the
-    feedforward there, and at e = -0.0, the true phase, for eta and the
-    feedforward that d is measured from.
+    e holds the phase error that stepping applied at the node times.  The
+    loop's stage runs on the columns at e, for mu and the feedforward there,
+    and at e = -0.0, the true phase, for eta and the feedforward d is from.
     """
     plant, cert = loop.plant, loop.cert
     n = len(ts)
@@ -299,7 +272,7 @@ def _record_mech(loop: MechClosedLoop, ts: np.ndarray, e: np.ndarray,
     eta, mu = np.array(eta).T, np.array(mu).T
     # (u1_hat - u1, u2_hat - u2) at mu = 0, where u1 = 0; u1 is a mu channel only when k1 = 1
     d = np.array([np.zeros(n), ff_hat - ff]).T[:, 2 - plant.dims.n_mu:]
-    v_eps = lie_terms(cert, eta, matvec(loop.operator, eta))[0]
+    v_eps = vecdot(eta, matvec(cert.P_eps, eta), np.longdouble)
     nan = np.full(n, np.nan)
     meta = {
         "kind": "mech", "k1": plant.dims.k1, "k2": plant.dims.k2,

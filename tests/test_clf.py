@@ -75,7 +75,11 @@ def test_min_norm_hand_value(cert01_e1, dyn01):
 
 
 def test_min_norm_substitution_oracle(cert01_e01, dyn01):
-    # direct substitution: the returned mu satisfies the set inequality
+    # direct substitution: the returned mu satisfies the set inequality.
+    # The first loop's absolute 1e-12 is about one ulp of terms up to 7e3 and
+    # holds because evaluate_clf sums V_eps and LF_V in np.longdouble (80-bit
+    # on x86-64 Linux); where np.longdouble is plain double (Windows, Apple
+    # arm64) double sums give a slack of 1.82e-12 on this seed and it fails
     rng = np.random.default_rng(1)
     for _ in range(1000):
         eta = rng.normal(size=2)
@@ -301,6 +305,38 @@ def test_min_norm_on_two_floats_equals_the_0d_call(psi0, denom):
         return
     assert type(got) is np.ndarray and got.shape == () and got.dtype == float
     assert got.tobytes() == want.tobytes()
+
+
+_LAW_FLOAT = st.one_of(st.floats(), st.sampled_from(_LAW_ODD))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_LAW_FLOAT, _LAW_FLOAT), min_size=1, max_size=clf.SCALAR_ROWS + 3))
+def test_min_norm_on_tuples_equals_the_array_call(rows):
+    # B rows given as two tuples of Python floats, as a generated Hopf stage
+    # calls the law: the (B,) ndarray of the array call, bit for bit, or the
+    # same ClfConsistencyError text naming the same row.  Beyond SCALAR_ROWS
+    # the array call runs whole-array operations, where only a NaN's sign may
+    # differ
+    psi0, denom = (tuple(column) for column in zip(*rows))
+    got, want = _law_or_error(psi0, denom), _law_or_error(np.array(psi0), np.array(denom))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert type(got) is np.ndarray and got.shape == (len(rows),) and got.dtype == float
+    if len(rows) <= clf.SCALAR_ROWS:
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = np.where(np.isnan(got), 1.0, got), np.where(np.isnan(want), 1.0, want)
+    assert finite[0].tobytes() == finite[1].tobytes()
+
+
+@pytest.mark.parametrize("psi0, denom", [((0.5, 1.0), (1.0,)), ((0.5,), np.ones(1)),
+                                         (np.ones(1), (0.5,)), ((0.5,), 0.5)])
+def test_min_norm_rejects_tuples_of_other_lengths_or_kinds(psi0, denom):
+    # two tuples of one length are a batch; a tuple beside an array or a float is no law
+    with pytest.raises(ValueError, match="psi0 and \\|\\|psi1\\|\\|\\^2 have shapes"):
+        oc.min_norm_mu(psi0, denom)
 
 
 @pytest.mark.parametrize("psi0, denom", [(0.5, np.ones(1)), (np.ones(1), 0.5)])

@@ -372,16 +372,18 @@ MECH_K1_0 = ["k1=0", "plant.kind=mech", "disturbance.kind=phase_error_driven",
 def test_mech_k1_0_drops_the_velocity_output(tmp_path):
     # k1 alone picks the mech velocity output: the k1 = 0 run needs no
     # plant.v_d and writes the data rows and summary payload (their content
-    # hashes) that the spelling "k1=0 plant.v_d=null" wrote before k1 did
+    # hashes) that the spelling "k1=0 plant.v_d=null" wrote before k1 did,
+    # but for V_eps, whose sums no longer go through BLAS (its column and
+    # max_v_eps moved in the last bit; eta, z and d did not)
     assert run(["simulate", "--out", str(tmp_path)]
                + [a for o in MECH_K1_0 for a in ("--override", o)]) == 0
     csv = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert csv[3] == "t,eta_0,eta_1,z_0,z_1,d_0,V_eps,V_Z,V_c,dist"
     assert csv[2] == ("# content_hash="
-                      "3225ed893ef028c85c5f0ce4945fcaecc7043de3e1b7ac23ebfa56123ec72fd5")
+                      "a0d02f80c22e2c0232baeec1ac07343284876dbda7cbd5a31aa9ac87321e96db")
     summary = _strict_json(tmp_path / "summary.json")
     assert summary["content_hash"] == (
-        "e9de9af7bb3036c22aa1d889a00cc77128a13457b1403bc62598c9fdd33163ba")
+        "7812a31b6c058f04b042632bcde8ddafc1af1d0172905a7155550ed5753d4c49")
 
 
 @pytest.mark.parametrize("override, message", [

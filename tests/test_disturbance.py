@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,7 +103,13 @@ def _block_vector_reference(sig: DisturbanceSignal, block: int) -> np.ndarray:
         return (x >> 11) / float(1 << 53)
 
     raw = np.array([2.0 * unit01(j) - 1.0 for j in range(sig.dim)])
-    nrm = float(np.linalg.norm(raw))
+    # |raw|^2 summed left to right from the first square, in Python floats: the
+    # table's operations, which no BLAS kernel changes
+    squares = [v * v for v in raw.tolist()]
+    total = squares[0]
+    for sq in squares[1:]:
+        total += sq
+    nrm = math.sqrt(total)
     if nrm < 1e-12:
         return sig.amplitude * np.eye(sig.dim)[0]
     return (sig.amplitude / nrm) * raw

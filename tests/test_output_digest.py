@@ -36,3 +36,24 @@ def test_output_digest_against_prints_only_the_differences(tmp_path):
     lines = proc.stdout.splitlines()
     assert proc.returncode == 1, proc.stderr
     assert "- mech_k1_0/exit 1" in lines and "+ mech_k1_0/exit 0" in lines, lines
+
+
+def test_output_digest_env_applies_to_the_checkout_only():
+    # --env sets its variables in CHECKOUT's case processes only: a Python home
+    # that does not exist stops CHECKOUT's interpreter, while OTHER (the same
+    # tree) runs as usual, so the exit codes differ
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"),
+                           "--case", "mech_k1_0", "--against", str(ROOT),
+                           "--env", "PYTHONHOME=/nonexistent", "--env", "LC_ALL=C"],
+                          capture_output=True, text=True, timeout=300)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert "- mech_k1_0/exit 0" in lines and "+ mech_k1_0/exit 0" not in lines, lines
+    # under another BLAS kernel the mech run writes the same bytes
+    assert _digest("--case", "mech_k1_0", "--against", str(ROOT),
+                   "--env", "OPENBLAS_CORETYPE=Prescott") == []
+    for bad in ("OPENBLAS_CORETYPE", "=Prescott"):
+        proc = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"),
+                               "--case", "mech_k1_0", "--env", bad],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2 and "KEY=VALUE" in proc.stderr, proc.stderr

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitclf as oc
-from orbitclf import plants
+from orbitclf import clf, plants
 from orbitclf.clf import SCALAR_ROWS
 from orbitclf.plants import check_phases, mech_feedforward, pzd_distance
 
@@ -698,60 +698,167 @@ BATCH_SIZES = (1, 2, 5, 8, SCALAR_ROWS, SCALAR_ROWS + 1, 32)
 
 
 def _batches_and_lone_states(loop, X, D):
-    """The field on the first B rows for every B in BATCH_SIZES, and on each row alone."""
-    Gd = loop.place(D)
-    batches = [loop.field(0.0, X[:B], Gd[:B]) for B in BATCH_SIZES]
-    return batches, [loop.field(0.0, x, d) for x, d in zip(X, Gd)]
+    """The field on the first B rows for every B in BATCH_SIZES, and on each row alone.
+
+    Each batch also goes in as the flat lists of Python floats that
+    integrate steps, which must give the array's bytes as a list.
+    """
+    batches = [loop.field(0.0, X[:B], D[:B]) for B in BATCH_SIZES]
+    for B, out in zip(BATCH_SIZES, batches):
+        flat = loop.field(0.0, X[:B].ravel().tolist(), D[:B].ravel().tolist())
+        assert type(flat) is list and np.array(flat).tobytes() == out.tobytes(), B
+    return batches, [loop.field(0.0, x, d) for x, d in zip(X, D)]
 
 
 @pytest.mark.parametrize("k1, k2", HOPF_DIMS)
 @pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
 def test_hopf_field_places_f_eta_plus_g_v(k1, k2, controller):
-    # the field is L x + G mu + G d, plus lh (r0^2 - |z|^2) z on the z rows,
-    # bitwise: one matvec of the state operator [L; Psi; M; Q; I; Z] gives L x
-    # and the law's rows, one vecdot gives ||psi1||^2, psi0 and |z|^2 as the
-    # plain dot products, the law gives each row's gain k with G mu = k Psi x,
-    # and d comes placed; G mu, G d and the damping sit on G's rows only, and
-    # F is zero there.  Every batch size and a lone state give the same bytes
+    # the field is F eta + G(u_s + k psi1 + d) on eta and C eta + (-w z2, w z1)
+    # + lh (r0^2 - |z|^2) z on z, bitwise as these numpy sums make it: psi1
+    # and M eta from the laws' operator rows by matvec, psi0 = eta . M eta and
+    # ||psi1||^2 by vecdot, one law call, u_s = damping_gain psi1, every sum
+    # left to right as the generated stage sums (the zero coefficients that
+    # it skips add only exact zeros on data without zeros).  G places v on
+    # its rows only, and F is zero there.  Every batch size, the flat lists
+    # and a lone state give the same bytes
     loop, X, D = _hopf_loop_and_inputs(k1, k2, controller)
     plant, cert = loop.plant, loop.cert
-    n, m, g = plant.dims.n_eta, plant.dims.n_mu, loop.g_rows
-    w = n + 2
-    off = np.setdiff1d(np.arange(w), g)
-    Gd = loop.place(D)
-    assert np.array_equal(Gd[:, g], D) and not Gd[:, off].any()
-    assert np.array_equal(Gd[:, :n], oc.matvec(plant.dyn.G, D))
-    L, Psi, M, Q, I, Z = loop.operator.reshape(6, w, w)
+    n, m, G, F, C = plant.dims.n_eta, plant.dims.n_mu, plant.dyn.G, plant.dyn.F, plant.coupling
+    g = G.argmax(axis=0)
+    assert np.array_equal(G[g, np.arange(m)], np.ones(m)) and np.count_nonzero(G) == m
+    assert not F[g].any()
     W = oc.clf_operator(cert, plant.dyn)
-    assert np.array_equal(Psi[g, :n], W[2 * n:2 * n + m]) and not Psi[off].any()
-    assert not Psi[:, n:].any()
-    assert np.array_equal(M[:n, :n], W[2 * n + m:]) and not M[n:].any() and not M[:, n:].any()
-    assert np.array_equal(Z, np.diag([0.0] * n + [1.0, 1.0]))
-    assert np.array_equal(Q, Psi + Z) and np.array_equal(I, np.eye(w))
-    F_rows = np.setdiff1d(np.arange(n), g)
-    assert not plant.dyn.F[g].any()
-    assert np.array_equal(L[F_rows, :n], plant.dyn.F[F_rows]) and not L[F_rows, n:].any()
-    assert np.array_equal(L[n:], np.hstack([plant.coupling, [[0.0, -plant.omega],
-                                                             [plant.omega, 0.0]]]))
-    K = oc.u_s_damping(cert, W.T, loop.eps_bar).T if loop.damped else 0.0
-    assert np.array_equal(L[g, :n], np.zeros((len(g), n)) + K) and not L[g, n:].any()
-    rows = oc.matvec(loop.operator, X)
-    blocks = rows.reshape(-1, 6, w)
-    psi1, Mx, z = blocks[:, 1], blocks[:, 2], X[:, n:]
-    forms = oc.state_forms(blocks)
-    assert forms.tobytes() == np.stack([np.vecdot(psi1, psi1), np.vecdot(X, Mx),
-                                        np.vecdot(z, z)], axis=-1).tobytes()
-    gains = oc.min_norm_mu(np.vecdot(X, Mx), np.vecdot(psi1, psi1))
+    eta, z = X[:, :n], X[:, n:]
+    psi1 = oc.matvec(W[2 * n:2 * n + m], eta)
+    gains = oc.min_norm_mu(clf.vecdot(eta, oc.matvec(W[2 * n + m:], eta)), clf.vecdot(psi1, psi1))
     # both branches (k2 = 0: psi0 > 0 off the origin)
     assert gains.shape == (32,) and gains.any() and (not gains.all() or k2 == 0)
-    Gmu = gains[:, None] * psi1
-    assert not Gmu[:, off].any() and Gmu[:, g].any()
-    want = blocks[:, 0] + Gmu + Gd
-    want[:, n:] += (plant.lambda_h * (plant.r0 ** 2 - np.vecdot(z, z)))[:, None] * z
+    v = gains[:, None] * psi1
+    if loop.damped:
+        v = clf.damping_gain(loop.eps_bar) * psi1 + v
+    want = np.empty_like(X)
+    want[:, :n] = oc.matvec(F, eta)
+    want[:, g] = v + D
+    radial = plant.lambda_h * (plant.r0 ** 2 - (z[:, 0] * z[:, 0] + z[:, 1] * z[:, 1]))
+    want[:, n] = oc.matvec(C[:1], eta)[:, 0] + -plant.omega * z[:, 1] + radial * z[:, 0]
+    want[:, n + 1] = oc.matvec(C[1:], eta)[:, 0] + plant.omega * z[:, 0] + radial * z[:, 1]
     batches, lone = _batches_and_lone_states(loop, X, D)
     for B, out in zip(BATCH_SIZES, batches):
-        assert out.shape == (B, w) and out.tobytes() == want[:B].tobytes(), B
-    assert all(x.shape == (w,) and x.tobytes() == y.tobytes() for x, y in zip(lone, want))
+        assert out.shape == (B, n + 2) and out.tobytes() == want[:B].tobytes(), B
+    assert all(x.shape == (n + 2,) and x.tobytes() == y.tobytes() for x, y in zip(lone, want))
+
+
+def test_hopf_stage_takes_one_loop_per_row():
+    # the generator writes each row from its own loop, so rows under other
+    # certificates, controllers, damping and dims share one stage and one
+    # law call, and each row is bitwise its own loop's field
+    rng = np.random.default_rng(12)
+    loops, X, D = [], [], []
+    for k1, k2, eps, controller in [(1, 2, 0.1, "min_norm_plus_us"), (1, 2, 0.3, "min_norm"),
+                                    (0, 1, 0.2, "min_norm_plus_us")]:
+        dims = oc.OutputDims(k1, k2)
+        plant = oc.HopfPlant(dims=dims)
+        cert = oc.certificate(plant.dyn, _spd(rng, dims.n_eta), eps)
+        loops.append(oc.DisturbedClosedLoop(plant=plant, cert=cert, controller=controller))
+        X.append(rng.normal(size=dims.n_eta + 2))
+        D.append(0.1 * rng.normal(size=dims.n_mu))
+    calls = []
+    law = lambda psi0, denom: calls.append(psi0) or oc.min_norm_mu(psi0, denom)
+    got = plants._hopf_stage(loops, False)(np.concatenate(X).tolist(), np.concatenate(D).tolist(),
+                                           law)
+    assert len(calls) == 1 and len(calls[0]) == 3
+    want = np.concatenate([loop.field(0.0, x, d) for loop, x, d in zip(loops, X, D)])
+    assert np.array(got).tobytes() == want.tobytes()
+
+
+def test_hopf_field_rejects_a_flat_state_of_partial_rows():
+    # a flat list is whole rows of state_dim floats; anything else is named
+    loop, X, D = _hopf_loop_and_inputs(1, 2, "min_norm")
+    for size in (0, 6, 8):
+        with pytest.raises(ValueError, match=f"{size} floats are not whole rows of 7"):
+            loop.field(0.0, [0.1] * size, D[:1].ravel().tolist())
+    assert len(loop.field(0.0, X[:2].ravel().tolist(), D[:2].ravel().tolist())) == 14
+
+
+def _six_block_field(loop, X, D):
+    """The Hopf field by one BLAS matvec of a six-block state operator: the stage's oracle.
+
+    This is the formulation that the generated stage replaced.  W_x = [L;
+    Psi; M; Q; I; Z] on the state x, with L the linear field (F, the damping
+    K on G's rows, C and the rotation), Psi = G 2 G'P_eps and M the law's
+    blocks, Z selecting z and Q = Psi + Z; two stacked views of its rows meet
+    in one vecdot: Psi x . Q x = ||psi1||^2, M x . x = psi0, Q x . Z x = |z|^2;
+    then dx = L x + c Q x + G d with c = k on eta and lh (r0^2 - |z|^2) on z.
+    Returns dx and the same sums over absolute values, the scale of the
+    rounding: L x's, psi1's, psi0's and |z|^2's terms.
+    """
+    plant, cert = loop.plant, loop.cert
+    n, m = plant.dims.n_eta, plant.dims.n_mu
+    w = n + 2
+    W = oc.clf_operator(cert, plant.dyn)
+    g = plant.dyn.G.argmax(axis=0)
+    L, Psi, M, Z = np.zeros((4, w, w))
+    L[:n, :n] = plant.dyn.F
+    if loop.damped:
+        L[g, :n] = oc.u_s_damping(cert, W.T, loop.eps_bar).T
+    L[n:, :n] = plant.coupling
+    L[n:, n:] = [[0.0, -plant.omega], [plant.omega, 0.0]]
+    Psi[g, :n] = W[2 * n:2 * n + m]
+    M[:n, :n] = W[2 * n + m:]
+    Z[n:, n:] = np.eye(2)
+    op = np.vstack([L, Psi, M, Psi + Z, np.eye(w), Z])
+    rows, abs_rows = ((A @ x[..., None])[..., 0].reshape(-1, 6, w)
+                      for A, x in ((op, X), (np.abs(op), np.abs(X))))
+    forms = np.vecdot(rows[:, 1:4], rows[:, 3:])
+    gains = oc.min_norm_mu(forms[:, 1], forms[:, 0])
+    lh, r0_sq = plant.lambda_h, plant.r0 ** 2
+    coef = np.where(np.arange(w) < n, gains[:, None], lh * (r0_sq - forms[:, 2])[:, None])
+    Gd = np.zeros_like(X)
+    Gd[:, g] = D
+    return rows[:, 0] + coef * rows[:, 3] + Gd, forms, abs_rows, np.vecdot(abs_rows[:, 1:4],
+                                                                            abs_rows[:, 3:])
+
+
+def _spd(rng, n):
+    """A dense SPD Q with eigenvalues in [0.5, 2] and a random eigenbasis."""
+    R, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    Q = (R * rng.uniform(0.5, 2.0, n)) @ R.T
+    return 0.5 * (Q + Q.T)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from([0, 1, 2]), st.sampled_from([1, 2, 3]),
+       st.sampled_from(["min_norm", "min_norm_plus_us"]), st.sampled_from([1, 2, 5, 16, 17]),
+       st.sampled_from([0.1, 0.3, 1.0]), st.integers(0, 2**32 - 1), st.integers(-3, 3))
+def test_hopf_stage_matches_the_six_block_reference(k1, k2, controller, B, eps, seed, scale):
+    # the generated stage against the six-block numpy formulation: each entry
+    # within 1e-14 of the rounding scale (the terms' absolute sums, as the
+    # mech law_forms oracle bounds them; k = -psi0/||psi1||^2 moves by at
+    # most (|d psi0| + |k| |d ||psi1||^2|) / ||psi1||^2).  The batch on
+    # columns, the rows as one flat list of Python floats and each row
+    # alone are the same bytes
+    rng = np.random.default_rng(seed)
+    dims = oc.OutputDims(k1, k2)
+    plant = oc.HopfPlant(dims=dims, omega=rng.uniform(0.5, 2.0), lambda_h=rng.uniform(0.5, 2.0),
+                         r0=rng.uniform(0.5, 2.0), coupling=rng.normal(size=(2, dims.n_eta)))
+    cert = oc.certificate(plant.dyn, _spd(rng, dims.n_eta), eps)
+    loop = oc.DisturbedClosedLoop(plant=plant, cert=cert, controller=controller,
+                                  eps_bar=rng.uniform(0.05, 1.0))
+    n, w = dims.n_eta, dims.n_eta + 2
+    X = rng.normal(size=(B, w)) * 10.0 ** rng.uniform(scale - 1, scale + 1, size=(B, 1))
+    D = 0.1 * rng.normal(size=(B, dims.n_mu))
+    got = loop.field(0.0, X, D)
+    want, forms, abs_rows, abs_forms = _six_block_field(loop, X, D)
+    gains = oc.min_norm_mu(forms[:, 1], forms[:, 0])
+    dk = 1e-14 * (abs_forms[:, 1] + np.abs(forms[:, 1]) + np.abs(gains) * forms[:, 0]) / forms[:, 0]
+    dr = 1e-14 * plant.lambda_h * (plant.r0 ** 2 + abs_forms[:, 2])
+    dcoef = np.where(np.arange(w) < n, (dk + 1e-14 * np.abs(gains))[:, None], dr[:, None])
+    tol = 1e-14 * (abs_rows[:, 0] + np.abs(want)) + dcoef * abs_rows[:, 3]
+    assert np.all(np.abs(got - want) <= tol), (got - want, tol)
+    flat = loop.field(0.0, X.ravel().tolist(), D.ravel().tolist())
+    assert np.array(flat).tobytes() == got.tobytes()
+    lone = [loop.field(0.0, x, d) for x, d in zip(X, D)]
+    assert np.array(lone).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("k1, k2", HOPF_DIMS)

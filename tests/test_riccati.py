@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitclf as oc
+from orbitclf import riccati
 from orbitclf.riccati import newton_kleinman_iterates
 
 SQRT3 = np.sqrt(3.0)
@@ -288,6 +289,28 @@ def test_certificate_quadratic_sandwich():
             v = eta @ cert.P_eps @ eta
             n2 = eta @ eta
             assert cert.c1 * n2 - 1e-9 <= v <= cert.c2 / eps**2 * n2 + 1e-9
+
+
+def test_certificate_takes_each_eigendecomposition_and_residual_once(monkeypatch):
+    # the solve's sym_eig of Q and of the returned P, and its CARE residual of
+    # that P, are the certificate's: Q and P are decomposed once each, beside
+    # the gamma P <= Q check's Q - gamma P, and P's residual is taken once.
+    # The solve runs once, looked up by its module name as callers see it
+    dyn = oc.build_fg(oc.OutputDims(1, 2))
+    Q = random_spd(np.random.default_rng(5), 5)
+    decomposed, residuals, solves = [], [], []
+    sym_eig, care_residual, solve_care = riccati.sym_eig, riccati.care_residual, riccati.solve_care
+    monkeypatch.setattr(riccati, "solve_care", lambda *a: solves.append(a) or solve_care(*a))
+    monkeypatch.setattr(riccati, "sym_eig", lambda A: decomposed.append(A) or sym_eig(A))
+    monkeypatch.setattr(riccati, "care_residual",
+                        lambda d, P, Q: residuals.append(P) or care_residual(d, P, Q))
+    cert = oc.certificate(dyn, Q, 0.2)
+    assert [A.tobytes() for A in decomposed] == [
+        Q.tobytes(), cert.P.tobytes(), (Q - cert.gamma * cert.P).tobytes()]
+    assert sum(np.array_equal(P, cert.P) for P in residuals) == 1 and len(solves) == 1
+    assert cert.care_residual == care_residual(dyn, cert.P, Q)
+    assert (cert.c1, cert.c2) == tuple(sym_eig(cert.P)[0][[0, -1]])
+    assert cert.gamma == sym_eig(Q)[0][0] / cert.c2
 
 
 def test_certificate_roundtrip_serialization(cert01_e01):

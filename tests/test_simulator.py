@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import orbitclf as oc
-from orbitclf import cli, plants, simulator
+from orbitclf import cli, clf, plants, simulator
+from orbitclf.clf import SCALAR_ROWS
 
 
 def test_rk4_single_step_linear_decay():
@@ -28,16 +30,16 @@ def _rk4_written_out(f, t, y, dt, inputs=None):
 
 
 def test_rk4_step_equals_the_written_out_formula(mech_plant, mech_cert):
-    # rk4_step's 0-d multipliers make the same IEEE products as Python
-    # floats: byte for byte on a Hopf batch of five (with a placed d) and on
-    # a lone mech state (with a phase error e as floats), at a dt that is not
-    # a power of two.  The mech state steps both as an array and as the list
-    # of Python floats that integrate steps (the field gives a list); the
-    # list's entries are the array formula's bits
+    # rk4_step on arrays makes the written-out formula's IEEE operations,
+    # byte for byte, on a Hopf batch of five (with its d) and on a
+    # lone mech state (with a phase error e as floats), at a dt that is not
+    # a power of two.  Both states also step as the flat lists of Python
+    # floats that integrate steps (the field gives a list); the list's
+    # entries are the array formula's bits
     dt = 1.3e-3
     loops, x0 = _batch_of_five()
     rng = np.random.default_rng(4)
-    inputs = tuple(loops[0].place(0.05 * rng.normal(size=(5, 3))) for _ in range(3))
+    inputs = tuple(0.05 * rng.normal(size=(5, 3)) for _ in range(3))
     mech = oc.MechClosedLoop(plant=mech_plant, cert=mech_cert, signal=None)
     mech_field = lambda t, x, e: np.array(mech.field(t, x, e))
     mech_x = np.array([0.05, mech_plant.y2d(0.05) + 0.04, 1.0, -0.05])
@@ -48,12 +50,67 @@ def test_rk4_step_equals_the_written_out_formula(mech_plant, mech_cert):
             want = _rk4_written_out(f, 0.7 + i * dt, y, dt, u)
             assert got.shape == y.shape and got.tobytes() == want.tobytes()
             y = got
-    y = mech_x.tolist()
-    for i in range(3):
-        want = _rk4_written_out(mech_field, 0.7 + i * dt, np.array(y), dt, mech_e)
-        y = oc.rk4_step(mech.field, 0.7 + i * dt, y, dt, mech_e)
-        assert type(y) is list and [type(v) for v in y] == [float] * 4
-        assert np.array(y).tobytes() == want.tobytes()
+    for field, y, u, f in ((loops[0].field, x0, inputs, loops[0].field),
+                           (mech.field, mech_x, mech_e, mech_field)):
+        flat = y.ravel().tolist()
+        u_flat = tuple(v if isinstance(v, float) else v.ravel().tolist() for v in u)
+        for i in range(3):
+            want = _rk4_written_out(f, 0.7 + i * dt, y, dt, u)
+            flat = oc.rk4_step(field, 0.7 + i * dt, flat, dt, u_flat)
+            assert type(flat) is list and {type(v) for v in flat} == {float}
+            assert np.array(flat).tobytes() == want.ravel().tobytes()
+            y = want
+
+
+def _four_float_step(f, t, y, dt, inputs):
+    """rk4_step's list path as it was written out for four floats: the generated step's oracle."""
+    u0, uh, u1 = inputs
+    t_half = t + 0.5 * dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    y0, y1, y2, y3 = y
+    a0, a1, a2, a3 = f(t, y, u0)
+    b0, b1, b2, b3 = f(t_half, [y0 + half * a0, y1 + half * a1, y2 + half * a2,
+                                y3 + half * a3], uh)
+    c0, c1, c2, c3 = f(t_half, [y0 + half * b0, y1 + half * b1, y2 + half * b2,
+                                y3 + half * b3], uh)
+    d0, d1, d2, d3 = f(t + dt, [y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3], u1)
+    return [y0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+            y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)]
+
+
+def test_generated_four_float_step_equals_the_written_out_step(mech_plant, mech_cert):
+    # the list step generated for four floats is the written-out step, bit
+    # for bit, with the field seeing the same stage states and inputs: on the
+    # lone mech field over a driven run's states, and on a nonlinear field
+    # at odd times, steps and inputs
+    signal = oc.DisturbanceSignal(kind="phase_error_driven", dim=2, amplitude=0.01, frequency=2.0)
+    mech = oc.MechClosedLoop(plant=mech_plant, cert=mech_cert, signal=signal)
+    rec_x = oc.integrate(mech, np.array([0.05, mech_plant.y2d(0.05) + 0.04, 1.0, -0.05]),
+                         T=0.2, dt=1e-3)
+    rng = np.random.default_rng(8)
+
+    def nonlinear(t, x, u):
+        return [math.sin(x[1]) * u - t, x[0] * x[3], -x[2] / (1.0 + x[0] * x[0]), x[1] + u * t]
+
+    states = np.column_stack([rec_x.z[:, 0], rec_x.eta[:, -2] + mech_plant.y2d(0.1),
+                              rec_x.z[:, 1], rec_x.eta[:, -1]])
+    cases = [(mech.field, x.tolist(), 1e-3, tuple(rng.uniform(-0.01, 0.01, 3).tolist()))
+             for x in states[::20]]
+    cases += [(nonlinear, rng.normal(size=4).tolist(), float(dt),
+               tuple(rng.normal(size=3).tolist())) for dt in rng.uniform(1e-4, 0.1, 12)]
+    for f, y, dt, u in cases:
+        seen, want_seen = [], []
+
+        def spy(log):
+            return lambda t, x, e: log.append((t, list(x), e)) or f(t, x, e)
+
+        t = float(rng.uniform(0.0, 3.0))
+        got = oc.rk4_step(spy(seen), t, y, dt, u)
+        want = _four_float_step(spy(want_seen), t, y, dt, u)
+        assert type(got) is list and np.array(got).tobytes() == np.array(want).tobytes()
+        assert repr(seen) == repr(want_seen)
 
 
 def test_orbit_invariance(hopf01, dyn01):
@@ -218,6 +275,22 @@ def test_run_alone_equals_run_in_batch(controller):
 
 
 @pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
+def test_large_batch_equals_lone_runs(controller):
+    # SCALAR_ROWS + 1 runs, more than the law takes on Python floats when
+    # given arrays, step as one flat list (the law gets tuples); each run is
+    # bitwise its lone run
+    loops, x0 = _batch_of_five(controller)
+    B = SCALAR_ROWS + 1
+    loops = [dataclasses.replace(loops[i % 5], sigma=0.1 + 0.01 * i) for i in range(B)]
+    X0 = x0[np.arange(B) % 5] * (1.0 + 0.05 * np.arange(B))[:, None]
+    batch = oc.integrate(loops, X0, T=0.3, dt=1e-3)
+    for loop, x, rec in zip(loops, X0, batch):
+        alone = oc.integrate(loop, x, T=0.3, dt=1e-3)
+        for name in FIELDS:
+            assert np.array_equal(getattr(alone, name), getattr(rec, name)), name
+
+
+@pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
 def test_chunks_change_no_bit(monkeypatch, controller):
     # 100 steps in one chunk and in chunks of 7, the last one partial: the
     # records are bitwise the same, and each run alone equals its batch row
@@ -265,29 +338,32 @@ def test_stage_inputs_equal_per_call_table(monkeypatch, chunk):
     table = oc.DisturbanceTable([lp.signal for lp in loops], 3, 20.0)
     assert len(calls) == 4 * 2000
     for (loop, t, _, d), _ in calls:
-        assert np.array_equal(d, loop.place(table(t))), t
+        assert type(d) is list and np.array(d).tobytes() == table(t).tobytes(), t
 
 
 @pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
 def test_record_shows_what_stepping_applied(monkeypatch, controller):
     # record.d, record.mu and record.u_s at sample i are bitwise the d, mu and
     # u_s of step i's first stage (the last sample: the last step's last
-    # stage): d read back from the placed stage input, mu as the law's gain
-    # times the operator's psi1 rows on G, u_s from the operator's rows on G
+    # stage): d read back from the stage input, mu as that stage's law gain
+    # times psi1 of its state from the laws' operator rows, u_s as the
+    # damping gain times that psi1
     loop = dataclasses.replace(_every_signal_kind(controller)[0][-1], eps_bar=0.5)
     x0 = _batch_of_five()[1][1]
     fields = _recording_calls(monkeypatch, oc.DisturbedClosedLoop, "field")
     mus = _recording_calls(monkeypatch, plants, "min_norm_mu")
-    rows = _recording_calls(monkeypatch, plants, "matvec")
     rec = oc.integrate(loop, x0, T=8.0, dt=1e-3)  # the benchmark's certify horizon
-    n, g, w = len(rec) - 1, loop.g_rows, loop.state_dim
-    assert len(fields) == len(mus) == len(rows) == 4 * n
+    n, dims = len(rec) - 1, loop.plant.dims
+    assert len(fields) == len(mus) == 4 * n
     first = slice(0, None, 4)
-    assert np.array_equal(rec.d, [args[3][0][g] for args, _ in fields[first] + fields[-1:]])
-    assert np.array_equal(rec.mu[:n], [k[0] * r[0][w + g]
-                                       for (_, k), (_, r) in zip(mus[first], rows[first])])
+    assert np.array_equal(rec.d, [args[3] for args, _ in fields[first] + fields[-1:]])
+    W = oc.clf_operator(loop.cert, loop.plant.dyn)
+    eta = np.array([args[2] for args, _ in fields[first]])[:, :dims.n_eta]
+    psi1 = oc.matvec(W[2 * dims.n_eta:2 * dims.n_eta + dims.n_mu], eta)
+    gains = np.array([k for _, (k,) in mus[first]])
+    assert np.array_equal(rec.mu[:n], gains[:, None] * psi1)
     if loop.damped:
-        assert np.array_equal(rec.u_s[:n], [r[0][g] for _, r in rows[first]])
+        assert np.array_equal(rec.u_s[:n], clf.damping_gain(loop.eps_bar) * psi1)
         assert rec.u_s.any()
     else:
         assert not rec.u_s.any()

@@ -1,6 +1,7 @@
 """Print a digest of every output of a fixed list of runs, to compare two trees byte for byte.
 
     python tools/output_digest.py [--root CHECKOUT] [--against OTHER] [--case NAME ...]
+                                  [--env KEY=VALUE ...]
 
 Each case runs in a process of its own with the package from
 ``CHECKOUT/src`` (default: this checkout), CLI runs into a temporary
@@ -12,7 +13,12 @@ byte-identical files, stdout, exit codes and error texts.  With
 ``--against OTHER`` it digests both checkouts and prints only the lines
 that differ, ``- `` before OTHER's and ``+ `` before CHECKOUT's, and exits 1
 on any difference.  ``--root`` and ``--against`` may name a checkout that
-lacks this tool, such as a parent commit's.
+lacks this tool, such as a parent commit's.  ``--env KEY=VALUE`` (repeatable)
+sets a variable in CHECKOUT's case processes only, so
+
+    python tools/output_digest.py --against . --env OPENBLAS_CORETYPE=Prescott
+
+compares this tree with itself across two BLAS kernels.
 """
 
 from __future__ import annotations
@@ -77,10 +83,10 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(case: str, root: Path = ROOT) -> list[str]:
-    """The digest lines of one case, run against the checkout at root."""
+def digest(case: str, root: Path = ROOT, env: dict | None = None) -> list[str]:
+    """The digest lines of one case, run against the checkout at root with env's variables set."""
     spec = CASES[case]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(root / "src")}
     with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
         out = Path(tmp) / "out"
         if isinstance(spec, str):
@@ -106,10 +112,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="checkout to compare with; print only the lines that differ")
     parser.add_argument("--case", action="append", choices=sorted(CASES),
                         help="run only this case; may repeat (default: every case)")
+    parser.add_argument("--env", action="append", default=[], metavar="KEY=VALUE",
+                        help="set this variable in CHECKOUT's case processes; may repeat")
     args = parser.parse_args(argv)
+    env = dict(pair.split("=", 1) for pair in args.env if "=" in pair[1:])
+    if len(env) != len(args.env):
+        parser.error(f"--env takes distinct KEY=VALUE pairs, got {args.env}")
     differ = False
     for case in args.case or CASES:
-        lines = digest(case, args.root.resolve())
+        lines = digest(case, args.root.resolve(), env)
         if args.against is None:
             print("\n".join(lines), flush=True)
             continue
