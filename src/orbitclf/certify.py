@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clf import matvec, vecdot
+from .clf import matvec, min_norm_mu, vecdot
 from .plants import ConverseConstants, DisturbedClosedLoop, HopfPlant, pzd_distance
 from .riccati import ResClfCertificate
 from .simulator import TrajectoryRecord
@@ -191,7 +191,7 @@ def _lyapunov_rates(record: TrajectoryRecord, loop: DisturbedClosedLoop) -> tupl
     dV_eps/dt = 2 eta'P_eps f_eta, dV_Z/dt = 4 s z.f_z + 2 y1.f_y1, s = |z|^2 - r0^2.
     """
     eta, z, n, k1 = record.eta, record.z, loop.plant.dims.n_eta, loop.plant.dims.k1
-    f = loop.field(0.0, np.hstack([eta, z]), record.d)
+    f = np.array(loop.columns(np.vstack([eta.T, z.T]), record.d.T, min_norm_mu)[0]).T
     s = vecdot(z, z) - loop.plant.r0 ** 2
     return (2.0 * vecdot(matvec(loop.cert.P_eps, eta), f[:, :n]),
             4.0 * s * vecdot(z, f[:, n:]) + 2.0 * vecdot(eta[:, :k1], f[:, :k1]))

@@ -121,19 +121,15 @@ def evaluate_clf(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray) 
 _ZERO, _FLAT, _TINY = np.array(0.0), np.array(1e-14), np.array(np.finfo(float).tiny)
 _TINY_F = float(_TINY)
 
-#: a batch of at most this many rows runs the law on Python floats, which
-#: skip numpy's per-call cost; a larger one runs as whole-array operations.
-#: Both make the same IEEE operations.
-SCALAR_ROWS = 16
-
 
 def min_norm_mu(psi0: float | tuple | np.ndarray, denom: float | tuple | np.ndarray) -> np.ndarray:
     """Each row's gain k of the min-norm law: k psi1 is the least-norm mu of the rate-gamma/eps set.
 
     psi0 = eta'M eta and denom = ||psi1||^2: two floats or 0-d arrays (a 0-d
-    gain), or two (B,) arrays or tuples of B floats ((B,) gains), each row
-    bitwise its lone law but for a NaN's sign.  Tuples and up to SCALAR_ROWS
-    rows run on Python floats.  psi0 <= 0 gives a zero gain (maybe -0.0), also at psi1 = 0.
+    gain), two tuples of B Python floats, as a Hopf field calls the law, or
+    two (B,) arrays, as records and checks call it ((B,) gains).  Each row's
+    finite gain has its lone law's bits.  psi0 <= 0 gives a zero gain (maybe
+    -0.0), also at psi1 = 0.
     """
     if type(psi0) is float and type(denom) is float:
         return np.array(_gain(psi0, denom))
@@ -144,8 +140,6 @@ def min_norm_mu(psi0: float | tuple | np.ndarray, denom: float | tuple | np.ndar
         raise ValueError(f"psi0 and ||psi1||^2 have shapes {shape} and {other}")
     if not shape:
         return np.array(_gain(float(psi0), float(denom)))
-    if len(psi0) <= SCALAR_ROWS:
-        return _gains(psi0.tolist(), denom.tolist())
     # psi1 ~ 0 relative to psi0; only such a row can be inconsistent, so
     # the full check runs only when one exists
     flat = denom <= _FLAT * psi0
@@ -157,8 +151,8 @@ def min_norm_mu(psi0: float | tuple | np.ndarray, denom: float | tuple | np.ndar
     return -(np.maximum(psi0, _ZERO) / np.maximum(denom, _TINY))
 
 
-def _gains(psi0: list | tuple, denom: list | tuple) -> np.ndarray:
-    """``_gain`` of each row of two equal-length sequences of Python floats, as a (B,) array."""
+def _gains(psi0: tuple, denom: tuple) -> np.ndarray:
+    """``_gain`` of each row of two equal-length tuples of Python floats, as a (B,) array."""
     try:
         return np.fromiter(map(_gain, psi0, denom), float, len(psi0))
     except ClfConsistencyError:

@@ -246,6 +246,8 @@ def _validate(config: dict) -> None:
                           "step ceiling")
     if not (0.0 < float(config["settle_fraction"]) < 1.0):
         raise ConfigError("settle_fraction must lie in (0, 1)")
+    if not (0.0 < float(config["plant"]["annulus_fraction"]) < 1.0):
+        raise ConfigError("plant.annulus_fraction must lie in (0, 1)")
 
 
 def canonical_json(data) -> str:

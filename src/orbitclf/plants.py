@@ -394,7 +394,7 @@ class DisturbedClosedLoop:
     signal: DisturbanceSignal | None = None
     eps_bar: float = 0.1
     sigma: float = 1.0  # composite Lyapunov weight used for the V_c trace
-    #: ``stage``'s generated RHS bodies by flat list length, each built on first use
+    #: ``field``'s generated RHS bodies by flat list length, each built on first use
     _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -413,42 +413,27 @@ class DisturbedClosedLoop:
         """Whether the damping feedback u_s is on."""
         return self.controller == "min_norm_plus_us"
 
-    def stage(self, rows: int) -> Callable:
-        """stage(x, d, law) -> dx/dt for `rows` states and their d as flat lists of Python floats.
-
-        Generated once per count (``_hopf_stage``, this loop on every row); one ``law`` call.
-        """
-        size = rows * self.state_dim
-        if size not in self._stages:
-            self._stages[size] = _hopf_stage([self] * rows, columns=False)
-        return self._stages[size]
-
     @functools.cached_property
     def columns(self) -> Callable:
-        """``stage``'s one-row body on 1-D columns: columns(x, d, law) -> (dx, mu, u_s)."""
+        """The field's one-row body on 1-D columns: columns(x, d, law) -> (dx, mu, u_s)."""
         return _hopf_stage([self], columns=True)
 
-    def field(self, t: float, state: list | np.ndarray, d) -> list | np.ndarray:
+    def field(self, t: float, state: list, d: list) -> list:
         """The closed-loop right-hand side at time t.
 
         d eta/dt = F eta + G(u_s + mu + d) and dz/dt = Psi0(z) + C eta, with
         the min-norm mu, u_s = damping_gain psi1 or 0 and the disturbance d.
-        Flat lists of B states and their d, as ``integrate`` steps, run
-        ``stage(B)`` and give a list; a state (state_dim,) or a batch
-        (B, state_dim), d broadcast to (B, n_mu), runs ``columns``.
+        state holds B states and d their disturbances, as flat lists of
+        Python floats (``integrate`` steps them so); the RHS is a flat list,
+        by a body generated once per B (``_hopf_stage``, this loop on every
+        row) that makes one ``min_norm_mu`` call.
         """
-        if type(state) is list:
-            if (stage := self._stages.get(len(state))) is None:
-                rows, rest = divmod(len(state), self.state_dim)
-                if rest or not rows:
-                    raise ValueError(f"{len(state)} floats are not whole rows of {self.state_dim}")
-                stage = self.stage(rows)
-            return stage(state, d, min_norm_mu)
-        x = np.asarray(state, dtype=float)
-        rows = x.reshape(-1, self.state_dim)
-        d = np.broadcast_to(np.asarray(d, dtype=float), (len(rows), self.plant.dims.n_mu))
-        dx = self.columns(np.ascontiguousarray(rows.T), d.T, min_norm_mu)[0]
-        return np.array(dx).T.reshape(x.shape)
+        if (stage := self._stages.get(len(state))) is None:
+            rows, rest = divmod(len(state), self.state_dim)
+            if rest or not rows:
+                raise ValueError(f"{len(state)} floats are not whole rows of {self.state_dim}")
+            stage = self._stages[len(state)] = _hopf_stage([self] * rows, columns=False)
+        return stage(state, d, min_norm_mu)
 
 
 def compile_function(signature: str, body: list[str], label: str) -> Callable:
@@ -481,7 +466,7 @@ def _law_lines(W: np.ndarray, eta: list[str], p: list[str], s: str, q: str) -> l
 
 
 def _hopf_stage(loops: list[DisturbedClosedLoop], columns: bool) -> Callable:
-    """``DisturbedClosedLoop.stage``, a row per loop on floats, or ``.columns``, a loop on columns.
+    """``DisturbedClosedLoop.field``'s body, a row per loop on floats, or its ``columns``.
 
     Straight-line Python over each row's loop's nonzero coefficients (reprs):
     the row's law forms (``_law_lines``), one law call for all rows, d eta/dt
@@ -583,11 +568,9 @@ class MechClosedLoop:
     plant: MechPlant
     cert: ResClfCertificate
     signal: DisturbanceSignal | None = None
-    #: the laws' operator [F; P_eps; 2 G'P_eps; M], built once
-    operator: np.ndarray = field(init=False, repr=False, compare=False)
     #: (psi0, ||psi1||^2, psi1's entries) at eta's entries, floats or columns,
-    #: generated from the operator's nonzero rows (``_law_lines``), so a
-    #: stack's rows get the lone bits
+    #: generated from the nonzero rows of the laws' operator (``clf_operator``,
+    #: ``_law_lines``), so a stack's rows get the lone bits
     law_forms: Callable = field(init=False, repr=False, compare=False)
     #: stage(q1, q2, dq1, dq2, e, law) -> (dx, eta_hat, mu, ff), built once:
     #: the loop at one state and phase error, on Python floats or on columns.
@@ -604,9 +587,7 @@ class MechClosedLoop:
             raise ValueError("certificate and plant dims disagree")
         if self.signal is not None and self.signal.kind != "phase_error_driven":
             raise ValueError("mech closed loop takes a phase_error_driven signal")
-        W = clf_operator(self.cert, self.plant.dyn)
-        law_forms = _law_forms(W, self.plant.dims.n_eta)
-        object.__setattr__(self, "operator", W)
+        law_forms = _law_forms(clf_operator(self.cert, self.plant.dyn), self.plant.dims.n_eta)
         object.__setattr__(self, "law_forms", law_forms)
         object.__setattr__(self, "stage", _mech_stage(self.plant, law_forms))
 
@@ -620,14 +601,14 @@ class MechClosedLoop:
             return 0.0 * t  # times are nonnegative, so this is +0.0 in t's shape
         return self.signal.phase_error(t)
 
-    def field(self, t: float, x: list | np.ndarray, e: float) -> list:
+    def field(self, t: float, x: list, e: float) -> list:
         """The closed-loop right-hand side at time t, as a list of Python floats.
 
         x is one state, a list of four Python floats (as ``rk4_step`` steps
-        a lone mech state) or an array (4,); e is the phase error e(t) at t,
-        a float, tabled by the integrator as the Hopf loop's d is.  The
-        loop's ``stage`` on the state's floats, with the law found in this
-        module on each call, gives dx/dt = [dq1, dq2, u1, u2].
+        a lone mech state); e is the phase error e(t) at t, a float, tabled
+        by the integrator as the Hopf loop's d is.  The loop's ``stage`` on
+        the state's floats, with the law found in this module on each call,
+        gives dx/dt = [dq1, dq2, u1, u2].
         """
-        q1, q2, dq1, dq2 = x if isinstance(x, list) else x.tolist()
+        q1, q2, dq1, dq2 = x
         return self.stage(q1, q2, dq1, dq2, e, min_norm_mu)[0]

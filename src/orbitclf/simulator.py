@@ -71,31 +71,16 @@ class TrajectoryRecord:
         return np.linalg.norm(self.eta, axis=1)
 
 
-def rk4_step(f: Callable[..., np.ndarray], t: float, y: np.ndarray | list, dt: float,
-             inputs: tuple | None = None) -> np.ndarray | list:
-    """One classical Runge-Kutta 4 step of dy/dt = f(t, y).
+def rk4_step(f: Callable[..., list], t: float, y: list, dt: float, inputs: tuple) -> list:
+    """One classical Runge-Kutta 4 step of dy/dt = f(t, y, u) for a list y of Python floats.
 
-    With inputs = (u(t), u(t + dt/2), u(t + dt)), an exogenous input tabled
-    at the stage times, the field is called as f(t, y, u); without, as
-    f(t, y).  A list y of Python floats, as ``integrate`` steps, goes
-    through a step written out once per list length (``_list_step``), and f
-    gives a list; an array y steps as an array.  Both make the same IEEE
-    operations: y + h k per stage, y + (dt/6) (k1 + 2 k2 + 2 k3 + k4).
+    inputs = (u(t), u(t + dt/2), u(t + dt)) is an exogenous input tabled at
+    the stage times, and f gives a list.  The step is written out once per
+    list length (``_list_step``): y + h k per stage, y + (dt/6) (k1 + 2 k2 +
+    2 k3 + k4).
     """
-    if inputs is None:  # f(t, y) takes no input
-        field, inputs = f, (None,) * 3
-        f = lambda s, x, _: field(s, x)
     u0, uh, u1 = inputs
-    t_half, half, sixth = t + 0.5 * dt, 0.5 * dt, dt / 6.0
-    if isinstance(y, list):
-        return _list_step(len(y))(f, t, t_half, t + dt, y, dt, half, sixth, u0, uh, u1)
-    # 0-d multipliers, so that a field that gives a list steps as an array too
-    half, whole, sixth, two = map(np.array, (half, dt, sixth, 2.0))
-    k1 = f(t, y, u0)
-    k2 = f(t_half, y + half * k1, uh)
-    k3 = f(t_half, y + half * k2, uh)
-    k4 = f(t + dt, y + whole * k3, u1)
-    return y + sixth * (k1 + two * k2 + two * k3 + k4)
+    return _list_step(len(y))(f, t, t + 0.5 * dt, t + dt, y, dt, 0.5 * dt, dt / 6.0, u0, uh, u1)
 
 
 @functools.lru_cache(maxsize=64)

@@ -4,6 +4,20 @@ import pytest
 import orbitclf as oc
 
 
+def rk4_written_out(f, t, y, dt, inputs=None):
+    """Classical RK4 on arrays with Python-float stage multipliers: the oracle of rk4_step.
+
+    With inputs = (u(t), u(t + dt/2), u(t + dt)) the field is called as
+    f(t, y, u), without as f(t, y).
+    """
+    u0, uh, u1 = ((),) * 3 if inputs is None else [(u,) for u in inputs]
+    k1 = f(t, y, *u0)
+    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1, *uh)
+    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2, *uh)
+    k4 = f(t + dt, y + dt * k3, *u1)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 @pytest.fixture(scope="session")
 def dims01():
     return oc.OutputDims(k1=0, k2=1)

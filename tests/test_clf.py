@@ -268,8 +268,7 @@ def test_min_norm_batch_matches_rows(cert01_e01, dyn01):
 
 @pytest.mark.parametrize("psi0_shape, denom_shape", [
     ((), (1,)), ((1,), ()),  # a lone point
-    ((5,), (3,)), ((3,), (1,)),  # up to SCALAR_ROWS rows, where zip would truncate
-    ((clf.SCALAR_ROWS + 1,), (1,)), ((clf.SCALAR_ROWS + 1,), (clf.SCALAR_ROWS,)),  # whole arrays
+    ((5,), (3,)), ((3,), (1,)), ((17,), (1,)), ((17,), (16,)),  # batches of other lengths
 ])
 def test_min_norm_rejects_forms_of_other_shapes(psi0_shape, denom_shape):
     # psi0 and ||psi1||^2 of one point or batch have one shape; neither a
@@ -283,6 +282,13 @@ def test_min_norm_rejects_forms_of_other_shapes(psi0_shape, denom_shape):
 #: normal, the flat-psi1 threshold's scale, huge values, infinities and NaNs
 _LAW_ODD = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.finfo(float).tiny, 1e-14, 1.0, -1.0,
             1e300, -1e300, math.inf, -math.inf, math.nan, -math.nan]
+
+
+def _equal_but_nan_signs(got, want):
+    """got and want are NaN at the same entries and bitwise equal at every other."""
+    nan = np.isnan(got)
+    return (np.array_equal(nan, np.isnan(want))
+            and np.where(nan, 1.0, got).tobytes() == np.where(nan, 1.0, want).tobytes())
 
 
 def _law_or_error(psi0, denom):
@@ -311,24 +317,19 @@ _LAW_FLOAT = st.one_of(st.floats(), st.sampled_from(_LAW_ODD))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(_LAW_FLOAT, _LAW_FLOAT), min_size=1, max_size=clf.SCALAR_ROWS + 3))
+@given(st.lists(st.tuples(_LAW_FLOAT, _LAW_FLOAT), min_size=1, max_size=19))
 def test_min_norm_on_tuples_equals_the_array_call(rows):
     # B rows given as two tuples of Python floats, as a generated Hopf stage
-    # calls the law: the (B,) ndarray of the array call, bit for bit, or the
-    # same ClfConsistencyError text naming the same row.  Beyond SCALAR_ROWS
-    # the array call runs whole-array operations, where only a NaN's sign may
-    # differ
+    # calls the law: the (B,) ndarray of the array call, which runs
+    # whole-array operations, bit for bit but for a NaN's sign, or the same
+    # ClfConsistencyError text naming the same row
     psi0, denom = (tuple(column) for column in zip(*rows))
     got, want = _law_or_error(psi0, denom), _law_or_error(np.array(psi0), np.array(denom))
     if isinstance(want, str):
         assert got == want
         return
     assert type(got) is np.ndarray and got.shape == (len(rows),) and got.dtype == float
-    if len(rows) <= clf.SCALAR_ROWS:
-        assert got.tobytes() == want.tobytes()
-    assert np.array_equal(np.isnan(got), np.isnan(want))
-    finite = np.where(np.isnan(got), 1.0, got), np.where(np.isnan(want), 1.0, want)
-    assert finite[0].tobytes() == finite[1].tobytes()
+    assert _equal_but_nan_signs(got, want)
 
 
 @pytest.mark.parametrize("psi0, denom", [((0.5, 1.0), (1.0,)), ((0.5,), np.ones(1)),
@@ -386,11 +387,10 @@ def test_min_norm_lone_matches_batch_on_signed_zeros_nan_and_inf(monkeypatch, do
     # rows where Python floats and numpy could part: psi0 = -0.0
     # (np.maximum(-0.0, 0.0) is +0.0, Python's max(-0.0, 0.0) is -0.0),
     # psi1 exactly 0, and NaN or +-inf in psi0 or ||psi1||^2.  The lone
-    # point's law has the bytes of the batch law on that row alone, NaN
-    # included, or raises its error without the row prefix.  Against a
-    # longer batch only NaN's sign and payload may differ: where both
-    # factors of mu's product are NaN, which one numpy keeps depends on its
-    # loop, in the batch code alone too
+    # point's law has the bytes of the batch law, on that row alone and in
+    # the whole batch, or raises its error without the row prefix.  Only
+    # NaN's sign and payload may differ: where both factors of mu's product
+    # are NaN, which one numpy keeps depends on its loop
     monkeypatch.setattr(clf, "vecdot", dot)
     inf, nan = np.inf, np.nan
     for cert, dyn in _batch_cases(cert01_e01, dyn01):
@@ -421,12 +421,11 @@ def test_min_norm_lone_matches_batch_on_signed_zeros_nan_and_inf(monkeypatch, do
                 assert str(batch.value) == "row 0: " + str(exc)
                 raised.append(i)
                 continue
-            assert lone[-1].tobytes() == _law(X[i:i + 1], R[i:i + 1]).tobytes()
+            assert _equal_but_nan_signs(lone[-1], _law(X[i:i + 1], R[i:i + 1])[0])
         keep = np.setdiff1d(np.arange(len(X)), raised)
         mu, lone = _law(X[keep], R[keep]), np.array(lone)
         assert np.isnan(mu).any() and np.signbit(mu[mu == 0.0]).any()
-        assert np.array_equal(np.isnan(mu), np.isnan(lone))
-        assert np.where(np.isnan(mu), 1.0, mu).tobytes() == np.where(np.isnan(lone), 1.0, lone).tobytes()
+        assert _equal_but_nan_signs(mu, lone)
         # flat and psi0 > 0: psi0 = 2.5 with psi1 = 0, and psi0 = inf unless ||psi1||^2 is NaN
         assert len(raised) == 2 + 6
 

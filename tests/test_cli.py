@@ -312,9 +312,11 @@ def test_unreadable_config_or_unusable_out_exits_2(tmp_path, capsys, args, messa
     (["plant.r0=0"], "plant: r0 must be positive"),
     (["disturbance.kind=piecewise_constant_random", "disturbance.dwell=0"],
      "disturbance: dwell time must be positive"),
-], ids=["q1_plus", "lambda_h", "r0", "dwell"])
+    (["plant.annulus_fraction=1.5"], "plant.annulus_fraction must lie in (0, 1)"),
+], ids=["q1_plus", "lambda_h", "r0", "dwell", "annulus_fraction"])
 def test_bad_plant_or_disturbance_exits_2(tmp_path, capsys, overrides, message):
-    # the plant and signal constructors' own checks, which pass _validate
+    # the plant and signal constructors' own checks, which pass _validate,
+    # and the annulus of the converse constants, which _validate checks
     args = ["simulate", "--out", str(tmp_path), "--override", "integrator.horizon=0.01"]
     assert run(args + [a for o in overrides for a in ("--override", o)]) == 2
     _one_line_error(capsys, f"config error: {message}")

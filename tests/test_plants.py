@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import orbitclf as oc
 from orbitclf import clf, plants
-from orbitclf.clf import SCALAR_ROWS
 from orbitclf.plants import check_phases, mech_feedforward, pzd_distance
+
+from conftest import rk4_written_out
 
 
 # --- Hopf plant ---------------------------------------------------------------
@@ -18,7 +19,7 @@ def _hopf_rhs(plant, eta, z):
     """(d eta/dt, dz/dt) of the min-norm closed loop with d = 0; mu = 0 at eta = 0."""
     cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.5)
     loop = oc.DisturbedClosedLoop(plant=plant, cert=cert)
-    rhs = loop.field(0.0, np.concatenate([eta, z]), np.zeros(plant.dims.n_mu))
+    rhs = np.array(loop.field(0.0, [*eta.tolist(), *z.tolist()], [0.0] * plant.dims.n_mu))
     return rhs[:plant.dims.n_eta], rhs[plant.dims.n_eta:]
 
 
@@ -80,7 +81,7 @@ def test_exact_zero_solution_matches_field(hopf01):
     dt, T = 1e-4, 1.5
     z = z0.copy()
     for i in range(int(T / dt)):
-        z = oc.rk4_step(lambda t, y: hopf01.zero_field(y), i * dt, z, dt)
+        z = rk4_written_out(lambda t, y: hopf01.zero_field(y), i * dt, z, dt)
     assert np.allclose(z, hopf01.exact_zero_solution(z0, T), atol=1e-9)
 
 
@@ -311,7 +312,7 @@ def test_mech_zero_dynamics_invariance(mech_plant, mech_cert):
 
     dt = 1e-3
     for i in range(600):
-        x = oc.rk4_step(field, i * dt, x, dt)
+        x = rk4_written_out(field, i * dt, x, dt)
     assert np.max(np.abs(mech_plant.eta_of(x))) <= 1e-9
 
 
@@ -326,8 +327,8 @@ def test_mech_fd_oracle_state_mode(mech_plant):
         mu = rng.normal(size=2)
         u = oc.mech_feedback_linearize(mech_plant, x, mu)
         field = lambda t, y: np.array([y[2], y[3], u[0], u[1]])
-        xp = oc.rk4_step(field, 0.0, x, h)
-        xm = oc.rk4_step(field, 0.0, x, -h)
+        xp = rk4_written_out(field, 0.0, x, h)
+        xm = rk4_written_out(field, 0.0, x, -h)
         fd = (mech_plant.eta_of(xp) - mech_plant.eta_of(xm)) / (2.0 * h)
         pred = dyn.F @ mech_plant.eta_of(x) + dyn.G @ mu
         assert np.max(np.abs(fd - pred)) <= 1e-8 * max(1.0, np.max(np.abs(pred)))
@@ -394,7 +395,7 @@ def test_mech_pzd_invariance(mech_plant, mech_cert):
 
     dt = 1e-3
     for i in range(400):
-        x = oc.rk4_step(field, i * dt, x, dt)
+        x = rk4_written_out(field, i * dt, x, dt)
     eta_end = mech_plant.eta_of(x)
     assert np.max(np.abs(eta_end[1:])) <= 1e-8
     # on the surface the min-norm input reduces to mu1 = -(gamma/(2 eps)) y1
@@ -521,8 +522,8 @@ def test_mech_law_forms_agree_with_the_operator_rows(v_d):
     X, e, _ = _stack(67, rows=400)
     eta = loop.plant.eta_at(X, loop.plant.tau(X[:, 0]) + e)
     n = eta.shape[1]
-    rows = oc.matvec(loop.operator, eta)
-    abs_rows = oc.matvec(np.abs(loop.operator), np.abs(eta))
+    W = oc.clf_operator(loop.cert, loop.plant.dyn)
+    rows, abs_rows = oc.matvec(W, eta), oc.matvec(np.abs(W), np.abs(eta))
     want_psi1, want_m = rows[:, 2 * n:-n], rows[:, -n:]
     want = (np.vecdot(eta, want_m), np.vecdot(want_psi1, want_psi1), want_psi1)
     scale = (np.vecdot(np.abs(eta), abs_rows[:, -n:]), want[1], abs_rows[:, 2 * n:-n])
@@ -693,21 +694,33 @@ def _hopf_loop_and_inputs(k1, k2, controller):
     return loop, rng.normal(size=(32, dims.n_eta + 2)), 0.1 * rng.normal(size=(32, dims.n_mu))
 
 
-#: batch sizes on both sides of the law's switch from Python floats to whole arrays
-BATCH_SIZES = (1, 2, 5, 8, SCALAR_ROWS, SCALAR_ROWS + 1, 32)
+#: batch sizes from a lone row to all 32 drawn rows
+BATCH_SIZES = (1, 2, 5, 8, 16, 17, 32)
+
+
+def _columns(loop, X, D):
+    """The Hopf RHS of a batch X (B, w) under its D (B, m) by the loop's column body, (B, w)."""
+    return np.array(loop.columns(np.ascontiguousarray(X.T), np.ascontiguousarray(D.T),
+                                 oc.min_norm_mu)[0]).T
+
+
+def _lone_fields(loop, X, D):
+    """The field on each row of X and its d alone, given as lists, each RHS as an array."""
+    return [np.array(loop.field(0.0, x.tolist(), d.tolist())) for x, d in zip(X, D)]
 
 
 def _batches_and_lone_states(loop, X, D):
-    """The field on the first B rows for every B in BATCH_SIZES, and on each row alone.
+    """The RHS on the first B rows for every B in BATCH_SIZES, and on each row alone.
 
-    Each batch also goes in as the flat lists of Python floats that
-    integrate steps, which must give the array's bytes as a list.
+    Each batch runs on columns (``columns``, as records and checks run it)
+    and as the flat lists of Python floats that integrate steps, which must
+    give the columns' bytes as a list.
     """
-    batches = [loop.field(0.0, X[:B], D[:B]) for B in BATCH_SIZES]
+    batches = [_columns(loop, X[:B], D[:B]) for B in BATCH_SIZES]
     for B, out in zip(BATCH_SIZES, batches):
         flat = loop.field(0.0, X[:B].ravel().tolist(), D[:B].ravel().tolist())
         assert type(flat) is list and np.array(flat).tobytes() == out.tobytes(), B
-    return batches, [loop.field(0.0, x, d) for x, d in zip(X, D)]
+    return batches, _lone_fields(loop, X, D)
 
 
 @pytest.mark.parametrize("k1, k2", HOPF_DIMS)
@@ -767,7 +780,7 @@ def test_hopf_stage_takes_one_loop_per_row():
     got = plants._hopf_stage(loops, False)(np.concatenate(X).tolist(), np.concatenate(D).tolist(),
                                            law)
     assert len(calls) == 1 and len(calls[0]) == 3
-    want = np.concatenate([loop.field(0.0, x, d) for loop, x, d in zip(loops, X, D)])
+    want = np.concatenate([_lone_fields(loop, [x], [d])[0] for loop, x, d in zip(loops, X, D)])
     assert np.array(got).tobytes() == want.tobytes()
 
 
@@ -847,7 +860,7 @@ def test_hopf_stage_matches_the_six_block_reference(k1, k2, controller, B, eps, 
     n, w = dims.n_eta, dims.n_eta + 2
     X = rng.normal(size=(B, w)) * 10.0 ** rng.uniform(scale - 1, scale + 1, size=(B, 1))
     D = 0.1 * rng.normal(size=(B, dims.n_mu))
-    got = loop.field(0.0, X, D)
+    got = _columns(loop, X, D)
     want, forms, abs_rows, abs_forms = _six_block_field(loop, X, D)
     gains = oc.min_norm_mu(forms[:, 1], forms[:, 0])
     dk = 1e-14 * (abs_forms[:, 1] + np.abs(forms[:, 1]) + np.abs(gains) * forms[:, 0]) / forms[:, 0]
@@ -857,8 +870,7 @@ def test_hopf_stage_matches_the_six_block_reference(k1, k2, controller, B, eps, 
     assert np.all(np.abs(got - want) <= tol), (got - want, tol)
     flat = loop.field(0.0, X.ravel().tolist(), D.ravel().tolist())
     assert np.array(flat).tobytes() == got.tobytes()
-    lone = [loop.field(0.0, x, d) for x, d in zip(X, D)]
-    assert np.array(lone).tobytes() == got.tobytes()
+    assert np.array(_lone_fields(loop, X, D)).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("k1, k2", HOPF_DIMS)

@@ -6,56 +6,46 @@ import pytest
 
 import orbitclf as oc
 from orbitclf import cli, clf, plants, simulator
-from orbitclf.clf import SCALAR_ROWS
+
+from conftest import rk4_written_out
 
 
 def test_rk4_single_step_linear_decay():
     # hand-computed classical RK4 step for dz/dt = -z, z0 = 1, dt = 0.1:
     # k = (-1, -0.95, -0.9525, -0.90475) -> z1 = 1 - 0.0951625 exactly
-    z1 = oc.rk4_step(lambda t, y: -y, 0.0, np.array([1.0]), 0.1)[0]
+    (z1,) = oc.rk4_step(lambda t, y, u: [-y[0]], 0.0, [1.0], 0.1, (None,) * 3)
     assert z1 == 0.90483750
     # and the O(dt^5) local-error contract against the closed form e^{-0.1}
     assert abs(z1 - np.exp(-0.1)) <= 1e-5
     assert abs(z1 - np.exp(-0.1)) <= 1e-7  # actual truncation is ~8.2e-8
 
 
-def _rk4_written_out(f, t, y, dt, inputs=None):
-    """Classical RK4 with Python-float stage multipliers: the oracle."""
-    u0, uh, u1 = ((),) * 3 if inputs is None else [(u,) for u in inputs]
-    k1 = f(t, y, *u0)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1, *uh)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2, *uh)
-    k4 = f(t + dt, y + dt * k3, *u1)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _on_arrays(field):
+    """A list field as an array field: the state and a list-valued input go in as flat lists."""
+    def f(t, y, u):
+        u = u if isinstance(u, float) else u.ravel().tolist()
+        return np.array(field(t, y.ravel().tolist(), u)).reshape(y.shape)
+
+    return f
 
 
 def test_rk4_step_equals_the_written_out_formula(mech_plant, mech_cert):
-    # rk4_step on arrays makes the written-out formula's IEEE operations,
-    # byte for byte, on a Hopf batch of five (with its d) and on a
-    # lone mech state (with a phase error e as floats), at a dt that is not
-    # a power of two.  Both states also step as the flat lists of Python
-    # floats that integrate steps (the field gives a list); the list's
-    # entries are the array formula's bits
+    # rk4_step on the flat lists of Python floats that integrate steps makes
+    # the written-out array formula's IEEE operations, byte for byte, on a
+    # Hopf batch of five (with its d) and on a lone mech state (with a phase
+    # error e as floats), at a dt that is not a power of two
     dt = 1.3e-3
     loops, x0 = _batch_of_five()
     rng = np.random.default_rng(4)
     inputs = tuple(0.05 * rng.normal(size=(5, 3)) for _ in range(3))
     mech = oc.MechClosedLoop(plant=mech_plant, cert=mech_cert, signal=None)
-    mech_field = lambda t, x, e: np.array(mech.field(t, x, e))
     mech_x = np.array([0.05, mech_plant.y2d(0.05) + 0.04, 1.0, -0.05])
     mech_e = tuple(rng.uniform(-0.02, 0.02, 3).tolist())  # e(t), e(t + dt/2), e(t + dt)
-    for f, y, u in ((loops[0].field, x0, inputs), (mech_field, mech_x, mech_e)):
-        for i in range(3):
-            got = oc.rk4_step(f, 0.7 + i * dt, y, dt, u)
-            want = _rk4_written_out(f, 0.7 + i * dt, y, dt, u)
-            assert got.shape == y.shape and got.tobytes() == want.tobytes()
-            y = got
-    for field, y, u, f in ((loops[0].field, x0, inputs, loops[0].field),
-                           (mech.field, mech_x, mech_e, mech_field)):
+    for field, y, u in ((loops[0].field, x0, inputs), (mech.field, mech_x, mech_e)):
         flat = y.ravel().tolist()
         u_flat = tuple(v if isinstance(v, float) else v.ravel().tolist() for v in u)
         for i in range(3):
-            want = _rk4_written_out(f, 0.7 + i * dt, y, dt, u)
+            want = rk4_written_out(_on_arrays(field), 0.7 + i * dt, y, dt, u)
             flat = oc.rk4_step(field, 0.7 + i * dt, flat, dt, u_flat)
             assert type(flat) is list and {type(v) for v in flat} == {float}
             assert np.array(flat).tobytes() == want.ravel().tobytes()
@@ -276,11 +266,10 @@ def test_run_alone_equals_run_in_batch(controller):
 
 @pytest.mark.parametrize("controller", ["min_norm", "min_norm_plus_us"])
 def test_large_batch_equals_lone_runs(controller):
-    # SCALAR_ROWS + 1 runs, more than the law takes on Python floats when
-    # given arrays, step as one flat list (the law gets tuples); each run is
-    # bitwise its lone run
+    # 17 runs step as one flat list (the law gets tuples) and are recorded
+    # on columns (the law gets arrays); each run is bitwise its lone run
     loops, x0 = _batch_of_five(controller)
-    B = SCALAR_ROWS + 1
+    B = 17
     loops = [dataclasses.replace(loops[i % 5], sigma=0.1 + 0.01 * i) for i in range(B)]
     X0 = x0[np.arange(B) % 5] * (1.0 + 0.05 * np.arange(B))[:, None]
     batch = oc.integrate(loops, X0, T=0.3, dt=1e-3)
@@ -383,7 +372,7 @@ def test_broken_certificate_names_the_row_through_field():
     X = x0[:3].copy()
     X[1, :n] = kernel
     with pytest.raises(oc.ClfConsistencyError, match="row 1"):
-        broken.field(0.0, X, np.zeros((3, cert.dims.n_mu)))
+        broken.field(0.0, X.ravel().tolist(), [0.0] * 3 * cert.dims.n_mu)
 
 
 def test_batch_validation():
@@ -493,15 +482,15 @@ def _mech_loop(v_d=1.0, driven=True):
 def test_mech_record_equals_per_sample_loop(v_d, driven):
     loop, x0 = _mech_loop(v_d, driven)
     rec = oc.integrate(loop, x0, T=0.5, dt=1e-3)
-    # the states that integrate recorded, stepped again by the array formula
-    # (integrate steps a list of floats), with the phase error evaluated one
-    # stage time at a time, and the accumulated node times at which stepping
-    # evaluated it
+    # the states that integrate recorded, stepped again by the written-out
+    # array formula (integrate steps a list of floats), with the phase error
+    # evaluated one stage time at a time, and the accumulated node times at
+    # which stepping evaluated it
     dt, states, times = 1e-3, [x0], [0.0]
     for _ in range(len(rec) - 1):
         t = times[-1]
         e = tuple(float(loop.phase_error(s)) for s in (t, t + 0.5 * dt, t + dt))
-        states.append(oc.rk4_step(loop.field, t, states[-1], dt, e))
+        states.append(rk4_written_out(_on_arrays(loop.field), t, states[-1], dt, e))
         times.append(t + dt)
     ref = _record_mech_per_sample(loop, times, np.array(states))
     for name, want in ref.items():

@@ -12,7 +12,6 @@ import numpy as np
 
 import orbitclf as oc
 from orbitclf import plants, simulator
-from orbitclf.clf import SCALAR_ROWS
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -71,13 +70,13 @@ def test_hopf_field_calls_the_law_once_and_gets_an_ndarray(monkeypatch):
     W = oc.clf_operator(cert, plant.dyn)
     results = _counting_law(monkeypatch)
     rng = np.random.default_rng(3)
-    for X in (rng.normal(size=(5, 7)), rng.normal(size=7), rng.normal(size=(SCALAR_ROWS + 1, 7)),
+    for X in (rng.normal(size=(5, 7)), rng.normal(size=(1, 7)), rng.normal(size=(17, 7)),
               np.zeros((2, 7))):
         results.clear()
-        loop.field(0.0, X, 0.0)
+        loop.field(0.0, X.ravel().tolist(), [0.0] * len(X) * dims.n_mu)
         (gains,) = results
         # one gain per row; a lone state is a batch of one
-        assert isinstance(gains, np.ndarray) and gains.shape == (len(np.atleast_2d(X)),)
+        assert isinstance(gains, np.ndarray) and gains.shape == (len(X),)
         assert bool(gains.any()) == bool(_mu(W, X[..., :5]).any())
 
 
@@ -88,6 +87,7 @@ def test_mech_field_calls_the_law_once_and_gets_an_ndarray(monkeypatch):
     plant = oc.MechPlant(alpha=np.array([0.0, 0.1, 0.3, 0.3, 0.1, 0.0]), q1_plus=4.0)
     cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
     loop = oc.MechClosedLoop(plant=plant, cert=cert)
+    W = oc.clf_operator(cert, plant.dyn)
     results = _counting_law(monkeypatch)
     rng = np.random.default_rng(4)
     active = []
@@ -95,11 +95,11 @@ def test_mech_field_calls_the_law_once_and_gets_an_ndarray(monkeypatch):
         x = np.array([rng.uniform(0.5, 3.5), rng.normal(), rng.uniform(0.5, 1.5), rng.normal()])
         e = rng.uniform(-0.05, 0.05)
         results.clear()
-        loop.field(0.0, x, e)
+        loop.field(0.0, x.tolist(), e)
         (gain,) = results
         assert isinstance(gain, np.ndarray) and gain.shape == ()
         eta_hat = plant.eta_at(x, plant.tau(x[0]) + e)
-        active.append(bool(_mu(loop.operator, eta_hat).any()))
+        active.append(bool(_mu(W, eta_hat).any()))
         assert bool(gain.any()) == active[-1]
     assert any(active) and not all(active)  # both branches
 

@@ -52,6 +52,8 @@ CASES = {
     "synth": ("synth",),
     "synth_n30": ("synth",) + _override("k1=2", "k2=14", "Q=" + json.dumps(Q_N30)),
     "simulate": ("simulate",),
+    # 11 samples: the record's law calls take short columns
+    "simulate_short": ("simulate",) + _override("integrator.horizon=0.01"),
     "certify": ("certify",),
     "sweep": ("sweep",),
     **{f"certify_seed{s}": ("certify", "--seed", str(s)) + BENCH_CERTIFY for s in range(4)},
@@ -62,10 +64,11 @@ CASES = {
     "mech_default": ("simulate",) + MECH + _override("k1=1"),
     # k1 = 0 on the default phase interval: it stops in the phase domain
     "mech_k1_0_default": ("simulate",) + MECH + _override("k1=0"),
-    # a usage error and two config errors, each exit 2
+    # a usage error and three config errors, each exit 2
     "usage_no_command": (),
     "certify_short": ("certify",) + _override("integrator.horizon=0.006"),
     "certify_sigma0": ("certify",) + _override("k1=1", "k2=2", "integrator.horizon=8", "sigma=0"),
+    "certify_bad_annulus": ("certify",) + _override("plant.annulus_fraction=1.5"),
     # sweep grids on which a check row could not fail, each exit 2
     "sweep_one_eps": ("sweep",) + _override("sweep.eps_grid=[0.1]", "integrator.horizon=4"),
     "sweep_no_zero_amplitude": ("sweep",) + _override("sweep.amplitude_grid=[0.01]",
