@@ -289,7 +289,7 @@ def build_certificate(config: dict):
 
 def build_plant(config: dict, dims: OutputDims):
     p = config["plant"]
-    try:  # the constructors reject a non-positive lambda_h or r0, or q1_plus <= q1_minus
+    try:  # the constructors reject a non-positive lambda_h, r0 or y1_rate, or q1_plus <= q1_minus
         if p["kind"] == "hopf":
             coupling = p["coupling"]
             if isinstance(coupling, (int, float)):
@@ -666,15 +666,15 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
     if 0.0 not in amps or amps[-1] <= 0.0:
         raise ConfigError("sweep needs a sweep.amplitude_grid with 0 and an amplitude above 0")
 
-    eps_rows = []
-    for eps, (eps_loop, eps_cert, _, eps_x0) in zip(eps_grid, eps_loops):
-        rec = integrate(eps_loop, eps_x0, T=horizon, dt=dt)
-        d_inf = sup_norm(build_signal(config, eps_cert.dims), horizon)
-        eps_rows.append([eps, ultimate_bound(rec, settle),
-                         cert_mod.min_norm_ultimate_bound(eps_cert, d_inf)])
-    recs = integrate(loops, np.tile(x0, (len(loops), 1)), T=horizon, dt=dt)
+    # one batch: the eps runs, each under its own certificate, then the amplitude runs
+    batch = [eps_loop for eps_loop, *_ in eps_loops] + loops
+    x0s = [eps_x0 for *_, eps_x0 in eps_loops] + [x0] * len(loops)
+    recs = integrate(batch, np.array(x0s), T=horizon, dt=dt)
+    d_inf = sup_norm(build_signal(config, cert.dims), horizon)  # the eps runs' one signal
+    eps_rows = [[eps, ultimate_bound(rec, settle), cert_mod.min_norm_ultimate_bound(c, d_inf)]
+                for eps, (_, c, _, _), rec in zip(eps_grid, eps_loops, recs)]
     amp_rows = [[amp, ultimate_bound(rec, settle), cert_mod.min_norm_ultimate_bound(cert, amp)]
-                for amp, rec in zip(amps, recs)]
+                for amp, rec in zip(amps, recs[len(eps_grid):])]
 
     _rows_csv(out_dir / "sweep_eps.csv", config,
               ["eps", "eta_ultimate", "theory_bound"], eps_rows)

@@ -73,6 +73,8 @@ class HopfPlant:
             raise ValueError("lambda_h must be positive")
         if self.r0 <= 0.0:
             raise ValueError("r0 must be positive")
+        if self.y1_rate <= 0.0:
+            raise ValueError("y1_rate must be positive")
         C = self.coupling
         if C is None:
             C = np.full((2, self.dims.n_eta), 0.2)
@@ -424,9 +426,9 @@ class DisturbedClosedLoop:
         d eta/dt = F eta + G(u_s + mu + d) and dz/dt = Psi0(z) + C eta, with
         the min-norm mu, u_s = damping_gain psi1 or 0 and the disturbance d.
         state holds B states and d their disturbances, as flat lists of
-        Python floats (``integrate`` steps them so); the RHS is a flat list,
-        by a body generated once per B (``_hopf_stage``, this loop on every
-        row) that makes one ``min_norm_mu`` call.
+        Python floats; the RHS is a flat list, by a body generated once per
+        B (``_hopf_stage`` with this loop on every row; ``integrate`` steps
+        it with each row's loop) that makes one ``min_norm_mu`` call.
         """
         if (stage := self._stages.get(len(state))) is None:
             rows, rest = divmod(len(state), self.state_dim)
@@ -466,7 +468,7 @@ def _law_lines(W: np.ndarray, eta: list[str], p: list[str], s: str, q: str) -> l
 
 
 def _hopf_stage(loops: list[DisturbedClosedLoop], columns: bool) -> Callable:
-    """``DisturbedClosedLoop.field``'s body, a row per loop on floats, or its ``columns``.
+    """The Hopf RHS, a row per loop on floats (``field``, ``integrate``), or ``columns``.
 
     Straight-line Python over each row's loop's nonzero coefficients (reprs):
     the row's law forms (``_law_lines``), one law call for all rows, d eta/dt

@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import plants
 from .clf import matvec, min_norm_mu, vecdot
 from .disturbance import DisturbanceTable
 from .plants import (DisturbedClosedLoop, MechClosedLoop, compile_function, orbit_distance,
@@ -103,12 +104,13 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
     """Integrate a closed loop from x0 over [0, T] and record everything.
 
     x0 is the flat state: (eta, z) for the Hopf loop, x for the mech loop.
-    B Hopf loops that share plant, certificate, controller and eps_bar
-    integrate as one batch from x0 (B, state_dim), one record per loop,
-    each bitwise the run alone.  A state that leaves the finite range raises
-    SimulationError with the run, the time and the state; states are checked
-    once per CHUNK steps, and the first non-finite one is named even if a
-    field call on its successors raised first.
+    B Hopf loops of one dims, each with its own plant, certificate,
+    controller, eps_bar and sigma, integrate as one batch from x0 (B,
+    state_dim), one record per loop, each bitwise the run alone.  A state
+    that leaves the finite range raises SimulationError with the run, the
+    time and the state; states are checked once per CHUNK steps, and the
+    first non-finite one is named even if an RHS call on its successors
+    raised first.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -132,16 +134,22 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
     # each loop's exogenous input at an array of times, and its stage form: one
     # flat list of Python floats per time, as the state steps
     if isinstance(closed_loop, MechClosedLoop):
-        loop, sample, form = closed_loop, closed_loop.phase_error, np.ndarray.tolist
+        f, sample, form = closed_loop.field, closed_loop.phase_error, np.ndarray.tolist
         recorded = np.empty(n_steps + 1)  # e at the node times
     else:
-        loop = _shared_hopf_loop(loops)
-        sample = DisturbanceTable([lp.signal for lp in loops], loop.plant.dims.n_mu, T)
+        for i, lp in enumerate(loops):
+            if not (isinstance(lp, DisturbedClosedLoop) and lp.plant.dims == loops[0].plant.dims):
+                raise ValueError(f"run {i}: only Hopf loops with run 0's dims integrate as a batch")
+        stage = plants._hopf_stage(loops, columns=False)  # a row per loop
+
+        def f(t, y, d):  # the law as plants.min_norm_mu at each call, where tracers wrap it
+            return stage(y, d, plants.min_norm_mu)
+
+        sample = DisturbanceTable([lp.signal for lp in loops], loops[0].plant.dims.n_mu, T)
         x0 = x0.reshape(len(loops), -1)
         form = lambda u: u.reshape(len(u), -1).tolist()
         recorded = np.empty((n_steps + 1,) + sample.shape)  # d at the node times
 
-    f = loop.field
     # the state that each step starts from, and every step's state as it steps
     flat = np.empty((n_steps + 1, x0.size))
     flat[0] = y = x0.ravel().tolist()
@@ -189,55 +197,43 @@ def _check_finite(states: np.ndarray, start: int, stop: int, nodes: np.ndarray) 
     raise SimulationError(f"non-finite state in run {run} at t = {nodes[i]:.6g}: {rows[run]}")
 
 
-def _shared_hopf_loop(loops) -> DisturbedClosedLoop:
-    """The first loop, after checking that every loop has the same control law."""
-    first = loops[0]
-    for i, lp in enumerate(loops):
-        if not isinstance(lp, DisturbedClosedLoop):
-            raise ValueError(f"run {i}: only Hopf loops integrate as a batch, got {type(lp)!r}")
-        if (lp.plant is not first.plant or lp.cert is not first.cert
-                or lp.controller != first.controller or lp.eps_bar != first.eps_bar):
-            raise ValueError(f"run {i}: a batch must share plant, certificate, controller "
-                             "and eps_bar with run 0")
-    return first
-
-
 def _record_hopf(loops, d: np.ndarray, ts: np.ndarray,
                  states: np.ndarray) -> list[TrajectoryRecord]:
-    """Traces of every run at once; states has shape (samples, B, state_dim).
+    """Traces of every run; states has shape (samples, B, state_dim).
 
-    d holds the disturbance rows that stepping applied at the sample times;
-    the loop's stage on columns gives the mu and u_s that stepping applied,
-    bit for bit, and V_eps is ``evaluate_clf``'s.
+    d holds the disturbance rows that stepping applied at the sample times.
+    Each row's traces come from its own loop, its mu and u_s bit for bit
+    those that stepping applied.
     """
-    loop = loops[0]
-    plant, cert, stage = loop.plant, loop.cert, loop.columns
-    S, B, w = states.shape
-    n, m = plant.dims.n_eta, plant.dims.n_mu
-    eta, z = states[..., :n], states[..., n:]
-    mu, us, v_eps = np.empty((S, B, m)), np.zeros((S, B, m)), np.empty((S, B))
-    # CHUNK samples at a time, which bounds the size of the stage's columns
-    for a in range(0, S, CHUNK):
-        x = np.ascontiguousarray(states[a:a + CHUNK].reshape(-1, w).T)  # (sample, run) entries
-        _, mu_a, us_a = stage(x, d[a:a + CHUNK].reshape(-1, m).T, min_norm_mu)
-        mu[a:a + CHUNK] = np.array(mu_a).T.reshape(-1, B, m)
-        if us_a:
-            us[a:a + CHUNK] = np.array(us_a).T.reshape(-1, B, m)
-        e = eta[a:a + CHUNK].reshape(-1, n)
-        v_eps[a:a + CHUNK] = vecdot(e, matvec(cert.P_eps, e), np.longdouble).reshape(-1, B)
-    v_z = vz_value(eta[..., :plant.dims.k1], z, plant)
-    dist = orbit_distance(eta, z, plant)
-    v_c = np.array([lp.sigma for lp in loops]) * v_z + v_eps
+    S, B, _ = states.shape
+    dims = loops[0].plant.dims
+    eta, z = states[..., :dims.n_eta], states[..., dims.n_eta:]
+    # one row's CHUNK * B samples at a time, as many entries as CHUNK samples
+    # of every row: this bounds the size of the columns
+    chunks = [slice(a, a + CHUNK * B) for a in range(0, S, CHUNK * B)]
     records = []
     for b, lp in enumerate(loops):
+        # rows of one law (plant, certificate, controller, eps_bar) run one columns body
+        law = next(o for o in loops if o.plant is lp.plant and o.cert is lp.cert
+                   and (o.controller, o.eps_bar) == (lp.controller, lp.eps_bar))
+        x, u = np.ascontiguousarray(states[:, b].T), np.ascontiguousarray(d[:, b].T)
+        mu, us, v_eps = np.empty((S, dims.n_mu)), np.zeros((S, dims.n_mu)), np.empty(S)
+        for c in chunks:
+            _, mu_c, us_c = law.columns(x[:, c], u[:, c], min_norm_mu)
+            mu[c] = np.array(mu_c).T
+            if us_c:
+                us[c] = np.array(us_c).T
+            v_eps[c] = vecdot(eta[c, b], matvec(lp.cert.P_eps, eta[c, b]), np.longdouble)
+        v_z = vz_value(eta[:, b, :dims.k1], z[:, b], lp.plant)
         meta = {
-            "kind": "hopf", "k1": plant.dims.k1, "k2": plant.dims.k2,
-            "eps": cert.eps, "eps_bar": lp.eps_bar, "controller": lp.controller,
+            "kind": "hopf", "k1": dims.k1, "k2": dims.k2,
+            "eps": lp.cert.eps, "eps_bar": lp.eps_bar, "controller": lp.controller,
             "sigma": lp.sigma, "dt": float(ts[1] - ts[0]), "horizon": float(ts[-1]),
         }
         records.append(TrajectoryRecord(
-            t=ts, eta=eta[:, b], z=z[:, b], d=d[:, b], v_eps=v_eps[:, b], v_z=v_z[:, b],
-            v_c=v_c[:, b], dist=dist[:, b], mu=mu[:, b], u_s=us[:, b], meta=meta))
+            t=ts, eta=eta[:, b], z=z[:, b], d=d[:, b], v_eps=v_eps, v_z=v_z,
+            v_c=lp.sigma * v_z + v_eps, dist=orbit_distance(eta[:, b], z[:, b], lp.plant),
+            mu=mu, u_s=us, meta=meta))
     return records
 
 

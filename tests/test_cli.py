@@ -182,8 +182,16 @@ def test_certify_rejects_mech_plant(tmp_path, capsys):
                 "--override", "plant.kind=mech", "--override", "k1=1"]) == 2
 
 
-def test_sweep_outputs(tmp_path, capsys):
-    # grids given out of order: output must come back sorted by parameter
+def test_sweep_outputs(tmp_path, capsys, monkeypatch):
+    # grids given out of order: output must come back sorted by parameter;
+    # the eps runs and the amplitude runs integrate in one call
+    batches, integrate = [], cli.integrate
+
+    def counting(loops, *args, **kwargs):
+        batches.append(len(loops))
+        return integrate(loops, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", counting)
     code = run(["sweep", "--out", str(tmp_path),
                 "--override", "sweep.eps_grid=[0.2,0.5,0.1]",
                 "--override", "sweep.amplitude_grid=[0.02,0.0,0.01]",
@@ -203,6 +211,7 @@ def test_sweep_outputs(tmp_path, capsys):
     assert float(amp_rows[0][1]) <= 1e-6  # zero-amplitude ultimate bound
     body = json.loads((tmp_path / "sweep_report.json").read_text())
     assert body["payload"]["monotone_in_eps_ok"]
+    assert batches == [3 + 3]
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -313,7 +322,8 @@ def test_unreadable_config_or_unusable_out_exits_2(tmp_path, capsys, args, messa
     (["disturbance.kind=piecewise_constant_random", "disturbance.dwell=0"],
      "disturbance: dwell time must be positive"),
     (["plant.annulus_fraction=1.5"], "plant.annulus_fraction must lie in (0, 1)"),
-], ids=["q1_plus", "lambda_h", "r0", "dwell", "annulus_fraction"])
+    (["plant.y1_rate=0"], "plant: y1_rate must be positive"),
+], ids=["q1_plus", "lambda_h", "r0", "dwell", "annulus_fraction", "y1_rate"])
 def test_bad_plant_or_disturbance_exits_2(tmp_path, capsys, overrides, message):
     # the plant and signal constructors' own checks, which pass _validate,
     # and the annulus of the converse constants, which _validate checks

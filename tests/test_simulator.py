@@ -315,18 +315,34 @@ def _recording_calls(monkeypatch, holder, name):
     return calls
 
 
+def _recording_rhs(monkeypatch):
+    """Keep each call's (t, state, d) and result of the RHS that integrate hands rk4_step."""
+    calls, step = [], simulator.rk4_step
+
+    def stepping(f, t, y, dt, inputs):
+        def recording(*args):
+            result = f(*args)
+            calls.append((args, result))
+            return result
+
+        return step(recording, t, y, dt, inputs)
+
+    monkeypatch.setattr(simulator, "rk4_step", stepping)
+    return calls
+
+
 @pytest.mark.parametrize("chunk", [7, 500])
 def test_stage_inputs_equal_per_call_table(monkeypatch, chunk):
-    # each field call gets d at its own stage time t, t + dt/2 or t + dt, bit
+    # each RHS call gets d at its own stage time t, t + dt/2 or t + dt, bit
     # for bit the table's value there placed through G, for every signal kind
     # over 20 s
     loops, x0 = _every_signal_kind()
     monkeypatch.setattr(simulator, "CHUNK", chunk)
-    calls = _recording_calls(monkeypatch, oc.DisturbedClosedLoop, "field")
+    calls = _recording_rhs(monkeypatch)
     oc.integrate(loops, x0, T=20.0, dt=1e-2)
     table = oc.DisturbanceTable([lp.signal for lp in loops], 3, 20.0)
     assert len(calls) == 4 * 2000
-    for (loop, t, _, d), _ in calls:
+    for (t, _, d), _ in calls:
         assert type(d) is list and np.array(d).tobytes() == table(t).tobytes(), t
 
 
@@ -339,15 +355,15 @@ def test_record_shows_what_stepping_applied(monkeypatch, controller):
     # damping gain times that psi1
     loop = dataclasses.replace(_every_signal_kind(controller)[0][-1], eps_bar=0.5)
     x0 = _batch_of_five()[1][1]
-    fields = _recording_calls(monkeypatch, oc.DisturbedClosedLoop, "field")
+    fields = _recording_rhs(monkeypatch)
     mus = _recording_calls(monkeypatch, plants, "min_norm_mu")
     rec = oc.integrate(loop, x0, T=8.0, dt=1e-3)  # the benchmark's certify horizon
     n, dims = len(rec) - 1, loop.plant.dims
     assert len(fields) == len(mus) == 4 * n
     first = slice(0, None, 4)
-    assert np.array_equal(rec.d, [args[3] for args, _ in fields[first] + fields[-1:]])
+    assert np.array_equal(rec.d, [args[2] for args, _ in fields[first] + fields[-1:]])
     W = oc.clf_operator(loop.cert, loop.plant.dyn)
-    eta = np.array([args[2] for args, _ in fields[first]])[:, :dims.n_eta]
+    eta = np.array([args[1] for args, _ in fields[first]])[:, :dims.n_eta]
     psi1 = oc.matvec(W[2 * dims.n_eta:2 * dims.n_eta + dims.n_mu], eta)
     gains = np.array([k for _, (k,) in mus[first]])
     assert np.array_equal(rec.mu[:n], gains[:, None] * psi1)
@@ -375,18 +391,34 @@ def test_broken_certificate_names_the_row_through_field():
         broken.field(0.0, X.ravel().tolist(), [0.0] * 3 * cert.dims.n_mu)
 
 
-def test_batch_validation():
+def test_batch_validation(mech_plant, mech_cert):
+    # rows under another certificate, controller, eps_bar or plant integrate
+    # as one batch, each row bitwise its lone run, meta included; a row of
+    # other dims, or a mech row, is refused with its run named
     loops, x0 = _batch_of_five()
-    other = oc.certificate(oc.build_fg(loops[0].plant.dims), 2.0 * np.eye(5), 0.1)
-    mismatched = [
-        loops[:1] + [dataclasses.replace(loops[1], cert=other)],
-        loops[:1] + [dataclasses.replace(loops[1], controller="min_norm")],
-        loops[:1] + [dataclasses.replace(loops[1], eps_bar=0.2)],
-        loops[:1] + [dataclasses.replace(loops[1], plant=oc.HopfPlant(dims=loops[0].plant.dims))],
-    ]
-    for pair in mismatched:
-        with pytest.raises(ValueError, match="share"):
-            oc.integrate(pair, x0[:2], T=0.1, dt=1e-2)
+    dims = loops[0].plant.dims
+    mixed = [loops[0],
+             dataclasses.replace(loops[1], cert=oc.certificate(oc.build_fg(dims),
+                                                               2.0 * np.eye(5), 0.2)),
+             dataclasses.replace(loops[2], controller="min_norm"),
+             dataclasses.replace(loops[3], eps_bar=0.2),
+             dataclasses.replace(loops[4], plant=oc.HopfPlant(
+                 dims=dims, omega=1.3, lambda_h=0.7, r0=1.1, coupling=np.full((2, 5), -0.1)))]
+    batch = oc.integrate(mixed, x0, T=0.3, dt=1e-3)
+    for loop, x, rec in zip(mixed, x0, batch):
+        alone = oc.integrate(loop, x, T=0.3, dt=1e-3)
+        for name in FIELDS:
+            assert np.array_equal(getattr(alone, name), getattr(rec, name)), name
+        assert alone.meta == rec.meta
+    assert len({(r.meta["eps"], r.meta["controller"], r.meta["eps_bar"]) for r in batch}) == 4
+    small = oc.HopfPlant(dims=oc.OutputDims(k1=1, k2=1))
+    other_dims = oc.DisturbedClosedLoop(plant=small, cert=oc.certificate(small.dyn, np.eye(3), 0.1))
+    mech = oc.MechClosedLoop(plant=mech_plant, cert=mech_cert)
+    for row in (other_dims, mech):
+        with pytest.raises(ValueError, match="run 1: only Hopf loops with run 0's dims"):
+            oc.integrate([loops[0], row], x0[:2], T=0.1, dt=1e-2)
+    with pytest.raises(ValueError, match="run 0: only Hopf loops"):
+        oc.integrate([mech], np.zeros((1, 4)), T=0.1, dt=1e-2)
     with pytest.raises(ValueError):
         oc.integrate(loops, x0[0], T=0.1, dt=1e-2)  # a batch needs (B, state_dim)
     with pytest.raises(ValueError):
@@ -434,20 +466,26 @@ def test_batch_overflow_mid_chunk_names_the_first_nonfinite_state(monkeypatch, c
 
 
 def test_field_error_after_overflow_names_the_nonfinite_state(monkeypatch):
-    # a field that raises on a non-finite state, as a law may, does not hide
+    # an RHS that raises on a non-finite state, as a law may, does not hide
     # the state that left the finite range; an error on finite states passes
+    # (the RHS is the batch's stage, which integrate builds by plants._hopf_stage)
     loops, x0 = _overflowing_batch()
     want = _abort(loops, x0)
-    field = oc.DisturbedClosedLoop.field
+    build = plants._hopf_stage
 
-    def strict(self, t, state, d):
-        if not np.isfinite(state).all():
-            raise oc.ClfConsistencyError("row 3: the state overflowed")
-        return field(self, t, state, d)
+    def strict_stage(loops, columns):
+        stage = build(loops, columns)
 
-    monkeypatch.setattr(oc.DisturbedClosedLoop, "field", strict)
+        def strict(state, d, law):
+            if not np.isfinite(state).all():
+                raise oc.ClfConsistencyError("row 3: the state overflowed")
+            return stage(state, d, law)
+
+        return strict
+
+    monkeypatch.setattr(plants, "_hopf_stage", strict_stage)
     assert _abort(loops, x0) == want
-    monkeypatch.setattr(oc.DisturbedClosedLoop, "field", lambda *args: 1 / 0)
+    monkeypatch.setattr(plants, "_hopf_stage", lambda loops, columns: lambda *args: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         oc.integrate(loops, _batch_of_five()[1], T=3.0, dt=0.01)
 

@@ -56,6 +56,8 @@ CASES = {
     "simulate_short": ("simulate",) + _override("integrator.horizon=0.01"),
     "certify": ("certify",),
     "sweep": ("sweep",),
+    # eps rows under their own certificates beside the amplitude rows, damping on
+    "sweep_k1_1": ("sweep",) + BENCH_CERTIFY + _override("controller=min_norm_plus_us"),
     **{f"certify_seed{s}": ("certify", "--seed", str(s)) + BENCH_CERTIFY for s in range(4)},
     "mech_long": ("simulate",) + MECH + _override("k1=1", "plant.q1_plus=4",
                                                   "integrator.horizon=3"),
@@ -64,11 +66,12 @@ CASES = {
     "mech_default": ("simulate",) + MECH + _override("k1=1"),
     # k1 = 0 on the default phase interval: it stops in the phase domain
     "mech_k1_0_default": ("simulate",) + MECH + _override("k1=0"),
-    # a usage error and three config errors, each exit 2
+    # a usage error and four config errors, each exit 2
     "usage_no_command": (),
     "certify_short": ("certify",) + _override("integrator.horizon=0.006"),
     "certify_sigma0": ("certify",) + _override("k1=1", "k2=2", "integrator.horizon=8", "sigma=0"),
     "certify_bad_annulus": ("certify",) + _override("plant.annulus_fraction=1.5"),
+    "certify_bad_y1_rate": ("certify",) + _override("k1=1", "plant.y1_rate=-1"),
     # sweep grids on which a check row could not fail, each exit 2
     "sweep_one_eps": ("sweep",) + _override("sweep.eps_grid=[0.1]", "integrator.horizon=4"),
     "sweep_no_zero_amplitude": ("sweep",) + _override("sweep.amplitude_grid=[0.01]",
