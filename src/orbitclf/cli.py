@@ -3,19 +3,21 @@
 Commands (``COMMANDS``):
 
     synth     solve the Riccati synthesis and write the certificate JSON
-    simulate  integrate one closed-loop run; trajectory CSV + summary JSON
-    certify   run the full stability check battery; report JSON + table
+    simulate  integrate one closed-loop run; trajectory .npy + summary JSON
+    certify   run the full stability check battery; two trace .npy, report JSON + table
     sweep     epsilon and amplitude sweeps; plot-ready CSVs
 
 Every command takes the same options, ``--config``, ``--out``, ``--seed``
 and a repeatable ``--override KEY=VALUE``, so one parser reads them all,
 before or after the command name (``orbitclf --help`` lists them).
 
-Every output file embeds the fully resolved configuration and a content
-hash, and contains no timestamps, so identical config + seed reproduces
-identical bytes.  Exit codes: 0 all checks pass, 1 a check in the printed
-table failed, 2 usage or configuration error, 3 a run aborted (a state
-left the finite range, or the certificate's invariants broke).
+Every JSON and CSV file embeds the fully resolved configuration and a
+content hash, and contains no timestamps, so identical config + seed
+reproduces identical bytes; a .npy trace's column names, shape and sha256
+are listed under "traces" in its run's JSON file.  Exit codes: 0 all
+checks pass, 1 a check in the printed table failed, 2 usage or
+configuration error, 3 a run aborted (a state left the finite range, or
+the certificate's invariants broke).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .plants import (
     orbit_distance,
 )
 from .riccati import CareSolveError, certificate
-from .simulator import CHUNK, MAX_STEPS, SimulationError, integrate, ultimate_bound
+from .simulator import MAX_STEPS, SimulationError, integrate, ultimate_bound
 
 DEFAULT_ALPHA = [0.0, 0.1, 0.3, 0.3, 0.1, 0.0]
 
@@ -168,6 +170,9 @@ _NUMBERS = ("eps", "eps_bar", "settle_fraction", "plant.omega", "plant.lambda_h"
 _OPTIONAL_NUMBERS = ("sigma",)
 _INTEGERS = ("k1", "k2", "seed")
 _OPTIONAL_INTEGERS = ("disturbance.seed",)
+EPS_MIN = 1e-9  # the eps-scaled CARE's terms grow as 1/eps^3: none certifies below 1e-6
+R0_MAX = 1e50  # V_Z and the converse constants grow as r0^4, past float range at 1.3e77
+MAX_N_ETA = 60  # desk scale: a synthesis at n_eta = 60 takes about 10 ms
 
 
 def _lookup(config: dict, path: str):
@@ -216,6 +221,8 @@ def _validate(config: dict) -> None:
         n = OutputDims(k1=int(config["k1"]), k2=int(config["k2"])).n_eta
     except ValueError as exc:
         raise ConfigError(f"bad dims: {exc}") from exc
+    if n > MAX_N_ETA:  # before any array of n rows is checked or made
+        raise ConfigError(f"k1 + 2*k2 must be at most {MAX_N_ETA}")
     arrays = {"sweep.eps_grid": (None,), "sweep.amplitude_grid": (None,),
               "plant.alpha": (6,), "initial.eta": (n,), "initial.z": (2,), "initial.x": (4,)}
     for path, shape in arrays.items():
@@ -227,27 +234,29 @@ def _validate(config: dict) -> None:
     coupling = config["plant"]["coupling"]
     if not (_is_number(coupling) or _is_array(coupling, (2, n))):
         raise ConfigError(f"plant.coupling must be a number or {_array_text((2, n))}")
-    if not (0.0 < float(config["eps"]) <= 1.0):
-        raise ConfigError("eps must lie in (0, 1]")
-    if not (0.0 < float(config["eps_bar"]) <= 1.0):
-        raise ConfigError("eps_bar must lie in (0, 1]")
+    for path in ("eps", "eps_bar"):
+        if not 0.0 < float(config[path]) <= 1.0:
+            raise ConfigError(f"{path} must lie in (0, 1]")
+    for eps in [config["eps"], *config["sweep"]["eps_grid"]]:
+        if 0.0 < eps < EPS_MIN:  # a grid value outside (0, 1] is the certificate's to refuse
+            raise ConfigError(f"eps must be at least {EPS_MIN:g}, got {eps!r}")
+    if not float(config["plant"]["r0"]) <= R0_MAX:
+        raise ConfigError(f"plant.r0 must be at most {R0_MAX:g}")
     if config["controller"] not in CONTROLLER_MODES:
         raise ConfigError(f'unknown controller {config["controller"]!r}')
     if config["plant"]["kind"] not in PLANT_KINDS:
         raise ConfigError(f'unknown plant kind {config["plant"]["kind"]!r}')
-    dist = config["disturbance"]
-    if dist["kind"] not in KINDS:
-        raise ConfigError(f'unknown disturbance kind {dist["kind"]!r}')
+    if config["disturbance"]["kind"] not in KINDS:
+        raise ConfigError(f'unknown disturbance kind {config["disturbance"]["kind"]!r}')
     integ = config["integrator"]
     if float(integ["dt"]) <= 0.0 or float(integ["horizon"]) < float(integ["dt"]):
         raise ConfigError("integrator needs dt > 0 and horizon >= dt")
     if not float(integ["horizon"]) / float(integ["dt"]) <= MAX_STEPS:
         raise ConfigError(f"integrator.horizon / integrator.dt exceeds the {MAX_STEPS} "
                           "step ceiling")
-    if not (0.0 < float(config["settle_fraction"]) < 1.0):
-        raise ConfigError("settle_fraction must lie in (0, 1)")
-    if not (0.0 < float(config["plant"]["annulus_fraction"]) < 1.0):
-        raise ConfigError("plant.annulus_fraction must lie in (0, 1)")
+    for path in ("settle_fraction", "plant.annulus_fraction"):
+        if not 0.0 < float(_lookup(config, path)) < 1.0:
+            raise ConfigError(f"{path} must lie in (0, 1)")
 
 
 def canonical_json(data) -> str:
@@ -291,11 +300,7 @@ def build_plant(config: dict, dims: OutputDims):
     p = config["plant"]
     try:  # the constructors reject a non-positive lambda_h, r0 or y1_rate, or q1_plus <= q1_minus
         if p["kind"] == "hopf":
-            coupling = p["coupling"]
-            if isinstance(coupling, (int, float)):
-                coupling = np.full((2, dims.n_eta), float(coupling))
-            else:
-                coupling = np.asarray(coupling, dtype=float)
+            coupling = np.full((2, dims.n_eta), p["coupling"], dtype=float)  # a number or rows
             return HopfPlant(dims=dims, omega=float(p["omega"]), lambda_h=float(p["lambda_h"]),
                              r0=float(p["r0"]), coupling=coupling, y1_rate=float(p["y1_rate"]))
         if dims.k1 > 1 or dims.k2 != 1:
@@ -427,24 +432,18 @@ def _join(start: str, compact, indented, end: str, indent: str) -> tuple[str, st
             start + inner + ("," + inner).join(indented) + inner[:-2] + end)  # at indent
 
 
-def _provenance(config: dict, body: list[str]) -> tuple[str, str, str, str]:
-    """What every output file carries: the config's compact and indented texts, rendered once,
-    the compact text's hash and the body's hash.  The body is given as the pieces that the
-    file joins with newlines, hashed one by one, so a long table's text is never copied whole."""
-    digest = hashlib.sha256()
-    for i, piece in enumerate(body):
-        if i:
-            digest.update(b"\n")
-        digest.update(piece.encode())
+def _provenance(config: dict, body: str) -> tuple[str, str, str, str]:
+    """The config's compact and indented texts, rendered once, their hash and the body's."""
     compact, indented = _render(embeddable(config), "  ")
-    return compact, indented, hashlib.sha256(compact.encode()).hexdigest(), digest.hexdigest()
+    return (compact, indented, hashlib.sha256(compact.encode()).hexdigest(),
+            hashlib.sha256(body.encode()).hexdigest())
 
 
 def _write_json(path: Path, config: dict, payload: dict) -> None:
     """Standard JSON (RFC 8259), a non-finite figure written as null.  The payload's compact
     text is hashed and its indented text written: json.dumps(..., sort_keys=True, indent=2)."""
     compact, indented = _render(payload, "  ")
-    _, config_text, config_digest, content_digest = _provenance(config, [compact])
+    _, config_text, config_digest, content_digest = _provenance(config, compact)
     path.write_text(f'{{\n  "config": {config_text},\n  "config_hash": "{config_digest}",\n'
                     f'  "content_hash": "{content_digest}",\n  "payload": {indented}\n}}\n',
                     encoding="utf-8")
@@ -452,37 +451,37 @@ def _write_json(path: Path, config: dict, payload: dict) -> None:
 
 def _write_csv(path: Path, config: dict, headers: list[str], rows) -> None:
     """'# key=value' provenance lines (the config's compact text), the header, one line per row."""
-    # CHUNK rows at a time become Python floats and one block of lines,
-    # formatted by one "%" ("%.17g" writes a float as format(v, ".17g")
-    # does); the blocks are hashed and written one by one, never joined, as
-    # each copy of a long trace's whole text would raise the peak memory by its size
+    # one "%" formats the body; "%.17g" writes a float as format(v, ".17g") does
     rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * len(headers))
-    blocks = ["\n".join([line] * len(b)) % tuple(b.ravel().tolist())
-              for b in (rows[a:a + CHUNK] for a in range(0, len(rows), CHUNK))]
-    config_text, _, config_digest, content_digest = _provenance(config, blocks)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"# config={config_text}\n# config_hash={config_digest}\n"
-                 f"# content_hash={content_digest}\n{','.join(headers)}\n")
-        for block in blocks:
-            fh.write(block)
-            fh.write("\n")
+    body = "\n".join([",".join(["%.17g"] * len(headers))] * len(rows)) % tuple(rows.ravel().tolist())
+    config_text, _, config_digest, content_digest = _provenance(config, body)
+    path.write_text(f"# config={config_text}\n# config_hash={config_digest}\n"
+                    f"# content_hash={content_digest}\n{','.join(headers)}\n"
+                    + (body + "\n" if len(rows) else ""), encoding="utf-8")
 
 
-def _write_record_csv(path: Path, config: dict, record) -> None:
-    """A trajectory in the fixed column order t, eta_*, z_*, d_*, V_eps, V_Z, V_c, dist."""
-    headers = (["t"] + [f"eta_{i}" for i in range(record.eta.shape[1])]
-               + [f"z_{i}" for i in range(record.z.shape[1])]
-               + [f"d_{i}" for i in range(record.d.shape[1])]
-               + ["V_eps", "V_Z", "V_c", "dist"])
-    _write_csv(path, config, headers, np.column_stack(
-        [record.t, record.eta, record.z, record.d,
-         record.v_eps, record.v_z, record.v_c, record.dist]))
+# named for the CSV it wrote, as the benchmark's tracer wraps it, until ROADMAP item 3
+def _write_record_csv(path: Path, config: dict, record) -> tuple[str, dict]:
+    """A trajectory as a .npy table, columns t, eta_*, z_*, d_*, V_eps, V_Z, V_c, dist; returns
+    its file name and its entry (column names, shape, the file's sha256) for the run's JSON
+    file, which carries the config.  The header is pinned: format 1.0, '<f8', C order."""
+    blocks = {"eta": record.eta, "z": record.z, "d": record.d}
+    columns = ["t", *[f"{k}_{i}" for k, v in blocks.items() for i in range(v.shape[1])],
+               "V_eps", "V_Z", "V_c", "dist"]
+    parts = [record.t, *blocks.values(), record.v_eps, record.v_z, record.v_c, record.dist]
+    table = np.empty((len(record), len(columns)), dtype="<f8")  # C order, whatever the parts'
+    np.concatenate([part.reshape(len(record), -1) for part in parts], axis=1, out=table)
+    text = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {table.shape}, }}"
+    text += " " * (-(len(text) + 11) % 64) + "\n"  # padded to 64 bytes, as numpy pads it
+    header = b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode("ascii")
+    digest = hashlib.sha256(header)
+    digest.update(table)  # the table's own buffer, as the file gets it: nothing is copied
+    with path.open("wb") as fh:
+        fh.writelines([header, table])
+    return path.name, {"columns": columns, "shape": list(table.shape), "sha256": digest.hexdigest()}
 
 
-def _rows_csv(path: Path, config: dict, headers: list[str], rows: list[list[float]]) -> None:
-    """A table of plain rows, such as a sweep's."""
-    _write_csv(path, config, headers, rows)
+_rows_csv = _write_csv  # a table of plain rows, such as a sweep's, under its traced name
 
 
 def _summary(record, settle: float) -> dict:
@@ -519,11 +518,12 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
     loop, cert, plant, x0 = build_closed_loop(config)
     record = integrate(loop, x0, T=float(config["integrator"]["horizon"]),
                        dt=float(config["integrator"]["dt"]))
-    _write_record_csv(out_dir / "trajectory.csv", config, record)
-    _write_json(out_dir / "summary.json", config, _summary(record, float(config["settle_fraction"])))
+    traces = dict([_write_record_csv(out_dir / "trajectory.npy", config, record)])
+    _write_json(out_dir / "summary.json", config,
+                {**_summary(record, float(config["settle_fraction"])), "traces": traces})
     print(f"simulated {len(record)} samples over {record.t[-1]:g} s")
     print(f"ultimate ||eta|| = {ultimate_bound(record, float(config['settle_fraction'])):.6g}")
-    print(f"wrote {out_dir / 'trajectory.csv'} and {out_dir / 'summary.json'}")
+    print(f"wrote {out_dir / 'trajectory.npy'} and {out_dir / 'summary.json'}")
     return 0
 
 
@@ -586,8 +586,10 @@ def run_certify(config: dict, out_dir: Path) -> tuple[dict, list[Check]]:
         np.array(amp_grid), np.array(dist_ults))
     eta_gain, _, _ = cert_mod.check_asymptotic_gain(np.array(amp_grid), np.array(eta_ults))
 
+    traces = dict(_write_record_csv(out_dir / f"certify_{name}.npy", config, rec)
+                  for name, rec in (("main", main_rec), ("zero", zero_rec)))
     figures = {
-        "eps": cert.eps, "eps_bar": loop.eps_bar, "d_inf": d_inf,
+        "traces": traces, "eps": cert.eps, "eps_bar": loop.eps_bar, "d_inf": d_inf,
         "eta_ultimate_measured": eta_ult, "eta_bound_min_norm": l3, "eta_bound_damped": l4,
         "sigma": sigma, "sigma_margin": sigma_margin, "zs_rate": zs_rate,
         "ag_gain_estimate": ag_gain, "ag_intercept": ag_intercept,
@@ -622,8 +624,6 @@ def run_certify(config: dict, out_dir: Path) -> tuple[dict, list[Check]]:
         Check("e-ISS decay rate > 0", "e_iss_rate_ok", delta2 > 0.0, delta2),
         Check("composite sandwich", "sandwich_ok", sandwich_ok),
     ]
-    _write_record_csv(out_dir / "certify_main.csv", config, main_rec)
-    _write_record_csv(out_dir / "certify_zero.csv", config, zero_rec)
     _write_json(out_dir / "report.json", config, report_payload(figures, checks))
     return figures, checks
 

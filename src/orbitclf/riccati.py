@@ -274,7 +274,7 @@ def certificate(dyn: OutputDynamics, Q: np.ndarray, eps: float) -> ResClfCertifi
     gamma = float(w_q[0] / w_p[-1])
     res_eps = scaled_care_residual(dyn, P_eps, Q_eps, eps)
     for name, value in (("CARE residual", res), ("eps-scaled CARE residual", res_eps)):
-        if value > RESIDUAL_TOL:
+        if not value <= RESIDUAL_TOL:  # a NaN residual fails too
             # the scaled identity has terms of size about ||Q||/eps^3, which a
             # double-precision P cannot match to an absolute tolerance
             raise CareSolveError(

@@ -98,17 +98,24 @@ def test_bad_override_exits_2(tmp_path, capsys):
     assert run(["synth", "--out", str(tmp_path), "--override", "eps=2.0"]) == 2
 
 
+def _trace(out, name, index):
+    """A .npy trace and its column names, after checking its entry in the JSON file index."""
+    entry = _strict_json(out / index)["payload"]["traces"][name]
+    assert entry["sha256"] == hashlib.sha256((out / name).read_bytes()).hexdigest()
+    table = np.load(out / name)
+    assert entry["shape"] == list(table.shape) == [table.shape[0], len(entry["columns"])]
+    return table, entry["columns"]
+
+
 def test_simulate_zero_disturbance(tmp_path):
     assert run(["simulate", "--out", str(tmp_path),
                 "--override", "disturbance.kind=zero",
                 "--override", "integrator.horizon=12"]) == 0
-    rows = [l for l in (tmp_path / "trajectory.csv").read_text().splitlines()
-            if not l.startswith("#")]
-    header = rows[0].split(",")
+    table, header = _trace(tmp_path, "trajectory.npy", "summary.json")
     assert header == ["t", "eta_0", "eta_1", "z_0", "z_1", "d_0",
                       "V_eps", "V_Z", "V_c", "dist"]
-    assert len(rows) - 1 == int(12 / 0.001) + 1  # horizon/dt + 1 samples
-    final_dist = float(rows[-1].split(",")[-1])
+    assert len(table) == int(12 / 0.001) + 1  # horizon/dt + 1 samples
+    final_dist = table[-1, -1]
     assert final_dist <= 1e-6
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["payload"]["samples"] == int(12 / 0.001) + 1
@@ -122,7 +129,7 @@ def test_simulate_deterministic_bytes(tmp_path):
             "--override", "integrator.horizon=3"]
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
-    assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
+    assert (a / "trajectory.npy").read_bytes() == (b / "trajectory.npy").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
@@ -333,6 +340,31 @@ def test_bad_plant_or_disturbance_exits_2(tmp_path, capsys, overrides, message):
 
 
 @pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
+@pytest.mark.parametrize("override, message", [
+    ("eps=1e-300", f"eps must be at least {cli.EPS_MIN:g}, got 1e-300"),
+    ("sweep.eps_grid=[0.1,1e-300]", f"eps must be at least {cli.EPS_MIN:g}, got 1e-300"),
+    ("plant.r0=1e300", f"plant.r0 must be at most {cli.R0_MAX:g}"),
+    ("k1=1e300", f"k1 + 2*k2 must be at most {cli.MAX_N_ETA}"),
+    ("k2=1e300", f"k1 + 2*k2 must be at most {cli.MAX_N_ETA}"),
+    ("k2=31", f"k1 + 2*k2 must be at most {cli.MAX_N_ETA}"),  # n_eta = 62
+], ids=["eps", "eps_grid", "r0", "k1", "k2", "k2 above the ceiling"])
+def test_magnitude_outside_its_domain_exits_2(tmp_path, capsys, command, override, message):
+    # each ended in a traceback (non-finite coefficients, an OverflowError, or numpy
+    # refusing an n_eta x n_eta array) before _validate gave the key a domain
+    out = tmp_path / "out"
+    assert run([command, "--out", str(out), "--override", "integrator.horizon=0.05",
+                "--override", override]) == 2
+    _one_line_error(capsys, f"config error: {message}")
+    assert not out.exists()  # refused before the output directory is made
+
+
+def test_domain_bounds_are_inside_their_domains(tmp_path):
+    # the bounds themselves pass _validate; n_eta = 60 synthesizes
+    cli.load_config(None, [f"eps={cli.EPS_MIN!r}", f"plant.r0={cli.R0_MAX!r}"], None, None)
+    assert run(["synth", "--out", str(tmp_path), "--override", "k2=30"]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
 @pytest.mark.parametrize("dt", ["1e-9", "1e-310"])  # billions of steps, and an infinite T/dt
 def test_step_ceiling_exits_2(tmp_path, capsys, command, dt):
     assert run([command, "--out", str(tmp_path), "--override", f"integrator.dt={dt}"]) == 2
@@ -365,9 +397,8 @@ def test_mech_simulate_in_domain(tmp_path):
                 "--override", "plant.kind=mech", "--override", "plant.q1_plus=4",
                 "--override", "disturbance.kind=phase_error_driven",
                 "--override", "integrator.horizon=0.5"]) == 0
-    rows = [l for l in (tmp_path / "trajectory.csv").read_text().splitlines()
-            if not l.startswith("#")]
-    assert len(rows) - 1 == int(0.5 / 0.001) + 1
+    table, _ = _trace(tmp_path, "trajectory.npy", "summary.json")
+    assert len(table) == int(0.5 / 0.001) + 1
     body = _strict_json(tmp_path / "summary.json")
     summary = body["payload"]
     assert summary["samples"] == int(0.5 / 0.001) + 1
@@ -383,19 +414,57 @@ MECH_K1_0 = ["k1=0", "plant.kind=mech", "disturbance.kind=phase_error_driven",
 
 def test_mech_k1_0_drops_the_velocity_output(tmp_path):
     # k1 alone picks the mech velocity output: the k1 = 0 run needs no
-    # plant.v_d and writes the data rows and summary payload (their content
-    # hashes) that the spelling "k1=0 plant.v_d=null" wrote before k1 did,
-    # but for V_eps, whose sums no longer go through BLAS (its column and
-    # max_v_eps moved in the last bit; eta, z and d did not)
+    # plant.v_d and writes the samples and summary figures that the spelling
+    # "k1=0 plant.v_d=null" wrote before k1 did, but for V_eps, whose sums no
+    # longer go through BLAS (its column and max_v_eps moved in the last bit;
+    # eta, z and d did not); the trace holds bit for bit the floats of the
+    # CSV rows whose hash was pinned here before (a0d02f80...), and the
+    # summary payload is the one pinned before (7812a31b...) plus "traces"
     assert run(["simulate", "--out", str(tmp_path)]
                + [a for o in MECH_K1_0 for a in ("--override", o)]) == 0
-    csv = (tmp_path / "trajectory.csv").read_text().splitlines()
-    assert csv[3] == "t,eta_0,eta_1,z_0,z_1,d_0,V_eps,V_Z,V_c,dist"
-    assert csv[2] == ("# content_hash="
-                      "a0d02f80c22e2c0232baeec1ac07343284876dbda7cbd5a31aa9ac87321e96db")
+    _, header = _trace(tmp_path, "trajectory.npy", "summary.json")
+    assert header == ["t", "eta_0", "eta_1", "z_0", "z_1", "d_0", "V_eps", "V_Z", "V_c", "dist"]
+    assert hashlib.sha256((tmp_path / "trajectory.npy").read_bytes()).hexdigest() == (
+        "3125c5adfba48981a4aee13b94589123096537a141b1ed3b48fddbc5f21ea6ab")
     summary = _strict_json(tmp_path / "summary.json")
     assert summary["content_hash"] == (
-        "7812a31b6c058f04b042632bcde8ddafc1af1d0172905a7155550ed5753d4c49")
+        "98c5ada1ac1c1b06b6eddbe37073d382bc903087ab93109462148217e47cdb48")
+
+
+@pytest.mark.parametrize("args, index", [
+    (["simulate"] + [a for o in MECH_K1_0 for a in ("--override", o)], "summary.json"),
+    (["certify"] + FAST, "report.json"),
+], ids=["simulate mech", "certify hopf"])
+def test_traces_are_the_record_columns_bitwise(tmp_path, monkeypatch, args, index):
+    # each .npy trace is the pinned format 1.0 header, then the record's columns as
+    # row-major little-endian float64 bytes, NaN columns included; its entry in the
+    # JSON file gives the column names, the shape and the file's sha256
+    records = {}
+    write = cli._write_record_csv
+
+    def keep(path, config, record):
+        records[path.name] = record
+        return write(path, config, record)
+
+    monkeypatch.setattr(cli, "_write_record_csv", keep)
+    assert run(args + ["--out", str(tmp_path)]) == 0
+    traces = _strict_json(tmp_path / index)["payload"]["traces"]
+    assert sorted(traces) == sorted(records) == sorted(p.name for p in tmp_path.glob("*.npy"))
+    for name, rec in records.items():
+        want = np.column_stack([rec.t, rec.eta, rec.z, rec.d, rec.v_eps, rec.v_z, rec.v_c,
+                                rec.dist])
+        assert np.load(tmp_path / name).tobytes() == want.tobytes()
+        data = (tmp_path / name).read_bytes()
+        header = b"{'descr': '<f8', 'fortran_order': False, 'shape': (%d, %d), }" % want.shape
+        assert data[:128] == (b"\x93NUMPY\x01\x00v\x00" + header).ljust(127) + b"\n"
+        assert data[128:] == want.astype("<f8").tobytes()
+        n = rec.eta.shape[1]
+        assert traces[name] == {
+            "columns": ["t", *[f"eta_{i}" for i in range(n)], "z_0", "z_1",
+                        *[f"d_{i}" for i in range(rec.d.shape[1])], "V_eps", "V_Z", "V_c", "dist"],
+            "shape": list(want.shape), "sha256": hashlib.sha256(data).hexdigest()}
+    if index == "summary.json":  # the mech plant has no orbit: V_Z, V_c and dist are NaN
+        assert np.isnan(want[:, -3:]).all() and not np.isnan(want[:, :-3]).any()
 
 
 @pytest.mark.parametrize("override, message", [
@@ -436,8 +505,8 @@ def test_non_finite_figures_are_written_as_null(tmp_path):
     rep = _strict_json(tmp_path / "report.json")["payload"]
     assert rep["extras"]["vc_details"]["region_samples"] == 0
     assert rep["extras"]["vc_details"]["worst_vdot_c"] is None
-    for name in ("certify_main.csv", "certify_zero.csv"):
-        assert (tmp_path / name).exists()
+    for name in ("certify_main.npy", "certify_zero.npy"):
+        assert len(_trace(tmp_path, name, "report.json")[0]) == int(8 / 0.001) + 1
 
 
 @pytest.mark.parametrize("override, message", [
@@ -616,7 +685,7 @@ def test_mech_overflow_within_a_step_aborts(tmp_path, capsys, dims, message):
     assert run(["simulate", "--out", str(tmp_path)]
                + [arg for o in overrides for arg in ("--override", o)]) == 3
     _one_line_error(capsys, message)
-    assert not (tmp_path / "trajectory.csv").exists()
+    assert list(tmp_path.iterdir()) == []  # no trace, no summary
 
 
 def test_run_abort_exits_3(tmp_path, capsys, monkeypatch):
@@ -625,7 +694,7 @@ def test_run_abort_exits_3(tmp_path, capsys, monkeypatch):
     assert run(["simulate", "--out", str(tmp_path), "--override", "integrator.dt=0.5",
                 "--override", "eps=0.01"]) == 3
     _one_line_error(capsys, "run aborted: non-finite state in run 0 at t = ")
-    assert not (tmp_path / "trajectory.csv").exists()
+    assert list(tmp_path.iterdir()) == []  # no trace, no summary
 
     def broken(*args, **kwargs):
         raise ClfConsistencyError("row 1: psi1 ~ 0 with psi0 = 1 > 0; "

@@ -20,7 +20,7 @@ def test_output_digest_repeats_on_a_fast_case():
     first = _digest("--case", "mech_k1_0")
     assert first == _digest("--case", "mech_k1_0", "--root", str(ROOT))
     names = [line.split()[0] for line in first]
-    assert names == ["mech_k1_0/summary.json", "mech_k1_0/trajectory.csv",
+    assert names == ["mech_k1_0/summary.json", "mech_k1_0/trajectory.npy",
                      "mech_k1_0/stdout", "mech_k1_0/exit"], first
     assert first[-1] == "mech_k1_0/exit 0"
     assert all(len(line.split()[1]) == 64 for line in first[:-1])

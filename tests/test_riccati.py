@@ -323,3 +323,11 @@ def test_certificate_roundtrip_serialization(cert01_e01):
     # files written while the certificate still carried c3 = gamma load as before
     older = oc.ResClfCertificate.from_dict({**data, "c3": data["gamma"]})
     assert older.gamma == cert01_e01.gamma
+
+
+def test_nan_residual_is_refused():
+    # at eps = 1e-300 the scaling M P M overflows and the eps-scaled residual is NaN,
+    # which no comparison with the tolerance lets through
+    with np.errstate(all="ignore"), pytest.raises(riccati.CareSolveError,
+                                                  match="eps-scaled CARE residual nan"):
+        oc.certificate(oc.build_fg(oc.OutputDims(0, 1)), np.eye(2), 1e-300)

@@ -202,17 +202,17 @@ def test_ultimate_bound_validation(zero_record_eps05):
         oc.ultimate_bound(rec, settle_fraction=1.0)
 
 
-def test_csv_layout(zero_record_eps05, tmp_path):
+def test_trace_layout(zero_record_eps05, tmp_path):
+    # a .npy table of the record's columns in the fixed order, listed by name and shape
     _, _, rec = zero_record_eps05
-    path = tmp_path / "rec.csv"
-    cli._write_record_csv(path, cli.DEFAULT_CONFIG, rec)
-    lines = path.read_text().splitlines()
-    assert [line.partition("=")[0] for line in lines[:3]] == [
-        "# config", "# config_hash", "# content_hash"]
+    path = tmp_path / "rec.npy"
+    name, entry = cli._write_record_csv(path, cli.DEFAULT_CONFIG, rec)
     headers = ["t", "eta_0", "eta_1", "z_0", "z_1", "d_0", "V_eps", "V_Z", "V_c", "dist"]
-    assert lines[3] == ",".join(headers)
-    assert len(lines) == 4 + len(rec)
-    assert [float(v) for v in lines[-1].split(",")] == [
+    assert name == "rec.npy"
+    assert entry["columns"] == headers and entry["shape"] == [len(rec), len(headers)]
+    table = np.load(path)
+    assert table.shape == (len(rec), len(headers))
+    assert table[-1].tolist() == [
         rec.t[-1], *rec.eta[-1], *rec.z[-1], *rec.d[-1],
         rec.v_eps[-1], rec.v_z[-1], rec.v_c[-1], rec.dist[-1]]
 

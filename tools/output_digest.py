@@ -72,6 +72,10 @@ CASES = {
     "certify_sigma0": ("certify",) + _override("k1=1", "k2=2", "integrator.horizon=8", "sigma=0"),
     "certify_bad_annulus": ("certify",) + _override("plant.annulus_fraction=1.5"),
     "certify_bad_y1_rate": ("certify",) + _override("k1=1", "plant.y1_rate=-1"),
+    # magnitudes outside their stated domains, each exit 2 before anything is allocated
+    "simulate_bad_eps": ("simulate",) + _override("eps=1e-300", "integrator.horizon=0.05"),
+    "simulate_bad_r0": ("simulate",) + _override("plant.r0=1e300", "integrator.horizon=0.05"),
+    "simulate_bad_dims": ("simulate",) + _override("k2=1e300", "integrator.horizon=0.05"),
     # sweep grids on which a check row could not fail, each exit 2
     "sweep_one_eps": ("sweep",) + _override("sweep.eps_grid=[0.1]", "integrator.horizon=4"),
     "sweep_no_zero_amplitude": ("sweep",) + _override("sweep.amplitude_grid=[0.01]",
