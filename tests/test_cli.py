@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from orbitclf import certify as cert_mod
@@ -272,7 +272,7 @@ def test_sweep_rejects_mech_plant(tmp_path, capsys):
     ("certify", "sweep.amplitude_grid=[0.01,0.02,0.04]",
      "certify needs a sweep.amplitude_grid of at least 3 amplitudes, one of them 0"),
     ("sweep", "sweep.eps_grid=[0.1,null]", "sweep.eps_grid must be a list of numbers"),
-    ("sweep", "sweep.eps_grid=[2.0]", "eps must lie in (0, 1]"),
+    ("sweep", "sweep.eps_grid=[2.0]", "sweep.eps_grid must be a list of numbers in [1e-9, 1]"),
     ("simulate", "initial.eta=[0.1]", "initial.eta must be a list of 2 numbers"),
     ("simulate", "initial.z=[1,0,0]", "initial.z must be a list of 2 numbers"),
     ("simulate", "initial.x=[0,0]", "initial.x must be a list of 4 numbers"),
@@ -323,17 +323,21 @@ def test_unreadable_config_or_unusable_out_exits_2(tmp_path, capsys, args, messa
 
 
 @pytest.mark.parametrize("overrides, message", [
-    (["plant.kind=mech", "k1=1", "plant.q1_plus=0"], "plant: q1_plus must exceed q1_minus"),
-    (["plant.lambda_h=-1"], "plant: lambda_h must be positive"),
-    (["plant.r0=0"], "plant: r0 must be positive"),
+    (["plant.kind=mech", "k1=1", "plant.q1_plus=0"],
+     "plant.q1_plus must be above plant.q1_minus = 0.0, got 0"),
+    (["plant.lambda_h=-1"], "plant.lambda_h must be a number in (0, inf), got -1"),
+    (["plant.r0=0"], "plant.r0 must be a number in (0, 1e50], got 0"),
     (["disturbance.kind=piecewise_constant_random", "disturbance.dwell=0"],
-     "disturbance: dwell time must be positive"),
-    (["plant.annulus_fraction=1.5"], "plant.annulus_fraction must lie in (0, 1)"),
-    (["plant.y1_rate=0"], "plant: y1_rate must be positive"),
-], ids=["q1_plus", "lambda_h", "r0", "dwell", "annulus_fraction", "y1_rate"])
+     "disturbance.dwell must be a number in (0, inf), got 0"),
+    (["plant.annulus_fraction=1.5"], "plant.annulus_fraction must be a number in (0, 1), got 1.5"),
+    (["plant.y1_rate=0"], "plant.y1_rate must be a number in (0, inf), got 0"),
+    # sup_norm's closed form read a negative frequency's |d|inf as about 0
+    (["disturbance.frequency=-0.5"],
+     "disturbance.frequency must be a number in [0, inf), got -0.5"),
+], ids=["q1_plus", "lambda_h", "r0", "dwell", "annulus_fraction", "y1_rate", "frequency"])
 def test_bad_plant_or_disturbance_exits_2(tmp_path, capsys, overrides, message):
-    # the plant and signal constructors' own checks, which pass _validate,
-    # and the annulus of the converse constants, which _validate checks
+    # the plant and signal constructors raise on each of these too, for library
+    # callers; the config table refuses them before anything is built
     args = ["simulate", "--out", str(tmp_path), "--override", "integrator.horizon=0.01"]
     assert run(args + [a for o in overrides for a in ("--override", o)]) == 2
     _one_line_error(capsys, f"config error: {message}")
@@ -341,16 +345,27 @@ def test_bad_plant_or_disturbance_exits_2(tmp_path, capsys, overrides, message):
 
 @pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
 @pytest.mark.parametrize("override, message", [
-    ("eps=1e-300", f"eps must be at least {cli.EPS_MIN:g}, got 1e-300"),
-    ("sweep.eps_grid=[0.1,1e-300]", f"eps must be at least {cli.EPS_MIN:g}, got 1e-300"),
-    ("plant.r0=1e300", f"plant.r0 must be at most {cli.R0_MAX:g}"),
-    ("k1=1e300", f"k1 + 2*k2 must be at most {cli.MAX_N_ETA}"),
-    ("k2=1e300", f"k1 + 2*k2 must be at most {cli.MAX_N_ETA}"),
-    ("k2=31", f"k1 + 2*k2 must be at most {cli.MAX_N_ETA}"),  # n_eta = 62
-], ids=["eps", "eps_grid", "r0", "k1", "k2", "k2 above the ceiling"])
+    ("eps=1e-300", "eps must be a number in [1e-9, 1], got 1e-300"),
+    ("sweep.eps_grid=[0.1,1e-300]",
+     "sweep.eps_grid must be a list of numbers in [1e-9, 1], got [0.1, 1e-300]"),
+    ("plant.r0=1e300", "plant.r0 must be a number in (0, 1e50], got 1e+300"),
+    ("k1=1e300", f"k1 must be an integer in [0, {cli.MAX_N_ETA}], got 1e+300"),
+    ("k2=1e300", f"k2 must be an integer in [0, {cli.MAX_N_ETA // 2}], got 1e+300"),
+    ("k2=31", f"k2 must be an integer in [0, {cli.MAX_N_ETA // 2}], got 31"),  # n_eta = 62
+    ("k1=59", f"k1 + 2*k2 must be in [1, {cli.MAX_N_ETA}], got 61"),
+    ("k2=0", f"k1 + 2*k2 must be in [1, {cli.MAX_N_ETA}], got 0"),
+    ("plant.coupling=1e300", "plant.coupling must be a number or a 2x2 matrix of numbers "
+                             "in [-1e50, 1e50], got 1e+300"),
+    ("plant.coupling=[[0.2,0.2],[0.2,-1e51]]", "plant.coupling must be a number or a 2x2 matrix"),
+    ("disturbance.dwell=1e-300", f"integrator.horizon / disturbance.dwell must be at most "
+                                 f"{simulator.MAX_STEPS}, got 5e+298"),
+    ("plant.omega=" + "9" * 400, "plant.omega must be a number, got 999"),  # float() overflows
+], ids=["eps", "eps_grid", "r0", "k1", "k2", "k2 above the ceiling", "n_eta above the ceiling",
+        "no outputs", "coupling", "coupling entry", "dwell", "integer past the floats"])
 def test_magnitude_outside_its_domain_exits_2(tmp_path, capsys, command, override, message):
-    # each ended in a traceback (non-finite coefficients, an OverflowError, or numpy
-    # refusing an n_eta x n_eta array) before _validate gave the key a domain
+    # each ended in a traceback (non-finite coefficients, an OverflowError, numpy refusing
+    # an n_eta x n_eta array or a table of horizon / dwell blocks) or in overflow warnings
+    # before its row in the config table gave the key a domain
     out = tmp_path / "out"
     assert run([command, "--out", str(out), "--override", "integrator.horizon=0.05",
                 "--override", override]) == 2
@@ -359,8 +374,18 @@ def test_magnitude_outside_its_domain_exits_2(tmp_path, capsys, command, overrid
 
 
 def test_domain_bounds_are_inside_their_domains(tmp_path):
-    # the bounds themselves pass _validate; n_eta = 60 synthesizes
-    cli.load_config(None, [f"eps={cli.EPS_MIN!r}", f"plant.r0={cli.R0_MAX!r}"], None, None)
+    # each closed finite end of a domain passes _validate; n_eta = 60 synthesizes
+    for key in cli.CONFIG_KEYS:
+        if key.domain is None:
+            continue
+        ends = [float(end) for end in key.domain[1:-1].split(",")]
+        for end, closed in zip(ends, (key.domain[0] == "[", key.domain[-1] == "]")):
+            if closed and np.isfinite(end):
+                value = int(end) if int in key.kinds else end
+                value = [value] * len(key.default) if isinstance(key.default, list) else value
+                # n_eta = k1 + 2 k2 stays in [1, 60]
+                others = {("k1", 60): ["k2=0"], ("k2", 0): ["k1=1"]}.get((key.path, end), [])
+                cli.load_config(None, others + [f"{key.path}={json.dumps(value)}"], None, None)
     assert run(["synth", "--out", str(tmp_path), "--override", "k2=30"]) == 0
 
 
@@ -368,8 +393,153 @@ def test_domain_bounds_are_inside_their_domains(tmp_path):
 @pytest.mark.parametrize("dt", ["1e-9", "1e-310"])  # billions of steps, and an infinite T/dt
 def test_step_ceiling_exits_2(tmp_path, capsys, command, dt):
     assert run([command, "--out", str(tmp_path), "--override", f"integrator.dt={dt}"]) == 2
-    _one_line_error(capsys, f"integrator.horizon / integrator.dt exceeds the "
-                            f"{simulator.MAX_STEPS} step ceiling")
+    _one_line_error(capsys, f"integrator.horizon / integrator.dt must be at most "
+                            f"{simulator.MAX_STEPS}, got ")
+
+
+#: DEFAULT_CONFIG as it was written out before the config table built it: every config
+#: hash and output byte depends on it
+DEFAULT_LITERAL = {
+    "k1": 0, "k2": 1, "Q": "identity", "eps": 0.1, "eps_bar": 0.1,
+    "controller": "min_norm_plus_us", "sigma": None,
+    "plant": {"kind": "hopf", "omega": 1.0, "lambda_h": 1.0, "r0": 1.0, "coupling": 0.2,
+              "y1_rate": 1.0, "annulus_fraction": 0.5, "q1_minus": 0.0, "q1_plus": 1.0,
+              "alpha": [0.0, 0.1, 0.3, 0.3, 0.1, 0.0], "v_d": 1.0},
+    "disturbance": {"kind": "sinusoid", "amplitude": 0.002, "frequency": 0.5, "dwell": 0.5,
+                    "seed": None},
+    "integrator": {"dt": 0.001, "horizon": 20.0},
+    "initial": {"eta": None, "z": None, "x": None},
+    "sweep": {"eps_grid": [0.5, 0.2, 0.1, 0.05], "amplitude_grid": [0.0, 0.01, 0.02, 0.04]},
+    "settle_fraction": 0.5, "seed": 0, "out": "runs",
+}
+
+
+def test_default_config_is_the_literal_it_replaced():
+    assert cli.DEFAULT_CONFIG == DEFAULT_LITERAL
+    assert cli.canonical_json(cli.DEFAULT_CONFIG) == cli.canonical_json(DEFAULT_LITERAL)
+    assert [key.path for key in cli.CONFIG_KEYS[:2]] == ["k1", "k2"]  # n_eta is read first
+
+
+def test_readme_config_block_states_the_table():
+    # the README's jsonc block, its // comments stripped, is DEFAULT_CONFIG, and each key's
+    # line states its domain and its enum's values
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("```jsonc\n", 1)[1].split("```", 1)[0].splitlines()
+    assert json.loads("\n".join(line.split("//")[0] for line in lines)) == cli.DEFAULT_CONFIG
+    for key in cli.CONFIG_KEYS:
+        section, _, name = key.path.rpartition(".")
+        opens = [i for i, line in enumerate(lines) if f'"{section}": {{' in line]  # its section
+        line = next(line for line in lines[opens[0] if section else 0:] if f'"{name}":' in line)
+        for text in [key.domain] * bool(key.domain) + [k for k in key.kinds if isinstance(k, str)]:
+            assert text in line, (key.path, text, line)
+
+
+@pytest.mark.parametrize("out", ["5", "[1]", "null", "{}"])
+def test_non_text_out_exits_2(tmp_path, capsys, monkeypatch, out):
+    # with no --out flag, out=5 reached pathlib and ended in a TypeError traceback
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--override", f"out={out}"]) == 2
+    _one_line_error(capsys, "config error: out must be a string, got ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("coupling", ["1e50", "-1e50"])
+def test_coupling_at_its_bound_warns_nothing(tmp_path, capsys, coupling):
+    # with r0 at its own bound and the most rows of eta, L_q and the chosen sigma stay
+    # finite and positive; 1e300 overflowed L_q with warnings on stderr, and exits 2 now
+    config = cli.load_config(None, [f"plant.coupling={coupling}", "plant.r0=1e50", "k2=30"],
+                             None, None)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        loop, _, plant, _ = cli.build_closed_loop(config)
+    assert np.isfinite(plant.lipschitz_q) and 0.0 < loop.sigma < np.inf
+    # the run itself overflows in its first step: exit 3, in one line
+    assert run(["simulate", "--out", str(tmp_path), "--override", f"plant.coupling={coupling}",
+                "--override", "integrator.horizon=0.05"]) == 3
+    _one_line_error(capsys, "run aborted: non-finite state in run 0")
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
+def test_phase_error_on_the_hopf_plant_exits_2_at_amplitude_0(tmp_path, capsys, command):
+    # at amplitude 0 the main run has no signal, but certify's and sweep's amplitude grids
+    # built phase_error_driven signals on the Hopf loop and ended in a traceback
+    assert run([command, "--out", str(tmp_path), "--override", "disturbance.amplitude=0",
+                "--override", "disturbance.kind=phase_error_driven"]) == 2
+    _one_line_error(capsys, "config error: phase_error_driven disturbances require the mech plant")
+
+
+_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+#: one strategy per JSON type: null, bool, integral and fractional number, non-finite number,
+#: string, array, object
+_JSON_TYPES = {
+    None: st.none(), bool: st.booleans(), int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
+    "non-finite": st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    str: st.text(max_size=8), list: st.lists(_leaves, max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), _leaves, max_size=2),
+}
+
+
+def _wrong_type(key):
+    """Values of no JSON type that a row's kinds take (see cli.Key)."""
+    taken = set()
+    for kind in key.kinds:
+        if kind is None or isinstance(kind, list):
+            taken.add(None if kind is None else list)
+        else:  # a string, an enum's value, or a number
+            taken |= {str} if kind is str or isinstance(kind, str) else {int, kind}
+    return st.one_of([strategy for name, strategy in _JSON_TYPES.items() if name not in taken])
+
+
+def _outside(key):
+    """Values of a row's own JSON type outside its domain, or None where it has none."""
+    texts = [kind for kind in key.kinds if isinstance(kind, str)]
+    if texts:  # an enum, or Q's "identity"
+        return st.text(max_size=20).filter(lambda text: text not in texts)
+    if key.domain is None:  # a list of a fixed length: one of another length
+        sizes = [2 if kind[0] == "n" else kind[0] for kind in key.kinds if isinstance(kind, list)]
+        if not sizes or sizes[0] is None:
+            return None
+        return st.lists(st.floats(-1.0, 1.0), max_size=8).filter(lambda v: len(v) != sizes[0])
+    lo, hi = (float(end) for end in key.domain[1:-1].split(","))
+    closed = (key.domain[0] == "[", key.domain[-1] == "]")
+    if int in key.kinds:  # dims only just above the ceiling: nothing is allocated
+        sides = [st.integers(max_value=int(lo) - closed[0]),
+                 st.integers(min_value=int(hi) + closed[1], max_value=int(hi) + 8)]
+    else:
+        # a closed end's next float outward: never -0.0 below a closed 0
+        below = float(np.nextafter(lo, -np.inf)) if closed[0] else lo
+        sides = [st.floats(max_value=below, allow_infinity=False)]
+        if hi < np.inf:
+            above = float(np.nextafter(hi, np.inf)) if closed[1] else hi
+            sides.append(st.floats(min_value=above, allow_infinity=False))
+    numbers = st.one_of(sides)
+    return numbers if float in key.kinds or int in key.kinds else numbers.map(lambda x: [0.1, x])
+
+
+@settings(max_examples=8, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_row_refuses_a_value_outside_it(tmp_path, capsys, monkeypatch, data):
+    # for each row of the table, a value outside its domain and a value of the wrong type:
+    # each command exits 2 with one line naming the key, makes no output directory and
+    # neither synthesizes nor integrates anything
+    def refused(*args, **kwargs):
+        raise AssertionError("a refused config reached a synthesis or an integration")
+
+    monkeypatch.chdir(tmp_path)  # no --out: the out row is drawn too
+    monkeypatch.setattr(cli, "build_certificate", refused)
+    monkeypatch.setattr(cli, "integrate", refused)
+    for key in cli.CONFIG_KEYS:
+        outside = _outside(key)
+        values = [data.draw(_wrong_type(key), label=f"{key.path} of a wrong type")]
+        if outside is not None:
+            values.append(data.draw(outside, label=f"{key.path} outside its domain"))
+        for value in values:
+            for command in sorted(cli.COMMANDS):
+                assert run([command, "--override", f"{key.path}={json.dumps(value)}"]) == 2
+                _one_line_error(capsys, f"config error: {key.path} must be ")
+                assert list(tmp_path.iterdir()) == []
 
 
 def test_object_override_merges_into_section(tmp_path):
@@ -469,8 +639,8 @@ def test_traces_are_the_record_columns_bitwise(tmp_path, monkeypatch, args, inde
 
 @pytest.mark.parametrize("override, message", [
     ("plant.v_d=null", "config error: plant.v_d must be a number, got None"),
-    ("k2=2", "config error: plant: the mech plant has k1 = 0 or 1 and k2 = 1, not (k1=0, k2=2)"),
-    ("k1=2", "config error: plant: the mech plant has k1 = 0 or 1 and k2 = 1, not (k1=2, k2=1)"),
+    ("k2=2", "config error: (k1, k2) must be (0, 1) or (1, 1) for the mech plant, got (0, 2)"),
+    ("k1=2", "config error: (k1, k2) must be (0, 1) or (1, 1) for the mech plant, got (2, 1)"),
 ], ids=["v_d null", "k2=2", "k1=2"])
 def test_mech_dims_or_null_v_d_exit_2(tmp_path, capsys, override, message):
     overrides = MECH_K1_0 + [override]
@@ -510,7 +680,7 @@ def test_non_finite_figures_are_written_as_null(tmp_path):
 
 
 @pytest.mark.parametrize("override, message", [
-    ("eps=NaN", "eps must be a number, got nan"),
+    ("eps=NaN", "eps must be a number in [1e-9, 1], got nan"),
     ("plant.omega=Infinity", "plant.omega must be a number, got inf"),
     ("Q=[[1,0],[0,-Infinity]]", 'Q must be "identity" or a 2x2 matrix of numbers'),
 ])
@@ -646,7 +816,8 @@ def test_non_positive_sigma_exits_2(tmp_path, capsys, sigma):
     # min(sigma c4, c1) would be 0 or negative: the sandwich certifies nothing
     args = ["--override", "k1=1", "--override", "k2=2", "--override", "integrator.horizon=8"]
     assert run(["certify", "--out", str(tmp_path), "--override", f"sigma={sigma}"] + args) == 2
-    _one_line_error(capsys, f"config error: sigma must be a positive number, got {sigma}")
+    _one_line_error(capsys, "config error: sigma must be null or a number in (0, inf), "
+                            f"got {sigma}")
     assert list(tmp_path.iterdir()) == []
 
 

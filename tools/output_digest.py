@@ -5,11 +5,12 @@
 
 Each case runs in a process of its own with the package from
 ``CHECKOUT/src`` (default: this checkout), CLI runs into a temporary
-directory.  For each case the tool prints one line per output file,
-``<case>/<file> <sha256>``, then ``<case>/stdout <sha256>`` with the output
-directory's path replaced by ``<out>``, ``<case>/exit <code>`` and, when
-stderr is not empty, ``<case>/error <its last line>``.  Equal lines mean
-byte-identical files, stdout, exit codes and error texts.  With
+directory, named by an ``out`` override ahead of the case's own arguments so
+that a case may set ``out`` itself.  For each case the tool prints one line
+per output file, ``<case>/<file> <sha256>``, then ``<case>/stdout <sha256>``
+with the output directory's path replaced by ``<out>``, ``<case>/exit
+<code>`` and, when stderr is not empty, ``<case>/error <its last line>``.
+Equal lines mean byte-identical files, stdout, exit codes and error texts.  With
 ``--against OTHER`` it digests both checkouts and prints only the lines
 that differ, ``- `` before OTHER's and ``+ `` before CHECKOUT's, and exits 1
 on any difference.  ``--root`` and ``--against`` may name a checkout that
@@ -72,10 +73,15 @@ CASES = {
     "certify_sigma0": ("certify",) + _override("k1=1", "k2=2", "integrator.horizon=8", "sigma=0"),
     "certify_bad_annulus": ("certify",) + _override("plant.annulus_fraction=1.5"),
     "certify_bad_y1_rate": ("certify",) + _override("k1=1", "plant.y1_rate=-1"),
-    # magnitudes outside their stated domains, each exit 2 before anything is allocated
+    # values outside their keys' domains, each exit 2 before anything is allocated
     "simulate_bad_eps": ("simulate",) + _override("eps=1e-300", "integrator.horizon=0.05"),
     "simulate_bad_r0": ("simulate",) + _override("plant.r0=1e300", "integrator.horizon=0.05"),
     "simulate_bad_dims": ("simulate",) + _override("k2=1e300", "integrator.horizon=0.05"),
+    "simulate_bad_out": ("simulate",) + _override("out=5"),
+    "simulate_bad_dwell": ("simulate",) + _override("disturbance.kind=piecewise_constant_random",
+                                                    "disturbance.dwell=1e-300"),
+    "simulate_bad_coupling": ("simulate",) + _override("plant.coupling=1e300",
+                                                       "integrator.horizon=0.05"),
     # sweep grids on which a check row could not fail, each exit 2
     "sweep_one_eps": ("sweep",) + _override("sweep.eps_grid=[0.1]", "integrator.horizon=4"),
     "sweep_no_zero_amplitude": ("sweep",) + _override("sweep.amplitude_grid=[0.01]",
@@ -102,7 +108,7 @@ def digest(case: str, root: Path = ROOT, env: dict | None = None) -> list[str]:
         if isinstance(spec, str):
             argv = [sys.executable, str(root / "demos" / spec)]
         else:
-            argv = [sys.executable, "-m", "orbitclf.cli", *spec, "--out", str(out)]
+            argv = [sys.executable, "-m", "orbitclf.cli", "--override", f"out={out}", *spec]
         proc = subprocess.run(argv, capture_output=True, cwd=tmp, env=env)
         lines = [f"{case}/{path.relative_to(out).as_posix()} {_sha(path.read_bytes())}"
                  for path in sorted(out.rglob("*")) if path.is_file()]
