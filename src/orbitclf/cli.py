@@ -227,7 +227,7 @@ def _validate(config: dict) -> None:
             n = int(config["k1"]) + 2 * int(value)
             if not 1 <= n <= MAX_N_ETA:
                 raise ConfigError(f"k1 + 2*k2 must be in [1, {MAX_N_ETA}], got {n}")
-    plant, integ = config["plant"], config["integrator"]
+    plant, integ, dist = config["plant"], config["integrator"], config["disturbance"]
     if plant["kind"] == "mech" and not (config["k1"] <= 1 and config["k2"] == 1):
         raise ConfigError("(k1, k2) must be (0, 1) or (1, 1) for the mech plant, "
                           f"got ({config['k1']}, {config['k2']})")
@@ -238,11 +238,15 @@ def _validate(config: dict) -> None:
         raise ConfigError(f"integrator.horizon must be at least integrator.dt = {integ['dt']!r}, "
                           f"got {integ['horizon']!r}")
     # RK4 takes horizon / dt steps; a piecewise-random signal tables horizon / dwell blocks
-    dwell = config["disturbance"]["dwell"]
-    for path, step in ("integrator.dt", integ["dt"]), ("disturbance.dwell", dwell):
+    for path, step in ("integrator.dt", integ["dt"]), ("disturbance.dwell", dist["dwell"]):
         if not integ["horizon"] / step <= MAX_STEPS:  # an infinite ratio too
             raise ConfigError(f"integrator.horizon / {path} must be at most {MAX_STEPS}, "
                               f"got {integ['horizon'] / step:g}")
+    if plant["kind"] == "hopf" and dist["kind"] == "phase_error_driven":  # at amplitude 0 too
+        raise ConfigError("phase_error_driven disturbances require the mech plant")
+    if (plant["kind"] == "mech" and dist["kind"] not in ("zero", "phase_error_driven")
+            and dist["amplitude"] != 0):
+        raise ConfigError("the mech plant takes zero or phase_error_driven disturbances")
 
 
 def canonical_json(data) -> str:
@@ -340,15 +344,11 @@ def build_closed_loop(config: dict, eps: float | None = None):
     plant = build_plant(cfg, dims)
     signal = build_signal(cfg, dims)
     if isinstance(plant, HopfPlant):
-        if cfg["disturbance"]["kind"] == "phase_error_driven":  # at amplitude 0 too
-            raise ConfigError("phase_error_driven disturbances require the mech plant")
         sigma = resolve_sigma(cfg, cert, plant)
         loop = DisturbedClosedLoop(plant=plant, cert=cert, controller=cfg["controller"],
                                    signal=None if signal.kind == "zero" else signal,
                                    eps_bar=float(cfg["eps_bar"]), sigma=sigma)
     else:
-        if signal.kind not in ("zero", "phase_error_driven"):
-            raise ConfigError("the mech plant takes zero or phase_error_driven disturbances")
         loop = MechClosedLoop(plant=plant, cert=cert,
                               signal=None if signal.kind == "zero" else signal)
     return loop, cert, plant, initial_state(cfg, plant, dims)

@@ -144,9 +144,9 @@ def sup_norm(signal: DisturbanceSignal, horizon: float) -> float:
     if signal.kind in ("constant", "piecewise_constant_random"):
         return abs(signal.amplitude)
     if signal.kind == "sinusoid":
-        # the sup over t >= 0 is the amplitude; attained on any horizon
-        # covering a quarter period, approached otherwise
-        if horizon * signal.frequency >= 0.25:
+        # the sup over t >= 0 is the amplitude; attained on any horizon covering a
+        # quarter period of |f| (d at -f is -d at f), approached otherwise
+        if horizon * abs(signal.frequency) >= 0.25:
             return abs(signal.amplitude)
-        return abs(signal.amplitude * np.sin(2.0 * np.pi * signal.frequency * horizon))
+        return abs(signal.amplitude * np.sin(2.0 * np.pi * abs(signal.frequency) * horizon))
     raise ValueError("a phase_error_driven disturbance depends on the state; it has no sup norm")

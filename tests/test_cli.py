@@ -459,13 +459,39 @@ def test_coupling_at_its_bound_warns_nothing(tmp_path, capsys, coupling):
     _one_line_error(capsys, "run aborted: non-finite state in run 0")
 
 
-@pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
-def test_phase_error_on_the_hopf_plant_exits_2_at_amplitude_0(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["simulate", "certify", "sweep", "synth"])
+def test_phase_error_on_the_hopf_plant_exits_2_at_amplitude_0(tmp_path, capsys, monkeypatch,
+                                                               command):
     # at amplitude 0 the main run has no signal, but certify's and sweep's amplitude grids
-    # built phase_error_driven signals on the Hopf loop and ended in a traceback
-    assert run([command, "--out", str(tmp_path), "--override", "disturbance.amplitude=0",
+    # built phase_error_driven signals on the Hopf loop and ended in a traceback; the
+    # config's validation refuses it, so synth does too, before any output directory
+    monkeypatch.chdir(tmp_path)
+    assert run([command, "--override", "disturbance.amplitude=0",
                 "--override", "disturbance.kind=phase_error_driven"]) == 2
     _one_line_error(capsys, "config error: phase_error_driven disturbances require the mech plant")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "sweep", "synth"])
+def test_mech_plant_with_an_input_disturbance_exits_2(tmp_path, capsys, monkeypatch, command):
+    # simulate refused the default sinusoid on the mech plant only after it had made the
+    # output directory, and synth accepted it; at amplitude 0 the run has no signal
+    monkeypatch.chdir(tmp_path)
+    assert run([command, "--override", "plant.kind=mech", "--override", "k1=1"]) == 2
+    _one_line_error(capsys, "config error: the mech plant takes zero or phase_error_driven "
+                            "disturbances")
+    assert list(tmp_path.iterdir()) == []
+    assert run(["synth", "--override", "plant.kind=mech", "--override", "k1=1",
+                "--override", "disturbance.amplitude=0"]) == 0
+
+
+def test_run_aborted_is_one_line_at_any_state_size(tmp_path, capsys):
+    # numpy wraps a printed array at 75 characters: the 62 entries of this state spread the
+    # abort over 11 stderr lines, every value inside its key's domain
+    assert run(["simulate", "--out", str(tmp_path), "--override", "plant.coupling=1e50",
+                "--override", "plant.r0=1e50", "--override", "k2=30",
+                "--override", "integrator.horizon=0.05"]) == 3
+    _one_line_error(capsys, "run aborted: non-finite state in run 0 at t = ")
 
 
 _leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)

@@ -30,6 +30,17 @@ def test_sinusoid_bounds():
     assert sup_norm(sig, 3.0) == 0.3
 
 
+@pytest.mark.parametrize("frequency", [0.5, -0.5])
+@pytest.mark.parametrize("horizon", [20.0, 0.3], ids=["long", "short"])
+def test_sinusoid_sup_norm_is_the_dense_grid_maximum(frequency, horizon):
+    # a negative frequency is the sinusoid's mirror image, -d(t) at |f|: the same sup,
+    # |A| on a horizon past a quarter period and |A sin(2 pi |f| T)| on a shorter one
+    sig = DisturbanceSignal(kind="sinusoid", dim=1, amplitude=-0.3, frequency=frequency)
+    dense = np.max(np.abs(sig.closed_form(np.linspace(0.0, horizon, 200_001))))
+    assert dense <= sup_norm(sig, horizon) and np.isclose(dense, sup_norm(sig, horizon),
+                                                           rtol=1e-9, atol=0.0)
+
+
 def test_piecewise_deterministic_and_exact_norm():
     a = DisturbanceSignal(kind="piecewise_constant_random", dim=3, amplitude=0.2,
                           dwell=0.25, seed=123)

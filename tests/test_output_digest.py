@@ -1,5 +1,7 @@
 """tools/output_digest.py: one command that digests every output of a fixed list of runs."""
 
+import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +59,23 @@ def test_output_digest_env_applies_to_the_checkout_only():
                                "--case", "mech_k1_0", "--env", bad],
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 2 and "KEY=VALUE" in proc.stderr, proc.stderr
+
+
+def test_output_digest_cpus_pins_the_checkout_only(tmp_path):
+    # --cpus N runs CHECKOUT's case processes on N CPUs: a stand-in package whose CLI
+    # prints the number of CPUs it may run on prints 1, and without --cpus all of them
+    package = tmp_path / "src" / "orbitclf"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("import os\nprint(len(os.sched_getaffinity(0)))\n")
+    everyone = len(os.sched_getaffinity(0))
+    for cpus, printed in (["--cpus", "1"], b"1\n"), ([], b"%d\n" % everyone):
+        lines = _digest("--case", "synth", "--root", str(tmp_path), *cpus)
+        assert "synth/stdout " + hashlib.sha256(printed).hexdigest() in lines, lines
+    # a Hopf batch stepped in two processes and in one: the same bytes
+    assert _digest("--case", "certify_seed0", "--against", str(ROOT), "--cpus", "1") == []
+    for bad in ("0", str(everyone + 1)):
+        proc = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"),
+                               "--case", "synth", "--cpus", bad],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2 and "--cpus takes 1 to" in proc.stderr, proc.stderr

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -338,6 +339,7 @@ def test_stage_inputs_equal_per_call_table(monkeypatch, chunk):
     # over 20 s
     loops, x0 = _every_signal_kind()
     monkeypatch.setattr(simulator, "CHUNK", chunk)
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: 1)  # every call in this process
     calls = _recording_rhs(monkeypatch)
     oc.integrate(loops, x0, T=20.0, dt=1e-2)
     table = oc.DisturbanceTable([lp.signal for lp in loops], 3, 20.0)
@@ -488,6 +490,79 @@ def test_field_error_after_overflow_names_the_nonfinite_state(monkeypatch):
     monkeypatch.setattr(plants, "_hopf_stage", lambda loops, columns: lambda *args: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         oc.integrate(loops, _batch_of_five()[1], T=3.0, dt=0.01)
+
+
+def _certify_sized_batch():
+    """Five rows of certify's dims (k1 = 1, k2 = 2), each under a certificate of its own."""
+    loops, x0 = _batch_of_five()
+    certs = [oc.certificate(loops[0].plant.dyn, q * np.eye(5), eps)
+             for q, eps in ((1.0, 0.1), (2.0, 0.1), (1.0, 0.3), (0.5, 0.05), (3.0, 0.2))]
+    return [dataclasses.replace(lp, cert=c) for lp, c in zip(loops, certs)], x0
+
+
+def _usable_cpus(monkeypatch, cpus):
+    """Report `cpus` usable CPUs to integrate; keep what each two-process attempt returned."""
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: cpus)
+    return _recording_calls(monkeypatch, simulator, "_step_in_two")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_batch_equals_one_process_and_lone_runs(monkeypatch):
+    # 5 rows x 4000 steps reach SPLIT_ROW_STEPS: the rows that a forked child stepped and
+    # those stepped here equal, bit for bit, the batch in one process and each row alone
+    loops, x0 = _certify_sized_batch()
+    assert 5 * 4000 == simulator.SPLIT_ROW_STEPS
+    attempts = _usable_cpus(monkeypatch, 2)
+    split = oc.integrate(loops, x0, T=4.0, dt=1e-3)
+    assert [done for _, done in attempts] == [True]
+    _no_child_left()
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: 1)
+    whole = oc.integrate(loops, x0, T=4.0, dt=1e-3)
+    assert len(attempts) == 1  # one CPU: one process
+    for loop, x, a, b in zip(loops, x0, split, whole):
+        alone = oc.integrate(loop, x, T=4.0, dt=1e-3)
+        for name in FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert np.array_equal(getattr(alone, name), getattr(a, name)), name
+
+
+@pytest.mark.parametrize("row", [3, 1], ids=["in the child", "here"])
+def test_split_batch_overflow_raises_the_one_process_error(monkeypatch, row):
+    # a row that leaves the finite range mid-chunk on either side of the split: the batch
+    # is stepped again in one process, whose error names the first non-finite state
+    loops, x0 = _batch_of_five("min_norm")
+    x0[row, 5] = 15.5  # as _overflowing_batch
+    monkeypatch.setattr(simulator, "SPLIT_ROW_STEPS", 0)
+    attempts = _usable_cpus(monkeypatch, 1)
+    want = _abort(loops, x0)
+    assert want.startswith(f"non-finite state in run {row} at t = ") and not attempts
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: 2)
+    assert _abort(loops, x0) == want
+    assert [done for _, done in attempts] == [False]
+    _no_child_left()
+
+
+def test_split_batch_interrupted_here_leaves_no_child(monkeypatch):
+    # Ctrl-C while this process steps its rows: the child is stopped and reaped, and the
+    # interrupt goes on
+    loops, x0 = _batch_of_five("min_norm")
+    monkeypatch.setattr(simulator, "SPLIT_ROW_STEPS", 0)
+    _usable_cpus(monkeypatch, 2)
+    parent, step = os.getpid(), simulator._step
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return step(*args)
+
+    monkeypatch.setattr(simulator, "_step", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        oc.integrate(loops, x0, T=3.0, dt=0.01)
+    _no_child_left()
 
 
 def _record_mech_per_sample(loop, ts, states):

@@ -104,18 +104,19 @@ def test_mech_field_calls_the_law_once_and_gets_an_ndarray(monkeypatch):
     assert any(active) and not all(active)  # both branches
 
 
-def test_hopf_run_steps_and_calls_through_the_traced_names(monkeypatch):
-    # the benchmark counts simulator.rk4_step calls as RK4 steps and ticks its
-    # host-speed sampler on plants.min_norm_mu: a Hopf batch of three rows
-    # under three certificates, which steps one flat list of Python floats,
-    # must make N steps and 4N law calls through that attribute in N steps,
-    # each law call giving one gain per row
+def _three_certificates():
+    """A Hopf batch of three rows under three certificates, and its x0."""
     dims = oc.OutputDims(1, 2)
     plant = oc.HopfPlant(dims=dims)
     signal = oc.DisturbanceSignal(kind="sinusoid", dim=dims.n_mu, amplitude=0.02, frequency=0.7)
     loops = [oc.DisturbedClosedLoop(plant=plant, cert=oc.certificate(plant.dyn, q * np.eye(5), eps),
                                     signal=signal)
              for q, eps in ((1.0, 0.1), (2.0, 0.1), (1.0, 0.3))]
+    return loops, np.tile([0.3, -0.2, 0.1, 0.05, 0.1, 1.2, 0.0], (3, 1))
+
+
+def _counting_steps(monkeypatch):
+    """Route simulator.rk4_step through a wrapper that keeps each call's time."""
     steps, step = [], simulator.rk4_step
 
     def counting(*args):
@@ -123,13 +124,41 @@ def test_hopf_run_steps_and_calls_through_the_traced_names(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(simulator, "rk4_step", counting)
+    return steps
+
+
+def test_hopf_run_steps_and_calls_through_the_traced_names(monkeypatch):
+    # the benchmark counts simulator.rk4_step calls as RK4 steps and ticks its
+    # host-speed sampler on plants.min_norm_mu: a Hopf batch of three rows
+    # under three certificates, which steps one flat list of Python floats,
+    # must make N steps and 4N law calls through that attribute in N steps,
+    # each law call giving one gain per row
+    loops, x0 = _three_certificates()
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: 1)  # every call in this process
+    steps = _counting_steps(monkeypatch)
     results = _counting_law(monkeypatch)
-    x0 = np.tile([0.3, -0.2, 0.1, 0.05, 0.1, 1.2, 0.0], (3, 1))
     recs = oc.integrate(loops, x0, T=0.05, dt=1e-3)
     N = len(recs[0]) - 1
     assert N == 50 and len(steps) == N
     assert len(results) == 4 * N
     assert all(isinstance(gains, np.ndarray) and gains.shape == (3,) for gains in results)
+
+
+def test_split_hopf_run_steps_and_calls_through_the_traced_names_here(monkeypatch):
+    # with two usable CPUs, a batch at simulator.SPLIT_ROW_STEPS steps its last row in a
+    # forked child, whose calls no tracer here sees: this process still makes N steps and
+    # 4N law calls through the traced names in N steps, each law call giving one gain per
+    # row that it steps
+    loops, x0 = _three_certificates()
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulator, "SPLIT_ROW_STEPS", 3 * 50)
+    steps = _counting_steps(monkeypatch)
+    results = _counting_law(monkeypatch)
+    recs = oc.integrate(loops, x0, T=0.05, dt=1e-3)
+    N = len(recs[0]) - 1
+    assert N == 50 and len(steps) == N
+    assert len(results) == 4 * N
+    assert all(isinstance(gains, np.ndarray) and gains.shape == (2,) for gains in results)
 
 
 def test_mech_run_steps_and_calls_through_the_traced_names(monkeypatch):

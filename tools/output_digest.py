@@ -1,7 +1,7 @@
 """Print a digest of every output of a fixed list of runs, to compare two trees byte for byte.
 
     python tools/output_digest.py [--root CHECKOUT] [--against OTHER] [--case NAME ...]
-                                  [--env KEY=VALUE ...]
+                                  [--env KEY=VALUE ...] [--cpus N]
 
 Each case runs in a process of its own with the package from
 ``CHECKOUT/src`` (default: this checkout), CLI runs into a temporary
@@ -19,7 +19,15 @@ sets a variable in CHECKOUT's case processes only, so
 
     python tools/output_digest.py --against . --env OPENBLAS_CORETYPE=Prescott
 
-compares this tree with itself across two BLAS kernels.
+compares this tree with itself across two BLAS kernels.  ``--cpus N`` pins
+CHECKOUT's case processes to the first N CPUs this tool may run on
+(``os.sched_setaffinity``, set in each case process before it starts the
+case), so
+
+    python tools/output_digest.py --against . --cpus 1
+
+compares a Hopf batch stepped in two processes (``orbitclf.simulator``
+splits one when two CPUs are usable) with the same batch stepped in one.
 """
 
 from __future__ import annotations
@@ -99,8 +107,10 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(case: str, root: Path = ROOT, env: dict | None = None) -> list[str]:
-    """The digest lines of one case, run against the checkout at root with env's variables set."""
+def digest(case: str, root: Path = ROOT, env: dict | None = None,
+           cpus: int | None = None) -> list[str]:
+    """The digest lines of one case, run against the checkout at root with env's variables set,
+    on the first `cpus` usable CPUs (default: all of them)."""
     spec = CASES[case]
     env = {**os.environ, **(env or {}), "PYTHONPATH": str(root / "src")}
     with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
@@ -109,7 +119,9 @@ def digest(case: str, root: Path = ROOT, env: dict | None = None) -> list[str]:
             argv = [sys.executable, str(root / "demos" / spec)]
         else:
             argv = [sys.executable, "-m", "orbitclf.cli", "--override", f"out={out}", *spec]
-        proc = subprocess.run(argv, capture_output=True, cwd=tmp, env=env)
+        pin = None if cpus is None else (  # in the case process, before it starts
+            lambda: os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cpus]))
+        proc = subprocess.run(argv, capture_output=True, cwd=tmp, env=env, preexec_fn=pin)
         lines = [f"{case}/{path.relative_to(out).as_posix()} {_sha(path.read_bytes())}"
                  for path in sorted(out.rglob("*")) if path.is_file()]
         stdout = proc.stdout.replace(str(out).encode(), b"<out>")
@@ -130,13 +142,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="run only this case; may repeat (default: every case)")
     parser.add_argument("--env", action="append", default=[], metavar="KEY=VALUE",
                         help="set this variable in CHECKOUT's case processes; may repeat")
+    parser.add_argument("--cpus", type=int, default=None, metavar="N",
+                        help="run CHECKOUT's case processes on the first N usable CPUs")
     args = parser.parse_args(argv)
+    if args.cpus is not None and not 1 <= args.cpus <= len(os.sched_getaffinity(0)):
+        parser.error(f"--cpus takes 1 to {len(os.sched_getaffinity(0))} CPUs, got {args.cpus}")
     env = dict(pair.split("=", 1) for pair in args.env if "=" in pair[1:])
     if len(env) != len(args.env):
         parser.error(f"--env takes distinct KEY=VALUE pairs, got {args.env}")
     differ = False
     for case in args.case or CASES:
-        lines = digest(case, args.root.resolve(), env)
+        lines = digest(case, args.root.resolve(), env, args.cpus)
         if args.against is None:
             print("\n".join(lines), flush=True)
             continue
