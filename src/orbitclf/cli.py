@@ -88,9 +88,10 @@ CONFIG_KEYS = (
     Key("plant.coupling", 0.2, (float, [2, "n"]), "[-1e50, 1e50]"),  # keeps L_q, sigma finite
     Key("plant.y1_rate", 1.0, (float,), "(0, inf)"),
     Key("plant.annulus_fraction", 0.5, (float,), "(0, 1)"),
-    Key("plant.q1_minus", 0.0, (float,)),
-    Key("plant.q1_plus", 1.0, (float,)),
-    Key("plant.alpha", [0.0, 0.1, 0.3, 0.3, 0.1, 0.0], ([6],)),
+    # the mech stage writes q1_plus - q1_minus and alpha's differences in: each stays finite
+    Key("plant.q1_minus", 0.0, (float,), "[-1e300, 1e300)"),  # below q1_plus: open above
+    Key("plant.q1_plus", 1.0, (float,), "(-1e300, 1e300]"),
+    Key("plant.alpha", [0.0, 0.1, 0.3, 0.3, 0.1, 0.0], ([6],), "[-1e300, 1e300]"),
     Key("plant.v_d", 1.0, (float,)),
     Key("disturbance.kind", "sinusoid", KINDS),
     Key("disturbance.amplitude", 0.002, (float,)),

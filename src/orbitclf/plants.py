@@ -197,9 +197,12 @@ def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndar
 # ---------------------------------------------------------------------------
 # 2-DOF mechanical plant with virtual constraints
 #
-# A closed mech loop runs one stage function, ``MechClosedLoop.stage``, on a
-# lone state's Python floats (stepping) and on a run's columns (recording),
-# with the same IEEE operations.  The public kernels below take one state x
+# A closed mech loop's stage is generated per loop (``_mech_stage``): one
+# straight-line body on a lone state's Python floats (stepping, through
+# ``MechClosedLoop.field``) and one from the same lines on a run's columns
+# (recording), with the plant's constants and the law forms written in.
+# Only ``+ - * /`` and comparisons touch the state, so each row of the
+# columns has the floats' bits.  The public kernels below take one state x
 # (4,) or a stack (S, 4) with one phase, phase error or mu per row, and each
 # row of a stack is bit for bit the lone call's; ``MechPlant.outputs`` and
 # ``mech_feedforward`` take the entries xs = x.T = (q1, q2, dq1, dq2) and a
@@ -209,8 +212,6 @@ def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndar
 #: a mech run's phase domain, checked in order: the estimate (1e-9 slack), the true phase
 PHASE_DOMAIN = (("phase {:g} outside [0, 1]", -1e-9, 1.0 + 1e-9),
                 ("true phase {:g} outside [0, 1]", 0.0, 1.0))
-#: PHASE_DOMAIN's bounds, against which ``MechClosedLoop.field`` compares its phases
-(_, _HAT_LO, _HAT_HI), (_, _TRUE_LO, _TRUE_HI) = PHASE_DOMAIN
 
 
 def check_phases(*taus) -> None:
@@ -226,6 +227,14 @@ def check_phases(*taus) -> None:
             raise ValueError(message.format(tau))
 
 
+def _phase_exit(tau_hat: float, tau: float) -> None:
+    """Raise for a lone state's phases, which left PHASE_DOMAIN: a phase that is not finite
+    is an overflow (e is finite: the state overflowed in the step), else ``check_phases``."""
+    if not math.isfinite(tau_hat):
+        raise ClfConsistencyError(f"the state overflowed: phase {tau_hat:g}")
+    check_phases(tau_hat, tau)
+
+
 @dataclass(frozen=True)
 class MechPlant:
     """Unit-inertia 2-DOF plant: state x = (q1, q2, dq1, dq2), inputs u = (u1, u2)."""
@@ -237,8 +246,8 @@ class MechPlant:
     delta: float = field(init=False, repr=False, compare=False)  # q1_plus - q1_minus
     dims: OutputDims = field(init=False, repr=False, compare=False)
     dyn: OutputDynamics = field(init=False, repr=False, compare=False)
-    #: alpha's first five entries and its five differences alpha_{i+1} - alpha_i, as floats
-    _bezier: tuple = field(init=False, repr=False, compare=False)
+    #: ``jet``'s body, generated from ``_jet_lines`` with alpha written in
+    _jet: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=float)
@@ -251,41 +260,16 @@ class MechPlant:
         object.__setattr__(self, "delta", float(self.q1_plus - self.q1_minus))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "dyn", build_fg(dims))
-        b = a.tolist()
-        object.__setattr__(self, "_bezier", tuple(b[:5] + [q - p for p, q in zip(b, b[1:])]))
+        object.__setattr__(self, "_jet", compile_function(
+            "jet(tau)", [*_jet_lines(a, "tau"), "return y2d, dy2d, d2y2d"], "<mech jet>"))
 
     def tau(self, q1: float | np.ndarray) -> float | np.ndarray:
         return (q1 - self.q1_minus) / self.delta
 
     def jet(self, tau: float | np.ndarray) -> tuple:
-        """(y2d, y2d', y2d'') at a lone phase or an array of phases, by one de Casteljau pass.
-
-        The degree-5 pass is written out: each level replaces b_i by
-        b_i + tau (b_{i+1} - b_i), the same IEEE operations in the same
-        order for a float and for an array; the first level's differences
-        are alpha's, computed once.  With b^(k) the level-k points,
-        y2d' = 5 (b1^(4) - b0^(4)) and y2d'' = 20 (b2^(3) - 2 b1^(3) +
-        b0^(3)) (Farin, *Curves and Surfaces for CAGD*).  A lone phase,
-        np.float64 included, runs on Python floats.
-        """
-        if not isinstance(tau, np.ndarray):
-            tau = float(tau)
-        a0, a1, a2, a3, a4, d0, d1, d2, d3, d4 = self._bezier
-        b0 = a0 + tau * d0
-        b1 = a1 + tau * d1
-        b2 = a2 + tau * d2
-        b3 = a3 + tau * d3
-        b4 = a4 + tau * d4
-        c0 = b0 + tau * (b1 - b0)
-        c1 = b1 + tau * (b2 - b1)
-        c2 = b2 + tau * (b3 - b2)
-        c3 = b3 + tau * (b4 - b3)
-        b0 = c0 + tau * (c1 - c0)
-        b1 = c1 + tau * (c2 - c1)
-        b2 = c2 + tau * (c3 - c2)
-        c0 = b0 + tau * (b1 - b0)
-        db = b1 + tau * (b2 - b1) - c0
-        return c0 + tau * db, 5.0 * db, 20.0 * (b2 - 2.0 * b1 + b0)
+        """(y2d, y2d', y2d'') at a lone phase or an array of phases, by one de Casteljau pass
+        (``_jet_lines``).  A lone phase, np.float64 included, runs on Python floats."""
+        return self._jet(tau if isinstance(tau, np.ndarray) else float(tau))
 
     def y2d(self, tau: float | np.ndarray) -> float | np.ndarray:
         return self.jet(tau)[0]
@@ -438,19 +422,26 @@ class DisturbedClosedLoop:
         return stage(state, d, min_norm_mu)
 
 
-def compile_function(signature: str, body: list[str], label: str) -> Callable:
-    """The function `def signature:` with the given straight-line body, compiled under label."""
-    namespace = {}
+def compile_function(signature: str, body: list[str], label: str,
+                     names: dict | None = None) -> Callable:
+    """The function `def signature:` with the given straight-line body, compiled under label,
+    whose globals are the given names (and the builtins)."""
+    namespace = dict(names or {})
     exec(compile("\n    ".join([f"def {signature}:", *body]), label, "exec"), namespace)
     return namespace[signature.partition("(")[0]]
 
 
+def _literal(value: float) -> str:
+    """A constant as generated code writes it in, its repr; one that is not finite is an error."""
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite constant {value} in a closed loop's field")
+    return repr(float(value))
+
+
 def _terms(coefficients, names) -> list[str]:
     """The terms c * v of a linear form over its nonzero coefficients; 1.0 * v is v."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    if not np.isfinite(coefficients).all():
-        raise ValueError(f"non-finite coefficients {coefficients} in a closed loop's field")
-    return [v if c == 1.0 else f"{c!r} * {v}" for c, v in zip(coefficients.tolist(), names) if c]
+    return [v if c == 1.0 else f"{_literal(c)} * {v}"
+            for c, v in zip(np.asarray(coefficients, dtype=float).tolist(), names) if c]
 
 
 def _sum(terms) -> str:
@@ -513,48 +504,65 @@ def _hopf_stage(loops: list[DisturbedClosedLoop], columns: bool) -> Callable:
     return compile_function("stage(x, d, law)", [*body, f"return {result}"], label)
 
 
-def _law_forms(W: np.ndarray, n: int) -> Callable:
-    """``MechClosedLoop.law_forms`` for the laws' operator W on n entries (``_law_lines``)."""
-    eta, p = [f"e{i}" for i in range(n)], [f"p{j}" for j in range(len(W) - 3 * n)]
-    return compile_function("law_forms(eta)", [f"{', '.join(eta)}, = eta",
-                                               *_law_lines(W, eta, p, "s", "q"),
-                                               f"return s, q, ({', '.join(p)},)"],
-                            f"<law forms, n = {n}>")
+def _jet_lines(alpha: np.ndarray, tau: str) -> list[str]:
+    """Lines setting y2d, dy2d and d2y2d, the jet of the Bezier alpha at the phase named tau.
+
+    One degree-5 de Casteljau pass, written out: each level replaces b_i by
+    b_i + tau (b_{i+1} - b_i), 14 such steps, the first level's differences
+    written in as constants.  With b^(k) the level-k points, y2d' = 5 (b1^(4)
+    - b0^(4)) and y2d'' = 20 (b2^(3) - 2 b1^(3) + b0^(3)) (Farin, *Curves and
+    Surfaces for CAGD*).  The same IEEE operations run on a float and on an array.
+    """
+    a = alpha.tolist()
+    lines = [f"b{i} = {_literal(p)} + {tau} * {_literal(q - p)}"
+             for i, (p, q) in enumerate(zip(a, a[1:]))]
+    for size, new, old in ((4, "c", "b"), (3, "b", "c"), (1, "c", "b")):
+        lines += [f"{new}{i} = {old}{i} + {tau} * ({old}{i + 1} - {old}{i})" for i in range(size)]
+    return lines + [f"db = b1 + {tau} * (b2 - b1) - c0", f"y2d = c0 + {tau} * db",
+                    "dy2d = 5.0 * db", "d2y2d = 20.0 * (b2 - 2.0 * b1 + b0)"]
 
 
-def _mech_stage(plant: MechPlant, law_forms: Callable) -> Callable:
-    """``MechClosedLoop.stage`` for a plant and the loop's forms function."""
-    q1_minus, delta, v_d, jet = float(plant.q1_minus), plant.delta, plant.v_d, plant.jet
-    zero_rate = 0.0 / delta  # u1 / delta at u1 = 0
+def _mech_stage(loop: MechClosedLoop, columns: bool) -> Callable:
+    """The mech RHS at a state x = (q1, q2, dq1, dq2) and phase error e, on floats or ``columns``.
 
-    def stage(q1, q2, dq1, dq2, e, law):
-        tau = (q1 - q1_minus) / delta
-        tau_hat = tau + e
-        columns = isinstance(tau_hat, np.ndarray)
-        if columns:
-            check_phases(tau_hat, tau)
-        elif not (_HAT_LO <= tau_hat <= _HAT_HI and _TRUE_LO <= tau <= _TRUE_HI):
-            if not math.isfinite(tau_hat):  # e is finite: the state overflowed in the step
-                raise ClfConsistencyError(f"the state overflowed: phase {tau_hat:g}")
-            check_phases(tau_hat, tau)
-        y2d, dy2d, d2y2d = jet(tau_hat)
-        y2 = q2 - y2d
-        dy2 = dq2 - dy2d * dq1 / delta
-        eta_hat = (y2, dy2) if v_d is None else (dq1 - v_d, y2, dy2)
-        psi0, denom, psi1 = law_forms(eta_hat)
-        k = law(psi0, denom)
-        if not columns:
-            k = float(k)
-        mu2 = k * psi1[-1]
-        # with k1 = 0 the phase joint is unactuated; else dy1/dt = u1 = mu1
-        u1 = 0.0 if v_d is None else k * psi1[0]
-        tau_rate = dq1 / delta
-        curvature = d2y2d * (tau_rate * tau_rate)
-        u2 = curvature + dy2d * (u1 / delta) + mu2
-        mu = (mu2,) if v_d is None else (u1, mu2)
-        return [dq1, dq2, u1, u2], eta_hat, mu, curvature + dy2d * zero_rate + 0.0
-
-    return stage
+    Straight-line Python with the loop's constants written in (reprs):
+    tau = (q1 - q1_minus) / delta and tau_hat = tau + e in PHASE_DOMAIN
+    (``_phase_exit`` on floats, ``check_phases`` on columns), the jet at
+    tau_hat (``_jet_lines``), the outputs eta_hat, the law forms
+    (``_law_lines``), one call of ``law`` (the caller's ``min_norm_mu``),
+    mu = k psi1 and the linearizing input (u1, u2).  Floats give dx =
+    [dq1, dq2, u1, u2]; columns give (dx, eta_hat, mu, ff), ff the input u2
+    at mu = 0, whose change from e = -0.0 (the true phase) to e is d.
+    """
+    plant = loop.plant
+    delta = _literal(plant.delta)
+    eta = ["y2", "dy2"] if plant.v_d is None else ["y1", "y2", "dy2"]
+    p = [f"p{j}" for j in range(plant.dims.n_mu)]
+    mu = ["mu2"] if plant.v_d is None else ["u1", "mu2"]
+    (_, hat_lo, hat_hi), (_, lo, hi) = PHASE_DOMAIN
+    body = ["q1, q2, dq1, dq2 = x", f"tau = (q1 - {_literal(plant.q1_minus)}) / {delta}",
+            "tau_hat = tau + e",
+            "check_phases(tau_hat, tau)" if columns else
+            f"if not ({hat_lo!r} <= tau_hat <= {hat_hi!r} and {lo!r} <= tau <= {hi!r}): "
+            "_phase_exit(tau_hat, tau)",
+            *_jet_lines(plant.alpha, "tau_hat"),
+            "y2 = q2 - y2d", f"dy2 = dq2 - dy2d * dq1 / {delta}",
+            *([] if plant.v_d is None else [f"y1 = dq1 - {_literal(plant.v_d)}"]),
+            *_law_lines(clf_operator(loop.cert, plant.dyn), eta, p, "s", "q"),
+            "k = law(s, q)" if columns else "k = float(law(s, q))",
+            f"mu2 = k * {p[-1]}",
+            # with k1 = 0 the phase joint is unactuated; else dy1/dt = u1 = mu1
+            "u1 = 0.0" if plant.v_d is None else "u1 = k * p0",
+            f"tau_rate = dq1 / {delta}", "curvature = d2y2d * (tau_rate * tau_rate)",
+            f"u2 = curvature + dy2d * (u1 / {delta}) + mu2"]
+    if columns:
+        ff = f"curvature + dy2d * {_literal(0.0 / plant.delta)} + 0.0"  # u1 / delta at u1 = 0
+        return compile_function(
+            "columns(x, e, law)",
+            [*body, f"return [dq1, dq2, u1, u2], [{', '.join(eta)}], [{', '.join(mu)}], {ff}"],
+            "<mech stage, columns>", {"check_phases": check_phases})
+    return compile_function("floats(x, e, law)", [*body, "return [dq1, dq2, u1, u2]"],
+                            "<mech stage, floats>", {"_phase_exit": _phase_exit})
 
 
 @dataclass(frozen=True)
@@ -570,28 +578,20 @@ class MechClosedLoop:
     plant: MechPlant
     cert: ResClfCertificate
     signal: DisturbanceSignal | None = None
-    #: (psi0, ||psi1||^2, psi1's entries) at eta's entries, floats or columns,
-    #: generated from the nonzero rows of the laws' operator (``clf_operator``,
-    #: ``_law_lines``), so a stack's rows get the lone bits
-    law_forms: Callable = field(init=False, repr=False, compare=False)
-    #: stage(q1, q2, dq1, dq2, e, law) -> (dx, eta_hat, mu, ff), built once:
-    #: the loop at one state and phase error, on Python floats or on columns.
-    #: tau_hat = tau(q1) + e in the phase domain (``check_phases``; a phase
-    #: float that is not finite is an overflow), one ``MechPlant.jet``, the
-    #: outputs eta_hat, the forms, one call of ``law`` (the caller's
-    #: ``min_norm_mu``), mu = k psi1, dx as a list, and ff, the input u2 at
-    #: mu = 0; d is the change of ff from e = -0.0 (the true phase) to e.
-    #: Only ``+ - * /`` touch the state, so floats and columns share bits.
-    stage: Callable = field(init=False, repr=False, compare=False)
+    #: floats(x, e, law) -> dx, the stage on a lone state's four Python floats
+    #: and its phase error (``_mech_stage``), built once
+    floats: Callable = field(init=False, repr=False, compare=False)
+    #: columns(x, e, law) -> (dx, eta_hat, mu, ff), the same lines on a run's
+    #: columns x = states.T, for its record
+    columns: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cert.dims != self.plant.dims:
             raise ValueError("certificate and plant dims disagree")
         if self.signal is not None and self.signal.kind != "phase_error_driven":
             raise ValueError("mech closed loop takes a phase_error_driven signal")
-        law_forms = _law_forms(clf_operator(self.cert, self.plant.dyn), self.plant.dims.n_eta)
-        object.__setattr__(self, "law_forms", law_forms)
-        object.__setattr__(self, "stage", _mech_stage(self.plant, law_forms))
+        object.__setattr__(self, "floats", _mech_stage(self, columns=False))
+        object.__setattr__(self, "columns", _mech_stage(self, columns=True))
 
     @property
     def state_dim(self) -> int:
@@ -608,9 +608,8 @@ class MechClosedLoop:
 
         x is one state, a list of four Python floats (as ``rk4_step`` steps
         a lone mech state); e is the phase error e(t) at t, a float, tabled
-        by the integrator as the Hopf loop's d is.  The loop's ``stage`` on
-        the state's floats, with the law found in this module on each call,
-        gives dx/dt = [dq1, dq2, u1, u2].
+        by the integrator as the Hopf loop's d is.  The loop's ``floats``
+        body, with the law found in this module on each call, gives dx/dt =
+        [dq1, dq2, u1, u2].
         """
-        q1, q2, dq1, dq2 = x
-        return self.stage(q1, q2, dq1, dq2, e, min_norm_mu)[0]
+        return self.floats(x, e, min_norm_mu)

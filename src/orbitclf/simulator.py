@@ -307,9 +307,8 @@ def _record_mech(loop: MechClosedLoop, ts: np.ndarray, e: np.ndarray,
     """
     plant, cert = loop.plant, loop.cert
     n = len(ts)
-    xs = states.T
-    _, _, mu, ff_hat = loop.stage(*xs, e, min_norm_mu)
-    _, eta, _, ff = loop.stage(*xs, -0.0, min_norm_mu)
+    _, _, mu, ff_hat = loop.columns(states.T, e, min_norm_mu)
+    _, eta, _, ff = loop.columns(states.T, -0.0, min_norm_mu)
     eta, mu = np.array(eta).T, np.array(mu).T
     # (u1_hat - u1, u2_hat - u2) at mu = 0, where u1 = 0; u1 is a mu channel only when k1 = 1
     d = np.array([np.zeros(n), ff_hat - ff]).T[:, 2 - plant.dims.n_mu:]

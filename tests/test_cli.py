@@ -676,6 +676,24 @@ def test_mech_dims_or_null_v_d_exit_2(tmp_path, capsys, override, message):
 
 
 @pytest.mark.parametrize("overrides, message", [
+    (["plant.q1_plus=1e308", "plant.q1_minus=-1e308"],
+     "plant.q1_minus must be a number in [-1e300, 1e300), got -1e+308"),
+    (["plant.alpha=[1.7e308,-1.7e308,0,0,0,0]"],
+     "plant.alpha must be a list of 6 numbers in [-1e300, 1e300], got [1.7e+308, -1.7e+308, 0, "
+     "0, 0, 0]"),
+], ids=["phase interval", "alpha"])
+def test_mech_constants_that_overflow_exit_2(tmp_path, capsys, overrides, message):
+    # q1_plus - q1_minus or alpha's differences overflowed: each run integrated, then
+    # aborted with exit 3 on a NaN phase; the mech stage writes them in as constants
+    out = tmp_path / "out"
+    args = ["integrator.horizon=0.05"] + overrides
+    assert run(["simulate", "--out", str(out)] + MECH
+               + [a for o in args for a in ("--override", o)]) == 2
+    _one_line_error(capsys, f"config error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
     # the README's default run: the phase estimate leaves [0, 1] first
     ([], r"^phase 1\.00012 outside \[0, 1\]$"),
     # the true phase leaves first, within the last step; recording used to

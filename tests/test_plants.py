@@ -492,43 +492,66 @@ def _law_loop(v_d, q1_plus=1.0):
     return oc.MechClosedLoop(plant=plant, cert=cert)
 
 
+def _recording(law, calls):
+    """The law, keeping each call's (psi0, ||psi1||^2) in calls."""
+    def recording(psi0, denom):
+        calls.append((psi0, denom))
+        return law(psi0, denom)
+
+    return recording
+
+
+def _unit_law(psi0, denom):
+    """A law whose gain is 1, so that mu = psi1."""
+    return np.ones(np.shape(psi0))
+
+
+def _rows(columns):
+    """A body's list of columns, a float among them (u1 = 0.0 at k1 = 0), as rows."""
+    return np.array(np.broadcast_arrays(*columns)).T
+
+
 @pytest.mark.parametrize("v_d", [1.0, None])
 def test_mech_law_forms_on_columns_equal_lone_floats(v_d):
-    # the written-out sums make the same IEEE operations on a stack's columns
-    # as on a lone state's Python floats: each row's psi0, ||psi1||^2 and
-    # psi1 are bit for bit the lone result, zeros, overflow and signed zeros
-    # included
+    # the written-out forms make the same IEEE operations on a stack's columns
+    # as on a lone state's Python floats: each row's psi0 and ||psi1||^2, as
+    # the law gets them, and under a unit gain (mu = psi1) its dx, are bit for
+    # bit the float body's, zeros, overflow and signed zeros included
     loop = _law_loop(v_d)
     X, e, _ = _stack(61)
-    eta = loop.plant.eta_at(X, loop.plant.tau(X[:, 0]) + e)
-    eta[:4] = np.array([0.0, -0.0, 1e160, -3e155])[:, None]  # whole rows
-    eta[4, 0], eta[5, -1] = -0.0, 1e200
+    X[:4, 1:] = np.array([0.0, -0.0, 1e160, -3e155])[:, None]  # whole rows of (q2, dq1, dq2)
+    X[4, 1], X[5, 3] = -0.0, 1e200
+    columns, floats = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow silently
-        psi0, denom, psi1 = loop.law_forms(tuple(eta.T))
-    lone = [loop.law_forms(row.tolist()) for row in eta]
-    assert all(type(v) is float for p0, dn, p1 in lone for v in (p0, dn, *p1))
-    assert np.array([p0 for p0, _, _ in lone]).tobytes() == psi0.tobytes()
-    assert np.array([dn for _, dn, _ in lone]).tobytes() == denom.tobytes()
-    assert np.array([p1 for _, _, p1 in lone]).tobytes() == np.array(psi1).T.tobytes()
+        dx, eta, _, _ = loop.columns(X.T, e, _recording(_unit_law, columns))
+    lone = [loop.floats(x, ei, _recording(_unit_law, floats))
+            for x, ei in zip(X.tolist(), e.tolist())]
+    assert all(type(v) is float for row in lone + floats for v in row)
+    ((psi0, denom),) = columns
+    assert np.array(floats).tobytes() == np.array([psi0, denom]).T.tobytes()
+    assert np.array(lone).tobytes() == _rows(dx).tobytes()
     assert np.isinf(psi0[2:4]).all() and np.isinf(denom[2:4]).all()
+    assert np.array(eta).T.tobytes() == loop.plant.eta_at(X, loop.plant.tau(X[:, 0]) + e).tobytes()
 
 
 @pytest.mark.parametrize("v_d", [1.0, None])
 def test_mech_law_forms_agree_with_the_operator_rows(v_d):
     # BLAS may fuse a product into its sum, so the matvec/vecdot oracle agrees
     # to a few ulps of each form's scale (the same sums over absolute values),
-    # and so does mu = k psi1
+    # and so does mu = k psi1; the forms are read from the columns body, as
+    # its law gets psi0 and ||psi1||^2 and, under a unit gain, gives psi1
     loop = _law_loop(v_d)
     X, e, _ = _stack(67, rows=400)
-    eta = loop.plant.eta_at(X, loop.plant.tau(X[:, 0]) + e)
+    calls = []
+    _, eta, psi1, _ = loop.columns(X.T, e, _recording(_unit_law, calls))
+    eta = np.array(eta).T
     n = eta.shape[1]
     W = oc.clf_operator(loop.cert, loop.plant.dyn)
     rows, abs_rows = oc.matvec(W, eta), oc.matvec(np.abs(W), np.abs(eta))
     want_psi1, want_m = rows[:, 2 * n:-n], rows[:, -n:]
     want = (np.vecdot(eta, want_m), np.vecdot(want_psi1, want_psi1), want_psi1)
     scale = (np.vecdot(np.abs(eta), abs_rows[:, -n:]), want[1], abs_rows[:, 2 * n:-n])
-    got = loop.law_forms(tuple(eta.T))
-    got = (got[0], got[1], np.array(got[2]).T)
+    got = (*calls[0], np.array(psi1).T)
     for g, w, s in zip(got, want, scale):
         assert np.all(np.abs(g - w) <= 1e-14 * s)
     gains, want_gains = oc.min_norm_mu(got[0], got[1]), oc.min_norm_mu(want[0], want[1])
@@ -538,14 +561,18 @@ def test_mech_law_forms_agree_with_the_operator_rows(v_d):
     assert np.all(np.abs(mu - want_mu) <= (dk + 1e-14 * np.abs(want_gains))[:, None] * scale[2]
                   + 1e-14 * np.abs(want_mu))
     assert mu.any() and not mu.all()  # both branches of the law
+    # the body's own mu under the law is that gain times psi1
+    assert np.array(loop.columns(X.T, e, oc.min_norm_mu)[2]).T.tobytes() == mu.tobytes()
 
 
-def _column_field(loop, X, e):
+def _column_field(loop, X, e, law):
     """The mech RHS of each row of a stack X (S, 4) by the public column kernels.
 
-    ``MechPlant.outputs``, ``law_forms``, the batch law and ``mech_feedforward``
-    on X's columns: the reference of the loop's stage.  Also returns the
-    eta_hat columns that reached ``law_forms`` and the mu columns, k psi1.
+    ``check_phases``, ``MechPlant.jet`` and ``outputs``, the loop's forms and
+    law (its ``columns`` body's mu, with the given law) and
+    ``mech_feedforward`` on X's columns: the reference of the loop's float
+    body.  The columns body's outputs are ``MechPlant.outputs``' bits.  Also
+    returns the eta_hat columns and the mu columns, k psi1.
     """
     plant, xs = loop.plant, X.T
     tau = plant.tau(xs[0])
@@ -553,9 +580,8 @@ def _column_field(loop, X, e):
     check_phases(tau_hat, tau)
     jet = plant.jet(tau_hat)
     eta_hat = plant.outputs(xs, jet)
-    psi0, denom, psi1 = loop.law_forms(eta_hat)
-    gains = oc.min_norm_mu(psi0, denom)
-    mu = [gains * p for p in psi1]
+    _, eta, mu, _ = loop.columns(xs, e, law)
+    assert np.array(eta).tobytes() == np.array(eta_hat).tobytes()
     u1, u2 = mech_feedforward(plant, xs, mu, jet)
     return np.array([xs[2], xs[3], u1, u2]).T, eta_hat, mu
 
@@ -581,31 +607,22 @@ def _entry(odd, lo, hi):
 @given(_entry(_Q1, -0.15, 3.15), _entry(_ODD, -3.0, 3.0), _entry(_ODD, -2.0, 2.0),
        _entry(_ODD, -3.0, 3.0), _entry(_E, -0.02, 0.02))
 def test_mech_stage_equals_the_column_kernels(v_d, q1, q2, dq1, dq2, e):
-    # the loop's one stage on a lone state's Python floats is bit for bit the
-    # public column kernels on a stack of one row, and raises what they
+    # the loop's float body on a lone state's Python floats is bit for bit
+    # the public column kernels on a stack of one row, and raises what they
     # raise: check_phases' text for a finite phase out of the domain, the
     # law's text (with no row index) for an overflowed state, and an
     # overflow for a phase that is not finite
     loop = _law_loop(v_d, q1_plus=3.0)
     x = [q1, q2, dq1, dq2]
-    # the stage binds its forms function when it is built: spy on a stage
-    # built on a recording one
-    seen, law_forms, stage = [], loop.law_forms, loop.stage
-
-    def recording(eta):
-        seen.append(eta)
-        return law_forms(eta)
-
-    object.__setattr__(loop, "stage", plants._mech_stage(loop.plant, recording))
+    lone, stacked = [], []  # the law's (psi0, ||psi1||^2) on each call
     try:
-        got = loop.field(0.0, x, e)
-        _, lone_eta, lone_mu, _ = stage(*x, e, oc.min_norm_mu)
+        got = loop.floats(x, e, _recording(oc.min_norm_mu, lone))
     except (ValueError, oc.ClfConsistencyError) as exc:
         got = (type(exc), str(exc))
-    object.__setattr__(loop, "stage", stage)
     with np.errstate(all="ignore"):
         try:
-            want, eta_hat, mu = _column_field(loop, np.array([x]), np.array([e]))
+            want, eta_hat, mu = _column_field(loop, np.array([x]), np.array([e]),
+                                              _recording(oc.min_norm_mu, stacked))
         except ValueError as exc:  # a phase out of the domain
             tau_hat = q1 / 3.0 + e
             want = ((ValueError, str(exc)) if math.isfinite(tau_hat) else
@@ -617,13 +634,64 @@ def test_mech_stage_equals_the_column_kernels(v_d, q1, q2, dq1, dq2, e):
         return
     assert type(got) is list and all(type(v) is float for v in got)
     assert np.array(got).tobytes() == want[0].tobytes()
-    # one forms call per field call; the outputs that reached it are
-    # MechPlant.outputs' bits, and mu is the column law's gain times psi1
-    (field_eta,) = seen
-    assert np.array(field_eta).tobytes() == np.array(lone_eta).tobytes()
-    for lone, columns in ((lone_eta, eta_hat), (lone_mu, mu)):
-        assert all(type(v) is float for v in lone)
-        assert np.array(lone).tobytes() == np.concatenate(columns).tobytes()
+    # one law call per body call, on the forms' bits of the one-row columns
+    (forms,), (columns,) = lone, stacked
+    assert all(type(v) is float for v in forms)
+    assert np.array(forms).tobytes() == np.concatenate(columns).tobytes()
+
+
+@pytest.mark.parametrize("v_d", [1.0, None])
+def test_mech_stage_bodies_name_no_callable_but_the_law(v_d):
+    # floats and columns share bits by construction: the generated bodies
+    # reach no function but the law (an argument), float and the phase
+    # check, and hold no constant but floats, so only + - * / and
+    # comparisons touch the state; the jet's body reaches nothing
+    loop = _law_loop(v_d)
+    assert set(loop.floats.__code__.co_names) == {"float", "_phase_exit"}
+    assert set(loop.columns.__code__.co_names) == {"check_phases"}
+    assert loop.plant._jet.__code__.co_names == ()
+    for body in (loop.floats, loop.columns, loop.plant._jet):
+        assert all(type(c) is float for c in body.__code__.co_consts if c is not None)
+
+
+#: Bezier coefficients with signed zeros, subnormals and magnitudes up to the config's 1e300
+_ALPHA_ODD = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e155, -1e200, 1e300, -1e300]
+#: phases at and near the ends of [0, 1]
+_TAU = [0.0, -0.0, 1.0, 5e-324, 1e-9, 1.0 - 2.0 ** -53, 0.5]
+_JET_CERTS = {}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([1.0, None]), st.lists(_entry(_ALPHA_ODD, -2.0, 2.0), min_size=6,
+                                              max_size=6),
+       _entry(_TAU, 0.0, 1.0), _entry(_E[:4] + [5e-324], -1e-9, 1e-9))
+def test_mech_stage_jet_is_the_plant_jet(v_d, alpha, tau, e):
+    # the jet written into the stage is MechPlant.jet bit for bit: at q1 = tau
+    # (delta = 1), q2 = dq2 = -0.0 and dq1 = 1, the outputs are y2 = -y2d and
+    # dy2 = -y2d' exactly and ff is y2d'' (1 * 1) + y2d' * 0.0 + 0.0; the
+    # float body's dx is the columns body's on the same floats
+    plant = oc.MechPlant(alpha=np.array(alpha), v_d=v_d)
+    if v_d not in _JET_CERTS:
+        _JET_CERTS[v_d] = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
+    loop = oc.MechClosedLoop(plant=plant, cert=_JET_CERTS[v_d])
+    x = [tau, -0.0, 1.0, -0.0]
+    y2d, dy2d, d2y2d = plant.jet(tau + e)
+    zero = lambda psi0, denom: np.zeros(np.shape(psi0))  # the forms may overflow here
+    dx, eta, _, ff = loop.columns(x, e, zero)
+    assert np.array(eta[-2:]).tobytes() == np.array([-y2d, -dy2d]).tobytes()
+    assert np.array(ff).tobytes() == np.array(d2y2d * (1.0 * 1.0) + dy2d * 0.0 + 0.0).tobytes()
+    assert np.array(loop.floats(x, e, zero)).tobytes() == np.array(dx).tobytes()
+
+
+def test_mech_constants_that_are_not_finite_are_refused():
+    # the stage writes its constants in as reprs: alpha's differences and the
+    # phase interval's length must be finite
+    with pytest.raises(ValueError, match="^non-finite constant -inf in a closed loop's field$"):
+        oc.MechPlant(alpha=np.array([1.7e308, -1.7e308, 0.0, 0.0, 0.0, 0.0]))
+    plant = oc.MechPlant(alpha=MECH_ALPHA, q1_minus=-1e308, q1_plus=1e308)
+    cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
+    with pytest.raises(ValueError, match="^non-finite constant inf in a closed loop's field$"):
+        oc.MechClosedLoop(plant=plant, cert=cert)
 
 
 def test_mech_phase_error_on_an_array_of_times(mech_plant, mech_cert):

@@ -1,4 +1,5 @@
 import dataclasses
+import dis
 import math
 import os
 
@@ -573,9 +574,8 @@ def _record_mech_per_sample(loop, ts, states):
         e = loop.phase_error(float(t))
         eta.append(plant.eta_of(x))
         d.append(oc.derive_phase_disturbance(plant, x, e))
-        eta_hat = plant.eta_at(x, plant.tau(x[0]) + e)
-        psi0, denom, psi1 = loop.law_forms(eta_hat.tolist())  # the field's written-out sums
-        mu.append(oc.min_norm_mu(np.array(psi0), np.array(denom)) * np.array(psi1))
+        # the stage's written-out forms and its law, on the sample's Python floats
+        mu.append(np.array(loop.columns(x.tolist(), e, oc.min_norm_mu)[2]))
         v_eps.append(oc.evaluate_clf(cert, plant.dyn, eta[-1]).V)
     return {"eta": np.array(eta), "z": np.array([plant.z_of(x) for x in states]),
             "d": np.array(d), "mu": np.array(mu), "v_eps": np.array(v_eps)}
@@ -614,36 +614,27 @@ def test_mech_record_equals_per_sample_loop(v_d, driven):
 
 def test_mech_record_shows_what_stepping_applied(monkeypatch):
     # record.d and record.mu at sample i are bitwise the phase disturbance and
-    # mu of step i's first stage, mu as the law's gain times psi1: the record
-    # reads the phase error that stepping was given at the accumulated node
-    # times, not the printed grid i*dt
-    # law_forms is the loop's own forms function, which its stage binds when
-    # the loop is built and runs for stepping and for the record: spy on the
-    # one that this loop is built with
-    forms, build_forms = [], plants._law_forms
-
-    def recording_forms(W, n):
-        law_forms = build_forms(W, n)
-
-        def recording(eta):
-            forms.append(((eta,), law_forms(eta)))
-            return forms[-1][1]
-
-        return recording
-
-    monkeypatch.setattr(plants, "_law_forms", recording_forms)
+    # mu of step i's first stage: the record reads the phase error that
+    # stepping was given at the accumulated node times, not the printed grid
+    # i*dt.  The law, which stepping finds in plants and the record in
+    # simulator, shows each call's forms (psi0, ||psi1||^2) and gain
     loop, x0 = _mech_loop()
     fields = _recording_calls(monkeypatch, oc.MechClosedLoop, "field")
     mus = _recording_calls(monkeypatch, plants, "min_norm_mu")
+    records = _recording_calls(monkeypatch, simulator, "min_norm_mu")
     rec = oc.integrate(loop, x0, T=0.5, dt=1e-3)
     n = len(rec) - 1
-    # one law and one set of forms per stage; the last two forms are the
-    # record's columns, at tau + e and at the true phase
-    assert len(fields) == len(mus) == len(forms) - 2 == 4 * n
-    assert np.array_equal(np.array(forms[-1][0][0]).T, rec.eta)
+    # one law call per stage, and two on the record's columns, at tau + e and
+    # at the true phase
+    assert len(fields) == len(mus) == 4 * n and len(records) == 2
+    (psi0, denom), gains = records[0]
+    steps = mus[::4]  # each step's first stage
+    forms = np.array([psi0, denom]).T[:n]
+    assert np.array([args for args, _ in steps]).tobytes() == forms.tobytes()
+    assert np.array([gain for _, gain in steps]).tobytes() == gains[:n].tobytes()
     first = [args[1:] for args, _ in fields[::4]]  # (t, x, e) of each step's first stage
-    assert np.array_equal(rec.mu[:n], [g * np.array(f[2])  # the gain times psi1
-                                       for (_, g), (_, f) in zip(mus[::4], forms[:-2:4])])
+    # mu1 is u1, the input that each step's first stage applied
+    assert rec.mu[:n, 0].tobytes() == np.array([dx[2] for _, dx in fields[::4]]).tobytes()
     assert np.array_equal(rec.d[:n], [oc.derive_phase_disturbance(loop.plant, x, e)
                                       for _, x, e in first])
     # the grid i*dt and the node times give another phase error at most samples
@@ -654,18 +645,20 @@ def test_mech_record_shows_what_stepping_applied(monkeypatch):
 def _assert_rows_are_the_lone_stage(loop, e, states, rec):
     """rec's eta, d and mu rows are bit for bit the loop's stage on each state's Python floats.
 
-    eta at e = -0.0 (the true phase), mu at e, and d the change of the
-    mu = 0 feedforward ff from the one to the other.
+    The columns body runs on one state's floats: eta at e = -0.0 (the true
+    phase), mu at e, and d the change of the mu = 0 feedforward ff from the
+    one to the other; its dx there is the float body's.
     """
     eta, d, mu = [], [], []
     for x, ei in zip(states.tolist(), e.tolist()):
-        _, _, lone_mu, ff_hat = loop.stage(*x, ei, plants.min_norm_mu)
-        _, lone_eta, _, ff = loop.stage(*x, -0.0, plants.min_norm_mu)
+        dx, _, lone_mu, ff_hat = loop.columns(x, ei, plants.min_norm_mu)
+        _, lone_eta, _, ff = loop.columns(x, -0.0, plants.min_norm_mu)
+        assert np.array(dx).tobytes() == np.array(loop.field(0.0, x, ei)).tobytes()
         eta.append(lone_eta)
         mu.append(lone_mu)
         d.append([0.0, ff_hat - ff][2 - loop.plant.dims.n_mu:])  # u1 - u1 = 0 when k1 = 1
     for name, lone in (("eta", eta), ("d", d), ("mu", mu)):
-        assert all(type(v) is float for row in lone for v in row), name
+        assert all(isinstance(v, float) for row in lone for v in row), name
         assert np.array(lone).tobytes() == getattr(rec, name).tobytes(), name
 
 
@@ -720,19 +713,29 @@ def test_mech_stage_inputs_equal_phase_error_at_stage_time(monkeypatch, chunk):
     assert any(e != 0.0 for (_, _, _, e), _ in fields)
 
 
+def _reads(function, name: str) -> int:
+    """How many times function's bytecode reads its local variable name."""
+    return sum((ins.argval if isinstance(ins.argval, tuple) else (ins.argval,)).count(name)
+               for ins in dis.get_instructions(function) if ins.opname.startswith("LOAD_FAST"))
+
+
 def test_mech_jet_passes_per_step_and_per_record(monkeypatch):
-    # one Bezier jet per RHS, so four per RK4 step, and two array jets (at
-    # tau and at tau + e) per recording: a duplicate evaluation shows as a
-    # count.  The loop's stage binds the plant's jet when the loop is built,
-    # so the spy goes in first; building x0 takes one lone jet
+    # one Bezier jet per RHS, so four per RK4 step, and two per recording, on
+    # the run's columns: a duplicate evaluation shows as a count.  The stage
+    # writes the jet in, so integrate makes no MechPlant.jet call, and each
+    # body reads the phase estimate in its phase check and 15 times in its
+    # one written-out jet (5 + 4 + 3 + 2 interpolations and the value)
     jets = _recording_calls(monkeypatch, oc.MechPlant, "jet")
     loop, x0 = _mech_loop()
-    jets.clear()
+    columns, body = [], loop.columns
+    object.__setattr__(loop, "columns", lambda x, e, law: columns.append(x) or body(x, e, law))
+    fields = _recording_calls(monkeypatch, oc.MechClosedLoop, "field")
+    jets.clear()  # building x0 took one lone jet
     rec = oc.integrate(loop, x0, T=0.02, dt=1e-3)
-    taus = [args[1] for args, _ in jets]
-    stacked = [tau for tau in taus if isinstance(tau, np.ndarray)]
-    assert len(taus) - len(stacked) == 4 * (len(rec) - 1)
-    assert [tau.shape for tau in stacked] == [(len(rec),)] * 2
+    assert not jets and len(fields) == 4 * (len(rec) - 1)
+    assert [x.shape for x in columns] == [(4, len(rec))] * 2
+    assert _reads(loop.floats, "tau_hat") == 2 + 15  # the comparison and _phase_exit's call
+    assert _reads(body, "tau_hat") == 1 + 15  # check_phases' call
 
 
 @pytest.mark.parametrize("v_d, x0, error, message", [
