@@ -308,13 +308,11 @@ def build_signal(config: dict, dims: OutputDims, amplitude: float | None = None)
                              seed=int(seed))
 
 
-def resolve_sigma(config: dict, cert, plant) -> float:
+def resolve_sigma(config: dict, cert, plant: HopfPlant) -> float:
     if config["sigma"] is not None:
         return float(config["sigma"])
-    if isinstance(plant, HopfPlant):
-        consts = converse_constants(plant, float(config["plant"]["annulus_fraction"]))
-        return cert_mod.choose_sigma(cert, consts, plant.lipschitz_q)
-    return 1.0
+    consts = converse_constants(plant, float(config["plant"]["annulus_fraction"]))
+    return cert_mod.choose_sigma(cert, consts, plant.lipschitz_q)
 
 
 def initial_state(config: dict, plant, dims: OutputDims) -> np.ndarray:
@@ -347,22 +345,17 @@ def build_closed_loop(config: dict, eps: float | None = None):
     if isinstance(plant, HopfPlant):
         sigma = resolve_sigma(cfg, cert, plant)
         loop = DisturbedClosedLoop(plant=plant, cert=cert, controller=cfg["controller"],
-                                   signal=None if signal.kind == "zero" else signal,
-                                   eps_bar=float(cfg["eps_bar"]), sigma=sigma)
+                                   signal=signal, eps_bar=float(cfg["eps_bar"]), sigma=sigma)
     else:
-        loop = MechClosedLoop(plant=plant, cert=cert,
-                              signal=None if signal.kind == "zero" else signal)
+        loop = MechClosedLoop(plant=plant, cert=cert, signal=signal)
     return loop, cert, plant, initial_state(cfg, plant, dims)
 
 
 def with_amplitudes(config: dict, loop: DisturbedClosedLoop,
                     amplitudes) -> list[DisturbedClosedLoop]:
     """Copies of a Hopf loop whose signals are the config's at each amplitude."""
-    loops = []
-    for amp in amplitudes:
-        signal = build_signal(config, loop.cert.dims, amp)
-        loops.append(dataclasses.replace(loop, signal=None if signal.kind == "zero" else signal))
-    return loops
+    return [dataclasses.replace(loop, signal=build_signal(config, loop.cert.dims, amp))
+            for amp in amplitudes]
 
 
 def _require_hopf(config: dict, command: str) -> None:

@@ -35,9 +35,10 @@ class DisturbanceSignal:
 
     For "piecewise_constant_random" each dwell block holds a fixed vector of
     Euclidean norm exactly `amplitude`, with direction derived from a
-    counter-based PRNG so sampling is pure in t and bit-reproducible.  For
-    "phase_error_driven" the signal models a phase-estimate error
-    e(t) = amplitude * sin(2 pi frequency t); the input disturbance it induces
+    counter-based PRNG so sampling is pure in t and bit-reproducible.  A
+    "phase_error_driven" signal is the mech closed loop's exogenous input, the
+    phase-estimate error e(t) = amplitude * sin(2 pi frequency t) in entry 0,
+    sampled and tabled as the sinusoid is; the input disturbance it induces
     depends on the state, so the mech closed loop derives it.
     """
 
@@ -70,38 +71,34 @@ class DisturbanceSignal:
                         (self.amplitude / np.where(tiny, 1.0, nrm))[:, None] * raw)
 
     def closed_form(self, t: float | np.ndarray) -> np.ndarray:
-        """d(t) of the constant or sinusoid kind at one time or an array of times, (..., dim)."""
-        value = (self.amplitude * np.sin(2.0 * np.pi * self.frequency * t)
-                 if self.kind == "sinusoid" else self.amplitude)
-        return np.multiply.outer(value, self._direction())
+        """A constant, sinusoid or phase_error_driven signal at one time or times, (..., dim).
 
-    def phase_error(self, t: float | np.ndarray) -> float | np.ndarray:
-        """The phase error e(t) of the phase_error_driven kind, at one time or an array of times."""
-        if self.kind != "phase_error_driven":
-            raise ValueError("phase_error is only defined for the phase_error_driven kind")
-        return self.amplitude * np.sin(2.0 * np.pi * self.frequency * t)
+        The amplitude, or amplitude * sin(2 pi frequency t), times the unit
+        direction: entry 0 holds that value's bits.
+        """
+        value = (self.amplitude if self.kind == "constant"
+                 else self.amplitude * np.sin(2.0 * np.pi * self.frequency * t))
+        return np.multiply.outer(value, self._direction())
 
 
 def sample(signal: DisturbanceSignal, t: float) -> np.ndarray:
-    """Evaluate d(t); pure and deterministic given the signal's seed."""
+    """Evaluate the signal at t; pure and deterministic given the signal's seed."""
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if signal.kind == "zero":
         return np.zeros(signal.dim)
-    if signal.kind in ("constant", "sinusoid"):
-        return signal.closed_form(t)
     if signal.kind == "piecewise_constant_random":
         return signal.block_vectors([int(t / signal.dwell)])[0]
-    raise ValueError("a phase_error_driven disturbance depends on the state; "
-                     "the mech closed loop derives it")
+    return signal.closed_form(t)
 
 
 class DisturbanceTable:
-    """d(t) of a batch of runs on [0, horizon], one row per run.
+    """The input of a batch of runs on [0, horizon], one row per run: a Hopf
+    run's d(t), a mech run's phase error e(t) in entry 0.
 
     Each piecewise-random run's block vectors are computed once for the
     whole horizon and looked up with the same int(t / dwell) as ``sample``;
-    the constant and sinusoid kinds come from their closed forms.  Each row
+    the other nonzero kinds come from their closed forms.  Each row
     equals ``sample(signal, t)`` bit for bit; a run without a signal, or
     with the zero kind, reads zero.  Call it with one time t for an array
     (B, dim), or with an array of times (S,) for (S, B, dim); times must lie
@@ -112,9 +109,6 @@ class DisturbanceTable:
         for s in signals:
             if s is not None and s.dim != dim:
                 raise ValueError(f"signal dimension {s.dim} differs from {dim}")
-            if s is not None and s.kind == "phase_error_driven":
-                raise ValueError("phase_error_driven signals depend on the state; "
-                                 "they have no table")
         self.shape = (len(signals), dim)
         # (row, signal, its block vectors or None) of each nonzero run; the
         # stage times of the last step reach horizon plus round-off
@@ -134,8 +128,8 @@ class DisturbanceTable:
 def sup_norm(signal: DisturbanceSignal, horizon: float) -> float:
     """Essential sup of ||d(t)|| on [0, horizon], exact for the four analytic kinds.
 
-    A phase_error_driven disturbance depends on the state and has no sup
-    norm here (ValueError).
+    The input disturbance that a phase_error_driven signal induces depends on
+    the state and has no sup norm here (ValueError).
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")

@@ -571,8 +571,10 @@ class MechClosedLoop:
 
     The simulation state is x = (q1, q2, dq1, dq2).  The controller
     measures outputs at tau_hat = tau(q1) + e(t) and applies the time-based
-    linearization with the min-norm auxiliary input; e(t) comes from a
-    phase_error_driven signal (or is identically zero when signal is None).
+    linearization with the min-norm auxiliary input.  The phase error e is
+    the loop's exogenous input, as d is the Hopf loop's: entry 0 of a
+    phase_error_driven signal, and identically zero under the zero kind or
+    no signal.
     """
 
     plant: MechPlant
@@ -588,8 +590,8 @@ class MechClosedLoop:
     def __post_init__(self):
         if self.cert.dims != self.plant.dims:
             raise ValueError("certificate and plant dims disagree")
-        if self.signal is not None and self.signal.kind != "phase_error_driven":
-            raise ValueError("mech closed loop takes a phase_error_driven signal")
+        if self.signal is not None and self.signal.kind not in ("zero", "phase_error_driven"):
+            raise ValueError("mech closed loop takes a zero or phase_error_driven signal")
         object.__setattr__(self, "floats", _mech_stage(self, columns=False))
         object.__setattr__(self, "columns", _mech_stage(self, columns=True))
 
@@ -597,19 +599,14 @@ class MechClosedLoop:
     def state_dim(self) -> int:
         return 4
 
-    def phase_error(self, t: float | np.ndarray) -> float | np.ndarray:
-        """e(t) at one time or at an array of times."""
-        if self.signal is None:
-            return 0.0 * t  # times are nonnegative, so this is +0.0 in t's shape
-        return self.signal.phase_error(t)
-
-    def field(self, t: float, x: list, e: float) -> list:
+    def field(self, t: float, x: list, e: list) -> list:
         """The closed-loop right-hand side at time t, as a list of Python floats.
 
         x is one state, a list of four Python floats (as ``rk4_step`` steps
-        a lone mech state); e is the phase error e(t) at t, a float, tabled
-        by the integrator as the Hopf loop's d is.  The loop's ``floats``
-        body, with the law found in this module on each call, gives dx/dt =
-        [dq1, dq2, u1, u2].
+        a batch of one mech state); e is the loop's input at t, a list of
+        Python floats whose entry 0 is the phase error e(t), tabled by the
+        integrator as the Hopf loop's d is.  The loop's ``floats`` body, with
+        the law found in this module on each call, gives dx/dt = [dq1, dq2,
+        u1, u2].
         """
-        return self.floats(x, e, min_norm_mu)
+        return self.floats(x, e[0], min_norm_mu)

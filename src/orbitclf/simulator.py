@@ -9,10 +9,10 @@ under stage sampling for every signal kind shipped here.
 The stage times are the accumulated node times t_i (t_0 = 0, t_{i+1} =
 t_i + dt, the same float sums RK4's last stage makes) and t_i + dt/2.  Each
 loop's exogenous input, the Hopf d or the mech phase error e, is tabled at
-both, CHUNK steps at a time, and handed to the field as a stage input,
-f(t, x, u).  A lone mech state and a batch of Hopf runs of any size step
-as flat lists of Python floats, inputs included, through ``rk4_step``'s
-generated list step.
+both by one ``DisturbanceTable``, CHUNK steps at a time, and handed to the
+field as a stage input, f(t, x, u).  A lone loop is a batch of one: a mech
+state, or a batch of Hopf runs of any size, steps as a flat list of Python
+floats, inputs included, through ``rk4_step``'s generated list step.
 
 A record reads the node rows of that table, the inputs that each step's
 first stage applied, and runs the loop's stage on columns, so its d, mu
@@ -113,12 +113,15 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
     x0 is the flat state: (eta, z) for the Hopf loop, x for the mech loop.
     B Hopf loops of one dims, each with its own plant, certificate,
     controller, eps_bar and sigma, integrate as one batch from x0 (B,
-    state_dim), one record per loop, each bitwise the run alone.  A state
-    that leaves the finite range raises SimulationError with the run, the
-    time and the state; states are checked once per CHUNK steps, and the
-    first non-finite one is named even if an RHS call on its successors
-    raised first.  With two usable CPUs, a batch of SPLIT_ROW_STEPS
-    row-steps steps in two processes (``_step_in_two``), to the same bits.
+    state_dim), one record per loop, each bitwise the run alone.  A lone
+    loop is a batch of one, its states (S, 1, w) and inputs (S, 1, n_mu)
+    stepped and recorded as a batch's; a mech loop integrates only alone,
+    and integrate([mech], x0[None]) gives [record].  A state that leaves
+    the finite range raises SimulationError with the run, the time and the
+    state; states are checked once per CHUNK steps, and the first
+    non-finite one is named even if an RHS call on its successors raised
+    first.  With two usable CPUs, a Hopf batch of SPLIT_ROW_STEPS row-steps
+    steps in two processes (``_step_in_two``), to the same bits.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -136,26 +139,23 @@ def integrate(closed_loop, x0: np.ndarray, T: float = 50.0,
     expected = (loops[0].state_dim,) if single else (len(loops), loops[0].state_dim)
     if x0.shape != expected:
         raise ValueError(f"x0 has shape {x0.shape}, expected {expected}")
+    for i, lp in enumerate(loops):
+        if not (lp.plant.dims == loops[0].plant.dims
+                and (len(loops) == 1 or isinstance(lp, DisturbedClosedLoop))):
+            raise ValueError(f"run {i}: only Hopf loops with run 0's dims integrate as a "
+                             "batch; a mech loop integrates alone")
 
     # the node times 0, dt, 2 dt, ... summed in order
     nodes = np.add.accumulate(np.concatenate([[0.0], np.full(n_steps, dt)]))
-    ts = np.arange(n_steps + 1) * dt
-    # each node's state, and the exogenous input (mech e, Hopf d) that stepping applies there
-    states = np.empty((n_steps + 1,) + x0.shape)
+    # each node's states (S, B, w), and the inputs (S, B, n_mu) that stepping applies there
+    states = np.empty((n_steps + 1, len(loops), loops[0].state_dim))
     states[0] = x0
-    if isinstance(closed_loop, MechClosedLoop):
-        recorded = np.empty(n_steps + 1)
-        _step(closed_loop.field, closed_loop.phase_error, states, recorded, nodes, dt)
-        return _record_mech(closed_loop, ts, recorded, states)
-    for i, lp in enumerate(loops):
-        if not (isinstance(lp, DisturbedClosedLoop) and lp.plant.dims == loops[0].plant.dims):
-            raise ValueError(f"run {i}: only Hopf loops with run 0's dims integrate as a batch")
-    states = states.reshape(n_steps + 1, len(loops), -1)
-    recorded = np.empty((n_steps + 1, len(loops), loops[0].plant.dims.n_mu))
+    inputs = np.empty((n_steps + 1, len(loops), loops[0].plant.dims.n_mu))
     if not (len(loops) > 1 and len(loops) * n_steps >= SPLIT_ROW_STEPS and usable_cpus() > 1
-            and _step_in_two(loops, T, states, recorded, nodes, dt)):
-        _step(*_hopf_inputs(loops, T), states, recorded, nodes, dt)
-    records = _record_hopf(loops, recorded, ts, states)
+            and _step_in_two(loops, T, states, inputs, nodes, dt)):
+        _step(*_inputs(loops, T), states, inputs, nodes, dt)
+    record = _record_mech if isinstance(loops[0], MechClosedLoop) else _record_hopf
+    records = record(loops, np.arange(n_steps + 1) * dt, inputs, states)
     return records[0] if single else records
 
 
@@ -164,21 +164,24 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _hopf_inputs(loops: list, T: float) -> tuple[Callable, DisturbanceTable]:
-    """A Hopf batch's field (the law as plants.min_norm_mu, where tracers wrap it) and d table."""
+def _inputs(loops: list, T: float) -> tuple[Callable, DisturbanceTable]:
+    """A batch's field and its input table: for Hopf rows the generated stage, with the law
+    as plants.min_norm_mu (where tracers wrap it), for a lone mech loop its ``field``."""
+    table = DisturbanceTable([lp.signal for lp in loops], loops[0].plant.dims.n_mu, T)
+    if isinstance(loops[0], MechClosedLoop):
+        return loops[0].field, table
     stage = plants._hopf_stage(loops, columns=False)
-    return (lambda t, y, d: stage(y, d, plants.min_norm_mu),
-            DisturbanceTable([lp.signal for lp in loops], loops[0].plant.dims.n_mu, T))
+    return (lambda t, y, d: stage(y, d, plants.min_norm_mu)), table
 
 
-def _step_in_two(loops: list, T: float, states: np.ndarray, recorded: np.ndarray,
+def _step_in_two(loops: list, T: float, states: np.ndarray, inputs: np.ndarray,
                  nodes: np.ndarray, dt: float) -> bool:
-    """Step a batch's first ceil(B/2) rows here and the rest in a forked child; False if
-    either side failed.  The child steps from fields and tables built before the fork
-    (it makes no BLAS call) into a shared map, copied into states and recorded."""
+    """Step a Hopf batch's first ceil(B/2) rows here and the rest in a forked child; False
+    if either side failed.  The child steps from fields and tables built before the fork
+    (it makes no BLAS call) into a shared map, copied into states and inputs."""
     m = (len(loops) + 1) // 2
-    ours, theirs = _hopf_inputs(loops[:m], T), _hopf_inputs(loops[m:], T)
-    rest = states[:, m:], recorded[:, m:]
+    ours, theirs = _inputs(loops[:m], T), _inputs(loops[m:], T)
+    rest = states[:, m:], inputs[:, m:]
     block = mmap.mmap(-1, 8 * (rest[0].size + rest[1].size))
     mapped = (np.ndarray(rest[0].shape, buffer=block),  # the child's states and inputs
               np.ndarray(rest[1].shape, buffer=block, offset=8 * rest[0].size))
@@ -197,7 +200,7 @@ def _step_in_two(loops: list, T: float, states: np.ndarray, recorded: np.ndarray
             os._exit(1)
     done = False
     try:
-        _step(*ours, states[:, :m], recorded[:, :m], nodes, dt)
+        _step(*ours, states[:, :m], inputs[:, :m], nodes, dt)
         done = True
     except Exception:  # one process steps the batch again and raises it in full
         pass
@@ -212,11 +215,11 @@ def _step_in_two(loops: list, T: float, states: np.ndarray, recorded: np.ndarray
     return done
 
 
-def _step(f: Callable, sample: Callable, states: np.ndarray, recorded: np.ndarray,
+def _step(f: Callable, table: DisturbanceTable, states: np.ndarray, inputs: np.ndarray,
           nodes: np.ndarray, dt: float) -> None:
-    """Step from states[0] as flat float lists, filling states and recorded (inputs) in place."""
+    """Step from states[0] (S, B, w) as flat float lists, filling states and inputs (S, B,
+    n_mu), the table's rows at the node times, in place."""
     flat = states.reshape(len(states), -1)  # a view: each node's rows are contiguous
-    form = np.ndarray.tolist if recorded.ndim == 1 else lambda u: u.reshape(len(u), -1).tolist()
     y = flat[0].tolist()
     n_steps = len(nodes) - 1
     # a state that overflows ends the run below, with a diagnosis; numpy's
@@ -227,12 +230,12 @@ def _step(f: Callable, sample: Callable, states: np.ndarray, recorded: np.ndarra
             if j == 0:
                 k = min(CHUNK, n_steps - i)
                 clock = nodes[i:i + k].tolist()  # each step starts at its node
-                recorded[i:i + k + 1] = sample(nodes[i:i + k + 1])
-                u_node = form(recorded[i:i + k + 1])
-                u_half = form(sample(nodes[i:i + k] + 0.5 * dt))
-            inputs = (u_node[j], u_half[j], u_node[j + 1])
+                inputs[i:i + k + 1] = table(nodes[i:i + k + 1])
+                u_node = inputs[i:i + k + 1].reshape(k + 1, -1).tolist()
+                u_half = table(nodes[i:i + k] + 0.5 * dt).reshape(k, -1).tolist()
             try:
-                y = flat[i + 1] = rk4_step(f, clock[j], y, dt, inputs)
+                y = flat[i + 1] = rk4_step(f, clock[j], y, dt,
+                                           (u_node[j], u_half[j], u_node[j + 1]))
             except Exception:
                 # a state of this chunk that left the finite range is the diagnosis,
                 # whatever its non-finite successors then raised
@@ -251,17 +254,16 @@ def _check_finite(states: np.ndarray, start: int, stop: int, nodes: np.ndarray) 
     if finite.all():
         return
     i = start + int(np.flatnonzero(~finite.reshape(stop - start, -1).all(axis=1))[0])
-    rows = np.atleast_2d(states[i])
-    run = int(np.flatnonzero(~np.all(np.isfinite(rows), axis=1))[0])
-    state = np.array2string(rows[run], max_line_width=sys.maxsize)  # one line at any size
+    run = int(np.flatnonzero(~np.all(np.isfinite(states[i]), axis=1))[0])
+    state = np.array2string(states[i, run], max_line_width=sys.maxsize)  # one line at any size
     raise SimulationError(f"non-finite state in run {run} at t = {nodes[i]:.6g}: {state}")
 
 
-def _record_hopf(loops, d: np.ndarray, ts: np.ndarray,
+def _record_hopf(loops: list, ts: np.ndarray, d: np.ndarray,
                  states: np.ndarray) -> list[TrajectoryRecord]:
     """Traces of every run; states has shape (samples, B, state_dim).
 
-    d holds the disturbance rows that stepping applied at the sample times.
+    d holds the disturbance rows that stepping applied at the node times.
     Each row's traces come from its own loop, its mu and u_s bit for bit
     those that stepping applied.
     """
@@ -297,15 +299,17 @@ def _record_hopf(loops, d: np.ndarray, ts: np.ndarray,
     return records
 
 
-def _record_mech(loop: MechClosedLoop, ts: np.ndarray, e: np.ndarray,
-                 states: np.ndarray) -> TrajectoryRecord:
-    """Traces of the mech run, every sample at once; states has shape (samples, 4).
+def _record_mech(loops: list, ts: np.ndarray, inputs: np.ndarray,
+                 states: np.ndarray) -> list[TrajectoryRecord]:
+    """Traces of a batch of one mech run, every sample at once; states has shape (S, 1, 4).
 
-    e holds the phase error that stepping applied at the node times.  The
-    loop's stage runs on the columns at e, for mu and the feedforward there,
-    and at e = -0.0, the true phase, for eta and the feedforward d is from.
+    inputs holds the rows that stepping applied at the node times, the phase
+    error e in entry 0.  The loop's stage runs on the columns at e, for mu
+    and the feedforward there, and at e = -0.0, the true phase, for eta and
+    the feedforward d is from.
     """
-    plant, cert = loop.plant, loop.cert
+    (loop,) = loops
+    plant, cert, e, states = loop.plant, loop.cert, inputs[:, 0, 0], states[:, 0]
     n = len(ts)
     _, _, mu, ff_hat = loop.columns(states.T, e, min_norm_mu)
     _, eta, _, ff = loop.columns(states.T, -0.0, min_norm_mu)
@@ -318,9 +322,9 @@ def _record_mech(loop: MechClosedLoop, ts: np.ndarray, e: np.ndarray,
         "kind": "mech", "k1": plant.dims.k1, "k2": plant.dims.k2,
         "eps": cert.eps, "dt": float(ts[1] - ts[0]), "horizon": float(ts[-1]),
     }
-    return TrajectoryRecord(t=ts, eta=eta, z=plant.z_of(states), d=d, v_eps=v_eps, v_z=nan,
-                            v_c=nan.copy(), dist=nan.copy(), mu=mu,
-                            u_s=np.zeros((n, plant.dims.n_mu)), meta=meta)
+    return [TrajectoryRecord(t=ts, eta=eta, z=plant.z_of(states), d=d, v_eps=v_eps, v_z=nan,
+                             v_c=nan.copy(), dist=nan.copy(), mu=mu,
+                             u_s=np.zeros((n, plant.dims.n_mu)), meta=meta)]
 
 
 def ultimate_bound(record: TrajectoryRecord, settle_fraction: float = 0.5) -> float:

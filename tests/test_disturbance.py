@@ -74,10 +74,12 @@ def test_sup_norm_scales_exactly(lam, kind):
 
 
 def test_phase_error_kind_requires_evaluator():
+    # the phase error e samples as the sinusoid does, in entry 0; the input
+    # disturbance that it induces depends on the state, so it has no sup norm
     sig = DisturbanceSignal(kind="phase_error_driven", dim=2, amplitude=0.02)
-    assert np.isclose(sig.phase_error(0.25), 0.02 * np.sin(np.pi / 2))
-    with pytest.raises(ValueError):
-        sample(sig, 1.0)
+    e = sample(sig, 0.25)
+    assert e.tobytes() == np.array([0.02 * np.sin(2.0 * np.pi * 1.0 * 0.25), 0.0]).tobytes()
+    assert np.isclose(e[0], 0.02)
     with pytest.raises(ValueError):
         sup_norm(sig, 1.0)
 
@@ -158,7 +160,9 @@ def test_block_table_matches_splitmix_reference(dim, dwell, seed):
 
 def test_table_closed_forms_match_sample():
     # every kind in one batch, two runs of a kind with different parameters:
-    # each row is its own signal's, bit for bit
+    # each row is its own signal's, bit for bit.  The phase_error_driven row's
+    # entry 0 is e = amplitude * sin(2 pi frequency t) at the node and
+    # half-stage times that the integrator tables
     sigs = [DisturbanceSignal(kind="sinusoid", dim=2, amplitude=0.3, frequency=1.7),
             DisturbanceSignal(kind="constant", dim=2, amplitude=-0.2),
             DisturbanceSignal(kind="zero", dim=2),
@@ -167,7 +171,8 @@ def test_table_closed_forms_match_sample():
             DisturbanceSignal(kind="sinusoid", dim=2, amplitude=-0.1, frequency=0.45),
             None,
             DisturbanceSignal(kind="piecewise_constant_random", dim=2, amplitude=0.08,
-                              dwell=0.5, seed=9)]
+                              dwell=0.5, seed=9),
+            DisturbanceSignal(kind="phase_error_driven", dim=2, amplitude=-0.03, frequency=2.3)]
     table = oc.DisturbanceTable(sigs, 2, 4.0)
     ts = np.linspace(0.0, 4.0, 1001)
     grid = table(ts)
@@ -175,8 +180,11 @@ def test_table_closed_forms_match_sample():
         ref = np.array([np.zeros(2) if sig is None else sample(sig, float(t)) for t in ts])
         assert np.array_equal(grid[:, b], ref)
         assert np.array_equal(np.signbit(grid[:, b]), np.signbit(ref))  # signed zeros too
-    with pytest.raises(ValueError):
-        oc.DisturbanceTable([DisturbanceSignal(kind="phase_error_driven", dim=2)], 2, 1.0)
+    dt = 4.0 / 1000
+    nodes = np.add.accumulate(np.concatenate([[0.0], np.full(1000, dt)]))
+    for t in (nodes, nodes[:-1] + 0.5 * dt):
+        e = sigs[-1].amplitude * np.sin(2.0 * np.pi * sigs[-1].frequency * t)
+        assert table(t)[:, -1, 0].tobytes() == e.tobytes()
     with pytest.raises(ValueError):
         oc.DisturbanceTable(sigs, 3, 1.0)
     with pytest.raises(ValueError):  # a zero run's dimension is checked too

@@ -695,13 +695,23 @@ def test_mech_constants_that_are_not_finite_are_refused():
 
 
 def test_mech_phase_error_on_an_array_of_times(mech_plant, mech_cert):
+    # the mech loop's input tabled on an array of times, as integrate tables
+    # it, is its signal sampled one time at a time, e in entry 0; under the
+    # zero kind or no signal it is +0.0.  Any other kind is refused
     ts = np.arange(200) * 1e-3
     sig = oc.DisturbanceSignal(kind="phase_error_driven", dim=2, amplitude=0.02, frequency=1.0)
-    for signal in (sig, None):
+    zero = oc.DisturbanceSignal(kind="zero", dim=2)
+    for signal in (sig, zero, None):
         loop = oc.MechClosedLoop(plant=mech_plant, cert=mech_cert, signal=signal)
-        lone = np.array([loop.phase_error(float(t)) for t in ts])
-        assert np.array_equal(loop.phase_error(ts), lone)
-    assert np.all(loop.phase_error(ts) == 0.0) and loop.phase_error(0.5) == 0.0
+        tabled = oc.DisturbanceTable([loop.signal], 2, 0.2)(ts)[:, 0]
+        lone = np.array([np.zeros(2) if signal is None else oc.sample(signal, float(t))
+                         for t in ts])
+        assert tabled.tobytes() == lone.tobytes()
+        assert tabled[:, 0].any() == (signal is sig)
+        assert signal is sig or tabled.tobytes() == np.zeros((200, 2)).tobytes()
+    with pytest.raises(ValueError, match="takes a zero or phase_error_driven signal"):
+        oc.MechClosedLoop(plant=mech_plant, cert=mech_cert,
+                          signal=oc.DisturbanceSignal(kind="sinusoid", dim=2, amplitude=0.1))
 
 
 def test_mech_stack_names_its_first_out_of_domain_phase(mech_plant):

@@ -23,10 +23,9 @@ def test_rk4_single_step_linear_decay():
 
 
 def _on_arrays(field):
-    """A list field as an array field: the state and a list-valued input go in as flat lists."""
+    """A list field as an array field: the state and the input go in as flat lists."""
     def f(t, y, u):
-        u = u if isinstance(u, float) else u.ravel().tolist()
-        return np.array(field(t, y.ravel().tolist(), u)).reshape(y.shape)
+        return np.array(field(t, y.ravel().tolist(), u.ravel().tolist())).reshape(y.shape)
 
     return f
 
@@ -34,18 +33,18 @@ def _on_arrays(field):
 def test_rk4_step_equals_the_written_out_formula(mech_plant, mech_cert):
     # rk4_step on the flat lists of Python floats that integrate steps makes
     # the written-out array formula's IEEE operations, byte for byte, on a
-    # Hopf batch of five (with its d) and on a lone mech state (with a phase
-    # error e as floats), at a dt that is not a power of two
+    # Hopf batch of five (with its d) and on a lone mech state (with its
+    # phase error e as a one-entry input row), at a dt that is not a power of two
     dt = 1.3e-3
     loops, x0 = _batch_of_five()
     rng = np.random.default_rng(4)
     inputs = tuple(0.05 * rng.normal(size=(5, 3)) for _ in range(3))
     mech = oc.MechClosedLoop(plant=mech_plant, cert=mech_cert, signal=None)
     mech_x = np.array([0.05, mech_plant.y2d(0.05) + 0.04, 1.0, -0.05])
-    mech_e = tuple(rng.uniform(-0.02, 0.02, 3).tolist())  # e(t), e(t + dt/2), e(t + dt)
+    mech_e = tuple(rng.uniform(-0.02, 0.02, (3, 1)))  # [e(t)], [e(t + dt/2)], [e(t + dt)]
     for field, y, u in ((loops[0].field, x0, inputs), (mech.field, mech_x, mech_e)):
         flat = y.ravel().tolist()
-        u_flat = tuple(v if isinstance(v, float) else v.ravel().tolist() for v in u)
+        u_flat = tuple(v.ravel().tolist() for v in u)
         for i in range(3):
             want = rk4_written_out(_on_arrays(field), 0.7 + i * dt, y, dt, u)
             flat = oc.rk4_step(field, 0.7 + i * dt, flat, dt, u_flat)
@@ -76,7 +75,7 @@ def test_generated_four_float_step_equals_the_written_out_step(mech_plant, mech_
     # the list step generated for four floats is the written-out step, bit
     # for bit, with the field seeing the same stage states and inputs: on the
     # lone mech field over a driven run's states, and on a nonlinear field
-    # at odd times, steps and inputs
+    # at odd times, steps and inputs; the mech field takes e as a one-entry list
     signal = oc.DisturbanceSignal(kind="phase_error_driven", dim=2, amplitude=0.01, frequency=2.0)
     mech = oc.MechClosedLoop(plant=mech_plant, cert=mech_cert, signal=signal)
     rec_x = oc.integrate(mech, np.array([0.05, mech_plant.y2d(0.05) + 0.04, 1.0, -0.05]),
@@ -88,8 +87,8 @@ def test_generated_four_float_step_equals_the_written_out_step(mech_plant, mech_
 
     states = np.column_stack([rec_x.z[:, 0], rec_x.eta[:, -2] + mech_plant.y2d(0.1),
                               rec_x.z[:, 1], rec_x.eta[:, -1]])
-    cases = [(mech.field, x.tolist(), 1e-3, tuple(rng.uniform(-0.01, 0.01, 3).tolist()))
-             for x in states[::20]]
+    cases = [(mech.field, x.tolist(), 1e-3,
+              tuple([e] for e in rng.uniform(-0.01, 0.01, 3).tolist())) for x in states[::20]]
     cases += [(nonlinear, rng.normal(size=4).tolist(), float(dt),
                tuple(rng.normal(size=3).tolist())) for dt in rng.uniform(1e-4, 0.1, 12)]
     for f, y, dt, u in cases:
@@ -397,7 +396,9 @@ def test_broken_certificate_names_the_row_through_field():
 def test_batch_validation(mech_plant, mech_cert):
     # rows under another certificate, controller, eps_bar or plant integrate
     # as one batch, each row bitwise its lone run, meta included; a row of
-    # other dims, or a mech row, is refused with its run named
+    # other dims is refused with its run named.  A mech loop is a batch of
+    # one: alone in a list it gives one record, bitwise its lone run, and
+    # beside any other row it is refused with its run named
     loops, x0 = _batch_of_five()
     dims = loops[0].plant.dims
     mixed = [loops[0],
@@ -420,8 +421,15 @@ def test_batch_validation(mech_plant, mech_cert):
     for row in (other_dims, mech):
         with pytest.raises(ValueError, match="run 1: only Hopf loops with run 0's dims"):
             oc.integrate([loops[0], row], x0[:2], T=0.1, dt=1e-2)
-    with pytest.raises(ValueError, match="run 0: only Hopf loops"):
-        oc.integrate([mech], np.zeros((1, 4)), T=0.1, dt=1e-2)
+    for batch in ([mech, mech], [mech, loops[0]]):
+        with pytest.raises(ValueError, match="run 0: .* a mech loop integrates alone"):
+            oc.integrate(batch, np.zeros((2, 4)), T=0.1, dt=1e-2)
+    driven, mech_x0 = _mech_loop()
+    (rec,) = oc.integrate([driven], mech_x0[None], T=0.3, dt=1e-3)
+    alone = oc.integrate(driven, mech_x0, T=0.3, dt=1e-3)
+    for name in FIELDS:
+        assert getattr(alone, name).tobytes() == getattr(rec, name).tobytes(), name
+    assert alone.meta == rec.meta and rec.d.any()
     with pytest.raises(ValueError):
         oc.integrate(loops, x0[0], T=0.1, dt=1e-2)  # a batch needs (B, state_dim)
     with pytest.raises(ValueError):
@@ -566,12 +574,19 @@ def test_split_batch_interrupted_here_leaves_no_child(monkeypatch):
     _no_child_left()
 
 
+def _phase_error(loop, t):
+    """The loop's e(t) at one time or an array of times, amplitude * sin(2 pi frequency t)
+    as the phase_error_driven kind defines it, +0.0 without a signal: the reference."""
+    s, t = loop.signal, np.asarray(t)
+    return 0.0 * t if s is None else s.amplitude * np.sin(2.0 * np.pi * s.frequency * t)
+
+
 def _record_mech_per_sample(loop, ts, states):
     """The mech traces one sample at a time from the lone-state kernels: the reference."""
     plant, cert = loop.plant, loop.cert
     eta, d, mu, v_eps = [], [], [], []
     for t, x in zip(ts, states):
-        e = loop.phase_error(float(t))
+        e = float(_phase_error(loop, float(t)))
         eta.append(plant.eta_of(x))
         d.append(oc.derive_phase_disturbance(plant, x, e))
         # the stage's written-out forms and its law, on the sample's Python floats
@@ -597,12 +612,12 @@ def test_mech_record_equals_per_sample_loop(v_d, driven):
     rec = oc.integrate(loop, x0, T=0.5, dt=1e-3)
     # the states that integrate recorded, stepped again by the written-out
     # array formula (integrate steps a list of floats), with the phase error
-    # evaluated one stage time at a time, and the accumulated node times at
-    # which stepping evaluated it
+    # evaluated one stage time at a time as a one-entry input, and the
+    # accumulated node times at which stepping evaluated it
     dt, states, times = 1e-3, [x0], [0.0]
     for _ in range(len(rec) - 1):
         t = times[-1]
-        e = tuple(float(loop.phase_error(s)) for s in (t, t + 0.5 * dt, t + dt))
+        e = tuple(np.array([_phase_error(loop, s)]) for s in (t, t + 0.5 * dt, t + dt))
         states.append(rk4_written_out(_on_arrays(loop.field), t, states[-1], dt, e))
         times.append(t + dt)
     ref = _record_mech_per_sample(loop, times, np.array(states))
@@ -632,14 +647,14 @@ def test_mech_record_shows_what_stepping_applied(monkeypatch):
     forms = np.array([psi0, denom]).T[:n]
     assert np.array([args for args, _ in steps]).tobytes() == forms.tobytes()
     assert np.array([gain for _, gain in steps]).tobytes() == gains[:n].tobytes()
-    first = [args[1:] for args, _ in fields[::4]]  # (t, x, e) of each step's first stage
+    first = [args[1:] for args, _ in fields[::4]]  # (t, x, [e, ...]) of each step's first stage
     # mu1 is u1, the input that each step's first stage applied
     assert rec.mu[:n, 0].tobytes() == np.array([dx[2] for _, dx in fields[::4]]).tobytes()
     assert np.array_equal(rec.d[:n], [oc.derive_phase_disturbance(loop.plant, x, e)
-                                      for _, x, e in first])
+                                      for _, x, (e, *_) in first])
     # the grid i*dt and the node times give another phase error at most samples
     nodes = np.array([t for t, _, _ in first])
-    assert np.count_nonzero(loop.phase_error(rec.t[:n]) != loop.phase_error(nodes)) > n // 2
+    assert np.count_nonzero(_phase_error(loop, rec.t[:n]) != _phase_error(loop, nodes)) > n // 2
 
 
 def _assert_rows_are_the_lone_stage(loop, e, states, rec):
@@ -653,7 +668,7 @@ def _assert_rows_are_the_lone_stage(loop, e, states, rec):
     for x, ei in zip(states.tolist(), e.tolist()):
         dx, _, lone_mu, ff_hat = loop.columns(x, ei, plants.min_norm_mu)
         _, lone_eta, _, ff = loop.columns(x, -0.0, plants.min_norm_mu)
-        assert np.array(dx).tobytes() == np.array(loop.field(0.0, x, ei)).tobytes()
+        assert np.array(dx).tobytes() == np.array(loop.field(0.0, x, [ei])).tobytes()
         eta.append(lone_eta)
         mu.append(lone_mu)
         d.append([0.0, ff_hat - ff][2 - loop.plant.dims.n_mu:])  # u1 - u1 = 0 when k1 = 1
@@ -669,9 +684,9 @@ def test_mech_record_rows_equal_the_lone_stage(monkeypatch, v_d):
     # the phase error that stepping applied there
     recorded, record = [], simulator._record_mech
 
-    def recording(loop, ts, e, states):
-        recorded.append((e, states))
-        return record(loop, ts, e, states)
+    def recording(loops, ts, inputs, states):
+        recorded.append((inputs[:, 0, 0], states[:, 0]))  # a batch of one, e in entry 0
+        return record(loops, ts, inputs, states)
 
     monkeypatch.setattr(simulator, "_record_mech", recording)
     loop, x0 = _mech_loop(v_d)
@@ -690,7 +705,9 @@ def test_mech_record_rows_equal_the_lone_stage(monkeypatch, v_d):
             for dq1 in (-0.0, 0.0, 0.5) for e in (-0.0, 0.0, 0.1)]
     X = np.array([[q1, q2, dq1, -0.0] for q1, q2, dq1, _ in grid])
     e = np.array([e for *_, e in grid])
-    rec = record(loop, np.arange(len(X)) * 1e-3, e, X)
+    inputs = np.zeros((len(X), 1, plant.dims.n_mu))
+    inputs[:, 0, 0] = e
+    (rec,) = record([loop], np.arange(len(X)) * 1e-3, inputs, X[:, None])
     _assert_rows_are_the_lone_stage(loop, e, X, rec)
     assert rec.eta.tobytes() == plant.eta_of(X).tobytes()
     assert rec.d.tobytes() == oc.derive_phase_disturbance(plant, X, e).tobytes()
@@ -698,9 +715,10 @@ def test_mech_record_rows_equal_the_lone_stage(monkeypatch, v_d):
 
 @pytest.mark.parametrize("chunk", [7, 500])
 def test_mech_stage_inputs_equal_phase_error_at_stage_time(monkeypatch, chunk):
-    # each field call gets e at its own stage time t, t + dt/2 or t + dt as a
-    # Python float, bit for bit the loop's phase error evaluated there alone,
-    # across chunk boundaries
+    # each field call gets its input row at its own stage time t, t + dt/2 or
+    # t + dt as a list of Python floats: e in entry 0, bit for bit the loop's
+    # phase error evaluated there alone, and 0 in the other, across chunk
+    # boundaries
     loop, x0 = _mech_loop()
     monkeypatch.setattr(simulator, "CHUNK", chunk)
     fields = _recording_calls(monkeypatch, oc.MechClosedLoop, "field")
@@ -709,8 +727,9 @@ def test_mech_stage_inputs_equal_phase_error_at_stage_time(monkeypatch, chunk):
     times = [t for (_, t, _, _), _ in fields]
     assert times[1] == times[2] == 0.5e-3 and times[3] == times[4] == 1e-3
     for (_, t, _, e), _ in fields:
-        assert type(e) is float and e == loop.phase_error(t), t
-    assert any(e != 0.0 for (_, _, _, e), _ in fields)
+        assert type(e) is list and {type(v) for v in e} == {float}, t
+        assert np.float64(e[0]).tobytes() == _phase_error(loop, t).tobytes() and e[1:] == [0.0], t
+    assert any(e[0] != 0.0 for (_, _, _, e), _ in fields)
 
 
 def _reads(function, name: str) -> int:

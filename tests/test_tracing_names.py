@@ -81,9 +81,9 @@ def test_hopf_field_calls_the_law_once_and_gets_an_ndarray(monkeypatch):
 
 
 def test_mech_field_calls_the_law_once_and_gets_an_ndarray(monkeypatch):
-    # the same contract on the mech loop's lone state: one law call per field
-    # call, whose 0-d ndarray (a Python float has no .any()) is nonzero
-    # exactly where the field's mu is
+    # the same contract on the mech loop's lone state, its phase error given as
+    # a one-entry list: one law call per field call, whose 0-d ndarray (a
+    # Python float has no .any()) is nonzero exactly where the field's mu is
     plant = oc.MechPlant(alpha=np.array([0.0, 0.1, 0.3, 0.3, 0.1, 0.0]), q1_plus=4.0)
     cert = oc.certificate(plant.dyn, np.eye(plant.dims.n_eta), 0.1)
     loop = oc.MechClosedLoop(plant=plant, cert=cert)
@@ -95,7 +95,7 @@ def test_mech_field_calls_the_law_once_and_gets_an_ndarray(monkeypatch):
         x = np.array([rng.uniform(0.5, 3.5), rng.normal(), rng.uniform(0.5, 1.5), rng.normal()])
         e = rng.uniform(-0.05, 0.05)
         results.clear()
-        loop.field(0.0, x.tolist(), e)
+        loop.field(0.0, x.tolist(), [e])
         (gain,) = results
         assert isinstance(gain, np.ndarray) and gain.shape == ()
         eta_hat = plant.eta_at(x, plant.tau(x[0]) + e)

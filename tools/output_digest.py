@@ -72,6 +72,9 @@ CASES = {
                                                   "integrator.horizon=3"),
     "mech_k1_0": ("simulate",) + MECH + _override("k1=0", "plant.q1_plus=4",
                                                   "integrator.horizon=3"),
+    # the zero kind on the mech plant, whose closed loop takes it as the Hopf loop does
+    "mech_zero": ("simulate",) + _override("plant.kind=mech", "k1=1", "disturbance.kind=zero",
+                                           "plant.q1_plus=4", "integrator.horizon=3"),
     "mech_default": ("simulate",) + MECH + _override("k1=1"),
     # k1 = 0 on the default phase interval: it stops in the phase domain
     "mech_k1_0_default": ("simulate",) + MECH + _override("k1=0"),
