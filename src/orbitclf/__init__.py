@@ -19,7 +19,6 @@ from .clf import (
     clf_operator,
     evaluate_clf,
     matvec,
-    membership,
     min_norm_mu,
     u_s_damping,
 )
@@ -34,7 +33,6 @@ from .plants import (
     derive_phase_disturbance,
     mech_feedback_linearize,
     orbit_distance,
-    vz_converse_lyapunov,
 )
 from .simulator import (
     SimulationError,

@@ -40,7 +40,7 @@ from .simulator import TrajectoryRecord
 
 #: orbit distance at or below which a d = 0 run counts as started on the orbit
 ON_ORBIT_ATOL = 1e-8
-#: a Lyapunov-rate inequality's rounding allowance per unit of its terms, as ``membership``'s
+#: a Lyapunov-rate inequality's rounding allowance per unit of its terms
 RATE_RTOL = 1e-12
 #: fraction of its initial value below which a d = 0 run's distance envelope must decay
 ZS_DECAY = 1e-6

@@ -27,8 +27,9 @@ sums out over the rows' nonzero entries (``plants``).  ``min_norm_mu``
 takes the forms psi0 and ||psi1||^2 and gives each row's gain k; its
 caller multiplies, mu = k psi1.
 
-The same membership test applies verbatim to time-parameterized outputs:
-evaluate it on eta_t in place of eta.
+The controller-set membership test, which applies verbatim to
+time-parameterized outputs (evaluate it on eta_t in place of eta), is the
+tests' oracle of this law: ``membership`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -184,27 +185,6 @@ def _inconsistency(where: str, psi0: float, denom: float) -> ClfConsistencyError
                                    f"||psi1||^2 = {denom:g}")
     return ClfConsistencyError(f"{where}psi1 ~ 0 with psi0 = {psi0:g} > 0; "
                                "certificate invariants are broken")
-
-
-def membership(cert: ResClfCertificate, dyn: OutputDynamics, eta: np.ndarray,
-               mu: np.ndarray, rate: float | None = None) -> tuple[bool, float]:
-    """Controller-set membership test; returns (member, signed slack).
-
-    The set is that of decrease rate `rate`, by default the rapid rate
-    gamma/eps (rate = gamma gives the plain exponential set).  Membership
-    allows the slack a working-precision margin (1e-12 scaled to the term
-    magnitudes) so that the exactly-tight min-norm selection is a member
-    despite round-off.  Applies unchanged to time-based outputs via eta_t.
-    """
-    eta = _check_eta(cert, eta)
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (cert.dims.n_mu,):
-        raise ValueError(f"mu has shape {mu.shape}, expected ({cert.dims.n_mu},)")
-    rate = cert.rate if rate is None else rate
-    ev = evaluate_clf(cert, dyn, eta)
-    slack = ev.LF_V + float(ev.LG_V @ mu) + rate * ev.V
-    guard = 1e-12 * max(1.0, abs(ev.LF_V), rate * ev.V, abs(float(ev.LG_V @ mu)))
-    return slack <= guard, slack
 
 
 def damping_gain(eps_bar: float) -> float:

@@ -588,7 +588,7 @@ def run_certify(config: dict, out_dir: Path) -> tuple[dict, list[Check]]:
         Check("ultimate bound, with damping", "damped_bound_ok",
               (eta_ult <= l4 if d_inf > 0.0 else True) if with_us else None, l4),
         Check("eta gain <= bound coefficient", "eta_gain_ok",
-              eta_gain <= 4.0 * cert.c2 / (cert.gamma * cert.c1 * cert.eps), eta_gain),
+              eta_gain <= cert_mod.min_norm_ultimate_bound(cert, 1.0), eta_gain),
         Check("sigma rule margin 0.5", "sigma_condition_ok", sigma_ok, sigma_margin),
         Check("composite V_c decrease", "vc_decrease_ok", vc_ok),
         Check("strict e-ISS inequality", "eiss_form_ok", eiss_form_ok),

@@ -97,25 +97,6 @@ class HopfPlant:
         a, b, c = (float(v) for v in vecdot(self.coupling[[0, 0, 1]], self.coupling[[0, 1, 1]]))
         return math.sqrt(0.5 * (a + c) + math.hypot(0.5 * (a - c), b))
 
-    def zero_field(self, z: np.ndarray) -> np.ndarray:
-        """Psi0(z), the uncoupled Hopf normal form; z is (2,) or a batch (..., 2)."""
-        z = np.asarray(z, dtype=float)
-        zz = z * z
-        g = self.lambda_h * (self.r0 ** 2 - (zz[..., 0] + zz[..., 1]))
-        # (-w z2 + g z1, w z1 + g z2), each sum in that order
-        return z[..., ::-1] * [-self.omega, self.omega] + g[..., None] * z
-
-    def exact_zero_solution(self, z0: np.ndarray, t: float) -> np.ndarray:
-        """Closed-form flow of dz/dt = Psi0(z): logistic radius, linear angle."""
-        r2_0 = float(z0 @ z0)
-        if r2_0 == 0.0:
-            return np.zeros(2)
-        e = np.exp(2.0 * self.lambda_h * self.r0 ** 2 * t)
-        r2 = self.r0 ** 2 * r2_0 * e / (self.r0 ** 2 + r2_0 * (e - 1.0))
-        th = np.arctan2(z0[1], z0[0]) + self.omega * t
-        r = np.sqrt(r2)
-        return np.array([r * np.cos(th), r * np.sin(th)])
-
 
 def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(vecdot(x, x))  # the Euclidean norm of each row
@@ -168,26 +149,6 @@ def converse_constants(plant: HopfPlant, annulus_fraction: float = 0.5) -> Conve
     return ConverseConstants(c4=c4, c5=c5, c6=c6, c7=c7, r=r)
 
 
-def vz_converse_lyapunov(y1: np.ndarray, z: np.ndarray, plant: HopfPlant,
-                         annulus_fraction: float = 0.5,
-                         ) -> tuple[float, np.ndarray, ConverseConstants]:
-    """Evaluate V_Z, its gradient w.r.t. (y1, z), and the constants c4..c7.
-
-    Raises ValueError when z lies outside the analysis annulus.
-    """
-    y1 = np.asarray(y1, dtype=float)
-    z = np.asarray(z, dtype=float)
-    consts = converse_constants(plant, annulus_fraction)
-    nz = float(np.linalg.norm(z))
-    if not (plant.r0 - consts.r - 1e-12 <= nz <= plant.r0 + consts.r + 1e-12):
-        raise ValueError(f"||z|| = {nz:g} outside the annulus "
-                         f"[{plant.r0 - consts.r:g}, {plant.r0 + consts.r:g}]")
-    s = nz * nz - plant.r0 ** 2
-    value = s * s + float(y1 @ y1)
-    grad = np.concatenate([2.0 * y1, 4.0 * s * z])
-    return value, grad, consts
-
-
 def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndarray:
     """V_Z without the annulus guard (used for trajectory traces); batches as above."""
     s = vecdot(z, z) - plant.r0 ** 2
@@ -204,9 +165,9 @@ def vz_value(y1: np.ndarray, z: np.ndarray, plant: HopfPlant) -> float | np.ndar
 # Only ``+ - * /`` and comparisons touch the state, so each row of the
 # columns has the floats' bits.  The public kernels below take one state x
 # (4,) or a stack (S, 4) with one phase, phase error or mu per row, and each
-# row of a stack is bit for bit the lone call's; ``MechPlant.outputs`` and
-# ``mech_feedforward`` take the entries xs = x.T = (q1, q2, dq1, dq2) and a
-# jet (y2d, y2d', y2d'').  They are the stage's reference in the tests.
+# row of a stack is bit for bit the lone call's; ``mech_feedforward`` takes
+# the entries xs = x.T = (q1, q2, dq1, dq2) and a jet (y2d, y2d', y2d'').
+# With the outputs in ``tests/oracles.py`` they are the stage's reference.
 
 
 #: a mech run's phase domain, checked in order: the estimate (1e-9 slack), the true phase
@@ -274,32 +235,9 @@ class MechPlant:
     def y2d(self, tau: float | np.ndarray) -> float | np.ndarray:
         return self.jet(tau)[0]
 
-    def outputs(self, xs, jet: tuple) -> tuple:
-        """The entries of the outputs (y1?, y2, dy2) of the state with entries xs against a jet."""
-        _, q2, dq1, dq2 = xs
-        y2 = q2 - jet[0]
-        dy2 = dq2 - jet[1] * dq1 / self.delta
-        return (y2, dy2) if self.v_d is None else (dq1 - self.v_d, y2, dy2)
-
-    def eta_at(self, x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
-        """Output coordinates (y1?, y2, dy2) of x measured at phase tau."""
-        return np.array(self.outputs(x.T, self.jet(tau))).T
-
-    def eta_of(self, x: np.ndarray) -> np.ndarray:
-        """Output coordinates eta(x) at the true phase."""
-        return self.eta_at(x, self.tau(x.T[0]))
-
     def z_of(self, x: np.ndarray) -> np.ndarray:
         """Zero-dynamics coordinates (q1, dq1)."""
         return x[..., [0, 2]]
-
-    def x_of(self, eta: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Reconstruct x from (eta, z); inverse of (eta_of, z_of)."""
-        q1, dq1 = z
-        y2d, dy2d, _ = self.jet(self.tau(q1))
-        k1 = self.dims.k1
-        y2, dy2 = eta[k1], eta[k1 + 1]
-        return np.array([q1, y2 + y2d, dq1, dy2 + dy2d * dq1 / self.delta])
 
 
 def mech_feedforward(plant: MechPlant, xs, mu, jet: tuple) -> tuple:
@@ -581,11 +519,9 @@ class MechClosedLoop:
     cert: ResClfCertificate
     signal: DisturbanceSignal | None = None
     #: floats(x, e, law) -> dx, the stage on a lone state's four Python floats
-    #: and its phase error (``_mech_stage``), built once
+    #: and its phase error (``_mech_stage``), built with the loop, so that a
+    #: bad constant fails there
     floats: Callable = field(init=False, repr=False, compare=False)
-    #: columns(x, e, law) -> (dx, eta_hat, mu, ff), the same lines on a run's
-    #: columns x = states.T, for its record
-    columns: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cert.dims != self.plant.dims:
@@ -593,11 +529,16 @@ class MechClosedLoop:
         if self.signal is not None and self.signal.kind not in ("zero", "phase_error_driven"):
             raise ValueError("mech closed loop takes a zero or phase_error_driven signal")
         object.__setattr__(self, "floats", _mech_stage(self, columns=False))
-        object.__setattr__(self, "columns", _mech_stage(self, columns=True))
 
     @property
     def state_dim(self) -> int:
         return 4
+
+    @functools.cached_property
+    def columns(self) -> Callable:
+        """columns(x, e, law) -> (dx, eta_hat, mu, ff): the same lines on a run's columns
+        x = states.T, for its record, built on first use."""
+        return _mech_stage(self, columns=True)
 
     def field(self, t: float, x: list, e: list) -> list:
         """The closed-loop right-hand side at time t, as a list of Python floats.

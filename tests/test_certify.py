@@ -8,6 +8,8 @@ from orbitclf import certify
 from orbitclf.certify import rejection_threshold
 from orbitclf.plants import pzd_distance
 
+from oracles import zero_field
+
 
 @pytest.fixture(scope="module")
 def composite_setup(dims01, dyn01, hopf01):
@@ -136,6 +138,75 @@ def test_ag_rejects_nonlinear_data():
     assert not ok
 
 
+def _ag_grid(first_residual):
+    """Amplitudes 0..4 whose least-squares line is y = a exactly, with the first positive
+    amplitude's ultimate at (1 + first_residual) times the line.
+
+    The residuals e = (0, r, -1.5 r, 0, r/2) at a = (0, 1, 2, 3, 4) meet both normal
+    equations (sum e = sum a e = 0), so gain 1 and intercept 0 leave the other ratios
+    1 - 0.75 r, 1 and 1 + r/8 well inside AG_ENVELOPE_TOL (0.25) for |r| near it.
+    """
+    amps = np.arange(5.0)
+    r = first_residual
+    return amps, amps + np.array([0.0, r, -1.5 * r, 0.0, 0.5 * r])
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("step, ok", [(-1e-9, True), (1e-9, False)])
+def test_ag_envelope_bound_at_the_first_positive_amplitude(side, step, ok):
+    # the envelope row looks at every positive amplitude, the first one included:
+    # its ratio just inside 1 +- 0.25 passes and just outside fails
+    amps, ults = _ag_grid(side * (0.25 + step))
+    gain, intercept, got = oc.check_asymptotic_gain(amps, ults)
+    assert gain == pytest.approx(1.0, rel=1e-14) and abs(intercept) <= 1e-14
+    assert got is ok
+
+
+@pytest.mark.parametrize("step, ok", [(-1e-6, True), (1e-6, False)])
+def test_ag_intercept_bound(step, ok):
+    # ultimates on the line a + c: |c| just inside 1e-4 passes, just outside fails
+    amps = np.array([0.0, 1.0, 2.0, 4.0])
+    c = 1e-4 * (1.0 + step)
+    gain, intercept, got = oc.check_asymptotic_gain(amps, amps + c)
+    assert gain == pytest.approx(1.0, rel=1e-14) and intercept == pytest.approx(c, rel=1e-10)
+    assert got is ok
+
+
+def _dist_record(dist):
+    """A d = 0 record at unit steps whose orbit distance is the given figures."""
+    S = len(dist)
+    zeros = np.zeros(S)
+    return oc.TrajectoryRecord(t=np.arange(float(S)), eta=np.zeros((S, 2)), z=np.zeros((S, 2)),
+                               d=np.zeros((S, 1)), v_eps=zeros, v_z=zeros, v_c=zeros,
+                               dist=np.asarray(dist, dtype=float), mu=np.zeros((S, 1)),
+                               u_s=np.zeros((S, 1)))
+
+
+@pytest.mark.parametrize("step, ok", [(-1e-9, True), (1e-9, False)])
+def test_zs_verdict_bound(step, ok):
+    # the envelope's last value just below 1e-6 of its first passes, just above fails
+    d0 = 0.5
+    dist = d0 * np.array([1.0, 0.3, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 3e-6, 2e-6, 1e-6 * (1.0 + step)])
+    zs_ok, _ = oc.check_zero_stability(_dist_record(dist))
+    assert zs_ok is ok
+
+
+def test_zs_rate_fit_floor():
+    # the rate is the least-squares slope of log(dist) over the samples above
+    # 1e-6 d0: samples 0..8 on one line, sample 9 just above that floor and off
+    # the line (so it moves the slope), and sample 10 just below it
+    d0 = 2.0
+    dist = d0 * np.concatenate([10.0 ** (-0.5 * np.arange(9.0)),
+                                [1e-6 * (1.0 + 1e-9), 1e-6 * (1.0 - 1e-9), 1e-7, 1e-8]])
+    zs_ok, rate = oc.check_zero_stability(_dist_record(dist))
+    t = np.arange(float(len(dist)))
+    fitted = -np.polyfit(t[:10], np.log(dist[:10]), 1)[0]
+    assert zs_ok and rate == pytest.approx(fitted, rel=1e-12)
+    # each neighbour of the floor moves the fit: without sample 9, or with sample 10
+    for k in (9, 11):
+        assert rate != pytest.approx(-np.polyfit(t[:k], np.log(dist[:k]), 1)[0], rel=1e-6)
+
+
 # --- composite checks ----------------------------------------------------------
 
 def test_vc_decrease_in_region(composite_setup):
@@ -154,6 +225,36 @@ def test_eiss_fails_when_d_inf_understates_the_disturbance(composite_setup, scal
     _, eiss_ok, details = oc.check_iss_lyapunov(rec, loop, scale * amp)
     assert not eiss_ok
     assert details["eiss_margin"] < -1e-7
+
+
+@pytest.mark.parametrize("step, ok", [(1e-6, True), (-1e-6, False)])
+def test_eiss_form_d_gain_bound(cert01_e01, hopf01, step, ok):
+    # dV_eps/dt <= -(gamma/eps) V_eps + 2 ||eta|| ||P_eps G|| |d|inf at every sample:
+    # at constructed samples under the min-norm law and a d along psi1, a
+    # |d|inf just above the least that meets the inequality passes, just below fails
+    cert, plant = cert01_e01, hopf01
+    loop = oc.DisturbedClosedLoop(plant=plant, cert=cert, controller="min_norm")
+    F, G, P = plant.dyn.F, plant.dyn.G, cert.P_eps
+    rng = np.random.default_rng(11)
+    S = 16
+    eta = rng.normal(size=(S, 2))
+    z = np.column_stack([rng.uniform(0.8, 1.2, S), rng.normal(0.0, 0.1, S)])
+    M = F.T @ P + P @ F + cert.rate * P
+    psi0 = np.einsum("si,ij,sj->s", eta, M, eta)
+    psi1 = 2.0 * eta @ P @ G
+    mu = -(np.maximum(psi0, 0.0) / np.sum(psi1 * psi1, axis=1))[:, None] * psi1
+    d = 0.1 * np.sign(psi1)
+    v_eps = np.einsum("si,ij,sj->s", eta, P, eta)
+    vdot = 2.0 * np.sum((eta @ P) * (eta @ F.T + (mu + d) @ G.T), axis=1)
+    least = np.max((cert.rate * v_eps + vdot)
+                   / (2.0 * np.linalg.norm(eta, axis=1) * np.linalg.norm(P @ G, 2)))
+    assert least > 0.0
+    zeros = np.zeros(S)
+    rec = oc.TrajectoryRecord(t=np.arange(S) * 1e-3, eta=eta, z=z, d=d, v_eps=v_eps, v_z=zeros,
+                              v_c=v_eps, dist=zeros, mu=mu, u_s=np.zeros((S, 1)))
+    _, eiss_ok, details = oc.check_iss_lyapunov(rec, loop, least * (1.0 + step))
+    assert eiss_ok is ok
+    assert (details["eiss_margin"] > 0.0) is ok  # the tightest sample decides
 
 
 def test_vc_zero_disturbance_everywhere(zero_record_eps05):
@@ -203,7 +304,7 @@ def test_lyapunov_rates_match_the_written_out_field(k1, controller):
 
     eta, z, y1 = rec.eta, rec.z, rec.eta[:, :k1]
     deta = eta @ F.T + (rec.mu + rec.u_s + rec.d) @ G.T
-    dz = plant.zero_field(z) + eta @ C.T
+    dz = zero_field(plant, z) + eta @ C.T
     r2 = np.sum(z * z, axis=1)
     s = r2 - plant.r0 ** 2
     want_eps = np.sum(2.0 * (eta @ P) * deta, axis=1)

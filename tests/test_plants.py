@@ -11,6 +11,8 @@ from orbitclf import clf, plants
 from orbitclf.plants import check_phases, mech_feedforward, pzd_distance
 
 from conftest import rk4_written_out
+from oracles import (eta_at, eta_of, exact_zero_solution, outputs, vz_converse_lyapunov, x_of,
+                     zero_field)
 
 
 # --- Hopf plant ---------------------------------------------------------------
@@ -81,8 +83,8 @@ def test_exact_zero_solution_matches_field(hopf01):
     dt, T = 1e-4, 1.5
     z = z0.copy()
     for i in range(int(T / dt)):
-        z = rk4_written_out(lambda t, y: hopf01.zero_field(y), i * dt, z, dt)
-    assert np.allclose(z, hopf01.exact_zero_solution(z0, T), atol=1e-9)
+        z = rk4_written_out(lambda t, y: zero_field(hopf01, y), i * dt, z, dt)
+    assert np.allclose(z, exact_zero_solution(hopf01, z0, T), atol=1e-9)
 
 
 # --- orbit distance -----------------------------------------------------------
@@ -112,19 +114,19 @@ def test_orbit_distance_with_y1():
 # --- converse Lyapunov ---------------------------------------------------------
 
 def test_vz_zero_on_orbit(hopf01):
-    v, grad, _ = oc.vz_converse_lyapunov(np.zeros(0), np.array([1.0, 0.0]), hopf01)
+    v, grad, _ = vz_converse_lyapunov(hopf01, np.zeros(0), np.array([1.0, 0.0]))
     assert v == 0.0
     assert np.allclose(grad, 0.0)
 
 
 def test_vz_hand_value(hopf01):
-    v, _, _ = oc.vz_converse_lyapunov(np.zeros(0), np.array([1.2, 0.0]), hopf01)
+    v, _, _ = vz_converse_lyapunov(hopf01, np.zeros(0), np.array([1.2, 0.0]))
     assert np.isclose(v, 0.1936, atol=1e-12)
 
 
 def test_vz_outside_annulus_rejected(hopf01):
     with pytest.raises(ValueError):
-        oc.vz_converse_lyapunov(np.zeros(0), np.array([1.7, 0.0]), hopf01)
+        vz_converse_lyapunov(hopf01, np.zeros(0), np.array([1.7, 0.0]))
 
 
 def test_vz_grid_inequalities_k1_0(hopf01):
@@ -135,11 +137,11 @@ def test_vz_grid_inequalities_k1_0(hopf01):
     angles = rng.uniform(0.0, 2.0 * np.pi, 10_000)
     for rr, th in zip(radii, angles):
         z = rr * np.array([np.cos(th), np.sin(th)])
-        v, grad, _ = oc.vz_converse_lyapunov(np.zeros(0), z, hopf01)
+        v, grad, _ = vz_converse_lyapunov(hopf01, np.zeros(0), z)
         dist = pzd_distance(np.zeros(0), z, hopf01)
         assert consts.c4 * dist**2 <= v + 1e-12
         assert v <= consts.c5 * dist**2 + 1e-12
-        vdot = grad @ hopf01.zero_field(z)
+        vdot = grad @ zero_field(hopf01, z)
         assert vdot <= -consts.c6 * dist**2 + 1e-12
         assert np.linalg.norm(grad) <= consts.c7 * dist + 1e-12
 
@@ -156,12 +158,12 @@ def test_vz_grid_inequalities_k1_1():
         th = rng.uniform(0.0, 2.0 * np.pi)
         z = rr * np.array([np.cos(th), np.sin(th)])
         y1 = rng.normal(size=1)
-        v, grad, _ = oc.vz_converse_lyapunov(y1, z, plant)
+        v, grad, _ = vz_converse_lyapunov(plant, y1, z)
         dist = pzd_distance(y1, z, plant)
         assert consts.c4 * dist**2 <= v + 1e-12
         assert v <= consts.c5 * dist**2 + 1e-12
         # partial zero dynamics: dz/dt = Psi0 (no coupling), dy1/dt = -y1_rate y1
-        vdot = grad[1:] @ plant.zero_field(z) + grad[:1] @ (-plant.y1_rate * y1)
+        vdot = grad[1:] @ zero_field(plant, z) + grad[:1] @ (-plant.y1_rate * y1)
         assert vdot <= -consts.c6 * dist**2 + 1e-10
         assert np.linalg.norm(grad) <= consts.c7 * dist + 1e-12
 
@@ -304,7 +306,7 @@ def test_mech_zero_dynamics_invariance(mech_plant, mech_cert):
     tau0 = 0.1
     x = np.array([tau0, mech_plant.y2d(tau0),
                   mech_plant.v_d, mech_plant.jet(tau0)[1] * mech_plant.v_d / mech_plant.delta])
-    assert np.allclose(mech_plant.eta_of(x), 0.0, atol=1e-14)
+    assert np.allclose(eta_of(mech_plant, x), 0.0, atol=1e-14)
 
     def field(t, y):
         u = oc.mech_feedback_linearize(mech_plant, y, np.zeros(2))
@@ -313,7 +315,7 @@ def test_mech_zero_dynamics_invariance(mech_plant, mech_cert):
     dt = 1e-3
     for i in range(600):
         x = rk4_written_out(field, i * dt, x, dt)
-    assert np.max(np.abs(mech_plant.eta_of(x))) <= 1e-9
+    assert np.max(np.abs(eta_of(mech_plant, x))) <= 1e-9
 
 
 def test_mech_fd_oracle_state_mode(mech_plant):
@@ -329,8 +331,8 @@ def test_mech_fd_oracle_state_mode(mech_plant):
         field = lambda t, y: np.array([y[2], y[3], u[0], u[1]])
         xp = rk4_written_out(field, 0.0, x, h)
         xm = rk4_written_out(field, 0.0, x, -h)
-        fd = (mech_plant.eta_of(xp) - mech_plant.eta_of(xm)) / (2.0 * h)
-        pred = dyn.F @ mech_plant.eta_of(x) + dyn.G @ mu
+        fd = (eta_of(mech_plant, xp) - eta_of(mech_plant, xm)) / (2.0 * h)
+        pred = dyn.F @ eta_of(mech_plant, x) + dyn.G @ mu
         assert np.max(np.abs(fd - pred)) <= 1e-8 * max(1.0, np.max(np.abs(pred)))
 
 
@@ -360,7 +362,7 @@ def test_mech_k1_0_variant():
     # the y2 channel still linearizes exactly
     dyn = oc.build_fg(plant.dims)
     rate = mech_eta_rate(plant, x, u)
-    pred = dyn.F @ plant.eta_of(x) + dyn.G @ np.array([0.5])
+    pred = dyn.F @ eta_of(plant, x) + dyn.G @ np.array([0.5])
     assert np.allclose(rate, pred, atol=1e-12)
 
 
@@ -369,7 +371,7 @@ def test_mech_phi_roundtrip(mech_plant):
     for _ in range(100):
         x = np.array([rng.uniform(0.05, 0.95), rng.normal(0, 0.5),
                       rng.uniform(0.2, 2.0), rng.normal(0, 0.5)])
-        x2 = mech_plant.x_of(mech_plant.eta_of(x), mech_plant.z_of(x))
+        x2 = x_of(mech_plant, eta_of(mech_plant, x), mech_plant.z_of(x))
         assert np.max(np.abs(x - x2)) <= 1e-10
 
 
@@ -379,14 +381,14 @@ def test_mech_pzd_invariance(mech_plant, mech_cert):
     tau0 = 0.2
     x = np.array([tau0 * mech_plant.delta + mech_plant.q1_minus, mech_plant.y2d(tau0),
                   1.3, mech_plant.jet(tau0)[1] * 1.3 / mech_plant.delta])
-    eta = mech_plant.eta_of(x)
+    eta = eta_of(mech_plant, x)
     assert abs(eta[0]) > 0.1  # y1 nonzero: genuinely partial
     assert np.allclose(eta[1:], 0.0, atol=1e-14)
 
     W, n = oc.clf_operator(mech_cert, dyn), mech_plant.dims.n_eta
 
     def field(t, y):
-        eta_y = mech_plant.eta_of(y)
+        eta_y = eta_of(mech_plant, y)
         rows = oc.matvec(W, eta_y)
         psi1 = rows[2 * n:-n]
         mu = oc.min_norm_mu(np.vecdot(eta_y, rows[-n:]), np.vecdot(psi1, psi1)) * psi1
@@ -396,7 +398,7 @@ def test_mech_pzd_invariance(mech_plant, mech_cert):
     dt = 1e-3
     for i in range(400):
         x = rk4_written_out(field, i * dt, x, dt)
-    eta_end = mech_plant.eta_of(x)
+    eta_end = eta_of(mech_plant, x)
     assert np.max(np.abs(eta_end[1:])) <= 1e-8
     # on the surface the min-norm input reduces to mu1 = -(gamma/(2 eps)) y1
     y1_pred = eta[0] * np.exp(-mech_cert.rate / 2.0 * 0.4)
@@ -474,8 +476,9 @@ def test_mech_kernels_on_a_stack_equal_lone_calls(v_d):
     tau_hat = tau + e
     assert np.array_equal(plant.y2d(tau_hat), _lone_rows(plant.y2d, tau_hat))
     assert np.array_equal(plant.jet(tau_hat), _lone_rows(plant.jet, tau_hat).T)
-    assert np.array_equal(plant.eta_at(X, tau_hat), _lone_rows(plant.eta_at, X, tau_hat))
-    assert np.array_equal(plant.eta_of(X), _lone_rows(plant.eta_of, X))
+    assert np.array_equal(eta_at(plant, X, tau_hat),
+                          _lone_rows(lambda x, th: eta_at(plant, x, th), X, tau_hat))
+    assert np.array_equal(eta_of(plant, X), _lone_rows(lambda x: eta_of(plant, x), X))
     assert np.array_equal(plant.z_of(X), _lone_rows(plant.z_of, X))
     lin = oc.mech_feedback_linearize
     assert np.array_equal(lin(plant, X, mu), _lone_rows(lambda x, m: lin(plant, x, m), X, mu))
@@ -531,7 +534,7 @@ def test_mech_law_forms_on_columns_equal_lone_floats(v_d):
     assert np.array(floats).tobytes() == np.array([psi0, denom]).T.tobytes()
     assert np.array(lone).tobytes() == _rows(dx).tobytes()
     assert np.isinf(psi0[2:4]).all() and np.isinf(denom[2:4]).all()
-    assert np.array(eta).T.tobytes() == loop.plant.eta_at(X, loop.plant.tau(X[:, 0]) + e).tobytes()
+    assert np.array(eta).T.tobytes() == eta_at(loop.plant, X, loop.plant.tau(X[:, 0]) + e).tobytes()
 
 
 @pytest.mark.parametrize("v_d", [1.0, None])
@@ -568,18 +571,18 @@ def test_mech_law_forms_agree_with_the_operator_rows(v_d):
 def _column_field(loop, X, e, law):
     """The mech RHS of each row of a stack X (S, 4) by the public column kernels.
 
-    ``check_phases``, ``MechPlant.jet`` and ``outputs``, the loop's forms and
-    law (its ``columns`` body's mu, with the given law) and
+    ``check_phases``, ``MechPlant.jet`` and the oracle ``outputs``, the
+    loop's forms and law (its ``columns`` body's mu, with the given law) and
     ``mech_feedforward`` on X's columns: the reference of the loop's float
-    body.  The columns body's outputs are ``MechPlant.outputs``' bits.  Also
-    returns the eta_hat columns and the mu columns, k psi1.
+    body.  The columns body's outputs are the oracle's bits.  Also returns
+    the eta_hat columns and the mu columns, k psi1.
     """
     plant, xs = loop.plant, X.T
     tau = plant.tau(xs[0])
     tau_hat = tau + e
     check_phases(tau_hat, tau)
     jet = plant.jet(tau_hat)
-    eta_hat = plant.outputs(xs, jet)
+    eta_hat = outputs(plant, xs, jet)
     _, eta, mu, _ = loop.columns(xs, e, law)
     assert np.array(eta).tobytes() == np.array(eta_hat).tobytes()
     u1, u2 = mech_feedforward(plant, xs, mu, jet)

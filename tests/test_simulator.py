@@ -10,6 +10,7 @@ import orbitclf as oc
 from orbitclf import cli, clf, plants, simulator
 
 from conftest import rk4_written_out
+from oracles import eta_of, exact_zero_solution
 
 
 def test_rk4_single_step_linear_decay():
@@ -120,7 +121,7 @@ def test_rk4_order_by_richardson(hopf01, dyn01):
     errs = []
     for dt in (0.02, 0.01, 0.005):
         rec = oc.integrate(loop, np.concatenate([np.zeros(2), z0]), T=2.0, dt=dt)
-        exact = np.array([hopf01.exact_zero_solution(z0, t) for t in rec.t])
+        exact = np.array([exact_zero_solution(hopf01, z0, t) for t in rec.t])
         errs.append(np.max(np.linalg.norm(rec.z - exact, axis=1)))
     for a, b in zip(errs, errs[1:]):
         assert 12.0 <= a / b <= 20.0
@@ -587,7 +588,7 @@ def _record_mech_per_sample(loop, ts, states):
     eta, d, mu, v_eps = [], [], [], []
     for t, x in zip(ts, states):
         e = float(_phase_error(loop, float(t)))
-        eta.append(plant.eta_of(x))
+        eta.append(eta_of(plant, x))
         d.append(oc.derive_phase_disturbance(plant, x, e))
         # the stage's written-out forms and its law, on the sample's Python floats
         mu.append(np.array(loop.columns(x.tolist(), e, oc.min_norm_mu)[2]))
@@ -709,7 +710,7 @@ def test_mech_record_rows_equal_the_lone_stage(monkeypatch, v_d):
     inputs[:, 0, 0] = e
     (rec,) = record([loop], np.arange(len(X)) * 1e-3, inputs, X[:, None])
     _assert_rows_are_the_lone_stage(loop, e, X, rec)
-    assert rec.eta.tobytes() == plant.eta_of(X).tobytes()
+    assert rec.eta.tobytes() == eta_of(plant, X).tobytes()
     assert rec.d.tobytes() == oc.derive_phase_disturbance(plant, X, e).tobytes()
 
 

@@ -13,6 +13,8 @@ import numpy as np
 import orbitclf as oc
 from orbitclf import plants, simulator
 
+from oracles import eta_at
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -98,7 +100,7 @@ def test_mech_field_calls_the_law_once_and_gets_an_ndarray(monkeypatch):
         loop.field(0.0, x.tolist(), [e])
         (gain,) = results
         assert isinstance(gain, np.ndarray) and gain.shape == ()
-        eta_hat = plant.eta_at(x, plant.tau(x[0]) + e)
+        eta_hat = eta_at(plant, x, plant.tau(x[0]) + e)
         active.append(bool(_mu(W, eta_hat).any()))
         assert bool(gain.any()) == active[-1]
     assert any(active) and not all(active)  # both branches
